@@ -97,7 +97,6 @@ def _train_config(args, config, section="train"):
             args.criterion, config, section, "success_criterion",
             default="zero-classification-error",
         ),
-        rng_seed=int(_pick(args.seed, config, section, "rng_seed", default=0)),
     )
 
 

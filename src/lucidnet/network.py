@@ -11,7 +11,9 @@ Evaluation is split in two: the single-sample ``forward``/``backward`` pair
 defined here is the reference API, while ``forward_batch``/``backward_batch``
 run the same arithmetic vectorized over a whole dataset for the training and
 indicator loops.  Both paths share one compiled per-layer plan, so they agree
-bit for bit.
+bit for bit.  A batch trace keeps the weight vectors its forward pass read
+from the plan, and the backward pass and the optimizer step reuse them
+rather than reading every element object again.
 """
 
 from __future__ import annotations
@@ -470,10 +472,13 @@ class _LayerPlan:
         "syn_owner",
         "syn_refs",
         "bias_refs",
+        "weight_refs",
+        "neuron_refs",
         "owner_scatter",
         "groups",
         "trainable_syn",
         "trainable_bias",
+        "bias_mask",
     )
 
 
@@ -536,20 +541,20 @@ class _Plan:
             lp.trainable_bias = np.array(
                 [s.trainable for s in lp.bias_objs], dtype=bool
             )
+            lp.bias_mask = np.zeros(lp.width, dtype=bool)
+            lp.bias_mask[lp.bias_cols[lp.trainable_bias]] = True
+            # statistic rows in plan order: synapses then biases, live neurons
+            lp.weight_refs = tuple(lp.syn_refs + lp.bias_refs)
+            lp.neuron_refs = tuple(neuron_ref(l, i) for i in lp.alive_cols)
             self.layers.append(lp)
+        self.input_keys = tuple(net.active_feature_indices())
 
     def pull_weights(self, l):
         lp = self.layers[l - 1]
         w = np.array([s.weight for s in lp.syn_objs], dtype=float)
         b = np.zeros(lp.width)
-        for col, syn in zip(lp.bias_cols, lp.bias_objs):
-            b[col] = syn.weight
+        b[lp.bias_cols] = [s.weight for s in lp.bias_objs]
         return w, b
-
-    def refresh_trainable(self, l):
-        lp = self.layers[l - 1]
-        lp.trainable_syn = np.array([s.trainable for s in lp.syn_objs], dtype=bool)
-        lp.trainable_bias = np.array([s.trainable for s in lp.bias_objs], dtype=bool)
 
 
 @dataclass
@@ -573,16 +578,21 @@ class GradientBundle:
 
 
 class BatchTrace:
-    """Vectorized forward pass over N samples."""
+    """Vectorized forward pass over N samples.
 
-    __slots__ = ("values", "sigma", "src_vals", "outputs", "plan_version")
+    weights[l] is the (synapse, bias) vector pair layer l was evaluated with.
+    """
 
-    def __init__(self, values, sigma, src_vals, outputs, plan_version):
+    __slots__ = ("values", "sigma", "src_vals", "outputs", "plan_version",
+                 "weights")
+
+    def __init__(self, values, sigma, src_vals, outputs, plan_version, weights):
         self.values = values
         self.sigma = sigma
         self.src_vals = src_vals
         self.outputs = outputs
         self.plan_version = plan_version
+        self.weights = weights
 
 
 class BatchGradients:
@@ -613,9 +623,11 @@ def forward_batch(net: Network, X) -> BatchTrace:
     values = [X]
     sigmas = [None]
     src_vals = [None]
+    weights = [None]
     for l in range(1, net.n_layers + 1):
         lp = plan.layers[l - 1]
         w, b = plan.pull_weights(l)
+        weights.append((w, b))
         vals = np.empty((n, len(lp.syn_objs)))
         for sl, positions, cols, _ in lp.groups:
             vals[:, positions] = values[sl][:, cols]
@@ -627,18 +639,18 @@ def forward_batch(net: Network, X) -> BatchTrace:
         values.append(y)
         sigmas.append(sigma)
         src_vals.append(vals)
-    return BatchTrace(values, sigmas, src_vals, values[-1], plan.version)
+    return BatchTrace(values, sigmas, src_vals, values[-1], plan.version, weights)
 
 
 def backward_batch(net: Network, trace: BatchTrace, d_outputs) -> BatchGradients:
     plan = net._get_plan()
     if trace.plan_version != plan.version:
         raise StaleReferenceError("trace was produced by a different structure")
-    for _, neuron in net.iter_neurons():
-        if neuron.activation not in SMOOTH_ACTIVATIONS:
-            raise NonDifferentiableError(
-                "backward requires smooth activations on all live neurons"
-            )
+    if any(kind not in SMOOTH_ACTIVATIONS
+           for lp in plan.layers for kind in lp.act_groups):
+        raise NonDifferentiableError(
+            "backward requires smooth activations on all live neurons"
+        )
     d_outputs = np.asarray(d_outputs, dtype=float)
     n = trace.values[0].shape[0]
     y_grads = [np.zeros_like(v) for v in trace.values]
@@ -647,7 +659,7 @@ def backward_batch(net: Network, trace: BatchTrace, d_outputs) -> BatchGradients
     bias_grads = [None] * (net.n_layers + 1)
     for l in range(net.n_layers, 0, -1):
         lp = plan.layers[l - 1]
-        w, _ = plan.pull_weights(l)
+        w = trace.weights[l][0]
         y = trace.values[l]
         d_sigma = np.zeros_like(y)
         for kind, cols in lp.act_groups.items():

@@ -5,7 +5,10 @@ sensitivity indicators over a few live training epochs, modify the
 lowest-rated candidates, retrain, and either keep the result or restore the
 snapshot.  The basic loop modifies one element per pass; the accelerated
 loop modifies batches of M, halving M on failure without recomputing the
-indicators, and stops once a single-element attempt fails.
+indicators, and stops once a single-element attempt fails.  The basic loop
+is the accelerated one with M fixed at 1.  A step whose training diverges
+counts as a failed retrain: the snapshot is restored and the step is logged
+with the reason.
 
 A network that survives the loop is minimal for the problem at hand: no
 remaining element of the class can be modified without breaking the success
@@ -18,7 +21,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .errors import NotTrainedError, PipelineAbort, PoolExhausted
+from .errors import DivergenceError, NotTrainedError, PipelineAbort, PoolExhausted
 from .network import ElementRef, Network, input_ref, neuron_ref
 from .sensitivity import ValidSet, collect_ledger, nearest_valid
 from .training import LossKind, TrainConfig, criterion_met, train_until
@@ -92,37 +95,40 @@ class PruneStepRecord:
     save_hash digests the snapshot taken before the attempt and
     net_hash_after the network after accept or restore, so the audit log
     alone proves that every rejected step rolled back byte-exactly.
+    ``reason`` is "diverged" on a step whose training diverged; the loss of
+    such a step is None and its epochs_used 0.
     """
 
     step: int
     m: int
     refs: list
     accepted: bool
-    total_loss: float
+    total_loss: float | None
     epochs_used: int
     staleness: int
     cascade: list = field(default_factory=list)
     pool_size: int = 0
     save_hash: str = ""
     net_hash_after: str = ""
+    reason: str | None = None
 
     def to_json(self):
-        return json.dumps(
-            {
-                "step": self.step,
-                "M": self.m,
-                "refs": self.refs,
-                "accepted": self.accepted,
-                "loss": self.total_loss,
-                "epochs_used": self.epochs_used,
-                "staleness": self.staleness,
-                "cascade": self.cascade,
-                "pool_size": self.pool_size,
-                "save_hash": self.save_hash,
-                "net_hash_after": self.net_hash_after,
-            },
-            sort_keys=True,
-        )
+        doc = {
+            "step": self.step,
+            "M": self.m,
+            "refs": self.refs,
+            "accepted": self.accepted,
+            "loss": self.total_loss,
+            "epochs_used": self.epochs_used,
+            "staleness": self.staleness,
+            "cascade": self.cascade,
+            "pool_size": self.pool_size,
+            "save_hash": self.save_hash,
+            "net_hash_after": self.net_hash_after,
+        }
+        if self.reason is not None:
+            doc["reason"] = self.reason
+        return json.dumps(doc, sort_keys=True)
 
 
 @dataclass
@@ -240,45 +246,7 @@ def prune_basic(net: Network, dataset, config: PruneConfig) -> PruneResult:
     """One-element-at-a-time loop: snapshot, rate, modify, retrain, and
     restore the snapshot on the first failed retraining."""
     _require_trained(net, dataset, config)
-    steps = []
-    step = 0
-    while True:
-        saved = net.snapshot()
-        pool_size = len(candidate_pool(net, config.problem))
-        ledger = collect_ledger(
-            net, dataset, config.loss_kind, config.retrain,
-            config.accumulation_epochs, config.problem.element_class,
-        )
-        final_map = ledger.finalize(
-            net, config.indicator_mode, config.problem.valid_set
-        )
-        try:
-            candidates = select_candidates(final_map, net, config.problem, 1)
-        except PoolExhausted:
-            net.restore(saved)
-            return PruneResult(net, steps, True)
-        applied, cascade = apply_modification(net, candidates, config.problem)
-        outcome = train_until(net, dataset, config.loss_kind, config.retrain)
-        if not outcome.converged:
-            net.restore(saved)
-        record = PruneStepRecord(
-            step=step,
-            m=1,
-            refs=[str(r) for r in applied],
-            accepted=outcome.converged,
-            total_loss=outcome.final_total_loss,
-            epochs_used=outcome.epochs_used,
-            staleness=0,
-            cascade=[str(r) for r in cascade],
-            pool_size=pool_size,
-            save_hash=_digest(saved),
-            net_hash_after=_digest(net.snapshot()),
-        )
-        steps.append(record)
-        _emit(config, record)
-        step += 1
-        if not outcome.converged:
-            return PruneResult(net, steps, True)
+    return _prune(net, dataset, config, 1)
 
 
 def _resolve_initial_m(net, config):
@@ -295,53 +263,62 @@ def prune_accelerated(net: Network, dataset, config: PruneConfig) -> PruneResult
     and halve M without recomputing indicators; a failure at M = 1 ends the
     procedure with the last saved network."""
     _require_trained(net, dataset, config)
-    m = _resolve_initial_m(net, config)
+    return _prune(net, dataset, config, _resolve_initial_m(net, config))
+
+
+def _rate(net, dataset, config):
+    ledger = collect_ledger(
+        net, dataset, config.loss_kind, config.retrain,
+        config.accumulation_epochs, config.problem.element_class,
+    )
+    return ledger.finalize(net, config.indicator_mode, config.problem.valid_set)
+
+
+def _prune(net, dataset, config, m):
     steps = []
-    step = 0
     while True:
         saved = net.snapshot()
         pool_size = len(candidate_pool(net, config.problem))
-        ledger = collect_ledger(
-            net, dataset, config.loss_kind, config.retrain,
-            config.accumulation_epochs, config.problem.element_class,
-        )
-        final_map = ledger.finalize(
-            net, config.indicator_mode, config.problem.valid_set
-        )
+        final_map = None  # rated lazily: a diverged rating is retried
         staleness = 0
         while True:
+            applied, cascade, outcome = [], [], None
             try:
+                if final_map is None:
+                    final_map = _rate(net, dataset, config)
                 candidates = select_candidates(final_map, net, config.problem, m)
+                applied, cascade = apply_modification(net, candidates, config.problem)
+                outcome = train_until(net, dataset, config.loss_kind, config.retrain)
             except PoolExhausted:
                 net.restore(saved)
                 return PruneResult(net, steps, True)
-            applied, cascade = apply_modification(net, candidates, config.problem)
-            outcome = train_until(net, dataset, config.loss_kind, config.retrain)
-            if not outcome.converged:
+            except DivergenceError:
+                pass
+            accepted = outcome is not None and outcome.converged
+            if not accepted:
                 net.restore(saved)
             record = PruneStepRecord(
-                step=step,
+                step=len(steps),
                 m=m,
                 refs=[str(r) for r in applied],
-                accepted=outcome.converged,
-                total_loss=outcome.final_total_loss,
-                epochs_used=outcome.epochs_used,
+                accepted=accepted,
+                total_loss=None if outcome is None else outcome.final_total_loss,
+                epochs_used=0 if outcome is None else outcome.epochs_used,
                 staleness=staleness,
                 cascade=[str(r) for r in cascade],
                 pool_size=pool_size,
                 save_hash=_digest(saved),
                 net_hash_after=_digest(net.snapshot()),
+                reason="diverged" if outcome is None else None,
             )
             steps.append(record)
             _emit(config, record)
-            step += 1
-            if outcome.converged:
+            if accepted:
                 break  # fresh indicators on the smaller network
-            staleness += 1
-            if m > 1:
-                m //= 2
-            else:
+            if m == 1:
                 return PruneResult(net, steps, True)
+            staleness += 1
+            m //= 2
 
 
 def run_pipeline(net: Network, dataset, configs):

@@ -20,10 +20,15 @@ import numpy as np
 
 from .errors import ExcludedElementError, StaleReferenceError
 from .network import ElementRef, Network, input_ref
-from .training import LossKind, TrainConfig, train_epoch
+from .training import (
+    ELEMENT_CLASSES,
+    LossKind,
+    TrainConfig,
+    targets_for,
+    train_epoch,
+)
 
 INDICATOR_MODES = ("max", "avg")
-ELEMENT_CLASSES = ("input", "weight", "neuron")
 
 
 @dataclass(frozen=True)
@@ -102,7 +107,10 @@ class SensitivityLedger:
     """Accumulates per-epoch aggregates of per-sample indicator statistics.
 
     Both the max and the avg statistic are tracked, so either mode can be
-    finalized from one accumulation run.
+    finalized from one accumulation run.  Sums are kept as arrays per
+    statistic block; a block whose refs equal an earlier block's adds to
+    that block's sums, so an element whose block repeats every epoch, as in
+    ``collect_ledger``, sums its epoch aggregates in epoch order.
     """
 
     def __init__(self, element_class):
@@ -110,22 +118,19 @@ class SensitivityLedger:
             raise ValueError(f"unknown element class {element_class!r}")
         self.element_class = element_class
         self.epochs_accumulated = 0
-        self._sum_of_max = {}
-        self._sum_of_avg = {}
+        self._sums = []  # [refs, sum of per-epoch max, sum of per-epoch avg]
 
     def add_epoch(self, record):
         """Fold one epoch's GradientRecord into the running accumulators."""
-        if self.element_class == "input":
-            stats = record.input_cost
-        elif self.element_class == "weight":
-            stats = record.weight_abs
-        else:
-            stats = record.neuron_cost
-        for key, values in stats.items():
-            epoch_max = aggregate_samples(values, "max")
-            epoch_avg = aggregate_samples(values, "avg")
-            self._sum_of_max[key] = self._sum_of_max.get(key, 0.0) + epoch_max
-            self._sum_of_avg[key] = self._sum_of_avg.get(key, 0.0) + epoch_avg
+        for block in record.blocks[self.element_class]:
+            acc = next((a for a in self._sums
+                        if a[0] is block.refs or a[0] == block.refs), None)
+            if acc is None:
+                acc = [block.refs, np.zeros(len(block.refs)),
+                       np.zeros(len(block.refs))]
+                self._sums.append(acc)
+            acc[1] += block.max()
+            acc[2] += block.mean()
         self.epochs_accumulated += 1
 
     def finalize(self, net: Network, mode, valid_set: ValidSet | None = None):
@@ -139,9 +144,13 @@ class SensitivityLedger:
         """
         if self.epochs_accumulated == 0:
             raise ValueError("finalize on an empty ledger")
-        sums = self._sum_of_max if mode == "max" else self._sum_of_avg
         if mode not in INDICATOR_MODES:
             raise ValueError(f"unknown indicator mode {mode!r}")
+        column = 1 if mode == "max" else 2
+        sums = {}
+        for acc in self._sums:
+            for key, value in zip(acc[0], acc[column].tolist()):
+                sums[key] = sums.get(key, 0.0) + value
         e = self.epochs_accumulated
         out = {}
         if self.element_class == "weight":
@@ -172,14 +181,17 @@ def collect_ledger(net: Network, dataset, loss_kind: LossKind,
 
     The network keeps training while the statistics accumulate, so the
     indicators reflect a trajectory rather than a single weight state.
+    Each epoch builds statistics for ``element_class`` only.
     """
     if epochs < 1:
         raise ValueError("need at least one accumulation epoch")
     ledger = SensitivityLedger(element_class)
     velocity = None
+    targets = targets_for(dataset, net)
     for _ in range(epochs):
         record, velocity = train_epoch(net, dataset, loss_kind, train_config,
-                                       velocity)
+                                       velocity, targets=targets,
+                                       stats=(element_class,))
         ledger.add_epoch(record)
     return ledger
 

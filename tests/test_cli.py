@@ -113,8 +113,9 @@ class TestTrainCommand:
         config = write(tmp_path / "run.json", json.dumps({
             "dataset": data,
             "network": {"arch": [2, 6, 1], "labels": ["pos", "neg"]},
+            # keys the CLI does not read, such as rng_seed, are ignored
             "train": {"learning_rate": 0.3, "momentum": 0.9,
-                      "max_epochs": 5000},
+                      "max_epochs": 5000, "rng_seed": 7},
             "output_dir": str(tmp_path / "from_config"),
         }))
         code = main(["train", "--config", config, "--seed", "2"])

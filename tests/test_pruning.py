@@ -290,6 +290,48 @@ class TestPruneAccelerated:
         assert accuracy == 1.0
 
 
+class TestDivergence:
+    """An infinite learning rate drives the weights to inf, so training
+    diverges: in the retrain after one accumulation epoch, in the ledger
+    itself after two."""
+
+    def _run(self, loop, acc):
+        net, ds, _, _ = fresh_trained_xor(1)
+        entry = net.to_json()
+        sink = io.StringIO()
+        config = prune_cfg("synapse-removal", loop=loop, initial_m=4, acc=acc,
+                           sink=sink,
+                           retrain=retrain_cfg(lr=float("inf"), budget=20))
+        runner = prune_basic if loop == "basic" else prune_accelerated
+        with np.errstate(all="ignore"):
+            result = runner(net, ds, config)
+        logged = [json.loads(line) for line in sink.getvalue().splitlines()]
+        return net, entry, result, logged
+
+    @pytest.mark.parametrize("loop", ["basic", "accelerated"])
+    @pytest.mark.parametrize("acc,modified", [(1, True), (2, False)])
+    def test_diverged_step_restores_snapshot(self, loop, acc, modified):
+        net, entry, result, logged = self._run(loop, acc)
+        first = result.steps[0]
+        assert not first.accepted and first.reason == "diverged"
+        assert bool(first.refs) == modified  # retrain diverged after a removal
+        assert first.save_hash == first.net_hash_after == _digest(entry)
+        assert logged[0]["reason"] == "diverged" and logged[0]["loss"] is None
+        for step in result.steps:
+            if not step.accepted:
+                assert step.save_hash == step.net_hash_after
+        if not any(step.accepted for step in result.steps):
+            assert net.to_json() == entry
+        assert result.steps[-1].m == 1 and not result.steps[-1].accepted
+
+    def test_only_diverged_records_carry_a_reason(self):
+        _, _, result, logged = self._run("accelerated", 1)
+        assert any(rec["accepted"] for rec in logged)
+        for step, rec in zip(result.steps, logged):
+            assert ("reason" in rec) == (step.reason is not None)
+            assert ("reason" in rec) == (rec["loss"] is None)
+
+
 class TestRunPipeline:
     def test_empty_stage_list_returns_unchanged(self):
         net, ds, _, _ = fresh_trained_xor(2)

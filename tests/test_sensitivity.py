@@ -271,6 +271,59 @@ class TestCollectLedger:
                 )
 
 
+class TestLedgerExactness:
+    """The array ledger reproduces per-element aggregation bit for bit."""
+
+    def _case(self):
+        rng = np.random.default_rng(5)
+        rows = rng.choice([-1.0, 1.0], size=(300, 5))  # past numpy's 128-row block
+        labels = ["class0" if r[0] * r[2] + r[4] > 0 else "class1" for r in rows]
+        ds = make_dataset(rows, labels, class_labels=["class0", "class1"])
+        net = build_network((5, 4, 3, 2), seed=8)
+        net.remove_element(synapse_ref(2, 1, 2))
+        net.set_weight(synapse_ref(1, 0, 1), 1.0, freeze=True)
+        return net, ds
+
+    @pytest.mark.parametrize("element_class", ["input", "weight", "neuron"])
+    @pytest.mark.parametrize("mode", ["max", "avg"])
+    def test_finalize_equals_per_element_aggregates(self, element_class, mode):
+        from lucidnet import input_ref
+
+        net, ds = self._case()
+        twin, _ = self._case()  # not a JSON copy: that would renumber slots
+        loss = LossKind("mse")
+        cfg = TrainConfig(learning_rate=0.01, momentum=0.5)
+        valid = ValidSet.ternary() if element_class == "weight" else None
+        epochs = 4
+        got = collect_ledger(net, ds, loss, cfg, epochs, element_class).finalize(
+            net, mode, valid)
+
+        sums = {}
+        velocity = None
+        for _ in range(epochs):
+            record, velocity = train_epoch(twin, ds, loss, cfg, velocity)
+            rows = {"input": record.input_cost, "weight": record.weight_abs,
+                    "neuron": record.neuron_cost}[element_class]
+            for key, values in rows.items():
+                sums[key] = sums.get(key, 0.0) + aggregate_samples(values, mode)
+        assert net.to_json() == twin.to_json()
+        if element_class == "weight":
+            want = {}
+            for ref, syn in twin.iter_weights():
+                if syn.trainable:
+                    target = nearest_valid(syn.weight, valid)
+                    want[ref] = ((sums[ref] / epochs) * abs(target - syn.weight),
+                                 target)
+        elif element_class == "input":
+            want = {input_ref(k): (sums[k] / epochs, None)
+                    for k in twin.active_feature_indices()}
+        else:
+            want = {ref: (sums[ref] / epochs, None)
+                    for ref, _ in twin.iter_neurons(hidden_only=True)}
+        assert len(want) > 0
+        assert got == want
+
+
 class TestFirstOrderFidelity:
     def test_perturbation_ratio_approaches_one(self):
         rng = np.random.default_rng(17)

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lucidnet import (
     DivergenceError,
     LossKind,
+    Network,
     TrainConfig,
+    TrainOutcome,
     bias_ref,
     build_network,
     evaluate_classification,
@@ -13,7 +17,7 @@ from lucidnet import (
     train_epoch,
     train_until,
 )
-from lucidnet.training import classify_outputs
+from lucidnet.training import classify_outputs, criterion_met
 
 from conftest import fresh_trained_xor, make_dataset, single_neuron_net
 
@@ -108,12 +112,78 @@ class TestTrainUntil:
         out = train_until(net, ds, LossKind("mse"), cfg)
         assert not out.converged and out.epochs_used == 0
 
+    def test_loss_equal_to_threshold_meets_criterion(self):
+        # a step net cannot train, so only the epoch-0 check can succeed
+        net = passthrough_net()
+        ds = make_dataset([[1.0], [-1.0]], ["pos", "neg"],
+                          class_labels=["pos", "neg"])
+        cfg = TrainConfig(learning_rate=0.1, max_epochs=5, loss_threshold=0.0,
+                          success_criterion="loss-below-threshold")
+        out = train_until(net, ds, LossKind("margin", margin_width=1.0), cfg)
+        assert out == TrainOutcome(True, 0, 0.0, 1.0)
+
     def test_xor_converges_for_at_least_nine_seeds(self):
         converged = [seed for seed in range(10)
                      if fresh_trained_xor(seed)[3].converged]
         assert len(converged) >= 9
         # pass set frozen from the recorded run of this configuration
         assert set(range(10)).issuperset(converged)
+
+
+def reference_train_until(net, ds, loss, cfg):
+    """The epoch loop spelled out with one public call per decision."""
+    velocity = None
+    epochs = 0
+    while True:
+        met = criterion_met(net, ds, loss, cfg)
+        if met or epochs >= cfg.max_epochs:
+            return TrainOutcome(met, epochs, total_loss(net, ds, loss),
+                                evaluate_classification(net, ds)[0])
+        _, velocity = train_epoch(net, ds, loss, cfg, velocity)
+        epochs += 1
+
+
+@st.composite
+def training_cases(draw):
+    n_out = draw(st.sampled_from([1, 2]))
+    dim = draw(st.integers(1, 3))
+    hidden = draw(st.integers(1, 4))
+    labels = ["pos", "neg"] if n_out == 1 else ["class0", "class1"]
+    net = build_network((dim, hidden, n_out),
+                        activation=draw(st.sampled_from(["tanh", "sigmoid"])),
+                        output_labels=labels, seed=draw(st.integers(0, 10**6)))
+    n = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(st.sampled_from([-1.0, 1.0]), min_size=dim,
+                                  max_size=dim), min_size=n, max_size=n))
+    # a single-output net also meets a label it does not know
+    row_labels = labels + ["other"] if n_out == 1 else labels
+    ds = make_dataset(rows, draw(st.lists(st.sampled_from(row_labels),
+                                          min_size=n, max_size=n)),
+                      class_labels=row_labels)
+    loss = draw(st.sampled_from([LossKind("mse"), LossKind("margin", 0.5),
+                                 LossKind("margin", 1.0)]))
+    cfg = TrainConfig(
+        learning_rate=draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])),
+        momentum=draw(st.sampled_from([0.0, 0.5, 0.9])),
+        max_epochs=draw(st.integers(0, 40)),
+        loss_threshold=draw(st.sampled_from([0.0, 0.05, 0.5, 2.0])),
+        success_criterion=draw(st.sampled_from(
+            ["loss-below-threshold", "zero-classification-error"])),
+    )
+    return net, ds, loss, cfg
+
+
+class TestTrainUntilMatchesReferenceLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(training_cases())
+    def test_same_outcome_and_network(self, case):
+        net, ds, loss, cfg = case
+        twin = Network.from_json(net.to_json())
+        got = train_until(net, ds, loss, cfg)
+        want = reference_train_until(twin, ds, loss, cfg)
+        assert got == want
+        assert type(got.converged) is type(want.converged)
+        assert net.to_json() == twin.to_json()
 
 
 class TestEvaluateClassification:
