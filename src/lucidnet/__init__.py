@@ -76,6 +76,7 @@ from .transparency import (
     RuleSet,
     Statement,
     ThresholdRule,
+    classify_rules,
     compare_rulesets,
     evaluate_rules,
     fixtures_A1_A2,

@@ -38,8 +38,8 @@ from .training import (
 )
 from .transparency import (
     RuleSet,
+    classify_rules,
     compare_rulesets,
-    evaluate_rules,
     fixtures_A1_A2,
     is_logically_transparent,
     substitute_step,
@@ -344,10 +344,8 @@ def cmd_eval(args):
         accuracy, preds = evaluate_classification(net, dataset)
     else:
         ruleset = RuleSet.load(args.rules)
-        preds = [
-            evaluate_rules(ruleset, dataset.assignment(j))
-            for j in range(len(dataset))
-        ]
+        columns = dict(zip(dataset.feature_names, dataset.features.T))
+        preds = classify_rules(ruleset, columns).tolist()
         correct = sum(p == a for p, a in zip(preds, dataset.labels))
         accuracy = correct / len(dataset)
     print(f"accuracy={accuracy!r}")

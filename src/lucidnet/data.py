@@ -57,9 +57,6 @@ class Dataset:
     def __len__(self):
         return len(self.labels)
 
-    def assignment(self, row):
-        return dict(zip(self.feature_names, self.features[row]))
-
 
 _CELL_VALUES = {"1": 1.0, "+1": 1.0, "-1": -1.0, "yes": 1.0, "no": -1.0}
 

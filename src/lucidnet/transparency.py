@@ -12,6 +12,13 @@ rules.
 Fan-in at most three is what makes the result pleasant to read, not what
 makes it correct: verbalization is exact for any ternary frozen step
 network.
+
+Rule sets run through one interpreter, ``classify_rules``, which takes a
+whole block of assignments as ±1 feature columns: ``evaluate_rules`` is its
+one-row call, ``compare_rulesets`` enumerates a universe in blocks of 4,096
+assignments, and ``lucidnet eval --rules`` passes the dataset's columns.
+``RuleSet.from_doc`` rejects a malformed rule-set document with a
+``DatasetError``, which the CLI reports with exit code 2.
 """
 
 from __future__ import annotations
@@ -20,9 +27,10 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DatasetError, LucidnetError, TransparencyError
-from .network import Network, Neuron, Synapse, forward_batch
-from .training import classify_outputs
+from .network import Network, Neuron, Synapse
 
 TERNARY = (-1.0, 0.0, 1.0)
 
@@ -61,6 +69,11 @@ class ThresholdRule:
     k: int
     statements: list
     title: str | None = None
+
+
+def _require(ok, message):
+    if not ok:
+        raise DatasetError(f"rule set: {message}")
 
 
 @dataclass
@@ -110,27 +123,66 @@ class RuleSet:
 
     @staticmethod
     def from_doc(doc):
-        rules = [
-            ThresholdRule(
-                name=r["name"],
-                k=r["k"],
-                statements=[
-                    Statement(
-                        affirmed=s["affirmed"],
-                        feature=s.get("feature"),
-                        rule=s.get("rule"),
-                    )
-                    for s in r["statements"]
-                ],
-                title=r.get("title"),
-            )
-            for r in doc["rules"]
-        ]
+        """Rule set from its JSON document.  Raises DatasetError for a
+        missing or mistyped field, a duplicate rule name, a statement that
+        cites a rule not defined before it, or an output rule naming an
+        unknown rule or class."""
+        _require(isinstance(doc, dict), "the document is not a JSON object")
+        for key in ("rules", "output_rules", "class_labels"):
+            _require(isinstance(doc.get(key), list), f"{key!r} must be a list")
+        rules = []
+        defined = set()
+        for r in doc["rules"]:
+            _require(isinstance(r, dict) and isinstance(r.get("name"), str),
+                     "every rule needs a string 'name'")
+            name, k = r["name"], r.get("k")
+            _require(name not in defined, f"rule {name!r} is defined twice")
+            _require(isinstance(k, int) and not isinstance(k, bool),
+                     f"rule {name!r}: 'k' must be an integer")
+            _require(isinstance(r.get("statements"), list),
+                     f"rule {name!r}: 'statements' must be a list")
+            statements = []
+            for st in r["statements"]:
+                _require(isinstance(st, dict),
+                         f"rule {name!r}: a statement is not a JSON object")
+                feature, cited = st.get("feature"), st.get("rule")
+                _require((feature is None) != (cited is None),
+                         f"rule {name!r}: a statement needs exactly one of "
+                         "'feature' or 'rule'")
+                _require(isinstance(st.get("affirmed"), bool),
+                         f"rule {name!r}: 'affirmed' must be true or false")
+                if feature is None:
+                    _require(isinstance(cited, str) and cited in defined,
+                             f"rule {name!r} cites {cited!r}, which is not "
+                             "a rule defined before it")
+                else:
+                    _require(isinstance(feature, str),
+                             f"rule {name!r}: a feature name must be a string")
+                statements.append(
+                    Statement(affirmed=st["affirmed"], feature=feature, rule=cited)
+                )
+            rules.append(ThresholdRule(name=name, k=k, statements=statements,
+                                       title=r.get("title")))
+            defined.add(name)
+        output_rules = []
+        for out in doc["output_rules"]:
+            _require(isinstance(out, dict), "an output rule is not a JSON object")
+            label, rule = out.get("label"), out.get("rule")
+            _require(isinstance(rule, str) and rule in defined,
+                     f"output rule names unknown rule {rule!r}")
+            _require(isinstance(label, str) and label in doc["class_labels"],
+                     f"output label {label!r} is not a class label")
+            output_rules.append((label, rule))
+        _require(output_rules, "'output_rules' is empty")
+        texts = doc.get("feature_texts", {})
+        _require(isinstance(texts, dict) and all(
+            isinstance(v, list) and len(v) == 2 for v in texts.values()
+        ), "'feature_texts' must map each feature to a pair of sentences")
         return RuleSet(
             rules=rules,
-            output_rules=[(o["label"], o["rule"]) for o in doc["output_rules"]],
+            output_rules=output_rules,
             class_labels=list(doc["class_labels"]),
-            feature_texts={k: tuple(v) for k, v in doc.get("feature_texts", {}).items()},
+            feature_texts={k: tuple(v) for k, v in texts.items()},
         )
 
     @staticmethod
@@ -204,13 +256,12 @@ def is_logically_transparent(net: Network):
     return (not violations), violations
 
 
-def _check_frozen_ternary(net: Network):
-    problems = []
-    for wref, syn in net.iter_weights():
-        if syn.trainable:
-            problems.append(f"{wref} is trainable")
-        elif syn.weight not in TERNARY:
-            problems.append(f"{wref} holds non-ternary value {syn.weight!r}")
+def _require_frozen_ternary(net: Network):
+    problems = [
+        f"{ref} is {reason}"
+        for ref, reason in is_logically_transparent(net)[1]
+        if reason != "fan-in"
+    ]
     if problems:
         raise TransparencyError("; ".join(problems))
 
@@ -218,7 +269,7 @@ def _check_frozen_ternary(net: Network):
 def substitute_step(net: Network) -> Network:
     """Swap every activation for the hard threshold on a fully frozen
     ternary network.  Idempotent; mutates and returns the network."""
-    _check_frozen_ternary(net)
+    _require_frozen_ternary(net)
     for _, neuron in net.iter_neurons():
         neuron.activation = "step"
     net._touch()
@@ -237,7 +288,7 @@ def verbalize(net: Network, feature_names=None, rule_names=None,
               feature_texts=None) -> RuleSet:
     """Turn a frozen ternary step network into a hierarchy of threshold
     rules.  Zero-weight synapses contribute no statement."""
-    _check_frozen_ternary(net)
+    _require_frozen_ternary(net)
     for _, neuron in net.iter_neurons():
         if neuron.activation != "step":
             raise TransparencyError(
@@ -302,33 +353,65 @@ def verbalize(net: Network, feature_names=None, rule_names=None,
 # -- evaluation -------------------------------------------------------------
 
 
-def evaluate_rules(ruleset: RuleSet, assignment) -> str:
-    """Class label for one ±1 assignment over the attribute universe."""
-    values = {}
+def _positive(columns, name, n):
+    """Where feature column ``name``, checked to be (n,) and all ±1, is +1."""
+    if name not in columns:
+        raise DatasetError(f"assignment is missing attribute {name}")
+    values = np.asarray(columns[name])
+    if values.shape != (n,):
+        raise DatasetError(f"attribute {name} has shape {values.shape}, not ({n},)")
+    # numbers only: a float conversion would let the string "1" through
+    valid = values.dtype.kind in "biuf" and np.abs(values) == 1
+    if not np.all(valid):
+        first = int(np.argmin(valid))
+        bad = values[first:first + 1].tolist()[0]
+        raise DatasetError(f"attribute value {bad!r} is not ±1")
+    return values > 0
+
+
+def classify_rules(ruleset: RuleSet, columns) -> np.ndarray:
+    """Class label per row of ±1 feature columns.
+
+    ``columns`` maps each feature name to an (N,) array of -1/+1 values; an
+    empty mapping is the one assignment of an empty universe.  Each rule
+    counts its satisfied statements per row and holds where the count
+    reaches k.  A single output rule gives its label where it holds and the
+    other class elsewhere; with several, the first that holds wins, and the
+    first when none does, as ``classify_outputs`` breaks ties.  Returns an
+    object array of the rule set's own label strings.
+    """
+    n = len(next(iter(columns.values()))) if columns else 1
+    positive = {}
+    holds = {}
     for rule in ruleset.rules:
-        satisfied = 0
+        count = np.zeros(n, dtype=np.intp)
         for st in rule.statements:
-            if st.feature is not None:
-                if st.feature not in assignment:
-                    raise DatasetError(f"assignment is missing attribute {st.feature}")
-                val = assignment[st.feature]
+            if st.feature is None:
+                value = holds[st.rule]
             else:
-                val = values[st.rule]
-            if val not in (-1, 1, -1.0, 1.0):
-                raise DatasetError(f"attribute value {val!r} is not ±1")
-            if (val > 0) == st.affirmed:
-                satisfied += 1
-        values[rule.name] = 1.0 if satisfied >= rule.k else -1.0
+                if st.feature not in positive:
+                    positive[st.feature] = _positive(columns, st.feature, n)
+                value = positive[st.feature]
+            count += value if st.affirmed else ~value
+        holds[rule.name] = count >= rule.k
     if len(ruleset.output_rules) == 1:
         label, name = ruleset.output_rules[0]
         if len(ruleset.class_labels) != 2:
             raise LucidnetError("single output rule needs exactly two classes")
-        if values[name] > 0:
-            return label
-        return next(c for c in ruleset.class_labels if c != label)
-    outputs = [[values[name] for _, name in ruleset.output_rules]]
-    labels = [label for label, _ in ruleset.output_rules]
-    return classify_outputs(outputs, labels)[0]
+        other = next(c for c in ruleset.class_labels if c != label)
+        choices = [label, other]
+        picked = (~holds[name]).astype(np.intp)
+    else:
+        choices = [label for label, _ in ruleset.output_rules]
+        stacked = np.stack([holds[name] for _, name in ruleset.output_rules], axis=1)
+        picked = np.argmax(stacked, axis=1)  # the first that holds, else 0
+    return np.array(choices, dtype=object)[picked]
+
+
+def evaluate_rules(ruleset: RuleSet, assignment) -> str:
+    """Class label for one ±1 assignment over the attribute universe."""
+    columns = {name: [value] for name, value in assignment.items()}
+    return classify_rules(ruleset, columns)[0]
 
 
 @dataclass
@@ -358,9 +441,20 @@ class RuleComparison:
         )
 
 
+_SIGNS = (-1.0, 1.0)  # every enumerated assignment shares these two objects
+_BLOCK_BITS = 12  # 4,096 assignments per block
+
+
 def compare_rulesets(r1: RuleSet, r2: RuleSet) -> RuleComparison:
     """Exhaustive agreement table over all ±1 assignments of the union
-    attribute universe (at most 20 attributes)."""
+    attribute universe (at most 20 attributes), in ``itertools.product``
+    order with the first attribute varying slowest.
+
+    The universe runs through ``classify_rules`` in blocks of 4,096
+    assignments: the last twelve attributes take every combination within
+    each block and the others are constant in it.  Only disagreements
+    become assignment dicts.
+    """
     if set(r1.class_labels) != set(r2.class_labels):
         raise LucidnetError("rulesets classify into different label sets")
     universe = sorted(set(r1.attribute_universe) | set(r2.attribute_universe))
@@ -369,143 +463,52 @@ def compare_rulesets(r1: RuleSet, r2: RuleSet) -> RuleComparison:
             f"universe of {len(universe)} attributes is too large to enumerate"
         )
     labels = tuple(r1.class_labels[:2])
-    counts = {"bb": 0, "ss": 0, "fs": 0, "sf": 0}
+    n_high = max(len(universe) - _BLOCK_BITS, 0)
+    high_names, low_names = universe[:n_high], universe[n_high:]
+    low = list(itertools.product(_SIGNS, repeat=len(low_names)))
+    rows = np.arange(len(low))
+    low_columns = {
+        name: np.where(rows >> (len(low_names) - 1 - i) & 1, 1.0, -1.0)
+        for i, name in enumerate(low_names)
+    }
+    # RuleComparison's order: both first, both second, first/second, second/first
+    counts = np.zeros(4, dtype=np.int64)
     disagreements = []
-    for bits in itertools.product((-1.0, 1.0), repeat=len(universe)):
-        assignment = dict(zip(universe, bits))
-        c1 = evaluate_rules(r1, assignment)
-        c2 = evaluate_rules(r2, assignment)
-        if c1 == c2:
-            counts["bb" if c1 == labels[0] else "ss"] += 1
-        elif c1 == labels[0]:
-            counts["fs"] += 1
-            disagreements.append((assignment, c1, c2))
-        else:
-            counts["sf"] += 1
-            disagreements.append((assignment, c1, c2))
-    return RuleComparison(
-        labels=labels,
-        both_first=counts["bb"],
-        both_second=counts["ss"],
-        first_second=counts["fs"],
-        second_first=counts["sf"],
-        disagreements=disagreements,
-        universe=universe,
-    )
+    for high in itertools.product(_SIGNS, repeat=n_high):
+        columns = dict(low_columns)
+        for name, value in zip(high_names, high):
+            columns[name] = np.full(len(low), value)
+        c1 = classify_rules(r1, columns)
+        c2 = classify_rules(r2, columns)
+        differ = c1 != c2
+        counts += np.bincount(2 * differ + (c1 != labels[0]), minlength=4)
+        where = np.flatnonzero(differ)
+        disagreements.extend(
+            (dict(zip(universe, high + low[j])), a, b)
+            for j, a, b in zip(where.tolist(), c1[where].tolist(), c2[where].tolist())
+        )
+    return RuleComparison(labels, *counts.tolist(), disagreements=disagreements,
+                          universe=universe)
 
 
 # -- shipped fixtures --------------------------------------------------------
 
-ELECTION_FEATURE_TEXTS = {
-    "q3": (
-        "There was major third party activity during the election year",
-        "There was no major third party activity during the election year",
-    ),
-    "q4": (
-        "There was a serious contest for the nomination of the incumbent party candidate",
-        "There was no serious contest for the nomination of the incumbent party candidate",
-    ),
-    "q5": (
-        "The incumbent party candidate was the sitting president",
-        "The incumbent party candidate was not the sitting president",
-    ),
-    "q6": (
-        "The election year was a time of recession or depression",
-        "The election year was not a time of recession or depression",
-    ),
-    "q7": (
-        "Growth in the gross national product exceeded 2.1% in the year of the election",
-        "Growth in the gross national product was less than 2.1% in the year of the election",
-    ),
-    "q8": (
-        "The incumbent president initiated major changes in national policy",
-        "The incumbent president did not initiate any major changes in national policy",
-    ),
-    "q9": (
-        "There was major social unrest in the nation during the incumbent administration",
-        "There was no major social unrest in the nation during the incumbent administration",
-    ),
-}
-
 
 def fixtures_A1_A2():
-    """The two shipped election-forecast algorithms as rule sets.
+    """The two shipped election-forecast algorithms, read from the
+    packaged ``fixtures/a1.json`` and ``fixtures/a2.json``.
 
     Both predict victory of the opposition (class O) when at least one of
     two syndromes is present; they differ in which symptoms define the
     syndromes and together touch 7 of the 12 questionnaire attributes.
     """
-    a1 = RuleSet(
-        rules=[
-            ThresholdRule(
-                name="inadequate-governance",
-                title="inadequate governance syndrome",
-                k=2,
-                statements=[
-                    Statement(affirmed=True, feature="q4"),
-                    Statement(affirmed=True, feature="q6"),
-                    Statement(affirmed=False, feature="q8"),
-                ],
-            ),
-            ThresholdRule(
-                name="political-instability",
-                title="political instability syndrome",
-                k=2,
-                statements=[
-                    Statement(affirmed=True, feature="q3"),
-                    Statement(affirmed=True, feature="q4"),
-                    Statement(affirmed=True, feature="q9"),
-                ],
-            ),
-            ThresholdRule(
-                name="opposition-wins",
-                k=1,
-                statements=[
-                    Statement(affirmed=True, rule="inadequate-governance"),
-                    Statement(affirmed=True, rule="political-instability"),
-                ],
-            ),
-        ],
-        output_rules=[("O", "opposition-wins")],
-        class_labels=["P", "O"],
-        feature_texts=dict(ELECTION_FEATURE_TEXTS),
+    import importlib.resources  # ~25 ms to import; only this function needs it
+
+    folder = importlib.resources.files(__package__) / "fixtures"
+    return tuple(
+        RuleSet.from_json((folder / f"{name}.json").read_text(encoding="utf-8"))
+        for name in ("a1", "a2")
     )
-    a2 = RuleSet(
-        rules=[
-            ThresholdRule(
-                name="instability-or-stagnation",
-                title="syndrome of political instability or stagnation",
-                k=2,
-                statements=[
-                    Statement(affirmed=True, feature="q3"),
-                    Statement(affirmed=True, feature="q4"),
-                    Statement(affirmed=False, feature="q8"),
-                ],
-            ),
-            ThresholdRule(
-                name="instability",
-                title="syndrome of instability",
-                k=2,
-                statements=[
-                    Statement(affirmed=False, feature="q5"),
-                    Statement(affirmed=False, feature="q7"),
-                    Statement(affirmed=True, feature="q9"),
-                ],
-            ),
-            ThresholdRule(
-                name="opposition-wins",
-                k=1,
-                statements=[
-                    Statement(affirmed=True, rule="instability-or-stagnation"),
-                    Statement(affirmed=True, rule="instability"),
-                ],
-            ),
-        ],
-        output_rules=[("O", "opposition-wins")],
-        class_labels=["P", "O"],
-        feature_texts=dict(ELECTION_FEATURE_TEXTS),
-    )
-    return a1, a2
 
 
 def single_question_rule_network() -> Network:

@@ -221,12 +221,12 @@ class TestVerbalizeCompareEval:
         assert rows[0][-2:] == ["r1_class", "r2_class"]
         assert len(rows) == 31  # header + 30 disagreements
 
-    def test_shipped_fixture_files_match_builtins(self):
-        a1, a2 = fixtures_A1_A2()
-        for name, built in (("a1.json", a1), ("a2.json", a2)):
-            text = (importlib.resources.files("lucidnet") / "fixtures" / name
-                    ).read_text()
-            assert RuleSet.from_json(text).to_json() == built.to_json()
+    def test_export_fixtures_writes_packaged_files(self, tmp_path, capsys):
+        assert main(["export-fixtures", "--out", str(tmp_path)]) == 0
+        for name in ("a1.json", "a2.json"):
+            packaged = (importlib.resources.files("lucidnet") / "fixtures" / name
+                        ).read_bytes()
+            assert (tmp_path / name).read_bytes() == packaged
 
     def test_eval_ruleset_consistent_dataset(self, tmp_path, capsys):
         a1, _ = fixtures_A1_A2()
@@ -276,6 +276,91 @@ class TestVerbalizeCompareEval:
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["frobnicate"]) == 1
+
+
+def valid_rules_doc():
+    return {
+        "class_labels": ["P", "O"],
+        "rules": [
+            {"name": "s", "k": 1,
+             "statements": [{"feature": "a", "affirmed": True}]},
+            {"name": "out", "k": 1,
+             "statements": [{"rule": "s", "affirmed": True}]},
+        ],
+        "output_rules": [{"label": "O", "rule": "out"}],
+    }
+
+
+def _set(path, value):
+    def edit(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+def _duplicate_first_rule(doc):
+    doc["rules"].insert(1, json.loads(json.dumps(doc["rules"][0])))
+
+
+def _cite_later_rule(doc):
+    doc["rules"][0]["statements"].append({"rule": "out", "affirmed": True})
+
+
+MALFORMED_RULE_SETS = [
+    ("undefined-rule", _set(("rules", 1, "statements", 0, "rule"), "nope"),
+     "'nope', which is not a rule defined before it"),
+    ("feature-and-rule", _set(("rules", 1, "statements", 0, "feature"), "a"),
+     "exactly one of 'feature' or 'rule'"),
+    ("output-rule-missing", _set(("output_rules", 0, "rule"), "nope"),
+     "unknown rule 'nope'"),
+    ("no-output-rules", lambda doc: doc.pop("output_rules"),
+     "'output_rules' must be a list"),
+    ("non-bool-affirmed", _set(("rules", 0, "statements", 0, "affirmed"), 1),
+     "'affirmed' must be true or false"),
+    ("non-integer-k", _set(("rules", 0, "k"), 1.5), "'k' must be an integer"),
+    ("duplicate-name", _duplicate_first_rule, "rule 's' is defined twice"),
+    ("self-citation", _set(("rules", 1, "statements", 0, "rule"), "out"),
+     "'out', which is not a rule defined before it"),
+    ("later-rule", _cite_later_rule,
+     "'out', which is not a rule defined before it"),
+    ("unknown-output-label", _set(("output_rules", 0, "label"), "X"),
+     "output label 'X' is not a class label"),
+]
+
+
+class TestMalformedRuleSets:
+    """Each malformed rule-set document is a data error (exit 2) with one
+    ``error:`` line, from both commands that load rule sets."""
+
+    @pytest.mark.parametrize("command", ["compare", "eval"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [case[1:] for case in MALFORMED_RULE_SETS],
+        ids=[case[0] for case in MALFORMED_RULE_SETS],
+    )
+    def test_exit_code_two(self, tmp_path, capsys, command, edit, message):
+        doc = valid_rules_doc()
+        edit(doc)
+        bad = write(tmp_path / "bad.json", json.dumps(doc))
+        good = write(tmp_path / "good.json", json.dumps(valid_rules_doc()))
+        if command == "compare":
+            argv = ["compare", "--rules1", good, "--rules2", bad,
+                    "--out", str(tmp_path)]
+        else:
+            data = write(tmp_path / "d.csv", "a,class\n1,O\n-1,P\n")
+            argv = ["eval", "--rules", bad, "--dataset", data]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: rule set: ")
+        assert message in err[0]
+
+    def test_valid_document_loads(self, tmp_path, capsys):
+        good = write(tmp_path / "good.json", json.dumps(valid_rules_doc()))
+        data = write(tmp_path / "d.csv", "a,class\n1,O\n-1,P\n")
+        assert main(["eval", "--rules", good, "--dataset", data]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "accuracy=1.0"
 
 
 class TestElectionSchema:

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lucidnet import (
     DatasetError,
@@ -11,6 +13,7 @@ from lucidnet import (
     Synapse,
     TransparencyError,
     build_network,
+    classify_rules,
     compare_rulesets,
     evaluate_rules,
     fixtures_A1_A2,
@@ -249,6 +252,163 @@ class TestEvaluateRules:
         a1, _ = fixtures_A1_A2()
         with pytest.raises(DatasetError):
             evaluate_rules(a1, {"q4": 1})
+
+    def test_non_sign_values_rejected(self):
+        a1, _ = fixtures_A1_A2()
+        for bad in ("1", 0, 0.5, float("nan"), None, False):
+            assignment = {n: 1.0 for n in a1.attribute_universe}
+            assignment["q4"] = bad
+            with pytest.raises(DatasetError, match="is not ±1"):
+                evaluate_rules(a1, assignment)
+
+
+def reference_label(ruleset, assignment):
+    """The per-assignment interpreter the batch one replaced, kept as the
+    reference it must equal."""
+    values = {}
+    for rule in ruleset.rules:
+        satisfied = 0
+        for st_ in rule.statements:
+            if st_.feature is not None:
+                val = assignment[st_.feature]
+            else:
+                val = values[st_.rule]
+            if (val > 0) == st_.affirmed:
+                satisfied += 1
+        values[rule.name] = 1.0 if satisfied >= rule.k else -1.0
+    if len(ruleset.output_rules) == 1:
+        label, name = ruleset.output_rules[0]
+        if values[name] > 0:
+            return label
+        return next(c for c in ruleset.class_labels if c != label)
+    outputs = [[values[name] for _, name in ruleset.output_rules]]
+    labels = [label for label, _ in ruleset.output_rules]
+    return classify_outputs(outputs, labels)[0]
+
+
+def reference_compare(r1, r2):
+    """Counts and disagreements from a loop over ``itertools.product``."""
+    universe = sorted(set(r1.attribute_universe) | set(r2.attribute_universe))
+    first = r1.class_labels[0]
+    counts = [0, 0, 0, 0]
+    disagreements = []
+    for bits in itertools.product((-1.0, 1.0), repeat=len(universe)):
+        assignment = dict(zip(universe, bits))
+        c1 = reference_label(r1, assignment)
+        c2 = reference_label(r2, assignment)
+        counts[2 * (c1 != c2) + (c1 != first)] += 1
+        if c1 != c2:
+            disagreements.append((assignment, c1, c2))
+    return universe, counts, disagreements
+
+
+@st.composite
+def rule_sets(draw, n_attributes, n_outputs):
+    """Rules over features a00.. citing earlier rules, affirmed or negated,
+    with k from -1 to m + 1 and one or several output rules."""
+    features = [f"a{k:02d}" for k in range(n_attributes)]
+    rules = []
+    for i in range(draw(st.integers(max(1, n_outputs), 5))):
+        statements = []
+        for _ in range(draw(st.integers(0, 4))):
+            affirmed = draw(st.booleans())
+            if rules and draw(st.booleans()):
+                cited = draw(st.sampled_from(rules)).name
+                statements.append(Statement(affirmed=affirmed, rule=cited))
+            else:
+                feature = draw(st.sampled_from(features))
+                statements.append(Statement(affirmed=affirmed, feature=feature))
+        k = draw(st.integers(-1, len(statements) + 1))
+        rules.append(ThresholdRule(f"r{i}", k, statements))
+    names = draw(st.lists(st.sampled_from([r.name for r in rules]),
+                          min_size=n_outputs, max_size=n_outputs, unique=True))
+    if n_outputs == 1:
+        class_labels = draw(st.permutations(["P", "O"]))
+        labels = [draw(st.sampled_from(class_labels))]
+    else:
+        class_labels = draw(st.permutations([f"c{i}" for i in range(n_outputs)]))
+        labels = class_labels
+    return RuleSet(rules=rules, output_rules=list(zip(labels, names)),
+                   class_labels=list(class_labels))
+
+
+@st.composite
+def rule_set_pairs(draw):
+    n_attributes = draw(st.integers(1, 14))
+    n_outputs = draw(st.integers(1, 3))
+    return (draw(rule_sets(n_attributes, n_outputs)),
+            draw(rule_sets(n_attributes, n_outputs)))
+
+
+def assert_same_comparison(r1, r2):
+    cmp = compare_rulesets(r1, r2)
+    universe, counts, disagreements = reference_compare(r1, r2)
+    assert cmp.universe == universe
+    assert [cmp.both_first, cmp.both_second, cmp.first_second,
+            cmp.second_first] == counts
+    assert cmp.disagreements == disagreements
+    # values are the two shared floats; labels the rule sets' own strings
+    values = {id(v) for a, _, _ in cmp.disagreements for v in a.values()}
+    assert len(values) <= 2
+    own1 = {id(c) for c in r1.class_labels} | {id(c) for c, _ in r1.output_rules}
+    own2 = {id(c) for c in r2.class_labels} | {id(c) for c, _ in r2.output_rules}
+    assert all(id(c1) in own1 and id(c2) in own2
+               for _, c1, c2 in cmp.disagreements)
+    return cmp
+
+
+class TestBatchInterpreter:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 14).flatmap(
+        lambda n: st.tuples(st.just(n), rule_sets(n, 1) | rule_sets(n, 3),
+                            st.integers(0, 2**32 - 1))))
+    def test_classify_rules_matches_reference(self, case):
+        n_attributes, ruleset, seed = case
+        rows = np.random.default_rng(seed).choice(
+            [-1.0, 1.0], size=(int(seed % 64) + 1, n_attributes))
+        names = [f"a{k:02d}" for k in range(n_attributes)]
+        got = classify_rules(ruleset, dict(zip(names, rows.T)))
+        assert got.tolist() == [
+            reference_label(ruleset, dict(zip(names, row))) for row in rows
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(rule_set_pairs())
+    def test_compare_matches_reference(self, pair):
+        assert_same_comparison(*pair)
+
+    def test_compare_across_block_boundaries(self):
+        # 14 attributes: 16,384 assignments in four blocks of 4,096
+        def ruleset(features, signs):
+            return RuleSet(
+                rules=[
+                    ThresholdRule("s0", 2, [Statement(bool(sg), feature=f)
+                                            for f, sg in zip(features[:4], signs)]),
+                    ThresholdRule("s1", 3, [Statement(bool(sg), feature=f)
+                                            for f, sg in zip(features[4:], signs)]),
+                    ThresholdRule("out", 1, [Statement(True, rule="s0"),
+                                             Statement(False, rule="s1")]),
+                ],
+                output_rules=[("O", "out")],
+                class_labels=["P", "O"],
+            )
+
+        names = [f"a{k:02d}" for k in range(14)]
+        r1 = ruleset(names[:2] + names[10:12] + names[2:7], [1, 0, 1, 1, 0])
+        r2 = ruleset(names[7:10] + names[0:1] + names[12:14] + names[3:6],
+                     [0, 1, 1, 0, 1])
+        cmp = assert_same_comparison(r1, r2)
+        assert cmp.total == 2 ** 14 and len(cmp.universe) == 14
+        assert 0 < len(cmp.disagreements) < cmp.total
+
+    def test_empty_universe(self):
+        def constant(k):
+            return RuleSet(rules=[ThresholdRule("c", k, [])],
+                           output_rules=[("O", "c")], class_labels=["P", "O"])
+
+        cmp = assert_same_comparison(constant(0), constant(1))
+        assert cmp.total == 1 and cmp.disagreements == [({}, "O", "P")]
+        assert classify_rules(constant(0), {}).tolist() == ["O"]
 
 
 class TestCompareRulesets:
