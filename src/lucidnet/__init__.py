@@ -27,8 +27,6 @@ from .network import (
     ForwardTrace,
     GradientBundle,
     Network,
-    Neuron,
-    Synapse,
     backward,
     bias_ref,
     build_network,

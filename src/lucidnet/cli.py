@@ -19,15 +19,11 @@ from .errors import (
     DivergenceError,
     LucidnetError,
     NotTrainedError,
+    PipelineAbort,
     UsageError,
 )
 from .network import Network, build_network
-from .pruning import (
-    PruneConfig,
-    PruningProblem,
-    prune_accelerated,
-    prune_basic,
-)
+from .pruning import PruneConfig, PruningProblem, run_pipeline
 from .sensitivity import ValidSet, collect_ledger, export_csv
 from .training import (
     LossKind,
@@ -206,23 +202,14 @@ def cmd_prune(args):
         stages = [stage]
     out = _out_dir(args, config)
     log_path = os.path.join(out, "prune_log.jsonl")
-    results = []
     with open(log_path, "w") as log:
-        for i, stage in enumerate(stages):
-            cfg = _stage_config(stage, retrain, loss_kind, log)
-            runner = prune_basic if cfg.loop == "basic" else prune_accelerated
-            result = runner(net, dataset, cfg)
-            results.append((i, stage["problem"], result))
-            net = result.network
+        configs = [_stage_config(stage, retrain, loss_kind, log) for stage in stages]
+        results, net = run_pipeline(net, dataset, configs)
     net_path = os.path.join(out, "network.json")
     net.save(net_path)
-    for i, problem, result in results:
-        accepted = len(result.accepted_steps)
-        print(
-            f"stage={i} problem={problem} steps={len(result.steps)} "
-            f"accepted={accepted} "
-            f"certificate={str(result.minimality_certificate).lower()}"
-        )
+    for i, (config, result) in enumerate(zip(configs, results)):
+        print(f"stage={i} problem={config.problem.kind} steps={len(result.steps)} "
+              f"accepted={len(result.accepted_steps)} stop={result.stop_reason}")
     final_loss = total_loss(net, dataset, loss_kind)
     accuracy, _ = evaluate_classification(net, dataset)
     print(
@@ -240,12 +227,8 @@ def cmd_indicators(args):
     loss_kind = _loss_kind(args, config)
     mode = args.mode or "avg"
     epochs = args.acc_epochs or 10
-    # indicators ride along live training; work on a copy so the stored
-    # network is untouched
-    working = Network.from_json(net.to_json())
-    ledger = collect_ledger(
-        working, dataset, loss_kind, tcfg, epochs, args.element_class
-    )
+    # the ledger trains the loaded network in memory; the file is untouched
+    ledger = collect_ledger(net, dataset, loss_kind, tcfg, epochs, args.element_class)
     valid_set = None
     if args.element_class == "weight":
         valid_set = (
@@ -253,7 +236,7 @@ def cmd_indicators(args):
             if args.valid_set
             else ValidSet.removal()
         )
-    final_map = ledger.finalize(working, mode, valid_set)
+    final_map = ledger.finalize(net, mode, valid_set)
     out = _out_dir(args, config)
     csv_path = os.path.join(out, "indicators.csv")
     export_csv(final_map, args.element_class, mode, csv_path)
@@ -284,7 +267,7 @@ def cmd_verbalize(args):
             texts = {k: tuple(v) for k, v in json.load(fh).items()}
     smooth_preds = None
     if dataset is not None and all(
-        n.activation != "step" for _, n in net.iter_neurons()
+        net.activation(r) != "step" for r in net.iter_neurons()
     ):
         _, smooth_preds = evaluate_classification(net, dataset)
     substitute_step(net)
@@ -462,7 +445,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NotTrainedError, DivergenceError) as exc:
+    except (NotTrainedError, PipelineAbort, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except LucidnetError as exc:

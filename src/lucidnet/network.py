@@ -1,29 +1,37 @@
-"""Feed-forward networks at individual-element granularity.
+"""Feed-forward networks at individual-element granularity, stored as arrays.
 
 A network is a strictly layered DAG of neurons.  Every weight, including the
-bias (a synapse whose source is the constant unit signal), is an addressable
-element with its own trainable flag, so pruning and quantization treat biases
-and ordinary synapses uniformly.  Structural edits tombstone elements instead
-of deleting them, which keeps ElementRefs stable for the lifetime of a
-pruning session; serialization compacts the survivors.
+bias, is an addressable element with its own trainable flag, so pruning and
+quantization treat biases and ordinary synapses uniformly.
 
-Evaluation is split in two: the single-sample ``forward``/``backward`` pair
-defined here is the reference API, while ``forward_batch``/``backward_batch``
-run the same arithmetic vectorized over a whole dataset for the training and
-indicator loops.  Both paths share one compiled per-layer plan, so they agree
-bit for bit.  A batch trace keeps the weight vectors its forward pass read
-from the plan, and the backward pass and the optimizer step reuse them
-rather than reading every element object again.
+Neuron layer l holds one weight matrix over the concatenated outputs of all
+earlier layers (inputs first, then layers 1..l-1), so skip connections need
+no second code path.  Same-shape ``alive``/``trainable`` masks, a bias
+vector with its own trainable mask, per-neuron alive flags and activations
+sit beside it, and a per-neuron slot table maps synapse ``s`` of a neuron to
+its column, which keeps ``synapse:l:i:s`` refs and the JSON synapse order.
+
+Edits never change array shapes: removing an input, neuron or synapse
+clears its mask entries and zeroes its weights, so ElementRefs stay valid
+for a whole pruning session and masked or dead units contribute exactly 0.
+``to_doc`` compacts the survivors; ``snapshot``/``restore`` copy arrays.
+``Network.from_doc`` rejects a malformed document with a ``DatasetError``
+(CLI exit code 2).  ``forward_batch``/``backward_batch`` run one masked
+matmul per layer; the single-sample ``forward``/``backward`` reference API
+runs them on one row.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
+    DatasetError,
     IllegalModificationError,
     InputShapeError,
     NonDifferentiableError,
@@ -121,27 +129,66 @@ def bias_ref(layer, idx):
     return ElementRef("bias", layer, idx)
 
 
-class Synapse:
-    """One weighted connection.  ``src`` is (layer, index); None means the
-    constant unit signal (i.e. this synapse is a bias)."""
+class Layer:
+    """One neuron layer: ``weights`` is (width, columns of all earlier
+    layers); ``alive``/``trainable`` share its shape, and a dead entry holds
+    weight 0 and is never trainable.  ``slots[i]`` lists neuron i's synapse
+    columns in slot order.  ``groups`` maps each activation kind to the
+    columns of the live neurons using it; ``Network._touch`` refreshes it.
+    """
 
-    __slots__ = ("weight", "trainable", "src", "alive")
+    __slots__ = ("weights", "alive", "trainable", "bias", "bias_trainable",
+                 "neuron_alive", "activation", "slots", "groups")
 
-    def __init__(self, weight, trainable=True, src=None, alive=True):
-        self.weight = float(weight)
-        self.trainable = bool(trainable)
-        self.src = src
-        self.alive = alive
-
-
-class Neuron:
-    __slots__ = ("bias", "synapses", "activation", "alive")
-
-    def __init__(self, bias, synapses, activation, alive=True):
+    def __init__(self, weights, trainable, bias, bias_trainable, activation,
+                 slots):
+        width, n_src = weights.shape
+        self.weights = weights
+        self.alive = np.zeros((width, n_src), dtype=bool)
+        for i, cols in enumerate(slots):
+            self.alive[i, list(cols)] = True
+        self.trainable = trainable & self.alive
         self.bias = bias
-        self.synapses = synapses
-        self.activation = activation
-        self.alive = alive
+        self.bias_trainable = bias_trainable
+        self.neuron_alive = np.ones(width, dtype=bool)
+        self.activation = list(activation)
+        self.slots = tuple(tuple(cols) for cols in slots)
+        self.regroup()
+
+    @property
+    def width(self):
+        return len(self.bias)
+
+    def regroup(self):
+        groups = {}
+        for i, (kind, alive) in enumerate(zip(self.activation,
+                                              self.neuron_alive.tolist())):
+            if alive:
+                groups.setdefault(kind, []).append(i)
+        if len(groups) == 1 and self.neuron_alive.all():
+            self.groups = {kind: slice(None) for kind in groups}
+        else:
+            self.groups = {kind: np.array(cols) for kind, cols in groups.items()}
+
+    def live_slots(self, i, mask=None):
+        """(slot, column) of neuron i's synapses set in ``mask`` (by
+        default the live ones), in slot order."""
+        row = (self.alive if mask is None else mask)[i].tolist()
+        return [(s, col) for s, col in enumerate(self.slots[i], start=1) if row[col]]
+
+    def kill_neuron(self, i):
+        self.neuron_alive[i] = self.bias_trainable[i] = False
+        self.bias[i] = 0.0
+        self.kill_synapses(i)
+
+    def kill_synapses(self, mask):
+        self.alive[mask] = False
+        self.trainable[mask] = False
+        self.weights[mask] = 0.0
+
+
+_LAYER_STATE = ("weights", "alive", "trainable", "bias", "bias_trainable",
+                "neuron_alive")
 
 
 class Network:
@@ -151,15 +198,16 @@ class Network:
         self.input_dim = int(input_dim)
         self.layers = layers
         self.output_labels = list(output_labels)
-        if active_inputs is None:
-            active_inputs = [True] * self.input_dim
-        self.active_inputs = list(active_inputs)
+        self.active_inputs = ([True] * self.input_dim if active_inputs is None
+                              else [bool(a) for a in active_inputs])
+        # offsets[l] is the first column of layer l's outputs in the
+        # concatenated value vector; offsets[-1] is its total width
+        self.offsets = [0, self.input_dim]
+        for layer in layers:
+            self.offsets.append(self.offsets[-1] + layer.width)
         self._version = 0
-        self._plan = None
-        self._check_labels()
-
-    def _check_labels(self):
-        width = len(self.layers[-1])
+        self._layouts = {}  # weight_layout per layer, until the next edit
+        width = self.layers[-1].width
         if width == 1:
             if len(self.output_labels) != 2:
                 raise ValueError("single-output network needs exactly two class labels")
@@ -172,88 +220,146 @@ class Network:
     def n_layers(self):
         return len(self.layers)
 
-    def _layer(self, index):
-        if not 1 <= index <= self.n_layers:
-            raise StaleReferenceError(f"no neuron layer {index}")
-        return self.layers[index - 1]
-
-    def neuron_at(self, ref, allow_dead=False):
-        if ref.kind != "neuron":
-            raise StaleReferenceError(f"{ref} is not a neuron ref")
-        layer = self._layer(ref.layer)
-        if ref.neuron >= len(layer):
-            raise StaleReferenceError(f"{ref} out of range")
-        neuron = layer[ref.neuron]
-        if not neuron.alive and not allow_dead:
-            raise StaleReferenceError(f"{ref} is tombstoned")
-        return neuron
-
-    def synapse_at(self, ref, allow_dead=False):
-        if ref.kind not in ("synapse", "bias"):
-            raise StaleReferenceError(f"{ref} is not a weight ref")
-        neuron = self.neuron_at(neuron_ref(ref.layer, ref.neuron), allow_dead=True)
-        if ref.kind == "bias" or ref.slot == 0:
-            syn = neuron.bias
-        else:
-            if ref.slot > len(neuron.synapses):
-                raise StaleReferenceError(f"{ref} out of range")
-            syn = neuron.synapses[ref.slot - 1]
-        if (not syn.alive or not neuron.alive) and not allow_dead:
-            raise StaleReferenceError(f"{ref} is tombstoned")
-        return syn
-
     def is_output_layer(self, layer):
         return layer == self.n_layers
 
+    def _source(self, col):
+        """(layer, index) of a column of the concatenated value vector."""
+        sl = bisect.bisect_right(self.offsets, col) - 1
+        return sl, col - self.offsets[sl]
+
+    def _neuron(self, ref):
+        """(Layer, index) of the live neuron that a neuron, synapse or bias
+        ref belongs to; raises StaleReferenceError."""
+        if not 1 <= ref.layer <= self.n_layers:
+            raise StaleReferenceError(f"no neuron layer {ref.layer}")
+        layer = self.layers[ref.layer - 1]
+        if not 0 <= ref.neuron < layer.width:
+            raise StaleReferenceError(f"{ref} out of range")
+        if not layer.neuron_alive[ref.neuron]:
+            raise StaleReferenceError(f"{ref} is tombstoned")
+        return layer, ref.neuron
+
+    def _weight(self, ref):
+        """(Layer, neuron index, column) of a live weight ref; the column is
+        None for a bias.  Raises StaleReferenceError."""
+        if ref.kind not in ("synapse", "bias"):
+            raise StaleReferenceError(f"{ref} is not a weight ref")
+        layer, i = self._neuron(ref)
+        if ref.kind == "bias" or ref.slot == 0:
+            return layer, i, None
+        if not 1 <= ref.slot <= len(layer.slots[i]):
+            raise StaleReferenceError(f"{ref} out of range")
+        col = layer.slots[i][ref.slot - 1]
+        if not layer.alive[i, col]:
+            raise StaleReferenceError(f"{ref} is tombstoned")
+        return layer, i, col
+
+    def weight(self, ref):
+        """Current value of a live weight or bias."""
+        layer, i, col = self._weight(ref)
+        return float(layer.bias[i] if col is None else layer.weights[i, col])
+
+    def is_trainable(self, ref):
+        layer, i, col = self._weight(ref)
+        return bool(layer.bias_trainable[i] if col is None
+                    else layer.trainable[i, col])
+
+    def activation(self, ref):
+        layer, i = self._neuron(ref)
+        return layer.activation[i]
+
+    def is_alive(self, ref):
+        """Whether a ref names a live element (False when out of range)."""
+        if ref.kind == "input":
+            return 0 <= ref.neuron < self.input_dim and self.active_inputs[ref.neuron]
+        try:
+            (self._neuron if ref.kind == "neuron" else self._weight)(ref)
+        except StaleReferenceError:
+            return False
+        return True
+
     # -- iteration helpers ---------------------------------------------
 
-    def iter_neurons(self, live_only=True, hidden_only=False):
-        last = self.n_layers - 1 if hidden_only else self.n_layers
-        for l in range(1, last + 1):
-            for i, neuron in enumerate(self.layers[l - 1]):
-                if live_only and not neuron.alive:
-                    continue
-                yield neuron_ref(l, i), neuron
+    def iter_neurons(self, hidden_only=False):
+        """Refs of the live neurons in (layer, index) order."""
+        for l, layer in enumerate(self.layers[:-1] if hidden_only else self.layers,
+                                  start=1):
+            for i in np.flatnonzero(layer.neuron_alive).tolist():
+                yield neuron_ref(l, i)
 
-    def iter_weights(self, live_only=True, with_bias=True):
-        for nref, neuron in self.iter_neurons(live_only=live_only):
-            if with_bias:
-                syn = neuron.bias
-                if not live_only or syn.alive:
-                    yield bias_ref(nref.layer, nref.neuron), syn
-            for slot, syn in enumerate(neuron.synapses, start=1):
-                if live_only and not syn.alive:
-                    continue
-                yield synapse_ref(nref.layer, nref.neuron, slot), syn
+    def synapses(self, ref):
+        """Live synapses of a live neuron in slot order, as
+        (slot, (source layer, source index), weight, trainable)."""
+        layer, i = self._neuron(ref)
+        weights = layer.weights[i].tolist()
+        trainable = layer.trainable[i].tolist()
+        return [(slot, self._source(col), weights[col], trainable[col])
+                for slot, col in layer.live_slots(i)]
+
+    def iter_weights(self, with_bias=True):
+        """(ref, weight, trainable) of every live weight: per live neuron,
+        its bias, then its synapses in slot order."""
+        for l, layer in enumerate(self.layers, start=1):
+            weights, trainable = layer.weights.tolist(), layer.trainable.tolist()
+            bias, bias_trainable = layer.bias.tolist(), layer.bias_trainable.tolist()
+            for i in np.flatnonzero(layer.neuron_alive).tolist():
+                if with_bias:
+                    yield bias_ref(l, i), bias[i], bias_trainable[i]
+                for slot, col in layer.live_slots(i):
+                    yield synapse_ref(l, i, slot), weights[i][col], trainable[i][col]
 
     def active_feature_indices(self):
         return [k for k in range(self.input_dim) if self.active_inputs[k]]
 
     def fan_in(self, ref):
         """Live non-bias synapses that still matter: trainable or nonzero."""
-        neuron = self.neuron_at(ref)
-        return sum(
-            1
-            for s in neuron.synapses
-            if s.alive and (s.trainable or s.weight != 0.0)
-        )
+        layer, i = self._neuron(ref)
+        return int(np.count_nonzero(
+            layer.alive[i] & (layer.trainable[i] | (layer.weights[i] != 0.0))
+        ))
 
-    def max_fan_in(self):
-        return max(
-            (self.fan_in(ref) for ref, _ in self.iter_neurons()), default=0
-        )
+    def weight_layout(self, l):
+        """Live weights of layer l as (refs, rows, cols, bias_rows): the
+        synapses of each live neuron in slot order, at (rows[k], cols[k]),
+        then the biases of the live neurons.  Cached until the next edit."""
+        if l not in self._layouts:
+            layer = self.layers[l - 1]
+            refs, rows, cols = [], [], []
+            bias_rows = np.flatnonzero(layer.neuron_alive)
+            for i in bias_rows.tolist():
+                for slot, col in layer.live_slots(i):
+                    refs.append(synapse_ref(l, i, slot))
+                    rows.append(i)
+                    cols.append(col)
+            refs.extend(bias_ref(l, i) for i in bias_rows.tolist())
+            self._layouts[l] = (tuple(refs), np.array(rows, dtype=int),
+                                np.array(cols, dtype=int), bias_rows)
+        return self._layouts[l]
 
     # -- structural edits ----------------------------------------------
 
     def _touch(self):
         self._version += 1
-        self._plan = None
+        self._layouts = {}
+        for layer in self.layers:
+            layer.regroup()
 
     def set_weight(self, ref, value, freeze=False):
         """Assign a weight; freezing removes it from the trainable pool."""
-        syn = self.synapse_at(ref)
-        syn.weight = float(value)
-        syn.trainable = not freeze
+        layer, i, col = self._weight(ref)
+        if col is None:
+            layer.bias[i], layer.bias_trainable[i] = float(value), not freeze
+        else:
+            layer.weights[i, col], layer.trainable[i, col] = float(value), not freeze
+        self._touch()
+
+    def set_activation(self, ref, kind):
+        """Change one live neuron's activation."""
+        if kind not in ACTIVATIONS:
+            raise ValueError(f"unknown activation kind {kind!r}")
+        layer, i = self._neuron(ref)
+        layer.activation[i] = kind
         self._touch()
 
     def remove_element(self, ref):
@@ -264,22 +370,28 @@ class Network:
         with no remaining outgoing synapse.
         """
         if ref.kind == "input":
-            if ref.neuron >= self.input_dim or not self.active_inputs[ref.neuron]:
+            if not self.is_alive(ref):
                 raise StaleReferenceError(f"{ref} is not an active feature")
             self.active_inputs[ref.neuron] = False
         elif ref.kind == "neuron":
             if self.is_output_layer(ref.layer):
                 raise IllegalModificationError("output neurons are protected")
-            neuron = self.neuron_at(ref)
-            neuron.alive = False
+            layer, i = self._neuron(ref)
+            layer.kill_neuron(i)
         elif ref.kind == "synapse" and ref.slot > 0:
-            syn = self.synapse_at(ref)
-            syn.alive = False
+            layer, i, col = self._weight(ref)
+            layer.kill_synapses((i, col))
         else:
             raise IllegalModificationError("bias slots cannot be structurally removed")
         cascade = self._audit()
         self._touch()
         return cascade
+
+    def _source_alive(self):
+        return np.concatenate(
+            [np.array(self.active_inputs, dtype=bool)]
+            + [layer.neuron_alive for layer in self.layers]
+        )
 
     def _audit(self):
         """Sweep to a fixpoint of the cascade rules; returns removed refs."""
@@ -288,56 +400,46 @@ class Network:
         while changed:
             changed = False
             # (a) synapses whose source is gone
-            for wref, syn in list(self.iter_weights(with_bias=False)):
-                sl, si = syn.src
-                if sl == 0:
-                    src_alive = self.active_inputs[si]
-                else:
-                    src_alive = self.layers[sl - 1][si].alive
-                if not src_alive:
-                    syn.alive = False
-                    removed.append(wref)
-                    changed = True
+            src_alive = self._source_alive()
+            for l, layer in enumerate(self.layers, start=1):
+                doomed = layer.alive & ~src_alive[None, : self.offsets[l]]
+                if not doomed.any():
+                    continue
+                for i in np.flatnonzero(doomed.any(axis=1)).tolist():
+                    removed.extend(synapse_ref(l, i, slot)
+                                   for slot, _ in layer.live_slots(i, doomed))
+                layer.kill_synapses(doomed)
+                changed = True
             # (b) non-output neurons with no live path to an output
             reachable = self._reaching_output()
-            for nref, neuron in self.iter_neurons(hidden_only=True):
-                if not reachable[(nref.layer, nref.neuron)]:
-                    neuron.alive = False
-                    removed.append(nref)
-                    for slot, syn in enumerate(neuron.synapses, start=1):
-                        if syn.alive:
-                            syn.alive = False
-                            removed.append(synapse_ref(nref.layer, nref.neuron, slot))
-                    if neuron.bias.alive:
-                        neuron.bias.alive = False
-                        removed.append(bias_ref(nref.layer, nref.neuron))
+            for l, layer in enumerate(self.layers[:-1], start=1):
+                doomed = layer.neuron_alive & ~reachable[l]
+                for i in np.flatnonzero(doomed).tolist():
+                    removed.append(neuron_ref(l, i))
+                    removed.extend(synapse_ref(l, i, slot)
+                                   for slot, _ in layer.live_slots(i))
+                    removed.append(bias_ref(l, i))
+                    layer.kill_neuron(i)
                     changed = True
             # (c) features with no remaining outgoing synapse
-            used = set()
-            for _, syn in self.iter_weights(with_bias=False):
-                if syn.src[0] == 0:
-                    used.add(syn.src[1])
+            used = np.any([layer.alive[:, : self.input_dim].any(axis=0)
+                           for layer in self.layers], axis=0)
             for k in range(self.input_dim):
-                if self.active_inputs[k] and k not in used:
+                if self.active_inputs[k] and not used[k]:
                     self.active_inputs[k] = False
                     removed.append(input_ref(k))
                     changed = True
         return removed
 
     def _reaching_output(self):
-        reach = {}
-        for l in range(self.n_layers, 0, -1):
-            for i, neuron in enumerate(self.layers[l - 1]):
-                reach[(l, i)] = bool(neuron.alive) and self.is_output_layer(l)
-        for l in range(self.n_layers, 0, -1):
-            for i, neuron in enumerate(self.layers[l - 1]):
-                if not neuron.alive or not reach[(l, i)]:
-                    continue
-                for syn in neuron.synapses:
-                    if syn.alive and syn.src[0] > 0:
-                        sl, si = syn.src
-                        if self.layers[sl - 1][si].alive:
-                            reach[(sl, si)] = True
+        """Per layer, which live neurons have a live path to an output."""
+        reach = ([None] + [np.zeros(layer.width, dtype=bool) for layer in self.layers[:-1]]
+                 + [self.layers[-1].neuron_alive.copy()])
+        for l in range(self.n_layers, 1, -1):
+            used = self.layers[l - 1].alive[reach[l]].any(axis=0)
+            for sl in range(1, l):
+                block = used[self.offsets[sl]: self.offsets[sl + 1]]
+                reach[sl] |= block & self.layers[sl - 1].neuron_alive
         return reach
 
     def audit_structure(self):
@@ -348,16 +450,16 @@ class Network:
         return extra
 
     def check_layered(self):
-        """Every live synapse must point to a strictly earlier layer."""
-        for wref, syn in self.iter_weights(with_bias=False):
-            sl, si = syn.src
-            if sl >= wref.layer:
-                raise ValueError(f"{wref} sources layer {sl}, not strictly earlier")
-            if sl == 0:
-                if not self.active_inputs[si]:
-                    raise ValueError(f"{wref} sources a masked feature")
-            elif not self.layers[sl - 1][si].alive:
-                raise ValueError(f"{wref} sources a dead neuron")
+        """Every live synapse must read a live source.  Sources lie in
+        strictly earlier layers by construction: a layer's matrix has no
+        columns for itself or later layers."""
+        src_alive = self._source_alive()
+        for l, layer in enumerate(self.layers, start=1):
+            for i, col in zip(*np.nonzero(layer.alive & ~src_alive[: self.offsets[l]])):
+                sl, si = self._source(int(col))
+                what = "a masked feature" if sl == 0 else "a dead neuron"
+                raise ValueError(f"a synapse of {neuron_ref(l, int(i))} "
+                                 f"(from {sl}:{si}) sources {what}")
         return True
 
     # -- serialization ---------------------------------------------------
@@ -365,38 +467,35 @@ class Network:
     def to_doc(self):
         """Compact JSON document; tombstoned elements are dropped and
         neuron indices remapped."""
-        index_map = {}
-        for l in range(1, self.n_layers + 1):
-            alive = [i for i, n in enumerate(self.layers[l - 1]) if n.alive]
-            index_map[l] = {old: new for new, old in enumerate(alive)}
+        # compact (layer, index) of every column of the value vector
+        sources = [(0, k) for k in range(self.input_dim)]
+        for l, layer in enumerate(self.layers, start=1):
+            new = (np.cumsum(layer.neuron_alive) - 1).tolist()
+            sources.extend((l, new[i]) for i in range(layer.width))
         layers_doc = []
-        for l in range(1, self.n_layers + 1):
+        for layer in self.layers:
+            weights = layer.weights.tolist()
+            alive = layer.alive.tolist()
+            trainable = layer.trainable.tolist()
+            bias = layer.bias.tolist()
+            bias_trainable = layer.bias_trainable.tolist()
             layer_doc = []
-            for i, neuron in enumerate(self.layers[l - 1]):
-                if not neuron.alive:
-                    continue
-                synapses = []
-                for syn in neuron.synapses:
-                    if not syn.alive:
-                        continue
-                    sl, si = syn.src
-                    si_out = si if sl == 0 else index_map[sl][si]
-                    synapses.append(
-                        {
-                            "src_layer": sl,
-                            "src_index": si_out,
-                            "w": syn.weight,
-                            "trainable": syn.trainable,
-                        }
-                    )
+            for i in np.flatnonzero(layer.neuron_alive).tolist():
+                synapses = [
+                    {
+                        "src_layer": sources[col][0],
+                        "src_index": sources[col][1],
+                        "w": weights[i][col],
+                        "trainable": trainable[i][col],
+                    }
+                    for col in layer.slots[i]
+                    if alive[i][col]
+                ]
                 layer_doc.append(
                     {
-                        "bias": {
-                            "w": neuron.bias.weight,
-                            "trainable": neuron.bias.trainable,
-                        },
+                        "bias": {"w": bias[i], "trainable": bias_trainable[i]},
                         "synapses": synapses,
-                        "activation": neuron.activation,
+                        "activation": layer.activation[i],
                     }
                 )
             layers_doc.append(layer_doc)
@@ -412,20 +511,72 @@ class Network:
 
     @staticmethod
     def from_doc(doc):
+        """Network from its JSON document.  Raises DatasetError for a missing
+        or mistyped field, a synapse that does not read a live unit of a
+        strictly earlier layer or repeats a source of its neuron, an unknown
+        activation, a non-finite weight, or a wrong label count."""
+        _check(isinstance(doc, dict), "the document is not a JSON object")
+        input_dim = doc.get("input_dim")
+        _check(_is_int(input_dim) and input_dim >= 0,
+               "'input_dim' must be a nonnegative integer")
+        active = doc.get("active_inputs")
+        _check(isinstance(active, list) and len(active) == input_dim
+               and all(isinstance(a, bool) for a in active),
+               f"'active_inputs' must be a list of {input_dim} booleans")
+        layer_docs = doc.get("layers")
+        _check(isinstance(layer_docs, list) and layer_docs,
+               "'layers' must be a nonempty list")
+        labels = doc.get("output_labels")
+        _check(isinstance(labels, list)
+               and all(isinstance(lab, str) for lab in labels),
+               "'output_labels' must be a list of strings")
+        widths = [input_dim]
         layers = []
-        for layer_doc in doc["layers"]:
-            layer = []
-            for n in layer_doc:
-                bias = Synapse(n["bias"]["w"], n["bias"]["trainable"], src=None)
-                synapses = [
-                    Synapse(s["w"], s["trainable"], src=(s["src_layer"], s["src_index"]))
-                    for s in n["synapses"]
-                ]
-                layer.append(Neuron(bias, synapses, n["activation"]))
-            layers.append(layer)
-        return Network(
-            doc["input_dim"], layers, doc["output_labels"], doc["active_inputs"]
-        )
+        for l, layer_doc in enumerate(layer_docs, start=1):
+            _check(isinstance(layer_doc, list), f"layer {l} must be a list of neurons")
+            offsets = np.cumsum([0] + widths).tolist()
+            width = len(layer_doc)
+            weights = np.zeros((width, offsets[-1]))
+            trainable = np.zeros((width, offsets[-1]), dtype=bool)
+            bias = np.zeros(width)
+            bias_trainable = np.zeros(width, dtype=bool)
+            activation, slots = [], []
+            for i, n in enumerate(layer_doc):
+                where = f"neuron {l}:{i}"
+                _check(isinstance(n, dict), f"{where} is not a JSON object")
+                _check(n.get("activation") in ACTIVATIONS,
+                       f"{where}: unknown activation {n.get('activation')!r}")
+                activation.append(n["activation"])
+                bias[i], bias_trainable[i] = _weight_entry(n.get("bias"),
+                                                           f"{where} bias")
+                _check(isinstance(n.get("synapses"), list),
+                       f"{where}: 'synapses' must be a list")
+                cols = []
+                for s in n["synapses"]:
+                    _check(isinstance(s, dict), f"{where}: a synapse is not a JSON object")
+                    sl, si = s.get("src_layer"), s.get("src_index")
+                    _check(_is_int(sl) and 0 <= sl < l,
+                           f"{where}: source layer {sl!r} is not an earlier layer")
+                    _check(_is_int(si) and 0 <= si < widths[sl],
+                           f"{where}: source index {si!r} is out of range "
+                           f"for layer {sl}")
+                    col = offsets[sl] + si
+                    _check(col not in cols,
+                           f"{where}: two synapses read source {sl}:{si}")
+                    cols.append(col)
+                    weights[i, col], trainable[i, col] = _weight_entry(
+                        s, f"{where} synapse {len(cols)}")
+                slots.append(cols)
+            layers.append(Layer(weights, trainable, bias, bias_trainable,
+                                activation, slots))
+            widths.append(width)
+        _check(widths[-1] > 0, "the output layer has no neurons")
+        try:
+            net = Network(input_dim, layers, labels, active)
+            net.check_layered()
+        except ValueError as exc:
+            raise DatasetError(f"network: {exc}") from exc
+        return net
 
     @staticmethod
     def from_json(text):
@@ -442,119 +593,41 @@ class Network:
             return Network.from_json(fh.read())
 
     def snapshot(self):
-        return self.to_json()
+        """Copy of the mutable state, for ``restore``."""
+        return list(self.active_inputs), [
+            [getattr(layer, name).copy() for name in _LAYER_STATE] + [list(layer.activation)]
+            for layer in self.layers
+        ]
 
     def restore(self, snap):
-        other = Network.from_json(snap)
-        self.input_dim = other.input_dim
-        self.layers = other.layers
-        self.output_labels = other.output_labels
-        self.active_inputs = other.active_inputs
+        """Return to the state of a ``snapshot`` of this network; the same
+        snapshot can be restored any number of times."""
+        active, layer_states = snap
+        self.active_inputs = list(active)
+        for layer, state in zip(self.layers, layer_states):
+            for name, value in zip(_LAYER_STATE, state):
+                np.copyto(getattr(layer, name), value)
+            layer.activation = list(state[-1])
         self._touch()
 
-    # -- compiled evaluation plan ----------------------------------------
 
-    def _get_plan(self):
-        if self._plan is None or self._plan.version != self._version:
-            self._plan = _Plan(self)
-        return self._plan
+def _check(ok, message):
+    if not ok:
+        raise DatasetError(f"network: {message}")
 
 
-class _LayerPlan:
-    __slots__ = (
-        "width",
-        "alive_mask",
-        "alive_cols",
-        "act_groups",
-        "bias_objs",
-        "bias_cols",
-        "syn_objs",
-        "syn_owner",
-        "syn_refs",
-        "bias_refs",
-        "weight_refs",
-        "neuron_refs",
-        "owner_scatter",
-        "groups",
-        "trainable_syn",
-        "trainable_bias",
-        "bias_mask",
-    )
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-class _Plan:
-    """Per-layer flattened view of the live structure, rebuilt on edits."""
-
-    def __init__(self, net: Network):
-        self.version = net._version
-        self.layers = []
-        widths = [net.input_dim] + [len(layer) for layer in net.layers]
-        for l in range(1, net.n_layers + 1):
-            lp = _LayerPlan()
-            layer = net.layers[l - 1]
-            lp.width = len(layer)
-            lp.alive_mask = np.array([n.alive for n in layer], dtype=float)
-            lp.alive_cols = np.nonzero(lp.alive_mask)[0]
-            groups = {}
-            lp.bias_objs = []
-            lp.bias_cols = []
-            lp.bias_refs = []
-            lp.syn_objs = []
-            lp.syn_owner = []
-            lp.syn_refs = []
-            for i, neuron in enumerate(layer):
-                if not neuron.alive:
-                    continue
-                lp.bias_objs.append(neuron.bias)
-                lp.bias_cols.append(i)
-                lp.bias_refs.append(bias_ref(l, i))
-                groups.setdefault(neuron.activation, []).append(i)
-                for slot, syn in enumerate(neuron.synapses, start=1):
-                    if not syn.alive:
-                        continue
-                    lp.syn_objs.append(syn)
-                    lp.syn_owner.append(i)
-                    lp.syn_refs.append(synapse_ref(l, i, slot))
-            lp.act_groups = {
-                kind: np.array(cols, dtype=int) for kind, cols in groups.items()
-            }
-            lp.syn_owner = np.array(lp.syn_owner, dtype=int)
-            lp.bias_cols = np.array(lp.bias_cols, dtype=int)
-            n_syn = len(lp.syn_objs)
-            lp.owner_scatter = np.zeros((n_syn, lp.width))
-            for pos, owner in enumerate(lp.syn_owner):
-                lp.owner_scatter[pos, owner] = 1.0
-            by_src = {}
-            for pos, syn in enumerate(lp.syn_objs):
-                by_src.setdefault(syn.src[0], []).append(pos)
-            lp.groups = []
-            for sl, positions in sorted(by_src.items()):
-                positions = np.array(positions, dtype=int)
-                cols = np.array([lp.syn_objs[p].src[1] for p in positions], dtype=int)
-                scatter = np.zeros((len(positions), widths[sl]))
-                for row, col in enumerate(cols):
-                    scatter[row, col] = 1.0
-                lp.groups.append((sl, positions, cols, scatter))
-            lp.trainable_syn = np.array(
-                [s.trainable for s in lp.syn_objs], dtype=bool
-            )
-            lp.trainable_bias = np.array(
-                [s.trainable for s in lp.bias_objs], dtype=bool
-            )
-            lp.bias_mask = np.zeros(lp.width, dtype=bool)
-            lp.bias_mask[lp.bias_cols[lp.trainable_bias]] = True
-            # statistic rows in plan order: synapses then biases, live neurons
-            lp.weight_refs = tuple(lp.syn_refs + lp.bias_refs)
-            lp.neuron_refs = tuple(neuron_ref(l, i) for i in lp.alive_cols)
-            self.layers.append(lp)
-        self.input_keys = tuple(net.active_feature_indices())
-
-    def pull_weights(self, l):
-        lp = self.layers[l - 1]
-        w = np.array([s.weight for s in lp.syn_objs], dtype=float)
-        b = np.zeros(lp.width)
-        b[lp.bias_cols] = [s.weight for s in lp.bias_objs]
-        return w, b
+def _weight_entry(entry, where):
+    """(w, trainable) of a bias or synapse document, validated."""
+    _check(isinstance(entry, dict), f"{where} is not a JSON object")
+    w, trainable = entry.get("w"), entry.get("trainable")
+    _check(isinstance(w, (int, float)) and not isinstance(w, bool)
+           and math.isfinite(w), f"{where}: weight {w!r} is not a finite number")
+    _check(isinstance(trainable, bool), f"{where}: 'trainable' must be true or false")
+    return float(w), trainable
 
 
 @dataclass
@@ -577,39 +650,44 @@ class GradientBundle:
     inputs: dict = field(default_factory=dict)
 
 
+@dataclass
 class BatchTrace:
     """Vectorized forward pass over N samples.
 
-    weights[l] is the (synapse, bias) vector pair layer l was evaluated with.
+    ``activations`` is the (N, columns) concatenated value matrix: the
+    inputs with masked features zeroed, then every layer's outputs.
+    ``values[l]`` is layer l's block of it and ``sigma[l]`` its summator
+    outputs.
     """
 
-    __slots__ = ("values", "sigma", "src_vals", "outputs", "plan_version",
-                 "weights")
+    activations: np.ndarray
+    values: list
+    sigma: list
+    version: int
 
-    def __init__(self, values, sigma, src_vals, outputs, plan_version, weights):
-        self.values = values
-        self.sigma = sigma
-        self.src_vals = src_vals
-        self.outputs = outputs
-        self.plan_version = plan_version
-        self.weights = weights
+    @property
+    def outputs(self):
+        return self.values[-1]
 
 
+@dataclass
 class BatchGradients:
-    """Per-sample reverse-mode derivatives in plan layout.
+    """Reverse-mode derivatives of a batch.
 
-    syn_grads[l] is (N, n_syn) of dL^j/dw for layer l's live synapses;
-    bias_grads[l] is (N, width); y_grads[l] is (N, width); input_grads is
-    (N, d).
+    ``d_sigma[l]`` is (N, width): per-sample dL^j/dsigma, which is also the
+    per-sample bias gradient.  ``weight_grads[l]`` (the shape of layer l's
+    matrix) and ``bias_grads[l]`` are summed over the samples.
+    ``y_grads[l]`` is (N, width); ``input_grads`` is y_grads[0].
     """
 
-    __slots__ = ("syn_grads", "bias_grads", "y_grads", "input_grads")
+    d_sigma: list
+    weight_grads: list
+    bias_grads: list
+    y_grads: list
 
-    def __init__(self, syn_grads, bias_grads, y_grads, input_grads):
-        self.syn_grads = syn_grads
-        self.bias_grads = bias_grads
-        self.y_grads = y_grads
-        self.input_grads = input_grads
+    @property
+    def input_grads(self):
+        return self.y_grads[0]
 
 
 def forward_batch(net: Network, X) -> BatchTrace:
@@ -618,59 +696,50 @@ def forward_batch(net: Network, X) -> BatchTrace:
         raise InputShapeError(
             f"expected (N, {net.input_dim}) inputs, got {X.shape}"
         )
-    plan = net._get_plan()
-    n = X.shape[0]
-    values = [X]
+    off = net.offsets
+    # dead neurons keep their zero columns; masked features are zeroed
+    # explicitly, because a zero weight times nan would still be nan
+    A = np.zeros((X.shape[0], off[-1]))
+    A[:, : off[1]] = np.where(net.active_inputs, X, 0.0)
     sigmas = [None]
-    src_vals = [None]
-    weights = [None]
-    for l in range(1, net.n_layers + 1):
-        lp = plan.layers[l - 1]
-        w, b = plan.pull_weights(l)
-        weights.append((w, b))
-        vals = np.empty((n, len(lp.syn_objs)))
-        for sl, positions, cols, _ in lp.groups:
-            vals[:, positions] = values[sl][:, cols]
-        sigma = b[None, :] + (w[None, :] * vals) @ lp.owner_scatter
-        sigma *= lp.alive_mask[None, :]
-        y = np.zeros_like(sigma)
-        for kind, cols in lp.act_groups.items():
-            y[:, cols] = _activate(kind, sigma[:, cols])
-        values.append(y)
+    for l, layer in enumerate(net.layers, start=1):
+        sigma = A[:, : off[l]] @ layer.weights.T
+        sigma += layer.bias
+        for kind, cols in layer.groups.items():
+            A[:, off[l]: off[l + 1]][:, cols] = _activate(kind, sigma[:, cols])
         sigmas.append(sigma)
-        src_vals.append(vals)
-    return BatchTrace(values, sigmas, src_vals, values[-1], plan.version, weights)
+    values = [A[:, off[l]: off[l + 1]] for l in range(net.n_layers + 1)]
+    return BatchTrace(A, values, sigmas, net._version)
 
 
 def backward_batch(net: Network, trace: BatchTrace, d_outputs) -> BatchGradients:
-    plan = net._get_plan()
-    if trace.plan_version != plan.version:
+    if trace.version != net._version:
         raise StaleReferenceError("trace was produced by a different structure")
     if any(kind not in SMOOTH_ACTIVATIONS
-           for lp in plan.layers for kind in lp.act_groups):
+           for layer in net.layers for kind in layer.groups):
         raise NonDifferentiableError(
             "backward requires smooth activations on all live neurons"
         )
-    d_outputs = np.asarray(d_outputs, dtype=float)
-    n = trace.values[0].shape[0]
-    y_grads = [np.zeros_like(v) for v in trace.values]
-    y_grads[-1] = d_outputs.copy()
-    syn_grads = [None] * (net.n_layers + 1)
+    off = net.offsets
+    A = trace.activations
+    G = np.zeros_like(A)
+    G[:, off[-2]:] = d_outputs
+    d_sigmas = [None] * (net.n_layers + 1)
+    weight_grads = [None] * (net.n_layers + 1)
     bias_grads = [None] * (net.n_layers + 1)
     for l in range(net.n_layers, 0, -1):
-        lp = plan.layers[l - 1]
-        w = trace.weights[l][0]
+        layer = net.layers[l - 1]
         y = trace.values[l]
+        g = G[:, off[l]: off[l + 1]]
         d_sigma = np.zeros_like(y)
-        for kind, cols in lp.act_groups.items():
-            d_sigma[:, cols] = y_grads[l][:, cols] * _activate_prime(kind, y[:, cols])
-        bias_grads[l] = d_sigma * lp.alive_mask[None, :]
-        owned = d_sigma[:, lp.syn_owner] if len(lp.syn_objs) else np.empty((n, 0))
-        syn_grads[l] = owned * trace.src_vals[l]
-        contrib = owned * w[None, :]
-        for sl, positions, _, scatter in lp.groups:
-            y_grads[sl] += contrib[:, positions] @ scatter
-    return BatchGradients(syn_grads, bias_grads, y_grads, y_grads[0])
+        for kind, cols in layer.groups.items():
+            d_sigma[:, cols] = g[:, cols] * _activate_prime(kind, y[:, cols])
+        G[:, : off[l]] += d_sigma @ layer.weights
+        d_sigmas[l] = d_sigma
+        weight_grads[l] = d_sigma.T @ A[:, : off[l]]
+        bias_grads[l] = d_sigma.sum(axis=0)
+    y_grads = [G[:, off[l]: off[l + 1]] for l in range(net.n_layers + 1)]
+    return BatchGradients(d_sigmas, weight_grads, bias_grads, y_grads)
 
 
 def forward(net: Network, x) -> ForwardTrace:
@@ -682,7 +751,7 @@ def forward(net: Network, x) -> ForwardTrace:
     return ForwardTrace(
         input=x.copy(),
         sigma=[s[0] for s in bt.sigma[1:]],
-        y=[v[0] for v in bt.values[1:]],
+        y=[v[0].copy() for v in bt.values[1:]],
         outputs=bt.outputs[0].copy(),
     )
 
@@ -696,17 +765,14 @@ def backward(net: Network, trace: ForwardTrace, d_outputs) -> GradientBundle:
     """
     bt = forward_batch(net, trace.input[None, :])
     bg = backward_batch(net, bt, np.asarray(d_outputs, dtype=float)[None, :])
-    plan = net._get_plan()
     bundle = GradientBundle()
     for l in range(1, net.n_layers + 1):
-        lp = plan.layers[l - 1]
-        for pos, ref in enumerate(lp.syn_refs):
-            bundle.weights[ref] = float(bg.syn_grads[l][0, pos])
-        for col, ref in zip(lp.bias_cols, lp.bias_refs):
-            bundle.weights[ref] = float(bg.bias_grads[l][0, col])
-        for i, neuron in enumerate(net.layers[l - 1]):
-            if neuron.alive:
-                bundle.neurons[neuron_ref(l, i)] = float(bg.y_grads[l][0, i])
+        refs, rows, cols, bias_rows = net.weight_layout(l)
+        values = np.concatenate((bg.weight_grads[l][rows, cols],
+                                 bg.bias_grads[l][bias_rows]))
+        bundle.weights.update(zip(refs, values.tolist()))
+    for nref in net.iter_neurons():
+        bundle.neurons[nref] = float(bg.y_grads[nref.layer][0, nref.neuron])
     for k in net.active_feature_indices():
         bundle.inputs[k] = float(bg.input_grads[0, k])
     return bundle
@@ -730,15 +796,16 @@ def build_network(layer_sizes, activation="tanh", output_labels=None, seed=0):
             ["pos", "neg"] if n_out == 1 else [f"class{i}" for i in range(n_out)]
         )
     layers = []
+    start = 0  # first column of the previous layer's outputs
     for l in range(1, len(layer_sizes)):
-        layer = []
-        src_layer = l - 1
-        for _ in range(layer_sizes[l]):
-            bias = Synapse(rng.uniform(-0.5, 0.5), True, src=None)
-            synapses = [
-                Synapse(rng.uniform(-0.5, 0.5), True, src=(src_layer, j))
-                for j in range(layer_sizes[l - 1])
-            ]
-            layer.append(Neuron(bias, synapses, activation))
-        layers.append(layer)
+        width, fan = layer_sizes[l], layer_sizes[l - 1]
+        n_src = start + fan
+        draws = rng.uniform(-0.5, 0.5, size=(width, 1 + fan))
+        weights = np.zeros((width, n_src))
+        weights[:, start:] = draws[:, 1:]
+        cols = list(range(start, n_src))
+        layers.append(Layer(weights, np.ones((width, n_src), dtype=bool),
+                            draws[:, 0].copy(), np.ones(width, dtype=bool),
+                            [activation] * width, [cols] * width))
+        start = n_src
     return Network(layer_sizes[0], layers, output_labels)

@@ -12,7 +12,8 @@ with the reason.
 
 A network that survives the loop is minimal for the problem at hand: no
 remaining element of the class can be modified without breaking the success
-criterion within the retraining budget.
+criterion within the retraining budget.  The result says which way the
+loop stopped: the candidate pool ran dry, or a single-element step failed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import DivergenceError, NotTrainedError, PipelineAbort, PoolExhausted
-from .network import ElementRef, Network, input_ref, neuron_ref
+from .network import Network, input_ref, synapse_ref
 from .sensitivity import ValidSet, collect_ledger, nearest_valid
 from .training import LossKind, TrainConfig, criterion_met, train_until
 
@@ -84,17 +85,18 @@ class PruneConfig:
             raise ValueError("initial M is a count or 'half-of-pool'")
 
 
-def _digest(snapshot):
-    return hashlib.sha256(snapshot.encode()).hexdigest()[:16]
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 @dataclass
 class PruneStepRecord:
     """One attempted modification batch.
 
-    save_hash digests the snapshot taken before the attempt and
-    net_hash_after the network after accept or restore, so the audit log
-    alone proves that every rejected step rolled back byte-exactly.
+    save_hash digests the JSON form of the network when the snapshot was
+    taken before the attempt and net_hash_after the JSON form after accept
+    or restore, so the audit log alone proves that every rejected step
+    rolled back byte-exactly.
     ``reason`` is "diverged" on a step whose training diverged; the loss of
     such a step is None and its epochs_used 0.
     """
@@ -133,9 +135,12 @@ class PruneStepRecord:
 
 @dataclass
 class PruneResult:
+    """``stop_reason`` is "pool-exhausted" when no candidate of the class
+    was left to try, or "failed-at-m1" when a single-element step failed."""
+
     network: Network
     steps: list
-    minimality_certificate: bool
+    stop_reason: str
 
     @property
     def accepted_steps(self):
@@ -147,19 +152,18 @@ def candidate_pool(net: Network, problem: PruningProblem):
     if problem.kind == "feature-selection":
         return [input_ref(k) for k in net.active_feature_indices()]
     if problem.kind == "neuron-removal":
-        return [ref for ref, _ in net.iter_neurons(hidden_only=True)]
+        return list(net.iter_neurons(hidden_only=True))
     if problem.kind == "uniform-simplification":
-        fan = {ref: net.fan_in(ref) for ref, _ in net.iter_neurons()}
+        fan = {ref: net.fan_in(ref) for ref in net.iter_neurons()}
         top = max(fan.values(), default=0)
         if top <= problem.target_fan_in:
             return []
-        busy = {ref for ref, f in fan.items() if f == top}
-        pool = []
-        for wref, syn in net.iter_weights(with_bias=False):
-            if syn.trainable and neuron_ref(wref.layer, wref.neuron) in busy:
-                pool.append(wref)
-        return pool
-    return [ref for ref, syn in net.iter_weights() if syn.trainable]
+        return [
+            synapse_ref(ref.layer, ref.neuron, slot)
+            for ref, f in fan.items() if f == top
+            for slot, _, _, trainable in net.synapses(ref) if trainable
+        ]
+    return [ref for ref, _, trainable in net.iter_weights() if trainable]
 
 
 def select_candidates(final_map, net: Network, problem: PruningProblem, m):
@@ -187,8 +191,7 @@ def select_candidates(final_map, net: Network, problem: PruningProblem, m):
     out = []
     for _, _, ref, target in picked:
         if problem.element_class == "weight":
-            syn = net.synapse_at(ref)
-            out.append((ref, nearest_valid(syn.weight, problem.valid_set)))
+            out.append((ref, nearest_valid(net.weight(ref), problem.valid_set)))
         else:
             out.append((ref, target))
     return out
@@ -205,7 +208,7 @@ def apply_modification(net: Network, candidates, problem: PruningProblem):
     applied = []
     cascade = []
     for ref, target in candidates:
-        if _is_gone(net, ref):
+        if not net.is_alive(ref):
             continue
         if problem.kind == "feature-selection" or problem.kind == "neuron-removal":
             cascade.extend(net.remove_element(ref))
@@ -218,16 +221,6 @@ def apply_modification(net: Network, candidates, problem: PruningProblem):
                 cascade.extend(net.remove_element(ref))
         applied.append(ref)
     return applied, cascade
-
-
-def _is_gone(net: Network, ref: ElementRef):
-    if ref.kind == "input":
-        return not net.active_inputs[ref.neuron]
-    if ref.kind == "neuron":
-        return not net.layers[ref.layer - 1][ref.neuron].alive
-    neuron = net.layers[ref.layer - 1][ref.neuron]
-    syn = neuron.bias if ref.slot == 0 else neuron.synapses[ref.slot - 1]
-    return not (neuron.alive and syn.alive)
 
 
 def _emit(config, record):
@@ -278,6 +271,7 @@ def _prune(net, dataset, config, m):
     steps = []
     while True:
         saved = net.snapshot()
+        save_hash = _digest(net.to_json())
         pool_size = len(candidate_pool(net, config.problem))
         final_map = None  # rated lazily: a diverged rating is retried
         staleness = 0
@@ -291,7 +285,7 @@ def _prune(net, dataset, config, m):
                 outcome = train_until(net, dataset, config.loss_kind, config.retrain)
             except PoolExhausted:
                 net.restore(saved)
-                return PruneResult(net, steps, True)
+                return PruneResult(net, steps, "pool-exhausted")
             except DivergenceError:
                 pass
             accepted = outcome is not None and outcome.converged
@@ -307,8 +301,8 @@ def _prune(net, dataset, config, m):
                 staleness=staleness,
                 cascade=[str(r) for r in cascade],
                 pool_size=pool_size,
-                save_hash=_digest(saved),
-                net_hash_after=_digest(net.snapshot()),
+                save_hash=save_hash,
+                net_hash_after=_digest(net.to_json()),
                 reason="diverged" if outcome is None else None,
             )
             steps.append(record)
@@ -316,7 +310,7 @@ def _prune(net, dataset, config, m):
             if accepted:
                 break  # fresh indicators on the smaller network
             if m == 1:
-                return PruneResult(net, steps, True)
+                return PruneResult(net, steps, "failed-at-m1")
             staleness += 1
             m //= 2
 

@@ -73,10 +73,9 @@ def input_indicator_sample(trace, gradients, k) -> float:
 def weight_indicator_sample(net: Network, gradients, ref: ElementRef,
                             target) -> float:
     """Linearized cost of moving one weight to its target value."""
-    syn = net.synapse_at(ref)
-    if not syn.trainable:
+    if not net.is_trainable(ref):
         raise ExcludedElementError(f"{ref} is frozen and outside the pool")
-    return abs(gradients.weights[ref]) * abs(float(target) - syn.weight)
+    return abs(gradients.weights[ref]) * abs(float(target) - net.weight(ref))
 
 
 def neuron_indicator_sample(net: Network, trace, gradients,
@@ -84,7 +83,8 @@ def neuron_indicator_sample(net: Network, trace, gradients,
     """Linearized cost of zeroing one hidden neuron's output."""
     if net.is_output_layer(ref.layer):
         raise ExcludedElementError("output neurons are protected")
-    net.neuron_at(ref)
+    if not net.is_alive(ref):
+        raise StaleReferenceError(f"{ref} is not a live neuron")
     y = trace.y[ref.layer - 1][ref.neuron]
     return abs(gradients.neurons[ref] * y)
 
@@ -129,8 +129,8 @@ class SensitivityLedger:
                 acc = [block.refs, np.zeros(len(block.refs)),
                        np.zeros(len(block.refs))]
                 self._sums.append(acc)
-            acc[1] += block.max()
-            acc[2] += block.mean()
+            acc[1] += block.samples.max(axis=1)
+            acc[2] += block.samples.mean(axis=1)
         self.epochs_accumulated += 1
 
     def finalize(self, net: Network, mode, valid_set: ValidSet | None = None):
@@ -156,20 +156,17 @@ class SensitivityLedger:
         if self.element_class == "weight":
             if valid_set is None:
                 raise ValueError("weight indicators need a valid set")
-            for ref, syn in net.iter_weights():
-                if not syn.trainable or ref not in sums:
+            for ref, weight, trainable in net.iter_weights():
+                if not trainable or ref not in sums:
                     continue
-                target = nearest_valid(syn.weight, valid_set)
-                out[ref] = (
-                    (sums[ref] / e) * abs(target - syn.weight),
-                    target,
-                )
+                target = nearest_valid(weight, valid_set)
+                out[ref] = ((sums[ref] / e) * abs(target - weight), target)
         elif self.element_class == "input":
             for k in net.active_feature_indices():
                 if k in sums:
                     out[input_ref(k)] = (sums[k] / e, None)
         else:
-            for nref, _ in net.iter_neurons(hidden_only=True):
+            for nref in net.iter_neurons(hidden_only=True):
                 if nref in sums:
                     out[nref] = (sums[nref] / e, None)
         return out

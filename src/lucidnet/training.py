@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .network import Network, backward_batch, forward_batch
+from .network import Network, backward_batch, forward_batch, neuron_ref
 
 SUCCESS_CRITERIA = ("loss-below-threshold", "zero-classification-error")
 ELEMENT_CLASSES = ("input", "weight", "neuron")
@@ -43,8 +43,8 @@ class TrainConfig:
     success_criterion: str = "zero-classification-error"
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be nonnegative")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError("learning rate must be finite and nonnegative")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         if self.success_criterion not in SUCCESS_CRITERIA:
@@ -59,27 +59,20 @@ class TrainOutcome:
     final_accuracy: float
 
 
+@dataclass
 class StatBlock:
     """Per-sample magnitudes of a group of elements from one epoch.
 
     ``samples`` is a C-contiguous (len(refs), N) array whose row i belongs to
-    refs[i].  Each row is contiguous, so ``max``/``mean`` reduce it in the
-    same order as the 1-D reduction of that row alone.
+    refs[i].  Each row is contiguous, so a max or mean along axis 1 reduces
+    it in the same order as the 1-D reduction of that row alone.
     """
 
-    __slots__ = ("refs", "samples")
-
-    def __init__(self, refs, samples):
-        self.refs = refs
-        self.samples = samples
-
-    def max(self):
-        return self.samples.max(axis=1)
-
-    def mean(self):
-        return self.samples.mean(axis=1)
+    refs: tuple
+    samples: np.ndarray
 
 
+@dataclass
 class GradientRecord:
     """Per-sample derivative magnitudes from one epoch, keyed the way the
     sensitivity indicators consume them.
@@ -91,25 +84,10 @@ class GradientRecord:
     weight_abs[ref]  -> (N,) array of |dL^j/dw|
     input_cost[k]    -> (N,) array of |dL^j/du_k * u_k| for active features
     neuron_cost[ref] -> (N,) array of |dL^j/dy * y| for live neurons
-
-    The constructor takes those mappings (rows of one mapping share N) and
-    stores each as one block.
     """
 
-    def __init__(self, weight_abs, input_cost, neuron_cost, total_loss):
-        self.blocks = {}
-        for cls, rows in (("input", input_cost), ("weight", weight_abs),
-                          ("neuron", neuron_cost)):
-            samples = np.array([np.asarray(v, dtype=float) for v in rows.values()])
-            self.blocks[cls] = [StatBlock(tuple(rows), samples)] if rows else []
-        self.total_loss = total_loss
-
-    @classmethod
-    def from_blocks(cls, blocks, total_loss):
-        record = cls.__new__(cls)
-        record.blocks = blocks
-        record.total_loss = total_loss
-        return record
+    blocks: dict
+    total_loss: float
 
     def rows(self, element_class):
         return {
@@ -147,7 +125,7 @@ def loss_terms(loss_kind: LossKind, targets, outputs):
 
 def targets_for(dataset, net: Network):
     """±1 target matrix matching the network's output convention."""
-    width = len(net.layers[-1])
+    width = net.layers[-1].width
     labels = net.output_labels
     n = len(dataset.labels)
     if width == 1:
@@ -181,38 +159,38 @@ def total_loss(net: Network, dataset, loss_kind: LossKind) -> float:
     return float(losses.sum())
 
 
-def _new_velocity(plan):
-    return [
-        (np.zeros(len(lp.syn_objs)), np.zeros(lp.width)) for lp in plan.layers
-    ]
-
-
-def _gradient_record(plan, trace, grads, stats, epoch_loss):
+def _gradient_record(net, trace, grads, stats, epoch_loss):
+    """Per-sample magnitudes for the element classes in ``stats``.  A
+    weight's per-sample gradient is one entry of the outer product
+    dL^j/dsigma (x) a^j, gathered for the live weights only."""
+    A = trace.activations
     blocks = {}
     if "weight" in stats:
-        blocks["weight"] = [
-            StatBlock(lp.weight_refs, np.abs(np.hstack(
-                (grads.syn_grads[l], grads.bias_grads[l][:, lp.bias_cols])).T).copy())
-            for l, lp in enumerate(plan.layers, start=1)
-        ]
+        blocks["weight"] = []
+        for l in range(1, net.n_layers + 1):
+            refs, rows, cols, bias_rows = net.weight_layout(l)
+            d_sigma = grads.d_sigma[l]
+            samples = np.hstack((np.take(d_sigma, rows, axis=1) * np.take(A, cols, axis=1),
+                                 np.take(d_sigma, bias_rows, axis=1)))
+            blocks["weight"].append(StatBlock(refs, np.abs(samples).T.copy()))
     if "neuron" in stats:
-        blocks["neuron"] = [
-            StatBlock(lp.neuron_refs, np.abs(
-                grads.y_grads[l][:, lp.alive_cols] * trace.values[l][:, lp.alive_cols]
-            ).T.copy())
-            for l, lp in enumerate(plan.layers, start=1)
-        ]
+        blocks["neuron"] = []
+        for l, layer in enumerate(net.layers, start=1):
+            cols = np.flatnonzero(layer.neuron_alive)
+            samples = grads.y_grads[l][:, cols] * trace.values[l][:, cols]
+            refs = tuple(neuron_ref(l, i) for i in cols.tolist())
+            blocks["neuron"].append(StatBlock(refs, np.abs(samples).T.copy()))
     if "input" in stats:
-        keys = list(plan.input_keys)
-        blocks["input"] = [StatBlock(plan.input_keys, np.abs(
-            grads.input_grads[:, keys] * trace.values[0][:, keys]).T.copy())]
-    return GradientRecord.from_blocks(blocks, epoch_loss)
+        keys = net.active_feature_indices()
+        samples = grads.input_grads[:, keys] * trace.values[0][:, keys]
+        blocks["input"] = [StatBlock(tuple(keys), np.abs(samples).T.copy())]
+    return GradientRecord(blocks, epoch_loss)
 
 
 def train_epoch(net: Network, dataset, loss_kind: LossKind, config: TrainConfig,
                 velocity=None, *, trace=None, targets=None,
                 stats=ELEMENT_CLASSES):
-    """One full-batch gradient step on the trainable elements.
+    """One full-batch gradient step on the trainable elements, in place.
 
     ``trace`` is the network's forward pass over ``dataset.features`` at its
     current weights and ``targets`` the ``targets_for`` matrix; either is
@@ -221,7 +199,6 @@ def train_epoch(net: Network, dataset, loss_kind: LossKind, config: TrainConfig,
     ``stats``, even when every element is frozen or the learning rate is
     zero; with empty ``stats`` no record is built.
     """
-    plan = net._get_plan()
     if trace is None:
         trace = forward_batch(net, dataset.features)
     if targets is None:
@@ -232,31 +209,24 @@ def train_epoch(net: Network, dataset, loss_kind: LossKind, config: TrainConfig,
     epoch_loss = float(losses.sum())
     if not np.isfinite(epoch_loss):
         raise DivergenceError("total loss is not finite")
-    for l in range(1, net.n_layers + 1):
-        if not (np.isfinite(grads.syn_grads[l]).all()
-                and np.isfinite(grads.bias_grads[l]).all()):
-            raise DivergenceError("gradient is not finite")
-    record = _gradient_record(plan, trace, grads, stats, epoch_loss) if stats else None
+    if not all(np.isfinite(g).all() for g in grads.weight_grads[1:] + grads.bias_grads[1:]):
+        raise DivergenceError("gradient is not finite")
+    record = _gradient_record(net, trace, grads, stats, epoch_loss) if stats else None
 
-    if velocity is None or len(velocity) != len(plan.layers):
-        velocity = _new_velocity(plan)
+    if velocity is None:
+        velocity = [(np.zeros_like(layer.weights), np.zeros_like(layer.bias))
+                    for layer in net.layers]
     lr, mu = config.learning_rate, config.momentum
-    for l, lp in enumerate(plan.layers, start=1):
-        v_syn, v_bias = velocity[l - 1]
-        if v_syn.shape[0] != len(lp.syn_objs):
-            v_syn = np.zeros(len(lp.syn_objs))
-            v_bias = np.zeros(lp.width)
-        v_syn = mu * v_syn + grads.syn_grads[l].sum(axis=0) * lp.trainable_syn
-        v_bias = mu * v_bias + grads.bias_grads[l].sum(axis=0) * lp.bias_mask
+    for l, layer in enumerate(net.layers, start=1):
+        v_w, v_b = velocity[l - 1]
+        v_w = mu * v_w + grads.weight_grads[l] * layer.trainable
+        v_b = mu * v_b + grads.bias_grads[l] * layer.bias_trainable
         if lr != 0.0:
-            w, b = trace.weights[l]
-            new_w = np.where(lp.trainable_syn, w - lr * v_syn, w)
-            for syn, value in zip(lp.syn_objs, new_w.tolist()):
-                syn.weight = value
-            new_b = np.where(lp.bias_mask, b - lr * v_bias, b)[lp.bias_cols]
-            for syn, value in zip(lp.bias_objs, new_b.tolist()):
-                syn.weight = value
-        velocity[l - 1] = (v_syn, v_bias)
+            np.subtract(layer.weights, lr * v_w, out=layer.weights,
+                        where=layer.trainable)
+            np.subtract(layer.bias, lr * v_b, out=layer.bias,
+                        where=layer.bias_trainable)
+        velocity[l - 1] = (v_w, v_b)
     return record, velocity
 
 
@@ -273,7 +243,9 @@ def train_until(net: Network, dataset, loss_kind: LossKind,
 
     Each epoch evaluates the network once: the criterion, the outcome's loss
     and accuracy, and the gradient step all read the same forward pass.
-    The network is left in its final state either way.
+    The network is left in its final state either way.  A non-finite loss
+    raises DivergenceError, even where the accuracy alone would meet the
+    criterion.
     """
     if len(dataset.labels) == 0:
         raise ValueError("dataset is empty")
@@ -286,6 +258,8 @@ def train_until(net: Network, dataset, loss_kind: LossKind,
         trace = forward_batch(net, dataset.features)
         losses, _ = loss_terms(loss_kind, targets, trace.outputs)
         loss = float(losses.sum())
+        if not np.isfinite(loss):
+            raise DivergenceError("total loss is not finite")
         picks = output_label[_predicted_outputs(trace.outputs)]
         accuracy = int(np.count_nonzero(picks == row_label)) / len(row_label)
         met = loss <= config.loss_threshold if by_loss else accuracy == 1.0

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DatasetError, LucidnetError, TransparencyError
-from .network import Network, Neuron, Synapse
+from .network import Network
 
 TERNARY = (-1.0, 0.0, 1.0)
 
@@ -244,14 +244,14 @@ def is_logically_transparent(net: Network):
     """(flag, violations): fan-in at most 3 everywhere and every live
     weight frozen at a ternary value."""
     violations = []
-    for nref, _ in net.iter_neurons():
+    for nref in net.iter_neurons():
         fan = net.fan_in(nref)
         if fan > 3:
             violations.append((str(nref), "fan-in"))
-    for wref, syn in net.iter_weights():
-        if syn.trainable:
+    for wref, weight, trainable in net.iter_weights():
+        if trainable:
             violations.append((str(wref), "trainable"))
-        elif syn.weight not in TERNARY:
+        elif weight not in TERNARY:
             violations.append((str(wref), "non-ternary"))
     return (not violations), violations
 
@@ -270,9 +270,8 @@ def substitute_step(net: Network) -> Network:
     """Swap every activation for the hard threshold on a fully frozen
     ternary network.  Idempotent; mutates and returns the network."""
     _require_frozen_ternary(net)
-    for _, neuron in net.iter_neurons():
-        neuron.activation = "step"
-    net._touch()
+    for nref in list(net.iter_neurons()):
+        net.set_activation(nref, "step")
     return net
 
 
@@ -287,13 +286,18 @@ def _threshold_count(m, bias):
 def verbalize(net: Network, feature_names=None, rule_names=None,
               feature_texts=None) -> RuleSet:
     """Turn a frozen ternary step network into a hierarchy of threshold
-    rules.  Zero-weight synapses contribute no statement."""
+    rules.  Zero-weight synapses contribute no statement.
+
+    Rules are read from the compact document (``net.to_doc()``), so the
+    default syndrome names and the ``neuron:l:i`` keys of ``rule_names``
+    number the neurons as the saved ``network.json`` does.
+    """
     _require_frozen_ternary(net)
-    for _, neuron in net.iter_neurons():
-        if neuron.activation != "step":
-            raise TransparencyError(
-                "verbalization needs step activations; run substitute_step first"
-            )
+    doc = net.to_doc()
+    if any(n["activation"] != "step" for layer in doc["layers"] for n in layer):
+        raise TransparencyError(
+            "verbalization needs step activations; run substitute_step first"
+        )
     if feature_names is None:
         feature_names = [f"x{k}" for k in range(net.input_dim)]
     if len(feature_names) != net.input_dim:
@@ -302,46 +306,27 @@ def verbalize(net: Network, feature_names=None, rule_names=None,
 
     names = {}
     rules = []
-    n_out = len(net.layers[-1])
-    for nref, neuron in net.iter_neurons():
-        if net.is_output_layer(nref.layer):
-            if n_out == 1:
-                default = net.output_labels[0]
-            else:
-                default = net.output_labels[nref.neuron]
-        else:
-            default = f"syndrome-{nref.layer}-{nref.neuron}"
-        name = rule_names.get(str(nref), default)
-        names[(nref.layer, nref.neuron)] = name
-        statements = []
-        for syn in neuron.synapses:
-            if not syn.alive or syn.weight == 0.0:
-                continue
-            affirmed = syn.weight > 0
-            sl, si = syn.src
-            if sl == 0:
-                statements.append(
-                    Statement(affirmed=affirmed, feature=feature_names[si])
-                )
-            else:
-                statements.append(
-                    Statement(affirmed=affirmed, rule=names[(sl, si)])
-                )
-        k = _threshold_count(len(statements), neuron.bias.weight)
-        rules.append(ThresholdRule(name=name, k=k, statements=statements))
+    last = len(doc["layers"])
+    n_out = len(doc["layers"][-1])
+    for l, layer in enumerate(doc["layers"], start=1):
+        for i, neuron in enumerate(layer):
+            default = f"syndrome-{l}-{i}" if l < last else net.output_labels[i]
+            name = rule_names.get(f"neuron:{l}:{i}", default)
+            names[(l, i)] = name
+            statements = []
+            for syn in neuron["synapses"]:
+                if syn["w"] == 0.0:
+                    continue
+                sl, si = syn["src_layer"], syn["src_index"]
+                source = ({"feature": feature_names[si]} if sl == 0
+                          else {"rule": names[(sl, si)]})
+                statements.append(Statement(affirmed=syn["w"] > 0, **source))
+            k = _threshold_count(len(statements), neuron["bias"]["w"])
+            rules.append(ThresholdRule(name=name, k=k, statements=statements))
 
-    if n_out == 1:
-        last = net.n_layers
-        out_idx = next(
-            i for i, nr in enumerate(net.layers[last - 1]) if nr.alive
-        )
-        output_rules = [(net.output_labels[0], names[(last, out_idx)])]
-    else:
-        output_rules = [
-            (net.output_labels[i], names[(net.n_layers, i)])
-            for i, nr in enumerate(net.layers[-1])
-            if nr.alive
-        ]
+    # output neurons are never removed, so the last layer is complete; a
+    # single output is the rule for the first label
+    output_rules = [(net.output_labels[i], names[(last, i)]) for i in range(n_out)]
     return RuleSet(
         rules=rules,
         output_rules=output_rules,
@@ -516,9 +501,10 @@ def single_question_rule_network() -> Network:
     the power party wins on at least two yes answers among questions 3, 4,
     6, and 9, or on one such yes combined with a no on question 8."""
     weights = {2: 1.0, 3: 1.0, 5: 1.0, 7: -1.0, 8: 1.0}  # 0-based features
-    synapses = [
-        Synapse(w, trainable=False, src=(0, k)) for k, w in sorted(weights.items())
-    ]
-    neuron = Neuron(Synapse(1.0, trainable=False, src=None), synapses, "step")
-    active = [k in weights for k in range(12)]
-    return Network(12, [[neuron]], ["P", "O"], active_inputs=active)
+    synapses = [{"src_layer": 0, "src_index": k, "w": w, "trainable": False}
+                for k, w in sorted(weights.items())]
+    neuron = {"bias": {"w": 1.0, "trainable": False}, "synapses": synapses,
+              "activation": "step"}
+    return Network.from_doc({"input_dim": 12, "layers": [[neuron]],
+                             "active_inputs": [k in weights for k in range(12)],
+                             "output_labels": ["P", "O"]})

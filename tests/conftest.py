@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from lucidnet import Dataset, Network, Neuron, Synapse, build_network, forward
+from lucidnet import Dataset, Network, build_network, forward
 
 
 def make_dataset(features, labels, class_labels=None, names=None):
@@ -41,50 +41,80 @@ def majority_data():
     return majority_dataset()
 
 
+def neuron_doc(bias, synapses, activation="step", trainable=False):
+    """One neuron of a network document; ``synapses`` lists
+    (source layer, source index, weight) in slot order."""
+    return {
+        "bias": {"w": float(bias), "trainable": trainable},
+        "synapses": [
+            {"src_layer": sl, "src_index": si, "w": float(w), "trainable": trainable}
+            for sl, si, w in synapses
+        ],
+        "activation": activation,
+    }
+
+
+def network_from_layers(input_dim, layers, labels, active_inputs=None):
+    """Network from per-layer lists of ``neuron_doc`` dicts."""
+    if active_inputs is None:
+        active_inputs = [True] * input_dim
+    return Network.from_doc({
+        "input_dim": input_dim,
+        "active_inputs": list(active_inputs),
+        "layers": layers,
+        "output_labels": list(labels),
+    })
+
+
 def single_neuron_net(weights, bias, activation="step", trainable=False,
                       labels=("P", "O"), input_dim=None):
     input_dim = input_dim or len(weights)
-    synapses = [
-        Synapse(w, trainable=trainable, src=(0, k)) for k, w in enumerate(weights)
-    ]
-    neuron = Neuron(Synapse(bias, trainable=trainable, src=None), synapses, activation)
-    return Network(input_dim, [[neuron]], list(labels))
+    synapses = [(0, k, w) for k, w in enumerate(weights)]
+    neuron = neuron_doc(bias, synapses, activation, trainable)
+    return network_from_layers(input_dim, [[neuron]], labels)
 
 
 def random_ternary_step_net(rng, n_inputs, hidden_sizes, n_out=1):
     """Frozen random ternary step network; dead fan-outs are possible and
     that is fine for soundness checks."""
     sizes = [n_inputs] + list(hidden_sizes) + [n_out]
+    return network_from_layers(
+        n_inputs, random_ternary_layers(rng, sizes, "step"),
+        ["P", "O"] if n_out == 1 else [f"c{i}" for i in range(n_out)],
+    )
+
+
+def random_ternary_layers(rng, sizes, activation):
+    """Fully connected frozen layers with weights drawn from {-1, 0, 1},
+    bias first, then the synapses, neuron by neuron."""
     layers = []
     for l in range(1, len(sizes)):
         layer = []
         for _ in range(sizes[l]):
-            bias = Synapse(float(rng.integers(-1, 2)), trainable=False, src=None)
-            synapses = [
-                Synapse(float(rng.integers(-1, 2)), trainable=False, src=(l - 1, j))
-                for j in range(sizes[l - 1])
-            ]
-            layer.append(Neuron(bias, synapses, "step"))
+            bias = float(rng.integers(-1, 2))
+            synapses = [(l - 1, j, float(rng.integers(-1, 2)))
+                        for j in range(sizes[l - 1])]
+            layer.append(neuron_doc(bias, synapses, activation))
         layers.append(layer)
-    labels = ["P", "O"] if n_out == 1 else [f"c{i}" for i in range(n_out)]
-    return Network(n_inputs, layers, labels)
+    return layers
+
+
+def move_weight(net, ref, value):
+    """Set a weight to ``value`` without changing its trainable flag."""
+    net.set_weight(ref, value, freeze=not net.is_trainable(ref))
 
 
 def finite_difference_weight(net, ref, x, d_out, h=1e-4):
     """Central difference of L = outputs . d_out with respect to one weight."""
-    syn = net.synapse_at(ref)
-    w0 = syn.weight
+    w0 = net.weight(ref)
 
-    def value():
-        net._touch()
+    def value(w):
+        move_weight(net, ref, w)
         return float(forward(net, x).outputs @ np.asarray(d_out))
 
-    syn.weight = w0 + h
-    up = value()
-    syn.weight = w0 - h
-    down = value()
-    syn.weight = w0
-    net._touch()
+    up = value(w0 + h)
+    down = value(w0 - h)
+    move_weight(net, ref, w0)
     return (up - down) / (2 * h)
 
 

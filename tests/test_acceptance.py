@@ -44,6 +44,7 @@ from conftest import (
     fresh_trained_xor,
     majority_dataset,
     make_dataset,
+    move_weight,
     random_ternary_step_net,
 )
 
@@ -82,12 +83,10 @@ class TestCriterion1GradientFidelity:
             trace = forward(net, x)
             bundle = backward(net, trace, g)
             for ref, got in bundle.weights.items():
-                syn = net.synapse_at(ref)
-                w0 = syn.weight
+                w0 = net.weight(ref)
 
-                def put(v, syn=syn):
-                    syn.weight = v
-                    net._touch()
+                def put(v, ref=ref):
+                    move_weight(net, ref, v)
 
                 fd = finite_difference(value, put, w0)
                 if abs(fd) < 1e-9 and abs(got) < 1e-9:
@@ -133,13 +132,12 @@ class TestCriterion2IndicatorFidelity:
             bundle = backward(net, trace, d_out[0])
             refs = sorted(bundle.weights, key=lambda r: r.key)
             ref = refs[int(rng.integers(0, len(refs)))]
-            syn = net.synapse_at(ref)
-            target = nearest_valid(syn.weight, valid)
+            w0 = net.weight(ref)
+            target = nearest_valid(w0, valid)
             chi = weight_indicator_sample(net, bundle, ref, target)
             if chi < 1e-3:
                 continue
             cases += 1
-            w0 = syn.weight
             base = total_loss(net, ds, loss_kind)
             for eps in (1e-2, 1e-3, 1e-4):
                 net.set_weight(ref, w0 + eps * (target - w0))
@@ -303,11 +301,17 @@ class TestCriterion7PruningSafetyAndMinimality:
                 rejected = [s for s in result.steps if not s.accepted]
                 rollback_ok = all(s.net_hash_after == s.save_hash
                                   for s in rejected)
-                runs.append((task, loop, result.minimality_certificate,
+                # the loop stops at a failed single-element step or when
+                # no candidate is left; the log's last step says which
+                last = result.steps[-1] if result.steps else None
+                failed_at_m1 = last is not None and not last.accepted and last.m == 1
+                expected = "failed-at-m1" if failed_at_m1 else "pool-exhausted"
+                runs.append((task, loop, result.stop_reason,
+                             result.stop_reason == expected,
                              accuracy == 1.0, rollback_ok))
-        ok = all(cert and acc and roll for _, _, cert, acc, roll in runs)
-        detail = "; ".join(f"{t}/{l}: cert={c} acc={a} rollback={r}"
-                           for t, l, c, a, r in runs)
+        ok = all(stop_ok and acc and roll for _, _, _, stop_ok, acc, roll in runs)
+        detail = "; ".join(f"{t}/{l}: stop={s} acc={a} rollback={r}"
+                           for t, l, s, _, a, r in runs)
         elapsed = time.perf_counter() - start
         report(7, ok and elapsed < 300, detail + f" ({elapsed:.1f}s)")
 
@@ -334,7 +338,7 @@ class TestCriterion8UniformSimplification:
                              synth_stage("uniform-simplification",
                                          target_fan_in=3))
         max_fan = max(result.network.fan_in(r)
-                      for r, _ in result.network.iter_neurons())
+                      for r in result.network.iter_neurons())
         accuracy, _ = evaluate_classification(result.network, data)
         report(8, max_fan <= 3 and accuracy == 1.0,
                f"max fan-in {max_fan}, accuracy {accuracy}")
@@ -351,8 +355,8 @@ class TestCriterion9PrecisionReduction:
         ]
         _, final = run_pipeline(net, data, stages)
         all_ternary = all(
-            (not syn.trainable) and syn.weight in (-1.0, 0.0, 1.0)
-            for _, syn in final.iter_weights()
+            (not trainable) and weight in (-1.0, 0.0, 1.0)
+            for _, weight, trainable in final.iter_weights()
         )
         transparent, violations = is_logically_transparent(final)
         fan_in_only = all(reason == "fan-in" for _, reason in violations)
@@ -410,8 +414,7 @@ class TestCriterion10ElectionEndToEnd:
                                valid_set=ValidSet.ternary()),
             ]
             _, candidate = run_pipeline(net, data, stages)
-            trainable = sum(1 for _, s in candidate.iter_weights()
-                            if s.trainable)
+            trainable = sum(1 for _, _, t in candidate.iter_weights() if t)
             if trainable > 0:
                 continue
             fallback = fallback or candidate

@@ -137,7 +137,7 @@ class TestPruneCommand:
                      "--out", str(out / "pruned")])
         captured = capsys.readouterr().out
         assert code == 0
-        assert "certificate=true" in captured
+        assert "stop=failed-at-m1" in captured
         log_lines = (out / "pruned" / "prune_log.jsonl").read_text().splitlines()
         records = [json.loads(line) for line in log_lines]
         assert all({"step", "M", "refs", "accepted", "loss", "epochs_used"}
@@ -145,6 +145,22 @@ class TestPruneCommand:
         assert any(not r["accepted"] for r in records)
         pruned = Network.load(out / "pruned" / "network.json")
         assert pruned.input_dim == 2
+
+
+    def test_untrained_network_exits_three(self, tmp_path, capsys):
+        data = xor_csv(tmp_path)
+        out = tmp_path / "run"
+        code = main(["train", "--dataset", data, "--arch", "2,2,1",
+                     "--labels", "pos,neg", "--lr", "0.0", "--epochs", "0",
+                     "--seed", "3", "--out", str(out)])
+        assert code == 3  # written, but not trained
+        capsys.readouterr()
+        code = main(["prune", "--network", str(out / "network.json"),
+                     "--dataset", data, "--problem", "synapse-removal",
+                     "--out", str(out / "pruned")])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: pruning requires")
 
 
 class TestIndicatorsCommand:
@@ -361,6 +377,95 @@ class TestMalformedRuleSets:
         data = write(tmp_path / "d.csv", "a,class\n1,O\n-1,P\n")
         assert main(["eval", "--rules", good, "--dataset", data]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "accuracy=1.0"
+
+
+def valid_network_doc():
+    """2 features -> 2 hidden tanh neurons -> 1 output, with a skip
+    connection from feature 1 into the output."""
+    def neuron(synapses):
+        return {
+            "bias": {"w": 0.25, "trainable": True},
+            "synapses": [
+                {"src_layer": sl, "src_index": si, "w": w, "trainable": True}
+                for sl, si, w in synapses
+            ],
+            "activation": "tanh",
+        }
+
+    return {
+        "input_dim": 2,
+        "active_inputs": [True, True],
+        "layers": [
+            [neuron([(0, 0, 0.5), (0, 1, -0.5)]), neuron([(0, 1, 1.0)])],
+            [neuron([(1, 0, 1.0), (1, 1, -1.0), (0, 1, 0.5)])],
+        ],
+        "output_labels": ["pos", "neg"],
+    }
+
+
+def _network_set(*path_and_value):
+    *path, value = path_and_value
+    return _set(tuple(path), value)
+
+
+def _duplicate_source(doc):
+    first = doc["layers"][1][0]["synapses"][0]
+    doc["layers"][1][0]["synapses"].append(dict(first))
+
+
+MALFORMED_NETWORKS = [
+    ("layers-only", lambda doc: (doc.clear(), doc.update(layers=[])),
+     "'input_dim' must be a nonnegative integer"),
+    ("no-layers", lambda doc: doc.update(layers=[]), "'layers' must be a nonempty list"),
+    ("empty-output-layer", _network_set("layers", 1, []), "the output layer has no neurons"),
+    ("missing-input-dim", lambda doc: doc.pop("input_dim"),
+     "'input_dim' must be a nonnegative integer"),
+    ("own-layer-source", _network_set("layers", 1, 0, "synapses", 0, "src_layer", 2),
+     "source layer 2 is not an earlier layer"),
+    ("duplicate-source", _duplicate_source, "two synapses read source 1:0"),
+    ("index-out-of-range", _network_set("layers", 1, 0, "synapses", 1, "src_index", 2),
+     "source index 2 is out of range for layer 1"),
+    ("unknown-activation", _network_set("layers", 0, 1, "activation", "relu"),
+     "unknown activation 'relu'"),
+    ("non-finite-weight", _network_set("layers", 0, 0, "synapses", 0, "w", float("nan")),
+     "weight nan is not a finite number"),
+    ("non-numeric-weight", _network_set("layers", 0, 0, "bias", "w", "0.5"),
+     "weight '0.5' is not a finite number"),
+    ("non-bool-trainable", _network_set("layers", 1, 0, "bias", "trainable", 1),
+     "'trainable' must be true or false"),
+    ("active-inputs-length", _network_set("active_inputs", [True]),
+     "'active_inputs' must be a list of 2 booleans"),
+    ("label-count", _network_set("output_labels", ["pos", "neg", "odd"]),
+     "exactly two class labels"),
+    ("masked-source", _network_set("active_inputs", [True, False]),
+     "sources a masked feature"),
+]
+
+
+class TestMalformedNetworks:
+    """Each malformed network document is a data error (exit 2) with one
+    ``error: network:`` line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [case[1:] for case in MALFORMED_NETWORKS],
+        ids=[case[0] for case in MALFORMED_NETWORKS],
+    )
+    def test_exit_code_two(self, tmp_path, capsys, edit, message):
+        doc = valid_network_doc()
+        edit(doc)
+        bad = write(tmp_path / "bad.json", json.dumps(doc))
+        data = xor_csv(tmp_path)
+        assert main(["eval", "--network", bad, "--dataset", data]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: network: ")
+        assert message in err[0]
+
+    def test_valid_document_loads(self, tmp_path, capsys):
+        doc = valid_network_doc()
+        good = write(tmp_path / "good.json", json.dumps(doc))
+        assert main(["eval", "--network", good, "--dataset", xor_csv(tmp_path)]) == 0
+        assert Network.load(good).to_doc() == doc
 
 
 class TestElectionSchema:

@@ -6,20 +6,21 @@ from lucidnet import (
     InputShapeError,
     LossKind,
     Network,
-    Neuron,
     NonDifferentiableError,
     StaleReferenceError,
-    Synapse,
     TrainConfig,
     backward,
     bias_ref,
     build_network,
     forward,
+    forward_batch,
     input_ref,
     neuron_ref,
     synapse_ref,
     train_until,
 )
+
+from lucidnet.network import backward_batch
 
 from conftest import (
     assert_close_rel,
@@ -94,6 +95,19 @@ class TestBackward:
         assert ref in bundle.weights
         assert bundle.weights[ref] != 0.0
 
+    def test_trace_from_another_structure_is_stale(self):
+        net = build_network((2, 2, 1), seed=0)
+        X = np.array([[1.0, -1.0]])
+        trace = forward_batch(net, X)
+        snap = net.snapshot()
+        net.remove_element(synapse_ref(1, 0, 1))
+        with pytest.raises(StaleReferenceError):
+            backward_batch(net, trace, [[1.0]])
+        net.restore(snap)
+        with pytest.raises(StaleReferenceError):
+            backward_batch(net, trace, [[1.0]])
+        backward_batch(net, forward_batch(net, X), [[1.0]])
+
     def test_step_network_refuses_backward(self):
         net = single_neuron_net([1.0], 0.0)
         trace = forward(net, [1.0])
@@ -106,7 +120,7 @@ class TestBackward:
             sizes = [int(rng.integers(2, 5)) for _ in range(int(rng.integers(2, 4)))]
             net = build_network([3] + sizes, seed=trial)
             x = rng.uniform(-1, 1, size=3)
-            d_out = rng.uniform(-1, 1, size=len(net.layers[-1]))
+            d_out = rng.uniform(-1, 1, size=net.layers[-1].width)
             trace = forward(net, x)
             bundle = backward(net, trace, d_out)
             for ref, value in bundle.weights.items():
@@ -119,21 +133,19 @@ class TestSetWeight:
         net = build_network((2, 2, 1), seed=1)
         ref = synapse_ref(1, 1, 2)
         net.set_weight(ref, 0.0, freeze=True)
-        syn = net.synapse_at(ref)
-        assert syn.weight == 0.0 and not syn.trainable
+        assert net.weight(ref) == 0.0 and not net.is_trainable(ref)
 
     def test_freeze_in_place_keeps_value(self):
         net = build_network((2, 2, 1), seed=1)
         ref = bias_ref(1, 0)
-        w = net.synapse_at(ref).weight
+        w = net.weight(ref)
         net.set_weight(ref, w, freeze=True)
-        syn = net.synapse_at(ref)
-        assert syn.weight == w and not syn.trainable
+        assert net.weight(ref) == w and not net.is_trainable(ref)
 
     def test_freezing_everything_makes_training_a_noop(self):
         net = build_network((2, 3, 1), output_labels=["pos", "neg"], seed=5)
-        for ref, _ in net.iter_weights():
-            net.set_weight(ref, net.synapse_at(ref).weight, freeze=True)
+        for ref, w, _ in list(net.iter_weights()):
+            net.set_weight(ref, w, freeze=True)
         before = net.to_json()
         dataset = make_dataset(
             [[1, 1], [1, -1]], ["pos", "neg"], class_labels=["pos", "neg"]
@@ -160,14 +172,14 @@ class TestRemoveElement:
         refs = {str(r) for r in cascade}
         assert "neuron:1:0" in refs
         assert "synapse:1:0:1" in refs and "synapse:1:0:2" in refs
-        assert not net.layers[0][0].alive
+        assert not net.is_alive(neuron_ref(1, 0))
 
     def test_remove_feature_removes_sourced_synapses(self):
         net = build_network((3, 2, 1), seed=4)
         cascade = net.remove_element(input_ref(1))
         assert not net.active_inputs[1]
-        for _, syn in net.iter_weights(with_bias=False):
-            assert syn.src != (0, 1)
+        for nref in net.iter_neurons():
+            assert all(src != (0, 1) for _, src, _, _ in net.synapses(nref))
         assert {str(r) for r in cascade} == {"synapse:1:0:2", "synapse:1:1:2"}
 
     def test_no_cascade_in_fully_connected(self):
@@ -196,7 +208,8 @@ class TestRemoveElement:
         net = build_network((2, 2, 1), seed=6)
         net.remove_element(synapse_ref(2, 0, 1))
         cascade = net.remove_element(synapse_ref(2, 0, 2))
-        assert not net.layers[0][0].alive and not net.layers[0][1].alive
+        assert not net.is_alive(neuron_ref(1, 0))
+        assert not net.is_alive(neuron_ref(1, 1))
         # both features have lost every outgoing synapse
         assert net.active_inputs == [False, False]
         assert any(r.kind == "input" for r in cascade)
@@ -242,31 +255,32 @@ class TestSerialization:
         net.remove_element(neuron_ref(1, 1))
         expect = forward(net, x).outputs
         compact = Network.from_json(net.to_json())
-        assert len(compact.layers[0]) == 2  # tombstone dropped
+        assert compact.layers[0].width == 2  # tombstone dropped
         assert np.array_equal(forward(compact, x).outputs, expect)
         compact.check_layered()
 
     def test_snapshot_restore(self):
         net = build_network((3, 3, 1), seed=8)
+        text = net.to_json()
         snap = net.snapshot()
         net.set_weight(synapse_ref(1, 0, 1), 9.0)
         net.remove_element(neuron_ref(1, 2))
         net.restore(snap)
-        assert net.to_json() == snap
+        assert net.to_json() == text
 
 
 class TestBuildNetwork:
     def test_election_architecture_counts(self):
         net = build_network((12, 10, 10, 2), output_labels=["P", "O"], seed=0)
         n_syn = sum(1 for _ in net.iter_weights(with_bias=False))
-        n_bias = sum(1 for r, _ in net.iter_weights() if r.kind == "bias")
+        n_bias = sum(1 for r, _, _ in net.iter_weights() if r.kind == "bias")
         assert n_syn == 12 * 10 + 10 * 10 + 10 * 2 == 240
         assert n_bias == 22
 
     def test_minimal_architecture(self):
         net = build_network((2, 1), seed=0)
         assert sum(1 for _ in net.iter_weights(with_bias=False)) == 2
-        assert sum(1 for r, _ in net.iter_weights() if r.kind == "bias") == 1
+        assert sum(1 for r, _, _ in net.iter_weights() if r.kind == "bias") == 1
 
     def test_seed_determinism(self):
         a = build_network((4, 5, 2), seed=77)

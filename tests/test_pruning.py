@@ -6,14 +6,11 @@ import pytest
 
 from lucidnet import (
     LossKind,
-    Network,
-    Neuron,
     NotTrainedError,
     PipelineAbort,
     PoolExhausted,
     PruneConfig,
     PruningProblem,
-    Synapse,
     TrainConfig,
     ValidSet,
     apply_modification,
@@ -30,9 +27,17 @@ from lucidnet import (
     synapse_ref,
     train_until,
 )
+from lucidnet import training
 from lucidnet.pruning import _digest
+from lucidnet.training import loss_terms
 
-from conftest import fresh_trained_xor, majority_dataset, make_dataset
+from conftest import (
+    fresh_trained_xor,
+    majority_dataset,
+    make_dataset,
+    network_from_layers,
+    neuron_doc,
+)
 
 TERNARY = ValidSet.ternary()
 
@@ -71,20 +76,13 @@ def trained_majority_net(seed, data):
 
 def uneven_fan_net():
     """One hidden layer with fan-ins (5, 3, 2) plus a 3-input output."""
-    def neuron(n_inputs, layer):
-        return Neuron(
-            Synapse(0.1, True, None),
-            [Synapse(0.5, True, (layer, j)) for j in range(n_inputs)],
-            "tanh",
-        )
+    def neuron(n_inputs):
+        return neuron_doc(0.1, [(0, j, 0.5) for j in range(n_inputs)], "tanh",
+                          trainable=True)
 
-    hidden = [neuron(5, 0), neuron(3, 0), neuron(2, 0)]
-    out = Neuron(
-        Synapse(0.0, True, None),
-        [Synapse(1.0, True, (1, j)) for j in range(3)],
-        "tanh",
-    )
-    return Network(5, [hidden, [out]], ["pos", "neg"])
+    hidden = [neuron(5), neuron(3), neuron(2)]
+    out = neuron_doc(0.0, [(1, j, 1.0) for j in range(3)], "tanh", trainable=True)
+    return network_from_layers(5, [hidden, [out]], ["pos", "neg"])
 
 
 def flat_map(net, problem, value=1.0):
@@ -104,7 +102,7 @@ class TestSelectCandidates:
     def test_uniform_restricts_to_busiest_neuron(self):
         net = uneven_fan_net()
         problem = PruningProblem("uniform-simplification", target_fan_in=3)
-        fm = {ref: (1.0, None) for ref, _ in net.iter_weights()}
+        fm = {ref: (1.0, None) for ref, _, _ in net.iter_weights()}
         picked = select_candidates(fm, net, problem, 100)
         owners = {(r.layer, r.neuron) for r, _ in picked}
         assert owners == {(1, 0)}
@@ -144,7 +142,7 @@ class TestSelectCandidates:
     def test_precision_targets_use_nearest_valid(self):
         net = uneven_fan_net()  # all weights 0.5, biases 0.1 / 0.0
         problem = PruningProblem("precision-reduction", valid_set=TERNARY)
-        fm = {ref: (1.0, None) for ref, _ in net.iter_weights()}
+        fm = {ref: (1.0, None) for ref, _, _ in net.iter_weights()}
         fm[synapse_ref(1, 0, 1)] = (0.0, None)
         (ref, target), = select_candidates(fm, net, problem, 1)
         assert str(ref) == "synapse:1:0:1"
@@ -158,9 +156,8 @@ class TestApplyModification:
         net.set_weight(ref, 0.4)
         problem = PruningProblem("precision-reduction", valid_set=TERNARY)
         applied, cascade = apply_modification(net, [(ref, 0.0)], problem)
-        syn = net.synapse_at(ref)
         assert applied == [ref] and cascade == []
-        assert syn.weight == 0.0 and not syn.trainable
+        assert net.weight(ref) == 0.0 and not net.is_trainable(ref)
 
     def test_neuron_removal_cascades(self):
         net = uneven_fan_net()
@@ -189,15 +186,17 @@ class TestApplyModification:
         net = uneven_fan_net()
         problem = PruningProblem("synapse-removal")
         applied, _ = apply_modification(net, [(bias_ref(1, 0), 0.0)], problem)
-        syn = net.synapse_at(bias_ref(1, 0))
-        assert syn.weight == 0.0 and not syn.trainable and syn.alive
+        ref = bias_ref(1, 0)
+        assert net.weight(ref) == 0.0 and not net.is_trainable(ref)
+        assert net.is_alive(ref)
 
 
 def doomed_single_weight_net():
     """The only trainable element is the one synapse; removing it leaves an
     untrainable constant network, so every pruning attempt must fail."""
-    neuron = Neuron(Synapse(0.0, False, None), [Synapse(3.0, True, (0, 0))], "tanh")
-    net = Network(1, [[neuron]], ["pos", "neg"])
+    neuron = neuron_doc(0.0, [(0, 0, 3.0)], "tanh")
+    neuron["synapses"][0]["trainable"] = True
+    net = network_from_layers(1, [[neuron]], ["pos", "neg"])
     ds = make_dataset([[1.0], [-1.0]], ["pos", "neg"], class_labels=["pos", "neg"])
     return net, ds
 
@@ -218,16 +217,16 @@ class TestPruneBasic:
         net, ds = doomed_single_weight_net()
         net.set_weight(synapse_ref(1, 0, 1), 3.0, freeze=True)
         result = prune_basic(net, ds, prune_cfg("synapse-removal"))
-        assert result.minimality_certificate
+        assert result.stop_reason == "pool-exhausted"
         assert result.steps == []
 
     def test_first_failure_restores_entry_network(self):
         net, ds = doomed_single_weight_net()
-        entry = net.snapshot()
+        entry = net.to_json()
         sink = io.StringIO()
         result = prune_basic(net, ds, prune_cfg("synapse-removal", sink=sink,
                                                 retrain=retrain_cfg(budget=40)))
-        assert result.minimality_certificate
+        assert result.stop_reason == "failed-at-m1"
         assert len(result.steps) == 1
         record = result.steps[0]
         assert not record.accepted
@@ -243,7 +242,7 @@ class TestPruneBasic:
         result = prune_basic(net, ds, prune_cfg("synapse-removal", sink=sink))
         accuracy, _ = evaluate_classification(result.network, ds)
         assert accuracy == 1.0
-        assert result.minimality_certificate
+        assert result.stop_reason == "failed-at-m1"
         assert len(result.accepted_steps) >= 1
         records = [json.loads(line) for line in sink.getvalue().splitlines()]
         for rec in records:
@@ -262,7 +261,7 @@ class TestPruneAccelerated:
         assert [r.m for r in result.steps] == [8, 4, 2, 1]
         assert [r.staleness for r in result.steps] == [0, 1, 2, 3]
         assert all(not r.accepted for r in result.steps)
-        assert result.minimality_certificate
+        assert result.stop_reason == "failed-at-m1"
 
     def test_m1_matches_basic_exactly(self):
         final = {}
@@ -271,8 +270,7 @@ class TestPruneAccelerated:
             net, ds, _, _ = fresh_trained_xor(5)
             result = runner(net, ds, prune_cfg("synapse-removal", loop=loop,
                                                initial_m=1))
-            final[loop] = (result.network.to_json(),
-                           result.minimality_certificate)
+            final[loop] = (result.network.to_json(), result.stop_reason)
         assert final["basic"] == final["accelerated"]
 
     def test_success_resets_staleness(self, majority_data):
@@ -290,28 +288,56 @@ class TestPruneAccelerated:
         assert accuracy == 1.0
 
 
-class TestDivergence:
-    """An infinite learning rate drives the weights to inf, so training
-    diverges: in the retrain after one accumulation epoch, in the ledger
-    itself after two."""
+class TestStaleIndicators:
+    def test_halved_batch_is_the_front_of_the_rejected_one(self, majority_data):
+        # the restore after a rejected batch must keep every ref valid, so
+        # the loop retries the lowest-rated half of the same candidates
+        net = trained_majority_net(0, majority_data)
+        net.remove_element(synapse_ref(1, 0, 1))  # tombstones before the loop
+        net.remove_element(neuron_ref(1, 1))
+        assert train_until(net, majority_data, LossKind("mse"),
+                           synth_retrain()).converged
+        result = prune_accelerated(
+            net, majority_data,
+            prune_cfg("synapse-removal", loop="accelerated", initial_m=8, acc=2,
+                      retrain=retrain_cfg(lr=0.005, momentum=0.0, budget=30)))
+        retries = [(a, b) for a, b in zip(result.steps, result.steps[1:])
+                   if b.staleness > 0]
+        assert retries
+        for rejected, retry in retries:
+            assert not rejected.accepted
+            assert retry.refs == rejected.refs[: retry.m]
 
-    def _run(self, loop, acc):
+
+class TestDivergence:
+    """A test double makes the second loss evaluation of the pruning run
+    non-finite, so training diverges: in the retrain after one
+    accumulation epoch, in the ledger itself after two."""
+
+    def _run(self, loop, acc, monkeypatch):
         net, ds, _, _ = fresh_trained_xor(1)
         entry = net.to_json()
         sink = io.StringIO()
         config = prune_cfg("synapse-removal", loop=loop, initial_m=4, acc=acc,
-                           sink=sink,
-                           retrain=retrain_cfg(lr=float("inf"), budget=20))
+                           sink=sink, retrain=retrain_cfg(budget=20))
+        calls = []
+
+        def diverging_loss_terms(loss_kind, targets, outputs):
+            losses, grads = loss_terms(loss_kind, targets, outputs)
+            calls.append(None)
+            return (losses + np.inf if len(calls) == 2 else losses), grads
+
+        monkeypatch.setattr(training, "loss_terms", diverging_loss_terms)
         runner = prune_basic if loop == "basic" else prune_accelerated
-        with np.errstate(all="ignore"):
-            result = runner(net, ds, config)
+        result = runner(net, ds, config)
         logged = [json.loads(line) for line in sink.getvalue().splitlines()]
         return net, entry, result, logged
 
     @pytest.mark.parametrize("loop", ["basic", "accelerated"])
     @pytest.mark.parametrize("acc,modified", [(1, True), (2, False)])
-    def test_diverged_step_restores_snapshot(self, loop, acc, modified):
-        net, entry, result, logged = self._run(loop, acc)
+    def test_diverged_step_restores_snapshot(self, loop, acc, modified,
+                                             monkeypatch):
+        net, entry, result, logged = self._run(loop, acc, monkeypatch)
         first = result.steps[0]
         assert not first.accepted and first.reason == "diverged"
         assert bool(first.refs) == modified  # retrain diverged after a removal
@@ -324,8 +350,8 @@ class TestDivergence:
             assert net.to_json() == entry
         assert result.steps[-1].m == 1 and not result.steps[-1].accepted
 
-    def test_only_diverged_records_carry_a_reason(self):
-        _, _, result, logged = self._run("accelerated", 1)
+    def test_only_diverged_records_carry_a_reason(self, monkeypatch):
+        _, _, result, logged = self._run("accelerated", 1, monkeypatch)
         assert any(rec["accepted"] for rec in logged)
         for step, rec in zip(result.steps, logged):
             assert ("reason" in rec) == (step.reason is not None)
@@ -362,8 +388,8 @@ class TestRunPipeline:
         assert len(results) == 4
         masked = sorted(k for k in range(8) if not final.active_inputs[k])
         assert masked == [1, 3, 6]  # the uninformative features
-        for _, syn in final.iter_weights():
-            assert not syn.trainable and syn.weight in (-1.0, 0.0, 1.0)
+        for _, weight, trainable in final.iter_weights():
+            assert not trainable and weight in (-1.0, 0.0, 1.0)
         accuracy, _ = evaluate_classification(final, majority_data)
         assert accuracy == 1.0
 
@@ -377,9 +403,9 @@ class TestRunPipeline:
                       valid_set=TERNARY),
         ]
         results, final = run_pipeline(net, majority_data, stages)
-        assert max(final.fan_in(r) for r, _ in final.iter_neurons()) <= 3
-        for _, syn in final.iter_weights():
-            assert not syn.trainable and syn.weight in (-1.0, 0.0, 1.0)
+        assert max(final.fan_in(r) for r in final.iter_neurons()) <= 3
+        for _, weight, trainable in final.iter_weights():
+            assert not trainable and weight in (-1.0, 0.0, 1.0)
 
 
 class TestProblemDefinitions:

@@ -26,7 +26,7 @@ from lucidnet import (
 )
 from lucidnet.network import ForwardTrace, GradientBundle
 from lucidnet.sensitivity import SensitivityLedger, export_csv
-from lucidnet.training import GradientRecord, loss_terms, targets_for
+from lucidnet.training import GradientRecord, StatBlock, loss_terms, targets_for
 
 from conftest import make_dataset, single_neuron_net
 
@@ -170,7 +170,8 @@ class TestAggregation:
 
 class TestLedger:
     def _record(self, ref, values):
-        return GradientRecord({ref: np.asarray(values, dtype=float)}, {}, {}, 0.0)
+        samples = np.asarray([values], dtype=float)
+        return GradientRecord({"weight": [StatBlock((ref,), samples)]}, 0.0)
 
     def test_single_epoch_equals_aggregate(self):
         net = single_neuron_net([2.0], 0.0, activation="tanh", trainable=True)
@@ -309,17 +310,17 @@ class TestLedgerExactness:
         assert net.to_json() == twin.to_json()
         if element_class == "weight":
             want = {}
-            for ref, syn in twin.iter_weights():
-                if syn.trainable:
-                    target = nearest_valid(syn.weight, valid)
-                    want[ref] = ((sums[ref] / epochs) * abs(target - syn.weight),
+            for ref, weight, trainable in twin.iter_weights():
+                if trainable:
+                    target = nearest_valid(weight, valid)
+                    want[ref] = ((sums[ref] / epochs) * abs(target - weight),
                                  target)
         elif element_class == "input":
             want = {input_ref(k): (sums[k] / epochs, None)
                     for k in twin.active_feature_indices()}
         else:
             want = {ref: (sums[ref] / epochs, None)
-                    for ref, _ in twin.iter_neurons(hidden_only=True)}
+                    for ref in twin.iter_neurons(hidden_only=True)}
         assert len(want) > 0
         assert got == want
 
@@ -339,13 +340,12 @@ class TestFirstOrderFidelity:
             bundle = backward(net, trace, d_out[0])
             valid = ValidSet.ternary()
             for ref in list(bundle.weights)[:4]:
-                syn = net.synapse_at(ref)
-                target = nearest_valid(syn.weight, valid)
+                w0 = net.weight(ref)
+                target = nearest_valid(w0, valid)
                 chi = weight_indicator_sample(net, bundle, ref, target)
                 if chi < 1e-4:
                     continue
                 checked += 1
-                w0 = syn.weight
                 base = total_loss(net, ds, LossKind("mse"))
                 ratios = []
                 for eps in (1e-2, 1e-3, 1e-4):

@@ -60,8 +60,8 @@ class TestTotalLoss:
 class TestTrainEpoch:
     def test_all_frozen_is_noop_but_record_populated(self):
         net = build_network((2, 2, 1), output_labels=["pos", "neg"], seed=3)
-        for ref, syn in net.iter_weights():
-            net.set_weight(ref, syn.weight, freeze=True)
+        for ref, weight, _ in list(net.iter_weights()):
+            net.set_weight(ref, weight, freeze=True)
         ds = make_dataset([[1, -1]], ["pos"], class_labels=["pos", "neg"])
         before = net.to_json()
         cfg = TrainConfig(learning_rate=0.5, max_epochs=1)
@@ -84,16 +84,43 @@ class TestTrainEpoch:
         net.set_weight(bias_ref(1, 0), 0.0, freeze=True)
         ds = make_dataset([[1.0]], ["pos"], class_labels=["pos", "neg"])
         train_epoch(net, ds, LossKind("mse"), TrainConfig(learning_rate=0.1))
-        assert net.synapse_at(synapse_ref(1, 0, 1)).weight == pytest.approx(0.1)
+        assert net.weight(synapse_ref(1, 0, 1)) == pytest.approx(0.1)
 
     def test_non_finite_loss_raises(self):
-        net = one_tanh_neuron(weight=float("nan"))
+        net = one_tanh_neuron()
+        # documents with a non-finite weight do not load; set it directly
+        net.set_weight(synapse_ref(1, 0, 1), float("nan"))
         ds = make_dataset([[1.0]], ["pos"], class_labels=["pos", "neg"])
         with pytest.raises(DivergenceError):
             train_epoch(net, ds, LossKind("mse"), TrainConfig(learning_rate=0.1))
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -float("inf"), -0.1])
+    def test_learning_rate_must_be_finite_and_nonnegative(self, lr):
+        with pytest.raises(ValueError):
+            TrainConfig(learning_rate=lr)
+
+
 class TestTrainUntil:
+    def test_non_finite_loss_diverges_even_at_full_accuracy(self, monkeypatch):
+        from lucidnet import training
+
+        net = one_tanh_neuron(weight=2.0)
+        ds = make_dataset([[1.0], [-1.0]], ["pos", "neg"],
+                          class_labels=["pos", "neg"])
+        cfg = TrainConfig(learning_rate=0.1, max_epochs=5)
+        assert evaluate_classification(net, ds)[0] == 1.0
+        real = training.loss_terms
+
+        def infinite(loss_kind, targets, outputs):
+            losses, grads = real(loss_kind, targets, outputs)
+            return losses + np.inf, grads
+
+        monkeypatch.setattr(training, "loss_terms", infinite)
+        with pytest.raises(DivergenceError):
+            train_until(net, ds, LossKind("mse"), cfg)
+
     def test_already_converged_uses_zero_epochs(self):
         net = passthrough_net()
         ds = make_dataset([[1.0], [-1.0]], ["pos", "neg"],
@@ -234,9 +261,8 @@ class TestInvariants:
                           success_criterion="loss-below-threshold")
         train_until(net, ds, LossKind("mse"), cfg)
         for ref in frozen:
-            syn = net.synapse_at(ref)
-            assert syn.weight == -1.0 and not syn.trainable
-        trainable_now = {str(r) for r, s in net.iter_weights() if s.trainable}
+            assert net.weight(ref) == -1.0 and not net.is_trainable(ref)
+        trainable_now = {str(r) for r, _, t in net.iter_weights() if t}
         assert trainable_now.isdisjoint({str(r) for r in frozen})
 
     def test_argmax_invariant_under_positive_output_scaling(self):
@@ -247,8 +273,8 @@ class TestInvariants:
             class_labels=["class0", "class1"],
         )
         _, before = evaluate_classification(net, ds)
-        for ref, syn in net.iter_weights():
+        for ref, weight, trainable in list(net.iter_weights()):
             if ref.layer == net.n_layers:
-                net.set_weight(ref, syn.weight * 3.7, freeze=not syn.trainable)
+                net.set_weight(ref, weight * 3.7, freeze=not trainable)
         _, after = evaluate_classification(net, ds)
         assert before == after

@@ -9,8 +9,6 @@ from lucidnet import (
     DatasetError,
     LucidnetError,
     Network,
-    Neuron,
-    Synapse,
     TransparencyError,
     build_network,
     classify_rules,
@@ -20,15 +18,22 @@ from lucidnet import (
     forward,
     forward_batch,
     is_logically_transparent,
+    neuron_ref,
     single_question_rule_network,
     step_function,
     substitute_step,
+    synapse_ref,
     verbalize,
 )
 from lucidnet.training import classify_outputs
 from lucidnet.transparency import RuleSet, Statement, ThresholdRule
 
-from conftest import random_ternary_step_net, single_neuron_net
+from conftest import (
+    network_from_layers,
+    random_ternary_layers,
+    random_ternary_step_net,
+    single_neuron_net,
+)
 
 
 def ternary_neuron_net(weights, bias, n_inputs=None):
@@ -68,14 +73,14 @@ class TestIsLogicallyTransparent:
 
     def test_non_ternary_weight_flagged(self):
         net = ternary_neuron_net([1, -1], 0.0)
-        net.layers[0][0].synapses[0].weight = 0.7
+        net.set_weight(synapse_ref(1, 0, 1), 0.7, freeze=True)
         ok, violations = is_logically_transparent(net)
         assert not ok
         assert ("synapse:1:0:1", "non-ternary") in violations
 
     def test_trainable_weight_flagged(self):
         net = ternary_neuron_net([1, -1], 0.0)
-        net.layers[0][0].synapses[1].trainable = True
+        net.set_weight(synapse_ref(1, 0, 2), -1.0, freeze=False)
         ok, violations = is_logically_transparent(net)
         assert not ok
         assert ("synapse:1:0:2", "trainable") in violations
@@ -89,9 +94,9 @@ class TestIsLogicallyTransparent:
 class TestSubstituteStep:
     def test_replaces_activations(self):
         net = ternary_neuron_net([1, -1], 0.0)
-        net.layers[0][0].activation = "tanh"
+        net.set_activation(neuron_ref(1, 0), "tanh")
         substitute_step(net)
-        assert net.layers[0][0].activation == "step"
+        assert net.activation(neuron_ref(1, 0)) == "step"
         assert forward(net, [1.0, -1.0]).y[0][0] == 1.0
 
     def test_idempotent(self):
@@ -107,7 +112,7 @@ class TestSubstituteStep:
 
     def test_non_ternary_rejected(self):
         net = ternary_neuron_net([1, -1], 0.0)
-        net.layers[0][0].synapses[0].weight = 0.4
+        net.set_weight(synapse_ref(1, 0, 1), 0.4, freeze=True)
         with pytest.raises(TransparencyError):
             substitute_step(net)
 
@@ -118,19 +123,8 @@ class TestSubstituteStep:
         delta = 0.5
         disagreement_margins = []
         for trial in range(6):
-            layers = []
-            sizes = [4, 3, 1]
-            for l in range(1, len(sizes)):
-                layer = []
-                for _ in range(sizes[l]):
-                    bias = Synapse(float(rng.integers(-1, 2)), False, None)
-                    syns = [
-                        Synapse(float(rng.integers(-1, 2)), False, (l - 1, j))
-                        for j in range(sizes[l - 1])
-                    ]
-                    layer.append(Neuron(bias, syns, "tanh"))
-                layers.append(layer)
-            net = Network(4, layers, ["P", "O"])
+            layers = random_ternary_layers(rng, [4, 3, 1], "tanh")
+            net = network_from_layers(4, layers, ["P", "O"])
             X = np.array(list(itertools.product((-1.0, 1.0), repeat=4)))
             bt = forward_batch(net, X)
             smooth = classify_outputs(bt.outputs, net.output_labels)
@@ -196,7 +190,7 @@ class TestVerbalize:
         with pytest.raises(TransparencyError):
             verbalize(build_network((2, 2, 1), seed=0))
         smooth = ternary_neuron_net([1, -1], 0.0)
-        smooth.layers[0][0].activation = "tanh"
+        smooth.set_activation(neuron_ref(1, 0), "tanh")
         with pytest.raises(TransparencyError):
             verbalize(smooth)
 
