@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 
 from . import data as data_mod
@@ -23,8 +24,8 @@ from .errors import (
     UsageError,
 )
 from .network import Network, build_network
-from .pruning import PruneConfig, PruningProblem, run_pipeline
-from .sensitivity import ValidSet, collect_ledger, export_csv
+from .pruning import PruneConfig, PruningProblem, candidate_pool, rate_pool, run_pipeline
+from .sensitivity import ValidSet, export_csv
 from .training import (
     LossKind,
     TrainConfig,
@@ -44,6 +45,11 @@ from .transparency import (
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value such as -1,0,1 is not an option (argparse's rule since 3.13)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise UsageError(message)
 
@@ -52,7 +58,10 @@ def _load_config(path):
     if path is None:
         return {}
     with open(path) as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise UsageError(f"config file {path} must hold a JSON object")
+    return config
 
 
 def _pick(flag_value, config, *keys, default=None):
@@ -66,34 +75,33 @@ def _pick(flag_value, config, *keys, default=None):
     return node
 
 
-def _parse_values(text):
-    return tuple(float(v) for v in text.replace(" ", "").split(","))
-
-
 def _loss_kind(args, config):
     kind = _pick(getattr(args, "loss", None), config, "loss", "kind", default="mse")
     width = _pick(
         getattr(args, "margin_width", None), config, "loss", "margin_width",
         default=1.0,
     )
-    return LossKind(kind=kind, margin_width=float(width))
+    try:
+        return LossKind(kind=kind, margin_width=float(width))
+    except (ValueError, TypeError) as exc:
+        raise UsageError(f"invalid loss: {exc}") from None
 
 
 def _train_config(args, config, section="train"):
-    return TrainConfig(
-        learning_rate=float(
-            _pick(args.lr, config, section, "learning_rate", default=0.1)
-        ),
-        momentum=float(_pick(args.momentum, config, section, "momentum", default=0.0)),
-        max_epochs=int(_pick(args.epochs, config, section, "max_epochs", default=1000)),
-        loss_threshold=float(
-            _pick(args.threshold, config, section, "loss_threshold", default=0.0)
-        ),
-        success_criterion=_pick(
-            args.criterion, config, section, "success_criterion",
-            default="zero-classification-error",
-        ),
-    )
+    def pick(flag_value, key, default):
+        return _pick(flag_value, config, section, key, default=default)
+
+    try:
+        return TrainConfig(
+            learning_rate=float(pick(args.lr, "learning_rate", 0.1)),
+            momentum=float(pick(args.momentum, "momentum", 0.0)),
+            max_epochs=int(pick(args.epochs, "max_epochs", 1000)),
+            loss_threshold=float(pick(args.threshold, "loss_threshold", 0.0)),
+            success_criterion=pick(args.criterion, "success_criterion",
+                                   "zero-classification-error"),
+        )
+    except (ValueError, TypeError) as exc:
+        raise UsageError(f"invalid {section} options: {exc}") from None
 
 
 def _out_dir(args, config):
@@ -119,7 +127,10 @@ def cmd_train(args):
     if arch is None:
         raise UsageError("a network architecture is required (--arch or config)")
     if isinstance(arch, str):
-        arch = [int(v) for v in arch.replace("-", ",").split(",")]
+        try:
+            arch = [int(v) for v in arch.replace("-", ",").split(",")]
+        except ValueError:
+            raise UsageError(f"--arch {arch!r} is not a list of layer sizes") from None
     if arch[0] != len(dataset.feature_names):
         raise UsageError(
             f"architecture input width {arch[0]} does not match dataset width "
@@ -132,8 +143,11 @@ def cmd_train(args):
         labels = dataset.class_labels
     elif isinstance(labels, str):
         labels = labels.split(",")
-    seed = int(_pick(args.seed, config, "seed", default=0))
-    net = build_network(arch, activation=activation, output_labels=labels, seed=seed)
+    try:
+        seed = int(_pick(args.seed, config, "seed", default=0))
+        net = build_network(arch, activation=activation, output_labels=labels, seed=seed)
+    except (ValueError, TypeError) as exc:
+        raise UsageError(f"invalid network options: {exc}") from None
     tcfg = _train_config(args, config)
     loss_kind = _loss_kind(args, config)
     outcome = train_until(net, dataset, loss_kind, tcfg)
@@ -156,24 +170,34 @@ def cmd_train(args):
 
 
 def _stage_config(stage, retrain, loss_kind, log_sink):
-    problem = PruningProblem(
-        kind=stage["problem"],
-        valid_set=ValidSet(tuple(stage["valid_set"])) if stage.get("valid_set") else None,
-        target_fan_in=int(stage.get("target_fan_in", 3)),
-    )
-    initial_m = stage.get("initial_m", "half-of-pool")
-    if initial_m != "half-of-pool":
-        initial_m = int(initial_m)
-    return PruneConfig(
-        problem=problem,
-        retrain=retrain,
-        loss_kind=loss_kind,
-        indicator_mode=stage.get("mode", "avg"),
-        accumulation_epochs=int(stage.get("accumulation_epochs", 10)),
-        initial_m=initial_m,
-        loop=stage.get("loop", "accelerated"),
-        log_sink=log_sink,
-    )
+    """PruneConfig of one stage object; a key left out takes the
+    PruningProblem or PruneConfig default."""
+    if not isinstance(stage, dict) or "problem" not in stage:
+        raise UsageError("a pruning stage must be an object with a 'problem'")
+    problem, options = {"kind": stage["problem"]}, {}
+    try:
+        if stage.get("valid_set"):
+            problem["valid_set"] = ValidSet(tuple(stage["valid_set"]))
+        if "target_fan_in" in stage:
+            problem["target_fan_in"] = int(stage["target_fan_in"])
+        if "mode" in stage:
+            options["indicator_mode"] = stage["mode"]
+        if "accumulation_epochs" in stage:
+            options["accumulation_epochs"] = int(stage["accumulation_epochs"])
+        if "initial_m" in stage:
+            m = stage["initial_m"]
+            options["initial_m"] = m if m == "half-of-pool" else int(m)
+        if "loop" in stage:
+            options["loop"] = stage["loop"]
+        return PruneConfig(problem=PruningProblem(**problem), retrain=retrain,
+                           loss_kind=loss_kind, log_sink=log_sink, **options)
+    except (ValueError, TypeError) as exc:
+        raise UsageError(f"invalid pruning options: {exc}") from None
+
+
+def _given(**options):
+    """The options whose flags were given."""
+    return {key: value for key, value in options.items() if value is not None}
 
 
 def cmd_prune(args):
@@ -189,17 +213,13 @@ def cmd_prune(args):
     if args.problem is not None or not stages:
         if args.problem is None:
             raise UsageError("either --problem or config stages are required")
-        stage = {
-            "problem": args.problem,
-            "mode": args.mode or "avg",
-            "accumulation_epochs": args.acc_epochs or 10,
-            "initial_m": args.initial_m or "half-of-pool",
-            "loop": args.loop or "accelerated",
-            "target_fan_in": args.target_fan_in or 3,
-        }
-        if args.valid_set:
-            stage["valid_set"] = list(_parse_values(args.valid_set))
-        stages = [stage]
+        stages = [_given(
+            problem=args.problem, mode=args.mode, accumulation_epochs=args.acc_epochs,
+            initial_m=args.initial_m, loop=args.loop, target_fan_in=args.target_fan_in,
+            valid_set=args.valid_set and args.valid_set.split(","),
+        )]
+    elif not isinstance(stages, list):
+        raise UsageError("config 'stages' must be a list")
     out = _out_dir(args, config)
     log_path = os.path.join(out, "prune_log.jsonl")
     with open(log_path, "w") as log:
@@ -225,21 +245,19 @@ def cmd_indicators(args):
     net = Network.load(args.network)
     tcfg = _train_config(args, config)
     loss_kind = _loss_kind(args, config)
-    mode = args.mode or "avg"
-    epochs = args.acc_epochs or 10
+    # rate the candidate pool that the class's pruning problem takes
+    stage = _stage_config(_given(
+        problem={"input": "feature-selection", "weight": "precision-reduction",
+                 "neuron": "neuron-removal"}[args.element_class],
+        mode=args.mode, accumulation_epochs=args.acc_epochs,
+        valid_set=(args.valid_set or "0").split(",")
+        if args.element_class == "weight" else None,
+    ), tcfg, loss_kind, None)
     # the ledger trains the loaded network in memory; the file is untouched
-    ledger = collect_ledger(net, dataset, loss_kind, tcfg, epochs, args.element_class)
-    valid_set = None
-    if args.element_class == "weight":
-        valid_set = (
-            ValidSet(_parse_values(args.valid_set))
-            if args.valid_set
-            else ValidSet.removal()
-        )
-    final_map = ledger.finalize(net, mode, valid_set)
+    final_map = rate_pool(net, dataset, stage, candidate_pool(net, stage.problem))
     out = _out_dir(args, config)
     csv_path = os.path.join(out, "indicators.csv")
-    export_csv(final_map, args.element_class, mode, csv_path)
+    export_csv(final_map, args.element_class, stage.indicator_mode, csv_path)
     print(f"elements={len(final_map)} csv={csv_path}")
     return 0
 

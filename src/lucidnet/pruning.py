@@ -1,9 +1,12 @@
 """Controlled pruning loops over the five pruning problems.
 
-Both loops share the same skeleton: snapshot the network, accumulate
-sensitivity indicators over a few live training epochs, modify the
-lowest-rated candidates, retrain, and either keep the result or restore the
-snapshot.  The basic loop modifies one element per pass; the accelerated
+Both loops share the same skeleton: snapshot the network, take the
+candidate pool, accumulate sensitivity indicators over a few live training
+epochs and rate exactly the pool, modify the lowest-rated candidates,
+retrain, and either keep the result or restore the snapshot.  The pool is
+taken once per snapshot: ledger epochs move only trainable weights and a
+restore returns to the snapshot, so membership cannot change until a step
+is accepted.  The basic loop modifies one element per pass; the accelerated
 loop modifies batches of M, halving M on failure without recomputing the
 indicators, and stops once a single-element attempt fails.  The basic loop
 is the accelerated one with M fixed at 1.  A step whose training diverges
@@ -45,6 +48,8 @@ class PruningProblem:
     def __post_init__(self):
         if self.kind not in PROBLEM_KINDS:
             raise ValueError(f"unknown pruning problem {self.kind!r}")
+        if self.target_fan_in < 1:
+            raise ValueError("target fan-in must be at least 1")
         if self.kind == "precision-reduction" and self.valid_set is None:
             raise ValueError("precision reduction needs a valid set")
         if self.kind in ("synapse-removal", "uniform-simplification"):
@@ -81,8 +86,9 @@ class PruneConfig:
             raise ValueError("need at least one accumulation epoch")
         if self.loop not in ("basic", "accelerated"):
             raise ValueError(f"unknown loop kind {self.loop!r}")
-        if isinstance(self.initial_m, str) and self.initial_m != "half-of-pool":
-            raise ValueError("initial M is a count or 'half-of-pool'")
+        if self.initial_m != "half-of-pool" and (
+                isinstance(self.initial_m, str) or self.initial_m < 1):
+            raise ValueError("initial M is a count of at least 1 or 'half-of-pool'")
 
 
 def _digest(text):
@@ -167,34 +173,25 @@ def candidate_pool(net: Network, problem: PruningProblem):
 
 
 def select_candidates(final_map, net: Network, problem: PruningProblem, m):
-    """The m pool elements with the smallest finalized indicators.
+    """The m rated elements with the smallest indicators, each paired with
+    its modification target: the nearest valid value of the weight's
+    current value, or None for inputs and neurons.
 
-    Ties break toward the lower ElementRef.  Raises PoolExhausted when no
-    candidate of the class remains (for uniform simplification this is the
-    successful exit: every fan-in is at or below target).
+    ``final_map`` rates the candidate pool ({ref: indicator}).  Ties break
+    toward the lower ElementRef.  Raises PoolExhausted when the map is
+    empty, i.e. no candidate of the class remains (for uniform
+    simplification this is the successful exit: every fan-in is at or
+    below target).
     """
     if m < 1:
         raise ValueError("M must be at least 1")
-    pool = candidate_pool(net, problem)
-    if not pool:
+    if not final_map:
         raise PoolExhausted(f"no candidates left for {problem.kind}")
-    ranked = []
-    for ref in pool:
-        if ref not in final_map:
-            continue
-        value, target = final_map[ref]
-        ranked.append((value, ref.key, ref, target))
-    if not ranked:
-        raise PoolExhausted(f"indicators cover no live candidate for {problem.kind}")
-    ranked.sort(key=lambda item: (item[0], item[1]))
-    picked = ranked[: min(m, len(ranked))]
-    out = []
-    for _, _, ref, target in picked:
-        if problem.element_class == "weight":
-            out.append((ref, nearest_valid(net.weight(ref), problem.valid_set)))
-        else:
-            out.append((ref, target))
-    return out
+    picked = sorted(final_map, key=lambda ref: (final_map[ref], ref.key))[:m]
+    if problem.element_class == "weight":
+        return [(ref, nearest_valid(net.weight(ref), problem.valid_set))
+                for ref in picked]
+    return [(ref, None) for ref in picked]
 
 
 def apply_modification(net: Network, candidates, problem: PruningProblem):
@@ -242,29 +239,25 @@ def prune_basic(net: Network, dataset, config: PruneConfig) -> PruneResult:
     return _prune(net, dataset, config, 1)
 
 
-def _resolve_initial_m(net, config):
-    if config.initial_m == "half-of-pool":
-        return max(1, len(candidate_pool(net, config.problem)) // 2)
-    m = int(config.initial_m)
-    if m < 1:
-        raise ValueError("initial M must be at least 1")
-    return m
-
-
 def prune_accelerated(net: Network, dataset, config: PruneConfig) -> PruneResult:
     """Batch loop: try M elements at once; on failure restore the snapshot
     and halve M without recomputing indicators; a failure at M = 1 ends the
-    procedure with the last saved network."""
+    procedure with the last saved network.  An initial M of
+    "half-of-pool" is half the first candidate pool, and at least 1."""
     _require_trained(net, dataset, config)
-    return _prune(net, dataset, config, _resolve_initial_m(net, config))
+    m = config.initial_m
+    return _prune(net, dataset, config, m if m == "half-of-pool" else int(m))
 
 
-def _rate(net, dataset, config):
+def rate_pool(net, dataset, config, pool):
+    """{ref: indicator} over ``pool`` from a fresh ledger of the config's
+    accumulation epochs, which train the network."""
     ledger = collect_ledger(
         net, dataset, config.loss_kind, config.retrain,
         config.accumulation_epochs, config.problem.element_class,
     )
-    return ledger.finalize(net, config.indicator_mode, config.problem.valid_set)
+    return ledger.finalize(net, pool, config.indicator_mode,
+                           config.problem.valid_set)
 
 
 def _prune(net, dataset, config, m):
@@ -272,14 +265,16 @@ def _prune(net, dataset, config, m):
     while True:
         saved = net.snapshot()
         save_hash = _digest(net.to_json())
-        pool_size = len(candidate_pool(net, config.problem))
+        pool = candidate_pool(net, config.problem)
+        if m == "half-of-pool":
+            m = max(1, len(pool) // 2)
         final_map = None  # rated lazily: a diverged rating is retried
         staleness = 0
         while True:
             applied, cascade, outcome = [], [], None
             try:
                 if final_map is None:
-                    final_map = _rate(net, dataset, config)
+                    final_map = rate_pool(net, dataset, config, pool)
                 candidates = select_candidates(final_map, net, config.problem, m)
                 applied, cascade = apply_modification(net, candidates, config.problem)
                 outcome = train_until(net, dataset, config.loss_kind, config.retrain)
@@ -300,7 +295,7 @@ def _prune(net, dataset, config, m):
                 epochs_used=0 if outcome is None else outcome.epochs_used,
                 staleness=staleness,
                 cascade=[str(r) for r in cascade],
-                pool_size=pool_size,
+                pool_size=len(pool),
                 save_hash=save_hash,
                 net_hash_after=_digest(net.to_json()),
                 reason="diverged" if outcome is None else None,

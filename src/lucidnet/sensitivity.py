@@ -9,6 +9,11 @@ direction at any single moment.
 For weight indicators the displacement factor |v - w| stays outside the
 sample statistic and is applied once at finalize time against the current
 weight and its current nearest valid value.
+
+``SensitivityLedger.finalize(net, refs, mode, valid_set)`` rates exactly
+the refs it is given, normally the pruning step's candidate pool, and
+returns ``{ref: indicator}``; which elements are candidates is decided by
+``pruning.candidate_pool`` alone.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExcludedElementError, StaleReferenceError
-from .network import ElementRef, Network, input_ref
+from .network import ElementRef, Network
 from .training import (
     ELEMENT_CLASSES,
     LossKind,
@@ -133,19 +138,20 @@ class SensitivityLedger:
             acc[2] += block.samples.mean(axis=1)
         self.epochs_accumulated += 1
 
-    def finalize(self, net: Network, mode, valid_set: ValidSet | None = None):
-        """Mean over epochs of the per-epoch aggregates, restricted to the
-        elements still in the candidate pool.
+    def finalize(self, net: Network, refs, mode,
+                 valid_set: ValidSet | None = None):
+        """Mean over epochs of the per-epoch aggregates of each ref in
+        ``refs``, as {ref: indicator} in the order of ``refs``.
 
         Weight indicators are multiplied by the current |nearest - weight|
         displacement; ``valid_set`` is required for the weight class.
-        Returns {key: (indicator, target)} where target is the modification
-        value (None for input and neuron classes).
         """
         if self.epochs_accumulated == 0:
             raise ValueError("finalize on an empty ledger")
         if mode not in INDICATOR_MODES:
             raise ValueError(f"unknown indicator mode {mode!r}")
+        if self.element_class == "weight" and valid_set is None:
+            raise ValueError("weight indicators need a valid set")
         column = 1 if mode == "max" else 2
         sums = {}
         for acc in self._sums:
@@ -153,22 +159,13 @@ class SensitivityLedger:
                 sums[key] = sums.get(key, 0.0) + value
         e = self.epochs_accumulated
         out = {}
-        if self.element_class == "weight":
-            if valid_set is None:
-                raise ValueError("weight indicators need a valid set")
-            for ref, weight, trainable in net.iter_weights():
-                if not trainable or ref not in sums:
-                    continue
-                target = nearest_valid(weight, valid_set)
-                out[ref] = ((sums[ref] / e) * abs(target - weight), target)
-        elif self.element_class == "input":
-            for k in net.active_feature_indices():
-                if k in sums:
-                    out[input_ref(k)] = (sums[k] / e, None)
-        else:
-            for nref in net.iter_neurons(hidden_only=True):
-                if nref in sums:
-                    out[nref] = (sums[nref] / e, None)
+        for ref in refs:
+            if ref not in sums:
+                raise StaleReferenceError(f"{ref} has no ledger statistics")
+            out[ref] = sums[ref] / e
+            if self.element_class == "weight":
+                weight = net.weight(ref)
+                out[ref] *= abs(nearest_valid(weight, valid_set) - weight)
         return out
 
 
@@ -199,5 +196,5 @@ def export_csv(final_map, element_class, mode, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["element", "class", "indicator", "mode"])
-        for ref, (value, _) in rows:
+        for ref, value in rows:
             writer.writerow([str(ref), element_class, repr(float(value)), mode])

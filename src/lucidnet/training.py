@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .network import Network, backward_batch, forward_batch, neuron_ref
+from .network import Network, backward_batch, forward_batch, input_ref, neuron_ref
 
 SUCCESS_CRITERIA = ("loss-below-threshold", "zero-classification-error")
 ELEMENT_CLASSES = ("input", "weight", "neuron")
@@ -78,12 +78,12 @@ class GradientRecord:
     sensitivity indicators consume them.
 
     ``blocks[cls]`` holds the StatBlocks of element class cls ("input",
-    "weight" or "neuron"); ``train_epoch`` emits one block per layer.  The
-    mappings present the same rows keyed by element:
+    "weight" or "neuron"); ``train_epoch`` emits one block per layer.
+    ``rows(cls)`` presents the same rows keyed by ElementRef:
 
-    weight_abs[ref]  -> (N,) array of |dL^j/dw|
-    input_cost[k]    -> (N,) array of |dL^j/du_k * u_k| for active features
-    neuron_cost[ref] -> (N,) array of |dL^j/dy * y| for live neurons
+    "weight" -> (N,) array of |dL^j/dw| per live weight
+    "input"  -> (N,) array of |dL^j/du_k * u_k| per active feature
+    "neuron" -> (N,) array of |dL^j/dy * y| per live neuron
     """
 
     blocks: dict
@@ -95,18 +95,6 @@ class GradientRecord:
             for block in self.blocks.get(element_class, ())
             for ref, row in zip(block.refs, block.samples)
         }
-
-    @property
-    def weight_abs(self):
-        return self.rows("weight")
-
-    @property
-    def input_cost(self):
-        return self.rows("input")
-
-    @property
-    def neuron_cost(self):
-        return self.rows("neuron")
 
 
 def loss_terms(loss_kind: LossKind, targets, outputs):
@@ -183,7 +171,8 @@ def _gradient_record(net, trace, grads, stats, epoch_loss):
     if "input" in stats:
         keys = net.active_feature_indices()
         samples = grads.input_grads[:, keys] * trace.values[0][:, keys]
-        blocks["input"] = [StatBlock(tuple(keys), np.abs(samples).T.copy())]
+        refs = tuple(input_ref(k) for k in keys)
+        blocks["input"] = [StatBlock(refs, np.abs(samples).T.copy())]
     return GradientRecord(blocks, epoch_loss)
 
 

@@ -2,8 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from lucidnet import Dataset, Network, build_network, forward
+from lucidnet import Dataset, Network, build_network, forward, input_ref
 
 
 def make_dataset(features, labels, class_labels=None, names=None):
@@ -97,6 +98,35 @@ def random_ternary_layers(rng, sizes, activation):
             layer.append(neuron_doc(bias, synapses, activation))
         layers.append(layer)
     return layers
+
+
+EDIT_KINDS = ("input", "neuron", "synapse", "freeze")
+
+edit_lists = st.lists(
+    st.tuples(st.sampled_from(EDIT_KINDS), st.integers(0, 10**6)), max_size=6
+)
+
+
+def apply_edits(net, edits):
+    """Remove or freeze live elements picked by index; after every edit the
+    cascade audit must find nothing left to remove."""
+    for kind, pick in edits:
+        if kind == "input":
+            pool = [input_ref(k) for k in net.active_feature_indices()]
+        elif kind == "neuron":
+            pool = list(net.iter_neurons(hidden_only=True))
+        elif kind == "synapse":
+            pool = [ref for ref, _, _ in net.iter_weights(with_bias=False)]
+        else:
+            pool = [ref for ref, _, _ in net.iter_weights()]
+        if not pool:
+            continue
+        ref = pool[pick % len(pool)]
+        if kind == "freeze":
+            net.set_weight(ref, float(pick % 3 - 1), freeze=True)
+        else:
+            net.remove_element(ref)
+        assert net.audit_structure() == []
 
 
 def move_weight(net, ref, value):

@@ -1,7 +1,14 @@
-"""The benchmark's tracer patches lucidnet functions by name; every name it
-lists must resolve, so a rename fails here and not only in the benchmark's
-own smoke test."""
+"""What the benchmark assumes of lucidnet, checked in the suite so that a
+change breaking it fails here and not only in the benchmark's own runs.
 
+The tracer patches lucidnet functions by name, so every name it lists must
+resolve.  The workloads count training epochs from the pruning log alone
+(``workloads.record_stage``), so the epochs that a stage really trains must
+equal that count.
+"""
+
+import io
+import json
 import sys
 from pathlib import Path
 
@@ -10,6 +17,11 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import tracer  # noqa: E402
+import workloads  # noqa: E402
+
+from lucidnet import PruneConfig, PruningProblem, TrainConfig, run_pipeline  # noqa: E402
+
+from conftest import fresh_trained_xor  # noqa: E402
 
 
 @pytest.mark.parametrize(
@@ -24,3 +36,51 @@ def test_traced_name_resolves(module, qualname):
         assert callable(owner.__dict__[attr])  # the tracer patches the class
     else:
         assert callable(getattr(module, qualname))
+
+
+# (id, pruning problem options, stop reason, check on the log records)
+EPOCH_CASES = [
+    ("pool-exhausted", dict(kind="uniform-simplification", target_fan_in=3),
+     "basic", "pool-exhausted", lambda records: len(records) > 0),
+    ("failed-at-m1", dict(kind="synapse-removal"), "basic", "failed-at-m1",
+     lambda records: len(records) > 1),
+    ("accelerated-retries", dict(kind="synapse-removal"), "accelerated",
+     "failed-at-m1", lambda records: any(r["staleness"] > 0 for r in records)),
+    ("zero-records", dict(kind="uniform-simplification", target_fan_in=6),
+     "basic", "pool-exhausted", lambda records: records == []),
+]
+
+
+@pytest.mark.parametrize(
+    "problem, loop, stop_reason, shape",
+    [case[1:] for case in EPOCH_CASES],
+    ids=[case[0] for case in EPOCH_CASES],
+)
+def test_logged_epochs_equal_trained_epochs(problem, loop, stop_reason, shape):
+    """train_epoch calls in a stage = accumulation epochs x ledgers (one
+    per staleness-0 record, plus one when the stage ends after an accepted
+    step or has no records) + the retrain epochs the records report."""
+    net, data, _, outcome = fresh_trained_xor(1)
+    assert outcome.converged
+    sink = io.StringIO()
+    acc = 2
+    config = PruneConfig(
+        PruningProblem(**problem),
+        TrainConfig(learning_rate=0.3, momentum=0.9, max_epochs=200),
+        accumulation_epochs=acc, loop=loop, log_sink=sink,
+    )
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        (result,), _ = run_pipeline(net, data, [config])
+    finally:
+        spans.uninstall()
+    records = [json.loads(line) for line in sink.getvalue().splitlines()]
+    assert result.stop_reason == stop_reason and shape(records)
+
+    p = workloads.Pass(speed=None)
+    op = workloads.Op("prune", 0.0)
+    workloads.record_stage(p, op, 0, records, [[0.0] * len(records)], acc)
+    assert op.error is None
+    logged = p.counters["epochs.ledger"] + p.counters["epochs.retrain"]
+    assert spans.get("training.train_epoch").calls == logged

@@ -193,6 +193,129 @@ class TestIndicatorsCommand:
         assert (out / "network.json").read_bytes() == before
 
 
+def untrained_network(tmp_path):
+    from lucidnet import build_network
+
+    path = tmp_path / "untrained.json"
+    build_network((2, 2, 1), output_labels=["pos", "neg"], seed=0).save(path)
+    return str(path)
+
+
+def trained_xor(tmp_path):
+    data = xor_csv(tmp_path)
+    out = tmp_path / "run"
+    assert main(["train", "--dataset", data, "--arch", "2,4,1",
+                 "--labels", "pos,neg", "--lr", "0.3", "--momentum", "0.9",
+                 "--epochs", "5000", "--seed", "3", "--out", str(out)]) == 0
+    return data, out
+
+
+PRUNE = ["prune", "--network", "{net}", "--dataset", "{data}"]
+INDICATORS = ["indicators", "--network", "{net}", "--dataset", "{data}"]
+BAD_OPTION_FLAGS = [
+    ("train-momentum", ["train", "--dataset", "{data}", "--arch", "2,4,1",
+                        "--momentum", "1.5"], "momentum must lie in [0, 1)"),
+    ("train-arch", ["train", "--dataset", "{data}", "--arch", "3,x,1"],
+     "is not a list of layer sizes"),
+    ("train-layer-size", ["train", "--dataset", "{data}", "--arch", "2,0,1"],
+     "layer sizes must be positive"),
+    ("train-seed", ["train", "--dataset", "{data}", "--arch", "2,4,1", "--seed", "-1"],
+     "invalid network options"),
+    ("prune-valid-set", PRUNE + ["--problem", "precision-reduction",
+                                 "--valid-set=a,b"], "could not convert"),
+    ("prune-acc-epochs", PRUNE + ["--problem", "synapse-removal",
+                                  "--acc-epochs", "0"], "accumulation epoch"),
+    ("prune-target-fan-in", PRUNE + ["--problem", "uniform-simplification",
+                                     "--target-fan-in", "0"], "target fan-in"),
+    ("prune-initial-m", PRUNE + ["--problem", "synapse-removal",
+                                 "--initial-m", "0"], "initial M"),
+    ("indicators-valid-set", INDICATORS + ["--element-class", "weight",
+                                           "--valid-set=1,0"], "ascending"),
+    ("indicators-acc-epochs", INDICATORS + ["--element-class", "input",
+                                            "--acc-epochs", "0"],
+     "accumulation epoch"),
+]
+BAD_PRUNE_CONFIGS = [
+    ("unknown-problem", {"stages": [{"problem": "bogus"}]},
+     "unknown pruning problem 'bogus'"),
+    ("unknown-mode", {"stages": [{"problem": "synapse-removal", "mode": "median"}]},
+     "unknown indicator mode 'median'"),
+    ("initial-m-zero", {"stages": [{"problem": "synapse-removal", "initial_m": 0}]},
+     "initial M is a count of at least 1"),
+    ("stage-not-object", {"stages": ["synapse-removal"]}, "pruning stage"),
+    ("config-is-list", [{"problem": "synapse-removal"}], "must hold a JSON object"),
+]
+
+
+class TestOptionValues:
+    """A bad option value or config entry is a usage error (exit 1) with
+    one ``error:`` line, raised before any training."""
+
+    @staticmethod
+    def _usage_error(capsys, argv, message):
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert message in err[0]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [case[1:] for case in BAD_OPTION_FLAGS],
+        ids=[case[0] for case in BAD_OPTION_FLAGS],
+    )
+    def test_bad_flag(self, tmp_path, capsys, argv, message):
+        fill = {"net": untrained_network(tmp_path), "data": xor_csv(tmp_path)}
+        argv = [a.format(**fill) for a in argv] + ["--out", str(tmp_path / "out")]
+        self._usage_error(capsys, argv, message)
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [case[1:] for case in BAD_PRUNE_CONFIGS],
+        ids=[case[0] for case in BAD_PRUNE_CONFIGS],
+    )
+    def test_bad_prune_config(self, tmp_path, capsys, config, message):
+        path = write(tmp_path / "run.json", json.dumps(config))
+        self._usage_error(capsys, [
+            "prune", "--network", untrained_network(tmp_path),
+            "--dataset", xor_csv(tmp_path), "--config", path,
+            "--out", str(tmp_path / "out"),
+        ], message)
+
+
+class TestValidSetSpelling:
+    """``--valid-set -1,0,1`` as documented, and ``--valid-set=-1,0,1``,
+    give the same run."""
+
+    def test_prune(self, tmp_path, capsys):
+        data, out = trained_xor(tmp_path)
+        outputs = []
+        for k, flag in enumerate((["--valid-set", "-1,0,1"], ["--valid-set=-1,0,1"])):
+            dest = out / f"ternary{k}"
+            assert main(["prune", "--network", str(out / "network.json"),
+                         "--dataset", data, "--problem", "precision-reduction",
+                         *flag, "--loop", "basic", "--acc-epochs", "2",
+                         "--lr", "0.05", "--epochs", "200", "--out", str(dest)]) == 0
+            outputs.append(((dest / "network.json").read_bytes(),
+                            (dest / "prune_log.jsonl").read_bytes()))
+        assert outputs[0] == outputs[1]
+        net = Network.load(out / "ternary0" / "network.json")
+        frozen = [w for _, w, trainable in net.iter_weights() if not trainable]
+        assert frozen and set(frozen) <= {-1.0, 0.0, 1.0}
+
+    def test_indicators(self, tmp_path, capsys):
+        data, out = trained_xor(tmp_path)
+        tables = []
+        for k, flag in enumerate((["--valid-set", "-1,0,1"], ["--valid-set=-1,0,1"],
+                                  [])):
+            dest = out / f"indicators{k}"
+            assert main(["indicators", "--network", str(out / "network.json"),
+                         "--dataset", data, "--element-class", "weight", *flag,
+                         "--acc-epochs", "2", "--out", str(dest)]) == 0
+            tables.append((dest / "indicators.csv").read_bytes())
+        assert tables[0] == tables[1]
+        assert tables[0] != tables[2]  # the default valid set is {0}
+
+
 class TestVerbalizeCompareEval:
     def test_verbalize_refuses_trainable_network(self, tmp_path, capsys):
         data = xor_csv(tmp_path)

@@ -19,14 +19,12 @@ from lucidnet import (
     TrainConfig,
     bias_ref,
     forward_batch,
-    input_ref,
     synapse_ref,
     train_epoch,
 )
 from lucidnet.network import backward_batch
 
-EDIT_KINDS = ("input", "neuron", "synapse", "freeze")
-
+from conftest import apply_edits, edit_lists
 
 def _act(kind, sigma):
     return math.tanh(sigma) if kind == "tanh" else math.tanh(0.5 * sigma)
@@ -95,33 +93,6 @@ def network_docs(draw):
         "layers": layers,
         "output_labels": ["pos", "neg"] if n_out == 1 else [f"c{i}" for i in range(n_out)],
     }
-
-
-edit_lists = st.lists(
-    st.tuples(st.sampled_from(EDIT_KINDS), st.integers(0, 10**6)), max_size=6
-)
-
-
-def apply_edits(net, edits):
-    """Remove or freeze live elements picked by index; after every edit the
-    cascade audit must find nothing left to remove."""
-    for kind, pick in edits:
-        if kind == "input":
-            pool = [input_ref(k) for k in net.active_feature_indices()]
-        elif kind == "neuron":
-            pool = list(net.iter_neurons(hidden_only=True))
-        elif kind == "synapse":
-            pool = [ref for ref, _, _ in net.iter_weights(with_bias=False)]
-        else:
-            pool = [ref for ref, _, _ in net.iter_weights()]
-        if not pool:
-            continue
-        ref = pool[pick % len(pool)]
-        if kind == "freeze":
-            net.set_weight(ref, float(pick % 3 - 1), freeze=True)
-        else:
-            net.remove_element(ref)
-        assert net.audit_structure() == []
 
 
 def loaded(doc, edits):

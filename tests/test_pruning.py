@@ -86,9 +86,7 @@ def uneven_fan_net():
 
 
 def flat_map(net, problem, value=1.0):
-    return {
-        ref: (value, None) for ref in candidate_pool(net, problem)
-    }
+    return {ref: value for ref in candidate_pool(net, problem)}
 
 
 class TestSelectCandidates:
@@ -102,17 +100,18 @@ class TestSelectCandidates:
     def test_uniform_restricts_to_busiest_neuron(self):
         net = uneven_fan_net()
         problem = PruningProblem("uniform-simplification", target_fan_in=3)
-        fm = {ref: (1.0, None) for ref, _, _ in net.iter_weights()}
-        picked = select_candidates(fm, net, problem, 100)
+        picked = select_candidates(flat_map(net, problem), net, problem, 100)
         owners = {(r.layer, r.neuron) for r, _ in picked}
         assert owners == {(1, 0)}
         assert len(picked) == 5
+        assert all(r.kind == "synapse" for r, _ in picked)
 
     def test_uniform_exhausts_at_target(self):
         net = uneven_fan_net()
         for slot in (1, 2):
             net.remove_element(synapse_ref(1, 0, slot))
         problem = PruningProblem("uniform-simplification", target_fan_in=3)
+        assert candidate_pool(net, problem) == []
         with pytest.raises(PoolExhausted):
             select_candidates({}, net, problem, 1)
 
@@ -128,8 +127,8 @@ class TestSelectCandidates:
         net = uneven_fan_net()
         problem = PruningProblem("synapse-removal")
         fm = flat_map(net, problem, value=1.0)
-        fm[synapse_ref(1, 2, 2)] = (0.001, None)
-        fm[bias_ref(2, 0)] = (0.01, None)
+        fm[synapse_ref(1, 2, 2)] = 0.001
+        fm[bias_ref(2, 0)] = 0.01
         picked = select_candidates(fm, net, problem, 2)
         assert [str(r) for r, _ in picked] == ["synapse:1:2:2", "bias:2:0"]
 
@@ -142,8 +141,8 @@ class TestSelectCandidates:
     def test_precision_targets_use_nearest_valid(self):
         net = uneven_fan_net()  # all weights 0.5, biases 0.1 / 0.0
         problem = PruningProblem("precision-reduction", valid_set=TERNARY)
-        fm = {ref: (1.0, None) for ref, _, _ in net.iter_weights()}
-        fm[synapse_ref(1, 0, 1)] = (0.0, None)
+        fm = flat_map(net, problem)
+        fm[synapse_ref(1, 0, 1)] = 0.0
         (ref, target), = select_candidates(fm, net, problem, 1)
         assert str(ref) == "synapse:1:0:1"
         assert target == 0.0  # 0.5 ties toward smaller magnitude

@@ -6,12 +6,15 @@ import pytest
 from lucidnet import (
     ExcludedElementError,
     LossKind,
+    PruningProblem,
     StaleReferenceError,
     TrainConfig,
     ValidSet,
     aggregate_samples,
     backward,
+    bias_ref,
     build_network,
+    candidate_pool,
     collect_ledger,
     forward,
     input_indicator_sample,
@@ -29,6 +32,14 @@ from lucidnet.sensitivity import SensitivityLedger, export_csv
 from lucidnet.training import GradientRecord, StatBlock, loss_terms, targets_for
 
 from conftest import make_dataset, single_neuron_net
+
+
+# the candidate pool of each element class, as a pruning step takes it
+POOL_PROBLEM = {
+    "input": PruningProblem("feature-selection"),
+    "weight": PruningProblem("precision-reduction", valid_set=ValidSet.ternary()),
+    "neuron": PruningProblem("neuron-removal"),
+}
 
 
 def fake_bundle(weights=None, neurons=None, inputs=None):
@@ -178,8 +189,8 @@ class TestLedger:
         ref = synapse_ref(1, 0, 1)
         ledger = SensitivityLedger("weight")
         ledger.add_epoch(self._record(ref, [0.5, 0.3]))
-        final = ledger.finalize(net, "max", ValidSet((1.0,)))  # |1 - 2| = 1
-        assert final[ref][0] == pytest.approx(0.5)
+        final = ledger.finalize(net, [ref], "max", ValidSet((1.0,)))  # |1 - 2| = 1
+        assert final[ref] == pytest.approx(0.5)
 
     def test_epoch_mean(self):
         net = single_neuron_net([2.0], 0.0, activation="tanh", trainable=True)
@@ -187,22 +198,38 @@ class TestLedger:
         ledger = SensitivityLedger("weight")
         ledger.add_epoch(self._record(ref, [0.2]))
         ledger.add_epoch(self._record(ref, [0.4]))
-        final = ledger.finalize(net, "max", ValidSet((1.0,)))
-        assert final[ref][0] == pytest.approx(0.3)
+        final = ledger.finalize(net, [ref], "max", ValidSet((1.0,)))
+        assert final[ref] == pytest.approx(0.3)
 
     def test_frozen_mid_accumulation_excluded(self):
+        # freezing takes the weight out of the candidate pool, and finalize
+        # rates exactly the pool
+        net = single_neuron_net([2.0], 0.0, activation="tanh", trainable=True)
+        ref = synapse_ref(1, 0, 1)
+        problem = PruningProblem("precision-reduction", valid_set=ValidSet((1.0,)))
+        ledger = SensitivityLedger("weight")
+        ledger.add_epoch(GradientRecord(
+            {"weight": [StatBlock((bias_ref(1, 0), ref), np.array([[0.1], [0.2]]))]},
+            0.0))
+        net.set_weight(ref, 1.0, freeze=True)
+        final = ledger.finalize(net, candidate_pool(net, problem), "max",
+                                problem.valid_set)
+        assert ref not in final
+        assert list(final) == [bias_ref(1, 0)]
+
+    def test_rates_exactly_the_given_refs(self):
         net = single_neuron_net([2.0], 0.0, activation="tanh", trainable=True)
         ref = synapse_ref(1, 0, 1)
         ledger = SensitivityLedger("weight")
         ledger.add_epoch(self._record(ref, [0.2]))
-        net.set_weight(ref, 1.0, freeze=True)
-        final = ledger.finalize(net, "max", ValidSet((1.0,)))
-        assert ref not in final
+        assert ledger.finalize(net, [], "max", ValidSet((1.0,))) == {}
+        with pytest.raises(StaleReferenceError):
+            ledger.finalize(net, [bias_ref(1, 0)], "max", ValidSet((1.0,)))
 
     def test_empty_ledger_finalize_rejected(self):
         with pytest.raises(ValueError):
             SensitivityLedger("weight").finalize(
-                single_neuron_net([1.0], 0.0), "max", ValidSet.removal()
+                single_neuron_net([1.0], 0.0), [], "max", ValidSet.removal()
             )
 
     def test_displacement_scales_linearly(self):
@@ -210,8 +237,8 @@ class TestLedger:
         ref = synapse_ref(1, 0, 1)
         ledger = SensitivityLedger("weight")
         ledger.add_epoch(self._record(ref, [0.8, 0.1]))
-        near = ledger.finalize(net, "avg", ValidSet((0.3 - 0.2,)))[ref][0]
-        far = ledger.finalize(net, "avg", ValidSet((0.3 - 0.4,)))[ref][0]
+        near = ledger.finalize(net, [ref], "avg", ValidSet((0.3 - 0.2,)))[ref]
+        far = ledger.finalize(net, [ref], "avg", ValidSet((0.3 - 0.4,)))[ref]
         assert far == pytest.approx(2 * near)
 
 
@@ -227,19 +254,21 @@ class TestCollectLedger:
 
     def test_mode_dominance(self):
         net = build_network((3, 4, 1), output_labels=["pos", "neg"], seed=6)
+        pool = candidate_pool(net, PruningProblem("synapse-removal"))
         ledger = collect_ledger(net, self.ds, self.loss, self.cfg, 4, "weight")
-        fmax = ledger.finalize(net, "max", ValidSet.removal())
-        favg = ledger.finalize(net, "avg", ValidSet.removal())
-        assert set(fmax) == set(favg) and len(fmax) > 0
+        fmax = ledger.finalize(net, pool, "max", ValidSet.removal())
+        favg = ledger.finalize(net, pool, "avg", ValidSet.removal())
+        assert list(fmax) == list(favg) == pool and len(fmax) > 0
         for ref in fmax:
-            assert fmax[ref][0] >= favg[ref][0] >= 0.0
+            assert fmax[ref] >= favg[ref] >= 0.0
 
     def test_rerun_is_identical(self):
         finals = []
         for _ in range(2):
             net = build_network((3, 4, 1), output_labels=["pos", "neg"], seed=6)
+            pool = candidate_pool(net, POOL_PROBLEM["input"])
             ledger = collect_ledger(net, self.ds, self.loss, self.cfg, 3, "input")
-            finals.append(ledger.finalize(net, "avg"))
+            finals.append(ledger.finalize(net, pool, "avg"))
         assert finals[0] == finals[1]
 
     def test_batched_record_matches_per_sample_reference(self):
@@ -260,14 +289,17 @@ class TestCollectLedger:
             trace = forward(reference, ds.features[j])
             _, d_out = loss_terms(self.loss, z[j][None, :], trace.outputs[None, :])
             bundle = backward(reference, trace, d_out[0])
+            weight_rows = record.rows("weight")
             for ref, grad in bundle.weights.items():
-                assert record.weight_abs[ref][j] == pytest.approx(abs(grad), abs=1e-12)
+                assert weight_rows[ref][j] == pytest.approx(abs(grad), abs=1e-12)
+            input_rows = record.rows("input")
             for k, grad in bundle.inputs.items():
                 expected = abs(grad * ds.features[j][k])
-                assert record.input_cost[k][j] == pytest.approx(expected, abs=1e-12)
+                assert input_rows[input_ref(k)][j] == pytest.approx(expected, abs=1e-12)
+            neuron_rows = record.rows("neuron")
             for nref, grad in bundle.neurons.items():
                 y = trace.y[nref.layer - 1][nref.neuron]
-                assert record.neuron_cost[nref][j] == pytest.approx(
+                assert neuron_rows[nref][j] == pytest.approx(
                     abs(grad * y), abs=1e-12
                 )
 
@@ -288,24 +320,21 @@ class TestLedgerExactness:
     @pytest.mark.parametrize("element_class", ["input", "weight", "neuron"])
     @pytest.mark.parametrize("mode", ["max", "avg"])
     def test_finalize_equals_per_element_aggregates(self, element_class, mode):
-        from lucidnet import input_ref
-
         net, ds = self._case()
         twin, _ = self._case()  # not a JSON copy: that would renumber slots
         loss = LossKind("mse")
         cfg = TrainConfig(learning_rate=0.01, momentum=0.5)
         valid = ValidSet.ternary() if element_class == "weight" else None
         epochs = 4
+        pool = candidate_pool(net, POOL_PROBLEM[element_class])
         got = collect_ledger(net, ds, loss, cfg, epochs, element_class).finalize(
-            net, mode, valid)
+            net, pool, mode, valid)
 
         sums = {}
         velocity = None
         for _ in range(epochs):
             record, velocity = train_epoch(twin, ds, loss, cfg, velocity)
-            rows = {"input": record.input_cost, "weight": record.weight_abs,
-                    "neuron": record.neuron_cost}[element_class]
-            for key, values in rows.items():
+            for key, values in record.rows(element_class).items():
                 sums[key] = sums.get(key, 0.0) + aggregate_samples(values, mode)
         assert net.to_json() == twin.to_json()
         if element_class == "weight":
@@ -313,16 +342,16 @@ class TestLedgerExactness:
             for ref, weight, trainable in twin.iter_weights():
                 if trainable:
                     target = nearest_valid(weight, valid)
-                    want[ref] = ((sums[ref] / epochs) * abs(target - weight),
-                                 target)
+                    want[ref] = (sums[ref] / epochs) * abs(target - weight)
         elif element_class == "input":
-            want = {input_ref(k): (sums[k] / epochs, None)
+            want = {input_ref(k): sums[input_ref(k)] / epochs
                     for k in twin.active_feature_indices()}
         else:
-            want = {ref: (sums[ref] / epochs, None)
+            want = {ref: sums[ref] / epochs
                     for ref in twin.iter_neurons(hidden_only=True)}
         assert len(want) > 0
         assert got == want
+        assert list(got) == pool
 
 
 class TestFirstOrderFidelity:
@@ -364,9 +393,10 @@ class TestExport:
         net = build_network((3, 2, 1), output_labels=["pos", "neg"], seed=1)
         ds = make_dataset([[1, -1, 1], [-1, 1, -1]], ["pos", "neg"],
                           class_labels=["pos", "neg"])
+        pool = candidate_pool(net, POOL_PROBLEM["weight"])
         ledger = collect_ledger(net, ds, LossKind("mse"),
                                 TrainConfig(learning_rate=0.1), 2, "weight")
-        final = ledger.finalize(net, "avg", ValidSet.ternary())
+        final = ledger.finalize(net, pool, "avg", ValidSet.ternary())
         path = tmp_path / "indicators.csv"
         export_csv(final, "weight", "avg", path)
         with open(path, newline="") as fh:
@@ -378,4 +408,4 @@ class TestExport:
         for element, klass, indicator, mode in rows[1:]:
             ref = ElementRef.parse(element)
             assert klass == "weight" and mode == "avg"
-            assert float(indicator) == final[ref][0]
+            assert float(indicator) == final[ref]

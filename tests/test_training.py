@@ -67,8 +67,9 @@ class TestTrainEpoch:
         cfg = TrainConfig(learning_rate=0.5, max_epochs=1)
         record, _ = train_epoch(net, ds, LossKind("mse"), cfg)
         assert net.to_json() == before
-        assert len(record.weight_abs) == 9  # 6 synapses + 3 biases still rated
-        assert all(arr.shape == (1,) for arr in record.weight_abs.values())
+        rows = record.rows("weight")
+        assert len(rows) == 9  # 6 synapses + 3 biases still rated
+        assert all(arr.shape == (1,) for arr in rows.values())
 
     def test_zero_learning_rate_is_noop(self):
         net = build_network((2, 3, 1), output_labels=["pos", "neg"], seed=4)

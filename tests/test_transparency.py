@@ -29,7 +29,10 @@ from lucidnet.training import classify_outputs
 from lucidnet.transparency import RuleSet, Statement, ThresholdRule
 
 from conftest import (
+    apply_edits,
+    edit_lists,
     network_from_layers,
+    neuron_doc,
     random_ternary_layers,
     random_ternary_step_net,
     single_neuron_net,
@@ -403,6 +406,45 @@ class TestBatchInterpreter:
         cmp = assert_same_comparison(constant(0), constant(1))
         assert cmp.total == 1 and cmp.disagreements == [({}, "O", "P")]
         assert classify_rules(constant(0), {}).tolist() == ["O"]
+
+
+@st.composite
+def ternary_step_networks(draw):
+    """Frozen ternary step networks whose neurons read any subset of the
+    units of all earlier layers, skip connections included, in random slot
+    order."""
+    widths = [draw(st.integers(1, 7))]
+    widths += [draw(st.integers(1, 4)) for _ in range(draw(st.integers(0, 2)))]
+    widths.append(draw(st.integers(1, 3)))
+    ternary = st.sampled_from([-1.0, 0.0, 1.0])
+    layers = []
+    for l in range(1, len(widths)):
+        sources = [(sl, si) for sl in range(l) for si in range(widths[sl])]
+        layers.append([
+            neuron_doc(draw(ternary), [
+                (sl, si, draw(ternary))
+                for sl, si in draw(st.lists(st.sampled_from(sources), unique=True))
+            ])
+            for _ in range(widths[l])
+        ])
+    n_out = widths[-1]
+    labels = ["P", "O"] if n_out == 1 else [f"c{i}" for i in range(n_out)]
+    return network_from_layers(widths[0], layers, labels)
+
+
+class TestVerbalizeProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(net=ternary_step_networks(), edits=edit_lists)
+    def test_rules_equal_step_network_on_full_grid(self, net, edits):
+        # tombstoned inputs, neurons and synapses; freezes stay ternary
+        net.audit_structure()  # a loaded document need not be audited yet
+        apply_edits(net, edits)
+        names = [f"x{k}" for k in range(net.input_dim)]
+        X = np.array(list(itertools.product((-1.0, 1.0), repeat=net.input_dim)))
+        expected = classify_outputs(forward_batch(net, X).outputs,
+                                    net.output_labels)
+        got = classify_rules(verbalize(net), dict(zip(names, X.T)))
+        assert got.tolist() == expected
 
 
 class TestCompareRulesets:
