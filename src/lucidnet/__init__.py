@@ -60,7 +60,6 @@ from .sensitivity import (
     weight_indicator_sample,
 )
 from .training import (
-    GradientRecord,
     LossKind,
     TrainConfig,
     TrainOutcome,

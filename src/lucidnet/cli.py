@@ -222,6 +222,8 @@ def cmd_prune(args):
         raise UsageError("config 'stages' must be a list")
     out = _out_dir(args, config)
     log_path = os.path.join(out, "prune_log.jsonl")
+    for stage in stages:  # refuse a bad stage before the log exists
+        _stage_config(stage, retrain, loss_kind, None)
     with open(log_path, "w") as log:
         configs = [_stage_config(stage, retrain, loss_kind, log) for stage in stages]
         results, net = run_pipeline(net, dataset, configs)

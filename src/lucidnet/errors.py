@@ -26,7 +26,12 @@ class ExcludedElementError(LucidnetError):
 
 
 class DivergenceError(LucidnetError):
-    """Training produced a non-finite loss or gradient."""
+    """Training produced a non-finite loss or gradient.  ``epochs`` counts
+    the ``train_epoch`` calls the training made, the raising one included."""
+
+    def __init__(self, message, epochs=0):
+        super().__init__(message)
+        self.epochs = epochs
 
 
 class NotTrainedError(LucidnetError):

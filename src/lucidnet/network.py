@@ -206,13 +206,14 @@ class Network:
         for layer in layers:
             self.offsets.append(self.offsets[-1] + layer.width)
         self._version = 0
-        self._layouts = {}  # weight_layout per layer, until the next edit
         width = self.layers[-1].width
         if width == 1:
             if len(self.output_labels) != 2:
                 raise ValueError("single-output network needs exactly two class labels")
         elif len(self.output_labels) != width:
             raise ValueError("output labels must match output layer width")
+        if len(set(self.output_labels)) != len(self.output_labels):
+            raise ValueError(f"output labels {self.output_labels} repeat a label")
 
     # -- addressing ----------------------------------------------------
 
@@ -319,29 +320,10 @@ class Network:
             layer.alive[i] & (layer.trainable[i] | (layer.weights[i] != 0.0))
         ))
 
-    def weight_layout(self, l):
-        """Live weights of layer l as (refs, rows, cols, bias_rows): the
-        synapses of each live neuron in slot order, at (rows[k], cols[k]),
-        then the biases of the live neurons.  Cached until the next edit."""
-        if l not in self._layouts:
-            layer = self.layers[l - 1]
-            refs, rows, cols = [], [], []
-            bias_rows = np.flatnonzero(layer.neuron_alive)
-            for i in bias_rows.tolist():
-                for slot, col in layer.live_slots(i):
-                    refs.append(synapse_ref(l, i, slot))
-                    rows.append(i)
-                    cols.append(col)
-            refs.extend(bias_ref(l, i) for i in bias_rows.tolist())
-            self._layouts[l] = (tuple(refs), np.array(rows, dtype=int),
-                                np.array(cols, dtype=int), bias_rows)
-        return self._layouts[l]
-
     # -- structural edits ----------------------------------------------
 
     def _touch(self):
         self._version += 1
-        self._layouts = {}
         for layer in self.layers:
             layer.regroup()
 
@@ -514,7 +496,7 @@ class Network:
         """Network from its JSON document.  Raises DatasetError for a missing
         or mistyped field, a synapse that does not read a live unit of a
         strictly earlier layer or repeats a source of its neuron, an unknown
-        activation, a non-finite weight, or a wrong label count."""
+        activation, a non-finite weight, or a wrong or repeated label."""
         _check(isinstance(doc, dict), "the document is not a JSON object")
         input_dim = doc.get("input_dim")
         _check(_is_int(input_dim) and input_dim >= 0,
@@ -766,11 +748,10 @@ def backward(net: Network, trace: ForwardTrace, d_outputs) -> GradientBundle:
     bt = forward_batch(net, trace.input[None, :])
     bg = backward_batch(net, bt, np.asarray(d_outputs, dtype=float)[None, :])
     bundle = GradientBundle()
-    for l in range(1, net.n_layers + 1):
-        refs, rows, cols, bias_rows = net.weight_layout(l)
-        values = np.concatenate((bg.weight_grads[l][rows, cols],
-                                 bg.bias_grads[l][bias_rows]))
-        bundle.weights.update(zip(refs, values.tolist()))
+    for ref, _, _ in net.iter_weights():
+        _, i, col = net._weight(ref)  # col is None for a bias
+        bundle.weights[ref] = float(bg.bias_grads[ref.layer][i] if col is None
+                                    else bg.weight_grads[ref.layer][i, col])
     for nref in net.iter_neurons():
         bundle.neurons[nref] = float(bg.y_grads[nref.layer][0, nref.neuron])
     for k in net.active_feature_indices():

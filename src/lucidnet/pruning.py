@@ -103,8 +103,10 @@ class PruneStepRecord:
     taken before the attempt and net_hash_after the JSON form after accept
     or restore, so the audit log alone proves that every rejected step
     rolled back byte-exactly.
-    ``reason`` is "diverged" on a step whose training diverged; the loss of
-    such a step is None and its epochs_used 0.
+    ``reason`` is "diverged" on a step whose training diverged.  The loss of
+    such a step is None.  Its epochs_used counts the retrain's epochs, the
+    one that diverged included, and is 0 when the rating diverged: ledger
+    epochs are never counted in epochs_used.
     """
 
     step: int
@@ -252,12 +254,9 @@ def prune_accelerated(net: Network, dataset, config: PruneConfig) -> PruneResult
 def rate_pool(net, dataset, config, pool):
     """{ref: indicator} over ``pool`` from a fresh ledger of the config's
     accumulation epochs, which train the network."""
-    ledger = collect_ledger(
-        net, dataset, config.loss_kind, config.retrain,
-        config.accumulation_epochs, config.problem.element_class,
-    )
-    return ledger.finalize(net, pool, config.indicator_mode,
-                           config.problem.valid_set)
+    ledger = collect_ledger(net, dataset, config.loss_kind, config.retrain,
+                            config.accumulation_epochs, pool)
+    return ledger.finalize(net, config.indicator_mode, config.problem.valid_set)
 
 
 def _prune(net, dataset, config, m):
@@ -271,7 +270,7 @@ def _prune(net, dataset, config, m):
         final_map = None  # rated lazily: a diverged rating is retried
         staleness = 0
         while True:
-            applied, cascade, outcome = [], [], None
+            applied, cascade, outcome, epochs = [], [], None, 0
             try:
                 if final_map is None:
                     final_map = rate_pool(net, dataset, config, pool)
@@ -281,8 +280,9 @@ def _prune(net, dataset, config, m):
             except PoolExhausted:
                 net.restore(saved)
                 return PruneResult(net, steps, "pool-exhausted")
-            except DivergenceError:
-                pass
+            except DivergenceError as exc:
+                if final_map is not None:  # the retrain diverged
+                    epochs = exc.epochs
             accepted = outcome is not None and outcome.converged
             if not accepted:
                 net.restore(saved)
@@ -292,7 +292,7 @@ def _prune(net, dataset, config, m):
                 refs=[str(r) for r in applied],
                 accepted=accepted,
                 total_loss=None if outcome is None else outcome.final_total_loss,
-                epochs_used=0 if outcome is None else outcome.epochs_used,
+                epochs_used=epochs if outcome is None else outcome.epochs_used,
                 staleness=staleness,
                 cascade=[str(r) for r in cascade],
                 pool_size=len(pool),

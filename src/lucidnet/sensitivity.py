@@ -10,9 +10,11 @@ For weight indicators the displacement factor |v - w| stays outside the
 sample statistic and is applied once at finalize time against the current
 weight and its current nearest valid value.
 
-``SensitivityLedger.finalize(net, refs, mode, valid_set)`` rates exactly
-the refs it is given, normally the pruning step's candidate pool, and
-returns ``{ref: indicator}``; which elements are candidates is decided by
+``collect_ledger(..., refs)`` builds a ledger for exactly the refs it is
+given, normally the pruning step's candidate pool: each epoch it takes the
+per-sample magnitudes of those refs from the gradients that ``train_epoch``
+returns, and ``SensitivityLedger.finalize`` rates the ledger's own refs in
+order as ``{ref: indicator}``.  Which elements are candidates is decided by
 ``pruning.candidate_pool`` alone.
 """
 
@@ -24,14 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExcludedElementError, StaleReferenceError
-from .network import ElementRef, Network
-from .training import (
-    ELEMENT_CLASSES,
-    LossKind,
-    TrainConfig,
-    targets_for,
-    train_epoch,
-)
+from .network import ElementRef, Network, forward_batch
+from .training import LossKind, TrainConfig, targets_for, train_epoch
 
 INDICATOR_MODES = ("max", "avg")
 
@@ -109,84 +105,99 @@ def aggregate_samples(values, mode) -> float:
 # -- cross-epoch ledger ---------------------------------------------------
 
 class SensitivityLedger:
-    """Accumulates per-epoch aggregates of per-sample indicator statistics.
+    """Accumulates per-epoch aggregates of per-sample indicator statistics
+    for a fixed list of refs, normally a pruning step's candidate pool.
 
     Both the max and the avg statistic are tracked, so either mode can be
-    finalized from one accumulation run.  Sums are kept as arrays per
-    statistic block; a block whose refs equal an earlier block's adds to
-    that block's sums, so an element whose block repeats every epoch, as in
-    ``collect_ledger``, sums its epoch aggregates in epoch order.
+    finalized from one accumulation run.  Each is one array of sums in the
+    order of ``refs``, added to in epoch order.
     """
 
-    def __init__(self, element_class):
-        if element_class not in ELEMENT_CLASSES:
-            raise ValueError(f"unknown element class {element_class!r}")
-        self.element_class = element_class
+    def __init__(self, refs):
+        self.refs = list(refs)
         self.epochs_accumulated = 0
-        self._sums = []  # [refs, sum of per-epoch max, sum of per-epoch avg]
+        self._max_sums = np.zeros(len(self.refs))
+        self._avg_sums = np.zeros(len(self.refs))
 
-    def add_epoch(self, record):
-        """Fold one epoch's GradientRecord into the running accumulators."""
-        for block in record.blocks[self.element_class]:
-            acc = next((a for a in self._sums
-                        if a[0] is block.refs or a[0] == block.refs), None)
-            if acc is None:
-                acc = [block.refs, np.zeros(len(block.refs)),
-                       np.zeros(len(block.refs))]
-                self._sums.append(acc)
-            acc[1] += block.samples.max(axis=1)
-            acc[2] += block.samples.mean(axis=1)
+    def add_epoch(self, samples):
+        """Fold in one epoch's C-contiguous (len(refs), N) array of
+        per-sample magnitudes, row i belonging to refs[i].  Each row is
+        reduced alone, as the 1-D reduction of that row would be."""
+        if samples.shape[0] != len(self.refs):
+            raise ValueError(f"{samples.shape[0]} sample rows for {len(self.refs)} refs")
+        self._max_sums += samples.max(axis=1)
+        self._avg_sums += samples.mean(axis=1)
         self.epochs_accumulated += 1
 
-    def finalize(self, net: Network, refs, mode,
-                 valid_set: ValidSet | None = None):
-        """Mean over epochs of the per-epoch aggregates of each ref in
-        ``refs``, as {ref: indicator} in the order of ``refs``.
+    def finalize(self, net: Network, mode, valid_set: ValidSet | None = None):
+        """Mean over epochs of the per-epoch aggregates of each ref, as
+        {ref: indicator} in the order of ``refs``.
 
         Weight indicators are multiplied by the current |nearest - weight|
-        displacement; ``valid_set`` is required for the weight class.
+        displacement, so ``valid_set`` is required when a weight is rated.
         """
         if self.epochs_accumulated == 0:
             raise ValueError("finalize on an empty ledger")
         if mode not in INDICATOR_MODES:
             raise ValueError(f"unknown indicator mode {mode!r}")
-        if self.element_class == "weight" and valid_set is None:
-            raise ValueError("weight indicators need a valid set")
-        column = 1 if mode == "max" else 2
-        sums = {}
-        for acc in self._sums:
-            for key, value in zip(acc[0], acc[column].tolist()):
-                sums[key] = sums.get(key, 0.0) + value
-        e = self.epochs_accumulated
-        out = {}
-        for ref in refs:
-            if ref not in sums:
-                raise StaleReferenceError(f"{ref} has no ledger statistics")
-            out[ref] = sums[ref] / e
-            if self.element_class == "weight":
+        sums = self._max_sums if mode == "max" else self._avg_sums
+        out = dict(zip(self.refs, (sums / self.epochs_accumulated).tolist()))
+        for ref in self.refs:
+            if ref.kind in ("synapse", "bias"):
+                if valid_set is None:
+                    raise ValueError("weight indicators need a valid set")
                 weight = net.weight(ref)
                 out[ref] *= abs(nearest_valid(weight, valid_set) - weight)
         return out
 
 
+def _sample_rows(net: Network, refs):
+    """Per ref, its row in the gradient table and in the value table of
+    ``_sample_magnitudes``: an input or a neuron pairs dL/dy with y, a
+    synapse dL/dsigma with its source value, a bias dL/dsigma with 1."""
+    off = net.offsets
+    grad_rows, value_rows = [], []
+    for ref in refs:
+        if ref.kind in ("input", "neuron"):
+            row = off[ref.layer] + ref.neuron
+            grad_rows.append(row)
+            value_rows.append(row)
+        else:
+            grad_rows.append(off[-1] + off[ref.layer] - off[1] + ref.neuron)
+            value_rows.append(off[-1] if ref.kind == "bias" else
+                              net.layers[ref.layer - 1].slots[ref.neuron][ref.slot - 1])
+    return np.array(grad_rows, dtype=int), np.array(value_rows, dtype=int)
+
+
+def _sample_magnitudes(trace, grads, rows):
+    """(len(refs), N) C-contiguous per-sample magnitudes of one epoch.  The
+    tables hold one sample vector per row, so each ref gathers whole rows."""
+    grad_table = np.vstack([g.T for g in grads.y_grads + grads.d_sigma[1:]])
+    value_table = np.vstack((trace.activations.T, np.ones(len(trace.activations))))
+    grad_rows, value_rows = rows
+    samples = grad_table[grad_rows] * value_table[value_rows]
+    return np.abs(samples, out=samples)
+
+
 def collect_ledger(net: Network, dataset, loss_kind: LossKind,
-                   train_config: TrainConfig, epochs, element_class):
-    """Accumulate a ledger over several live training epochs.
+                   train_config: TrainConfig, epochs, refs):
+    """Accumulate a ledger for ``refs`` over several live training epochs.
 
     The network keeps training while the statistics accumulate, so the
     indicators reflect a trajectory rather than a single weight state.
-    Each epoch builds statistics for ``element_class`` only.
+    Training changes weights only, so the refs are resolved to rows once.
     """
     if epochs < 1:
         raise ValueError("need at least one accumulation epoch")
-    ledger = SensitivityLedger(element_class)
+    ledger = SensitivityLedger(refs)
+    rows = _sample_rows(net, ledger.refs)
     velocity = None
     targets = targets_for(dataset, net)
     for _ in range(epochs):
-        record, velocity = train_epoch(net, dataset, loss_kind, train_config,
-                                       velocity, targets=targets,
-                                       stats=(element_class,))
-        ledger.add_epoch(record)
+        trace = forward_batch(net, dataset.features)
+        grads, velocity = train_epoch(net, dataset, loss_kind, train_config,
+                                      velocity, trace=trace, targets=targets)
+        ledger.add_epoch(_sample_magnitudes(trace, grads, rows))
     return ledger
 
 

@@ -7,8 +7,9 @@ deterministic function of (initial network, config).
 
 An epoch costs one forward and one backward pass: ``train_until`` decides
 its success criterion and outcome from the forward pass that the epoch's
-gradient step then reuses, and per-sample indicator statistics are built
-only for the element classes a caller asks for.
+gradient step then reuses.  ``train_epoch`` returns the epoch's
+``BatchGradients``, from which ``sensitivity.collect_ledger`` takes the
+per-sample statistics of the elements it rates.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .network import Network, backward_batch, forward_batch, input_ref, neuron_ref
+from .network import Network, backward_batch, forward_batch
 
 SUCCESS_CRITERIA = ("loss-below-threshold", "zero-classification-error")
-ELEMENT_CLASSES = ("input", "weight", "neuron")
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,8 @@ class TrainConfig:
             raise ValueError("learning rate must be finite and nonnegative")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
+        if self.max_epochs < 0:
+            raise ValueError("max_epochs must be nonnegative")
         if self.success_criterion not in SUCCESS_CRITERIA:
             raise ValueError(f"unknown success criterion {self.success_criterion!r}")
 
@@ -57,44 +59,6 @@ class TrainOutcome:
     epochs_used: int
     final_total_loss: float
     final_accuracy: float
-
-
-@dataclass
-class StatBlock:
-    """Per-sample magnitudes of a group of elements from one epoch.
-
-    ``samples`` is a C-contiguous (len(refs), N) array whose row i belongs to
-    refs[i].  Each row is contiguous, so a max or mean along axis 1 reduces
-    it in the same order as the 1-D reduction of that row alone.
-    """
-
-    refs: tuple
-    samples: np.ndarray
-
-
-@dataclass
-class GradientRecord:
-    """Per-sample derivative magnitudes from one epoch, keyed the way the
-    sensitivity indicators consume them.
-
-    ``blocks[cls]`` holds the StatBlocks of element class cls ("input",
-    "weight" or "neuron"); ``train_epoch`` emits one block per layer.
-    ``rows(cls)`` presents the same rows keyed by ElementRef:
-
-    "weight" -> (N,) array of |dL^j/dw| per live weight
-    "input"  -> (N,) array of |dL^j/du_k * u_k| per active feature
-    "neuron" -> (N,) array of |dL^j/dy * y| per live neuron
-    """
-
-    blocks: dict
-    total_loss: float
-
-    def rows(self, element_class):
-        return {
-            ref: row
-            for block in self.blocks.get(element_class, ())
-            for ref, row in zip(block.refs, block.samples)
-        }
 
 
 def loss_terms(loss_kind: LossKind, targets, outputs):
@@ -129,13 +93,9 @@ def targets_for(dataset, net: Network):
 
 
 def _label_indices(dataset, labels):
-    """Index of each row's label in ``labels`` (-1 when absent), and the
-    index of each output's label; both use a label's first position."""
-    first = {}
-    for i, lab in enumerate(labels):
-        first.setdefault(lab, i)
-    rows = np.array([first.get(lab, -1) for lab in dataset.labels], dtype=int)
-    return rows, np.array([first[lab] for lab in labels], dtype=int)
+    """Index of each row's label in ``labels``, or -1 when absent."""
+    index = {lab: i for i, lab in enumerate(labels)}
+    return np.array([index.get(lab, -1) for lab in dataset.labels], dtype=int)
 
 
 def total_loss(net: Network, dataset, loss_kind: LossKind) -> float:
@@ -147,46 +107,15 @@ def total_loss(net: Network, dataset, loss_kind: LossKind) -> float:
     return float(losses.sum())
 
 
-def _gradient_record(net, trace, grads, stats, epoch_loss):
-    """Per-sample magnitudes for the element classes in ``stats``.  A
-    weight's per-sample gradient is one entry of the outer product
-    dL^j/dsigma (x) a^j, gathered for the live weights only."""
-    A = trace.activations
-    blocks = {}
-    if "weight" in stats:
-        blocks["weight"] = []
-        for l in range(1, net.n_layers + 1):
-            refs, rows, cols, bias_rows = net.weight_layout(l)
-            d_sigma = grads.d_sigma[l]
-            samples = np.hstack((np.take(d_sigma, rows, axis=1) * np.take(A, cols, axis=1),
-                                 np.take(d_sigma, bias_rows, axis=1)))
-            blocks["weight"].append(StatBlock(refs, np.abs(samples).T.copy()))
-    if "neuron" in stats:
-        blocks["neuron"] = []
-        for l, layer in enumerate(net.layers, start=1):
-            cols = np.flatnonzero(layer.neuron_alive)
-            samples = grads.y_grads[l][:, cols] * trace.values[l][:, cols]
-            refs = tuple(neuron_ref(l, i) for i in cols.tolist())
-            blocks["neuron"].append(StatBlock(refs, np.abs(samples).T.copy()))
-    if "input" in stats:
-        keys = net.active_feature_indices()
-        samples = grads.input_grads[:, keys] * trace.values[0][:, keys]
-        refs = tuple(input_ref(k) for k in keys)
-        blocks["input"] = [StatBlock(refs, np.abs(samples).T.copy())]
-    return GradientRecord(blocks, epoch_loss)
-
-
 def train_epoch(net: Network, dataset, loss_kind: LossKind, config: TrainConfig,
-                velocity=None, *, trace=None, targets=None,
-                stats=ELEMENT_CLASSES):
+                velocity=None, *, trace=None, targets=None):
     """One full-batch gradient step on the trainable elements, in place.
 
     ``trace`` is the network's forward pass over ``dataset.features`` at its
     current weights and ``targets`` the ``targets_for`` matrix; either is
-    computed when not given.  Returns (GradientRecord or None, velocity).
-    The record holds the per-sample magnitudes of the element classes in
-    ``stats``, even when every element is frozen or the learning rate is
-    zero; with empty ``stats`` no record is built.
+    computed when not given.  Returns (BatchGradients, velocity): the
+    derivatives at ``trace``, which cover frozen elements too.  A non-finite
+    loss or gradient raises DivergenceError counting this one epoch.
     """
     if trace is None:
         trace = forward_batch(net, dataset.features)
@@ -195,12 +124,10 @@ def train_epoch(net: Network, dataset, loss_kind: LossKind, config: TrainConfig,
     losses, d_out = loss_terms(loss_kind, targets, trace.outputs)
     grads = backward_batch(net, trace, d_out)
 
-    epoch_loss = float(losses.sum())
-    if not np.isfinite(epoch_loss):
-        raise DivergenceError("total loss is not finite")
+    if not np.isfinite(losses.sum()):
+        raise DivergenceError("total loss is not finite", epochs=1)
     if not all(np.isfinite(g).all() for g in grads.weight_grads[1:] + grads.bias_grads[1:]):
-        raise DivergenceError("gradient is not finite")
-    record = _gradient_record(net, trace, grads, stats, epoch_loss) if stats else None
+        raise DivergenceError("gradient is not finite", epochs=1)
 
     if velocity is None:
         velocity = [(np.zeros_like(layer.weights), np.zeros_like(layer.bias))
@@ -216,7 +143,7 @@ def train_epoch(net: Network, dataset, loss_kind: LossKind, config: TrainConfig,
             np.subtract(layer.bias, lr * v_b, out=layer.bias,
                         where=layer.bias_trainable)
         velocity[l - 1] = (v_w, v_b)
-    return record, velocity
+    return grads, velocity
 
 
 def criterion_met(net: Network, dataset, loss_kind: LossKind, config: TrainConfig):
@@ -234,12 +161,12 @@ def train_until(net: Network, dataset, loss_kind: LossKind,
     and accuracy, and the gradient step all read the same forward pass.
     The network is left in its final state either way.  A non-finite loss
     raises DivergenceError, even where the accuracy alone would meet the
-    criterion.
+    criterion; its ``epochs`` counts the epochs run, a raising one included.
     """
     if len(dataset.labels) == 0:
         raise ValueError("dataset is empty")
     targets = targets_for(dataset, net)
-    row_label, output_label = _label_indices(dataset, net.output_labels)
+    row_label = _label_indices(dataset, net.output_labels)
     by_loss = config.success_criterion == "loss-below-threshold"
     velocity = None
     epochs = 0
@@ -248,14 +175,18 @@ def train_until(net: Network, dataset, loss_kind: LossKind,
         losses, _ = loss_terms(loss_kind, targets, trace.outputs)
         loss = float(losses.sum())
         if not np.isfinite(loss):
-            raise DivergenceError("total loss is not finite")
-        picks = output_label[_predicted_outputs(trace.outputs)]
+            raise DivergenceError("total loss is not finite", epochs)
+        picks = _predicted_outputs(trace.outputs)
         accuracy = int(np.count_nonzero(picks == row_label)) / len(row_label)
         met = loss <= config.loss_threshold if by_loss else accuracy == 1.0
         if met or epochs >= config.max_epochs:
             return TrainOutcome(met, epochs, loss, accuracy)
-        _, velocity = train_epoch(net, dataset, loss_kind, config, velocity,
-                                  trace=trace, targets=targets, stats=())
+        try:
+            _, velocity = train_epoch(net, dataset, loss_kind, config, velocity,
+                                      trace=trace, targets=targets)
+        except DivergenceError as exc:
+            exc.epochs += epochs
+            raise
         epochs += 1
 
 

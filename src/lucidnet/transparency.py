@@ -124,12 +124,16 @@ class RuleSet:
     @staticmethod
     def from_doc(doc):
         """Rule set from its JSON document.  Raises DatasetError for a
-        missing or mistyped field, a duplicate rule name, a statement that
-        cites a rule not defined before it, or an output rule naming an
-        unknown rule or class."""
+        missing or mistyped field, a duplicate rule name or class label, a
+        statement that cites a rule not defined before it, or an output rule
+        naming an unknown rule or class."""
         _require(isinstance(doc, dict), "the document is not a JSON object")
         for key in ("rules", "output_rules", "class_labels"):
             _require(isinstance(doc.get(key), list), f"{key!r} must be a list")
+        labels = doc["class_labels"]
+        _require(all(isinstance(c, str) for c in labels)
+                 and len(set(labels)) == len(labels),
+                 "'class_labels' must be distinct strings")
         rules = []
         defined = set()
         for r in doc["rules"]:

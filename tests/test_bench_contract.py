@@ -20,6 +20,7 @@ import tracer  # noqa: E402
 import workloads  # noqa: E402
 
 from lucidnet import PruneConfig, PruningProblem, TrainConfig, run_pipeline  # noqa: E402
+from lucidnet import pruning, training  # noqa: E402
 
 from conftest import fresh_trained_xor  # noqa: E402
 
@@ -60,13 +61,44 @@ def test_logged_epochs_equal_trained_epochs(problem, loop, stop_reason, shape):
     """train_epoch calls in a stage = accumulation epochs x ledgers (one
     per staleness-0 record, plus one when the stage ends after an accepted
     step or has no records) + the retrain epochs the records report."""
+    check_stage_epochs(PruningProblem(**problem), loop, stop_reason, shape)
+
+
+def test_diverged_retrain_logs_its_epochs(monkeypatch):
+    """A retrain that diverges in its second epoch logs both epochs."""
+    state = {"armed": False, "calls": 0}
+    real_until, real_backward = training.train_until, training.backward_batch
+
+    def retrain(*args):
+        state["armed"] = True
+        try:
+            return real_until(*args)
+        finally:
+            state["armed"] = False
+
+    def backward(net, trace, d_out):
+        grads = real_backward(net, trace, d_out)
+        if state["armed"]:
+            state["calls"] += 1
+            if state["calls"] == 2:  # once per test: later steps run clean
+                grads.bias_grads[1][:] = float("nan")
+        return grads
+
+    monkeypatch.setattr(pruning, "train_until", retrain)
+    monkeypatch.setattr(training, "backward_batch", backward)
+    check_stage_epochs(
+        PruningProblem("synapse-removal"), "basic", "failed-at-m1",
+        lambda records: [(r["reason"], r["epochs_used"]) for r in records
+                         if "reason" in r] == [("diverged", 2)])
+
+
+def check_stage_epochs(problem, loop, stop_reason, shape):
     net, data, _, outcome = fresh_trained_xor(1)
     assert outcome.converged
     sink = io.StringIO()
     acc = 2
     config = PruneConfig(
-        PruningProblem(**problem),
-        TrainConfig(learning_rate=0.3, momentum=0.9, max_epochs=200),
+        problem, TrainConfig(learning_rate=0.3, momentum=0.9, max_epochs=200),
         accumulation_epochs=acc, loop=loop, log_sink=sink,
     )
     spans = tracer.Tracer()

@@ -221,6 +221,10 @@ BAD_OPTION_FLAGS = [
      "layer sizes must be positive"),
     ("train-seed", ["train", "--dataset", "{data}", "--arch", "2,4,1", "--seed", "-1"],
      "invalid network options"),
+    ("train-epochs", ["train", "--dataset", "{data}", "--arch", "2,4,1",
+                      "--epochs", "-5"], "max_epochs must be nonnegative"),
+    ("train-duplicate-labels", ["train", "--dataset", "{data}", "--arch", "2,4,1",
+                                "--labels", "pos,pos"], "repeat a label"),
     ("prune-valid-set", PRUNE + ["--problem", "precision-reduction",
                                  "--valid-set=a,b"], "could not convert"),
     ("prune-acc-epochs", PRUNE + ["--problem", "synapse-removal",
@@ -267,6 +271,7 @@ class TestOptionValues:
         fill = {"net": untrained_network(tmp_path), "data": xor_csv(tmp_path)}
         argv = [a.format(**fill) for a in argv] + ["--out", str(tmp_path / "out")]
         self._usage_error(capsys, argv, message)
+        assert not (tmp_path / "out" / "prune_log.jsonl").exists()
 
     @pytest.mark.parametrize(
         "config, message",
@@ -280,6 +285,20 @@ class TestOptionValues:
             "--dataset", xor_csv(tmp_path), "--config", path,
             "--out", str(tmp_path / "out"),
         ], message)
+        assert not (tmp_path / "out" / "prune_log.jsonl").exists()
+
+    def test_refused_later_stage_writes_no_log(self, tmp_path, capsys):
+        # every stage is checked before the log is opened
+        path = write(tmp_path / "run.json", json.dumps({"stages": [
+            {"problem": "synapse-removal"},
+            {"problem": "synapse-removal", "accumulation_epochs": 0},
+        ]}))
+        self._usage_error(capsys, [
+            "prune", "--network", untrained_network(tmp_path),
+            "--dataset", xor_csv(tmp_path), "--config", path,
+            "--out", str(tmp_path / "out"),
+        ], "accumulation epoch")
+        assert not (tmp_path / "out" / "prune_log.jsonl").exists()
 
 
 class TestValidSetSpelling:
@@ -466,6 +485,8 @@ MALFORMED_RULE_SETS = [
      "'out', which is not a rule defined before it"),
     ("unknown-output-label", _set(("output_rules", 0, "label"), "X"),
      "output label 'X' is not a class label"),
+    ("duplicate-class-label", _set(("class_labels",), ["O", "O"]),
+     "'class_labels' must be distinct strings"),
 ]
 
 
@@ -560,6 +581,8 @@ MALFORMED_NETWORKS = [
      "'active_inputs' must be a list of 2 booleans"),
     ("label-count", _network_set("output_labels", ["pos", "neg", "odd"]),
      "exactly two class labels"),
+    ("duplicate-labels", _network_set("output_labels", ["pos", "pos"]),
+     "repeat a label"),
     ("masked-source", _network_set("active_inputs", [True, False]),
      "sources a masked feature"),
 ]

@@ -116,6 +116,11 @@ def compact_keys(net):
     return keys
 
 
+def column(net, ref):
+    """Column of a synapse ref in its layer's weight matrix, by the slot table."""
+    return net.layers[ref.layer - 1].slots[ref.neuron][ref.slot - 1]
+
+
 def assert_close(got, want):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -156,11 +161,9 @@ class TestAgainstReference:
             assert (grads.input_grads[j, masked] == 0.0).all()
 
         keys = compact_keys(net)
-        for l in range(1, net.n_layers + 1):
-            refs, rows, cols, bias_rows = net.weight_layout(l)
-            got = np.concatenate((grads.weight_grads[l][rows, cols],
-                                  grads.bias_grads[l][bias_rows]))
-            assert_close(got, [w_sum[keys[ref]] for ref in refs])
+        got = [grads.bias_grads[r.layer][r.neuron] if r.kind == "bias" else
+               grads.weight_grads[r.layer][r.neuron, column(net, r)] for r in keys]
+        assert_close(got, [w_sum[key] for key in keys.values()])
         assert len(keys) == len(w_sum)
 
     @settings(max_examples=60, deadline=None)

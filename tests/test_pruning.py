@@ -342,6 +342,7 @@ class TestDivergence:
         assert bool(first.refs) == modified  # retrain diverged after a removal
         assert first.save_hash == first.net_hash_after == _digest(entry)
         assert logged[0]["reason"] == "diverged" and logged[0]["loss"] is None
+        assert logged[0]["epochs_used"] == 0  # no retrain epoch ran
         for step in result.steps:
             if not step.accepted:
                 assert step.save_hash == step.net_hash_after

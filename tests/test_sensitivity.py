@@ -27,9 +27,9 @@ from lucidnet import (
     train_epoch,
     weight_indicator_sample,
 )
-from lucidnet.network import ForwardTrace, GradientBundle
+from lucidnet.network import ForwardTrace, GradientBundle, backward_batch, forward_batch
 from lucidnet.sensitivity import SensitivityLedger, export_csv
-from lucidnet.training import GradientRecord, StatBlock, loss_terms, targets_for
+from lucidnet.training import loss_terms, targets_for
 
 from conftest import make_dataset, single_neuron_net
 
@@ -180,66 +180,102 @@ class TestAggregation:
 
 
 class TestLedger:
-    def _record(self, ref, values):
-        samples = np.asarray([values], dtype=float)
-        return GradientRecord({"weight": [StatBlock((ref,), samples)]}, 0.0)
-
     def test_single_epoch_equals_aggregate(self):
         net = single_neuron_net([2.0], 0.0, activation="tanh", trainable=True)
         ref = synapse_ref(1, 0, 1)
-        ledger = SensitivityLedger("weight")
-        ledger.add_epoch(self._record(ref, [0.5, 0.3]))
-        final = ledger.finalize(net, [ref], "max", ValidSet((1.0,)))  # |1 - 2| = 1
+        ledger = SensitivityLedger([ref])
+        ledger.add_epoch(np.array([[0.5, 0.3]]))
+        final = ledger.finalize(net, "max", ValidSet((1.0,)))  # |1 - 2| = 1
         assert final[ref] == pytest.approx(0.5)
 
     def test_epoch_mean(self):
         net = single_neuron_net([2.0], 0.0, activation="tanh", trainable=True)
         ref = synapse_ref(1, 0, 1)
-        ledger = SensitivityLedger("weight")
-        ledger.add_epoch(self._record(ref, [0.2]))
-        ledger.add_epoch(self._record(ref, [0.4]))
-        final = ledger.finalize(net, [ref], "max", ValidSet((1.0,)))
+        ledger = SensitivityLedger([ref])
+        ledger.add_epoch(np.array([[0.2]]))
+        ledger.add_epoch(np.array([[0.4]]))
+        final = ledger.finalize(net, "max", ValidSet((1.0,)))
         assert final[ref] == pytest.approx(0.3)
 
     def test_frozen_mid_accumulation_excluded(self):
-        # freezing takes the weight out of the candidate pool, and finalize
-        # rates exactly the pool
+        # freezing takes the weight out of the candidate pool, and a ledger
+        # rates exactly the pool it was built for
         net = single_neuron_net([2.0], 0.0, activation="tanh", trainable=True)
         ref = synapse_ref(1, 0, 1)
         problem = PruningProblem("precision-reduction", valid_set=ValidSet((1.0,)))
-        ledger = SensitivityLedger("weight")
-        ledger.add_epoch(GradientRecord(
-            {"weight": [StatBlock((bias_ref(1, 0), ref), np.array([[0.1], [0.2]]))]},
-            0.0))
         net.set_weight(ref, 1.0, freeze=True)
-        final = ledger.finalize(net, candidate_pool(net, problem), "max",
-                                problem.valid_set)
+        ledger = SensitivityLedger(candidate_pool(net, problem))
+        ledger.add_epoch(np.array([[0.1]]))
+        final = ledger.finalize(net, "max", problem.valid_set)
         assert ref not in final
         assert list(final) == [bias_ref(1, 0)]
 
     def test_rates_exactly_the_given_refs(self):
         net = single_neuron_net([2.0], 0.0, activation="tanh", trainable=True)
         ref = synapse_ref(1, 0, 1)
-        ledger = SensitivityLedger("weight")
-        ledger.add_epoch(self._record(ref, [0.2]))
-        assert ledger.finalize(net, [], "max", ValidSet((1.0,))) == {}
+        empty = SensitivityLedger([])
+        empty.add_epoch(np.zeros((0, 1)))
+        assert empty.finalize(net, "max", ValidSet((1.0,))) == {}
+        ledger = SensitivityLedger([ref, bias_ref(1, 0)])
+        ledger.add_epoch(np.array([[0.2], [0.4]]))
+        assert list(ledger.finalize(net, "max", ValidSet((1.0,)))) == [
+            ref, bias_ref(1, 0)]
+        net.remove_element(ref)  # the ref went stale after the pool was taken
         with pytest.raises(StaleReferenceError):
-            ledger.finalize(net, [bias_ref(1, 0)], "max", ValidSet((1.0,)))
+            ledger.finalize(net, "max", ValidSet((1.0,)))
+
+    def test_sample_rows_must_match_refs(self):
+        ledger = SensitivityLedger([synapse_ref(1, 0, 1), bias_ref(1, 0)])
+        with pytest.raises(ValueError):
+            ledger.add_epoch(np.array([[0.2, 0.3]]))
+
+    def test_weight_needs_valid_set(self):
+        ledger = SensitivityLedger([synapse_ref(1, 0, 1)])
+        ledger.add_epoch(np.array([[0.2]]))
+        with pytest.raises(ValueError):
+            ledger.finalize(single_neuron_net([1.0], 0.0), "max")
 
     def test_empty_ledger_finalize_rejected(self):
         with pytest.raises(ValueError):
-            SensitivityLedger("weight").finalize(
-                single_neuron_net([1.0], 0.0), [], "max", ValidSet.removal()
+            SensitivityLedger([]).finalize(
+                single_neuron_net([1.0], 0.0), "max", ValidSet.removal()
             )
 
     def test_displacement_scales_linearly(self):
         net = single_neuron_net([0.3], 0.0, activation="tanh", trainable=True)
         ref = synapse_ref(1, 0, 1)
-        ledger = SensitivityLedger("weight")
-        ledger.add_epoch(self._record(ref, [0.8, 0.1]))
-        near = ledger.finalize(net, [ref], "avg", ValidSet((0.3 - 0.2,)))[ref]
-        far = ledger.finalize(net, [ref], "avg", ValidSet((0.3 - 0.4,)))[ref]
+        ledger = SensitivityLedger([ref])
+        ledger.add_epoch(np.array([[0.8, 0.1]]))
+        near = ledger.finalize(net, "avg", ValidSet((0.3 - 0.2,)))[ref]
+        far = ledger.finalize(net, "avg", ValidSet((0.3 - 0.4,)))[ref]
         assert far == pytest.approx(2 * near)
+
+
+def epoch_samples(monkeypatch, *collect_args):
+    """The sample arrays that ``collect_ledger(*collect_args)`` hands to
+    ``add_epoch``, one per epoch."""
+    seen = []
+    real = SensitivityLedger.add_epoch
+
+    def spy(ledger, samples):
+        seen.append(samples)
+        real(ledger, samples)
+
+    monkeypatch.setattr(SensitivityLedger, "add_epoch", spy)
+    collect_ledger(*collect_args)
+    return seen
+
+
+def element_samples(net, trace, grads, ref):
+    """Per-sample magnitudes of one element at one epoch, from the
+    network's forward trace and its ``backward_batch`` gradients."""
+    l, i = ref.layer, ref.neuron
+    if ref.kind in ("input", "neuron"):
+        return np.abs(grads.y_grads[l][:, i] * trace.values[l][:, i])
+    if ref.kind == "bias":
+        return np.abs(grads.d_sigma[l][:, i])
+    col = net.layers[l - 1].slots[i][ref.slot - 1]
+    return np.abs(grads.d_sigma[l][:, i] * trace.activations[:, col])
 
 
 class TestCollectLedger:
@@ -255,9 +291,9 @@ class TestCollectLedger:
     def test_mode_dominance(self):
         net = build_network((3, 4, 1), output_labels=["pos", "neg"], seed=6)
         pool = candidate_pool(net, PruningProblem("synapse-removal"))
-        ledger = collect_ledger(net, self.ds, self.loss, self.cfg, 4, "weight")
-        fmax = ledger.finalize(net, pool, "max", ValidSet.removal())
-        favg = ledger.finalize(net, pool, "avg", ValidSet.removal())
+        ledger = collect_ledger(net, self.ds, self.loss, self.cfg, 4, pool)
+        fmax = ledger.finalize(net, "max", ValidSet.removal())
+        favg = ledger.finalize(net, "avg", ValidSet.removal())
         assert list(fmax) == list(favg) == pool and len(fmax) > 0
         for ref in fmax:
             assert fmax[ref] >= favg[ref] >= 0.0
@@ -267,41 +303,51 @@ class TestCollectLedger:
         for _ in range(2):
             net = build_network((3, 4, 1), output_labels=["pos", "neg"], seed=6)
             pool = candidate_pool(net, POOL_PROBLEM["input"])
-            ledger = collect_ledger(net, self.ds, self.loss, self.cfg, 3, "input")
-            finals.append(ledger.finalize(net, pool, "avg"))
+            ledger = collect_ledger(net, self.ds, self.loss, self.cfg, 3, pool)
+            finals.append(ledger.finalize(net, "avg"))
         assert finals[0] == finals[1]
 
-    def test_batched_record_matches_per_sample_reference(self):
+    def test_batched_record_matches_per_sample_reference(self, monkeypatch):
         net = build_network((3, 3, 2), seed=9)
         ds = make_dataset(
             [[1, -1, 1], [-1, 1, 1], [1, 1, -1]],
             ["class0", "class1", "class0"],
             class_labels=["class0", "class1"],
         )
-        frozen = Network_copy = net.to_json()
-        record, _ = train_epoch(net, ds, self.loss,
-                                TrainConfig(learning_rate=0.0))
         from lucidnet import Network
 
-        reference = Network.from_json(frozen)
+        reference = Network.from_json(net.to_json())
+        weight_refs = [ref for ref, _, _ in net.iter_weights()]
+        input_refs = [input_ref(k) for k in net.active_feature_indices()]
+        neuron_refs = list(net.iter_neurons())
+        refs = weight_refs + input_refs + neuron_refs
+        (samples,) = epoch_samples(monkeypatch, net, ds, self.loss,
+                                   TrainConfig(learning_rate=0.0), 1, refs)
+        weight_rows = dict(zip(weight_refs, samples))
+        input_rows = dict(zip(input_refs, samples[len(weight_refs):]))
+        neuron_rows = dict(zip(neuron_refs, samples[-len(neuron_refs):]))
         z = targets_for(ds, reference)
         for j in range(3):
             trace = forward(reference, ds.features[j])
             _, d_out = loss_terms(self.loss, z[j][None, :], trace.outputs[None, :])
             bundle = backward(reference, trace, d_out[0])
-            weight_rows = record.rows("weight")
             for ref, grad in bundle.weights.items():
                 assert weight_rows[ref][j] == pytest.approx(abs(grad), abs=1e-12)
-            input_rows = record.rows("input")
             for k, grad in bundle.inputs.items():
                 expected = abs(grad * ds.features[j][k])
                 assert input_rows[input_ref(k)][j] == pytest.approx(expected, abs=1e-12)
-            neuron_rows = record.rows("neuron")
             for nref, grad in bundle.neurons.items():
                 y = trace.y[nref.layer - 1][nref.neuron]
                 assert neuron_rows[nref][j] == pytest.approx(
                     abs(grad * y), abs=1e-12
                 )
+
+    def test_empty_pool_still_trains(self, monkeypatch):
+        net = build_network((3, 4, 1), output_labels=["pos", "neg"], seed=6)
+        before = net.to_json()
+        seen = epoch_samples(monkeypatch, net, self.ds, self.loss, self.cfg, 3, [])
+        assert [s.shape for s in seen] == [(0, 4)] * 3
+        assert net.to_json() != before
 
 
 class TestLedgerExactness:
@@ -327,15 +373,19 @@ class TestLedgerExactness:
         valid = ValidSet.ternary() if element_class == "weight" else None
         epochs = 4
         pool = candidate_pool(net, POOL_PROBLEM[element_class])
-        got = collect_ledger(net, ds, loss, cfg, epochs, element_class).finalize(
-            net, pool, mode, valid)
+        got = collect_ledger(net, ds, loss, cfg, epochs, pool).finalize(
+            net, mode, valid)
 
         sums = {}
         velocity = None
         for _ in range(epochs):
-            record, velocity = train_epoch(twin, ds, loss, cfg, velocity)
-            for key, values in record.rows(element_class).items():
-                sums[key] = sums.get(key, 0.0) + aggregate_samples(values, mode)
+            trace = forward_batch(twin, ds.features)
+            d_out = loss_terms(loss, targets_for(ds, twin), trace.outputs)[1]
+            grads = backward_batch(twin, trace, d_out)
+            for ref in pool:
+                values = element_samples(twin, trace, grads, ref)
+                sums[ref] = sums.get(ref, 0.0) + aggregate_samples(values, mode)
+            _, velocity = train_epoch(twin, ds, loss, cfg, velocity, trace=trace)
         assert net.to_json() == twin.to_json()
         if element_class == "weight":
             want = {}
@@ -395,8 +445,8 @@ class TestExport:
                           class_labels=["pos", "neg"])
         pool = candidate_pool(net, POOL_PROBLEM["weight"])
         ledger = collect_ledger(net, ds, LossKind("mse"),
-                                TrainConfig(learning_rate=0.1), 2, "weight")
-        final = ledger.finalize(net, pool, "avg", ValidSet.ternary())
+                                TrainConfig(learning_rate=0.1), 2, pool)
+        final = ledger.finalize(net, "avg", ValidSet.ternary())
         path = tmp_path / "indicators.csv"
         export_csv(final, "weight", "avg", path)
         with open(path, newline="") as fh:

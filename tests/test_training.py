@@ -65,11 +65,11 @@ class TestTrainEpoch:
         ds = make_dataset([[1, -1]], ["pos"], class_labels=["pos", "neg"])
         before = net.to_json()
         cfg = TrainConfig(learning_rate=0.5, max_epochs=1)
-        record, _ = train_epoch(net, ds, LossKind("mse"), cfg)
+        grads, _ = train_epoch(net, ds, LossKind("mse"), cfg)
         assert net.to_json() == before
-        rows = record.rows("weight")
-        assert len(rows) == 9  # 6 synapses + 3 biases still rated
-        assert all(arr.shape == (1,) for arr in rows.values())
+        # freezing gates updates, not derivatives: one sample row per layer
+        assert [g.shape for g in grads.d_sigma[1:]] == [(1, 2), (1, 1)]
+        assert all(np.any(g != 0.0) for g in grads.weight_grads[1:])
 
     def test_zero_learning_rate_is_noop(self):
         net = build_network((2, 3, 1), output_labels=["pos", "neg"], seed=4)
@@ -92,8 +92,9 @@ class TestTrainEpoch:
         # documents with a non-finite weight do not load; set it directly
         net.set_weight(synapse_ref(1, 0, 1), float("nan"))
         ds = make_dataset([[1.0]], ["pos"], class_labels=["pos", "neg"])
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DivergenceError) as caught:
             train_epoch(net, ds, LossKind("mse"), TrainConfig(learning_rate=0.1))
+        assert caught.value.epochs == 1
 
 
 class TestTrainConfig:
@@ -101,6 +102,11 @@ class TestTrainConfig:
     def test_learning_rate_must_be_finite_and_nonnegative(self, lr):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=lr)
+
+    def test_max_epochs_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="max_epochs"):
+            TrainConfig(learning_rate=0.1, max_epochs=-5)
+        assert TrainConfig(learning_rate=0.1, max_epochs=0).max_epochs == 0
 
 
 class TestTrainUntil:
@@ -119,8 +125,9 @@ class TestTrainUntil:
             return losses + np.inf, grads
 
         monkeypatch.setattr(training, "loss_terms", infinite)
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DivergenceError) as caught:
             train_until(net, ds, LossKind("mse"), cfg)
+        assert caught.value.epochs == 0
 
     def test_already_converged_uses_zero_epochs(self):
         net = passthrough_net()
