@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import re
@@ -384,7 +385,10 @@ def _add_train_flags(p):
     p.add_argument("--seed", type=int, default=None)
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built on first use and shared after that:
+    nothing changes it once built, and each parse makes a fresh Namespace."""
     parser = _Parser(prog="lucidnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -471,8 +475,11 @@ def main(argv=None) -> int:
     except LucidnetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory, no permission
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: cannot decode input file: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON: {exc}", file=sys.stderr)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -61,47 +62,51 @@ class Dataset:
 _CELL_VALUES = {"1": 1.0, "+1": 1.0, "-1": -1.0, "yes": 1.0, "no": -1.0}
 
 
-def _parse_cell(text, row, column):
-    value = _CELL_VALUES.get(text.strip().lower())
-    if value is None:
-        raise DatasetError(
-            f"row {row}, column {column!r}: cell {text.strip()!r} is not one of "
-            "-1, 1, yes, no"
-        )
-    return value
-
-
 def load_dataset(path, class_labels=None) -> Dataset:
-    """Read a CSV dataset; the last header column must be named 'class'."""
+    """Read a CSV dataset; the last header column must be named 'class'.
+
+    Blank lines are skipped and not counted in row numbers.  The first
+    problem in file order is reported: a row of the wrong width, or a cell
+    that is not one of the spellings in ``_CELL_VALUES`` (compared after
+    stripping and lowercasing).
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
+        rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise DatasetError(f"{path}: empty dataset file")
     header = [h.strip() for h in rows[0]]
     if len(header) < 2 or header[-1].lower() != "class":
         raise DatasetError(f"{path}: header must end with a 'class' column")
     feature_names = header[:-1]
-    features = []
-    labels = []
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise DatasetError(
-                f"row {r}: expected {len(header)} cells, found {len(row)}"
-            )
-        features.append(
-            [_parse_cell(cell, r, feature_names[c]) for c, cell in enumerate(row[:-1])]
+    body = rows[1:]
+    ragged = next((i for i, n in enumerate(map(len, body)) if n != len(header)),
+                  None)
+    grid = body if ragged is None else body[:ragged]
+    # each distinct cell string is parsed once; a bad one becomes NaN
+    cells = list(chain.from_iterable(row[:-1] for row in grid))
+    value = {text: _CELL_VALUES.get(text.strip().lower(), np.nan)
+             for text in set(cells)}
+    features = np.fromiter(map(value.__getitem__, cells), float, len(cells))
+    bad = np.flatnonzero(np.isnan(features))
+    if bad.size:
+        first = int(bad[0])
+        r, c = divmod(first, len(feature_names))
+        raise DatasetError(
+            f"row {r + 2}, column {feature_names[c]!r}: cell "
+            f"{cells[first].strip()!r} is not one of -1, 1, yes, no"
         )
-        labels.append(row[-1].strip())
-    if not features:
+    if ragged is not None:
+        raise DatasetError(
+            f"row {ragged + 2}: expected {len(header)} cells, "
+            f"found {len(body[ragged])}"
+        )
+    if not body:
         raise DatasetError(f"{path}: no data rows")
+    labels = [row[-1].strip() for row in body]
     if class_labels is None:
-        seen = []
-        for lab in labels:
-            if lab not in seen:
-                seen.append(lab)
-        class_labels = seen
-    return Dataset(feature_names, np.array(features), labels, list(class_labels))
+        class_labels = dict.fromkeys(labels)  # first-seen order
+    return Dataset(feature_names, features.reshape(len(body), -1), labels,
+                   list(class_labels))
 
 
 def save_dataset(dataset: Dataset, path):

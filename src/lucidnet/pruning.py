@@ -13,10 +13,12 @@ is the accelerated one with M fixed at 1.  A step whose training diverges
 counts as a failed retrain: the snapshot is restored and the step is logged
 with the reason.
 
-A network that survives the loop is minimal for the problem at hand: no
-remaining element of the class can be modified without breaking the success
-criterion within the retraining budget.  The result says which way the
-loop stopped: the candidate pool ran dry, or a single-element step failed.
+The result says which way the loop stopped: "pool-exhausted" when no
+candidate of the class was left, or "failed-at-m1" when the lowest-rated
+single candidate could not be modified without breaking the success
+criterion within the retraining budget.  "failed-at-m1" is not a proof of
+minimality: the other candidates are not tried, and one of them may still
+be modifiable.
 """
 
 from __future__ import annotations
@@ -102,7 +104,12 @@ class PruneStepRecord:
     save_hash digests the JSON form of the network when the snapshot was
     taken before the attempt and net_hash_after the JSON form after accept
     or restore, so the audit log alone proves that every rejected step
-    rolled back byte-exactly.
+    rolled back byte-exactly.  A stage digests its entry network once for
+    its first save_hash; after that each snapshot's save_hash is the
+    net_hash_after of the step accepted just before it, since nothing
+    changes the network in between.  A rejected step digests the restored
+    network afresh, so its net_hash_after equal to its save_hash is the
+    rollback proof.
     ``reason`` is "diverged" on a step whose training diverged.  The loss of
     such a step is None.  Its epochs_used counts the retrain's epochs, the
     one that diverged included, and is 0 when the rating diverged: ledger
@@ -144,7 +151,8 @@ class PruneStepRecord:
 @dataclass
 class PruneResult:
     """``stop_reason`` is "pool-exhausted" when no candidate of the class
-    was left to try, or "failed-at-m1" when a single-element step failed."""
+    was left to try, or "failed-at-m1" when the lowest-rated single
+    candidate failed to retrain."""
 
     network: Network
     steps: list
@@ -261,9 +269,9 @@ def rate_pool(net, dataset, config, pool):
 
 def _prune(net, dataset, config, m):
     steps = []
+    save_hash = _digest(net.to_json())
     while True:
         saved = net.snapshot()
-        save_hash = _digest(net.to_json())
         pool = candidate_pool(net, config.problem)
         if m == "half-of-pool":
             m = max(1, len(pool) // 2)
@@ -303,6 +311,8 @@ def _prune(net, dataset, config, m):
             steps.append(record)
             _emit(config, record)
             if accepted:
+                # nothing touches the network before the next snapshot
+                save_hash = record.net_hash_after
                 break  # fresh indicators on the smaller network
             if m == 1:
                 return PruneResult(net, steps, "failed-at-m1")

@@ -1,12 +1,17 @@
 import csv
 import importlib.resources
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lucidnet
 from lucidnet import DatasetError, Network, load_dataset
-from lucidnet.cli import main
+from lucidnet.cli import build_parser, main
 from lucidnet.data import ELECTION_FEATURE_NAMES, save_dataset
 from lucidnet.transparency import RuleSet, fixtures_A1_A2
 
@@ -654,3 +659,85 @@ class TestRoundTrips:
             assert evaluate_rules(again, assignment) == (
                 evaluate_rules(a1, assignment)
             )
+
+
+class TestUnreadableInput:
+    """An input file that is not UTF-8 text, or a directory given as a
+    file, is a data error (exit 2) with one ``error:`` line."""
+
+    @pytest.mark.parametrize("case, message", [
+        ("eval-dataset", "cannot decode"),
+        ("verbalize-network", "cannot decode"),
+        ("compare-rules1", "cannot decode"),
+        ("dataset-directory", "Is a directory"),
+    ])
+    def test_exit_code_two(self, tmp_path, capsys, case, message):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b'{"\xff\xfe": 1}\na,class\n\xff,P\n')
+        good = write(tmp_path / "good.json", json.dumps(valid_rules_doc()))
+        argv = {
+            "eval-dataset": ["eval", "--rules", good, "--dataset", str(bad)],
+            "verbalize-network": ["verbalize", "--network", str(bad),
+                                  "--out", str(tmp_path)],
+            "compare-rules1": ["compare", "--rules1", str(bad), "--rules2", good,
+                               "--out", str(tmp_path)],
+            "dataset-directory": ["eval", "--rules", good,
+                                  "--dataset", str(tmp_path)],
+        }[case]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert message in err[0]
+        assert captured.out == ""
+
+
+class TestParserReuse:
+    """``main`` builds its parser on the first call and reuses it; no call
+    leaves anything behind for the next one."""
+
+    def test_not_built_at_import(self):
+        code = ("import lucidnet.cli as cli; "
+                "print(cli.build_parser.cache_info().currsize)")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(lucidnet.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True)
+        assert done.stdout.strip() == "0"
+
+    def test_built_once(self, capsys):
+        main(["frobnicate"])
+        first = build_parser()
+        main(["frobnicate"])
+        assert build_parser() is first
+
+    def test_left_out_option_takes_its_default_again(self, tmp_path, capsys):
+        data, out = trained_xor(tmp_path)
+
+        def prune_log(name, *extra):
+            assert main(["prune", "--network", str(out / "network.json"),
+                         "--dataset", data, "--problem", "synapse-removal",
+                         "--loop", "basic", "--acc-epochs", "3", "--lr", "0.3",
+                         "--momentum", "0.9", "--epochs", "200",
+                         "--out", str(tmp_path / name), *extra]) == 0
+            return (tmp_path / name / "prune_log.jsonl").read_text()
+
+        with_max = prune_log("max", "--mode", "max")
+        after_max = prune_log("after-max")
+        build_parser.cache_clear()
+        fresh = prune_log("fresh")
+        assert after_max == fresh
+        assert with_max != fresh  # so a leaked --mode max would show
+
+    def test_usage_error_then_valid_call(self, tmp_path, capsys):
+        data = write(tmp_path / "d.csv", "a,class\n1,O\n-1,P\n")
+        rules = write(tmp_path / "good.json", json.dumps(valid_rules_doc()))
+        # --network is parsed before the unknown flag fails the call
+        assert main(["eval", "--network", rules, "--dataset", data,
+                     "--bogus"]) == 1
+        capsys.readouterr()
+        assert main(["eval", "--rules", rules, "--dataset", data]) == 0
+        reused = capsys.readouterr()
+        build_parser.cache_clear()
+        assert main(["eval", "--rules", rules, "--dataset", data]) == 0
+        assert capsys.readouterr() == reused

@@ -6,6 +6,7 @@ import pytest
 
 from lucidnet import (
     LossKind,
+    Network,
     NotTrainedError,
     PipelineAbort,
     PoolExhausted,
@@ -423,3 +424,68 @@ class TestProblemDefinitions:
         assert PruningProblem("feature-selection").element_class == "input"
         assert PruningProblem("neuron-removal").element_class == "neuron"
         assert PruningProblem("uniform-simplification").element_class == "weight"
+
+
+def chain_end(records, entry_hash):
+    """Check a stage's save_hash chain and return its last hash.
+
+    The first save_hash digests the entry network, each later one is the
+    net_hash_after of the last accepted record (retries at staleness > 0
+    share their snapshot's), and a rejected record's net_hash_after equals
+    its save_hash: the restore is exact.
+    """
+    last = entry_hash
+    for rec in records:
+        assert rec.save_hash == last
+        if rec.accepted:
+            last = rec.net_hash_after
+        else:
+            assert rec.net_hash_after == rec.save_hash
+    return last
+
+
+class TestSaveHashChain:
+    @pytest.fixture
+    def snapshot_digests(self, monkeypatch):
+        """Digest of the network at every snapshot the loop takes."""
+        digests = []
+        real = Network.snapshot
+
+        def snapshot(net):
+            digests.append(_digest(net.to_json()))
+            return real(net)
+
+        monkeypatch.setattr(Network, "snapshot", snapshot)
+        return digests
+
+    @staticmethod
+    def stage(loop, problem="synapse-removal", **kw):
+        return prune_cfg(problem, loop=loop, acc=2,
+                         retrain=retrain_cfg(budget=200), **kw)
+
+    @pytest.mark.parametrize("loop", ["basic", "accelerated"])
+    def test_one_stage(self, snapshot_digests, loop):
+        net, ds, _, _ = fresh_trained_xor(1)
+        entry = _digest(net.to_json())
+        (result,), final = run_pipeline(net, ds, [self.stage(loop)])
+        records = result.steps
+        assert any(r.accepted for r in records)
+        if loop == "accelerated":
+            assert any(r.staleness > 0 for r in records)
+        last = chain_end(records, entry)
+        assert _digest(final.to_json()) == last
+        # every record's save_hash is the digest taken at its snapshot
+        taken = [snapshot_digests[sum(r.accepted for r in records[:i])]
+                 for i in range(len(records))]
+        assert [r.save_hash for r in records] == taken
+
+    def test_two_stages(self):
+        net, ds, _, _ = fresh_trained_xor(1)
+        entry = _digest(net.to_json())
+        stages = [self.stage("accelerated"),
+                  self.stage("basic", "precision-reduction", valid_set=TERNARY)]
+        (first, second), final = run_pipeline(net, ds, stages)
+        assert second.steps
+        middle = chain_end(first.steps, entry)
+        assert second.steps[0].save_hash == middle
+        assert _digest(final.to_json()) == chain_end(second.steps, middle)
