@@ -52,12 +52,8 @@ from .pruning import (
 from .sensitivity import (
     SensitivityLedger,
     ValidSet,
-    aggregate_samples,
     collect_ledger,
-    input_indicator_sample,
     nearest_valid,
-    neuron_indicator_sample,
-    weight_indicator_sample,
 )
 from .training import (
     LossKind,

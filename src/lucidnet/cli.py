@@ -132,6 +132,9 @@ def cmd_train(args):
             arch = [int(v) for v in arch.replace("-", ",").split(",")]
         except ValueError:
             raise UsageError(f"--arch {arch!r} is not a list of layer sizes") from None
+    if not (isinstance(arch, list) and arch and all(
+            isinstance(v, int) and not isinstance(v, bool) for v in arch)):
+        raise UsageError(f"network arch {arch!r} is not a list of layer sizes")
     if arch[0] != len(dataset.feature_names):
         raise UsageError(
             f"architecture input width {arch[0]} does not match dataset width "
@@ -285,7 +288,14 @@ def cmd_verbalize(args):
     texts = {}
     if args.texts:
         with open(args.texts) as fh:
-            texts = {k: tuple(v) for k, v in json.load(fh).items()}
+            texts = json.load(fh)
+        if not (isinstance(texts, dict) and all(
+                isinstance(v, list) and len(v) == 2
+                and all(isinstance(line, str) for line in v)
+                for v in texts.values())):
+            raise DatasetError(f"--texts {args.texts} must map each feature "
+                               "to a pair of sentences")
+        texts = {k: tuple(v) for k, v in texts.items()}
     smooth_preds = None
     if dataset is not None and all(
         net.activation(r) != "step" for r in net.iter_neurons()

@@ -17,8 +17,10 @@ for a whole pruning session and masked or dead units contribute exactly 0.
 ``to_doc`` compacts the survivors; ``snapshot``/``restore`` copy arrays.
 ``Network.from_doc`` rejects a malformed document with a ``DatasetError``
 (CLI exit code 2).  ``forward_batch``/``backward_batch`` run one masked
-matmul per layer; the single-sample ``forward``/``backward`` reference API
-runs them on one row.
+matmul per layer in the buffers of a ``BatchTrace``; a training run makes
+one trace and passes it back to every epoch's ``forward_batch``, so the
+masked inputs and matrices are built once per run.  The single-sample
+``forward``/``backward`` reference API runs them on one row.
 """
 
 from __future__ import annotations
@@ -632,20 +634,45 @@ class GradientBundle:
     inputs: dict = field(default_factory=dict)
 
 
-@dataclass
 class BatchTrace:
-    """Vectorized forward pass over N samples.
+    """Vectorized forward pass over N samples, in buffers that later passes
+    over the same inputs reuse while the network's structure holds.
 
     ``activations`` is the (N, columns) concatenated value matrix: the
-    inputs with masked features zeroed, then every layer's outputs.
-    ``values[l]`` is layer l's block of it and ``sigma[l]`` its summator
-    outputs.
+    inputs with masked features zeroed (written once), then every layer's
+    outputs.  ``values[l]`` is layer l's block of it and ``sigma[l]`` its
+    summator outputs.  The trace also holds the gradient matrix and the
+    dL/dsigma blocks that ``backward_batch`` fills, and whether every live
+    neuron is smooth.  With ``input_grads`` false the backward pass skips
+    dL/d(inputs) and leaves that block at zero.
     """
 
-    activations: np.ndarray
-    values: list
-    sigma: list
-    version: int
+    __slots__ = ("source", "activations", "values", "sigma", "G", "y_grads",
+                 "d_sigma", "version", "smooth", "input_grads")
+
+    def __init__(self, net: Network, X, input_grads=True):
+        self.source = X
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != net.input_dim:
+            raise InputShapeError(
+                f"expected (N, {net.input_dim}) inputs, got {X.shape}"
+            )
+        off = net.offsets
+        # dead neurons keep their zero columns; masked features are zeroed
+        # explicitly, because a zero weight times nan would still be nan
+        A = self.activations = np.zeros((X.shape[0], off[-1]))
+        A[:, : off[1]] = np.where(net.active_inputs, X, 0.0)
+        self.G = np.zeros_like(A)
+        blocks = [slice(off[l], off[l + 1]) for l in range(net.n_layers + 1)]
+        self.values = [A[:, cols] for cols in blocks]
+        self.y_grads = [self.G[:, cols] for cols in blocks]
+        self.d_sigma = [None] + [np.zeros((X.shape[0], layer.width))
+                                 for layer in net.layers]
+        self.sigma = [None] * (net.n_layers + 1)
+        self.version = net._version
+        self.smooth = all(kind in SMOOTH_ACTIVATIONS
+                          for layer in net.layers for kind in layer.groups)
+        self.input_grads = input_grads
 
     @property
     def outputs(self):
@@ -672,56 +699,49 @@ class BatchGradients:
         return self.y_grads[0]
 
 
-def forward_batch(net: Network, X) -> BatchTrace:
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != net.input_dim:
-        raise InputShapeError(
-            f"expected (N, {net.input_dim}) inputs, got {X.shape}"
-        )
+def forward_batch(net: Network, X, trace: BatchTrace | None = None) -> BatchTrace:
+    """Every unit's value on each row of X, written into ``trace`` when
+    given (a trace of an earlier pass over this X at the network's current
+    structure), else into a new BatchTrace."""
+    if trace is None:
+        trace = BatchTrace(net, X)
+    elif X is not trace.source or trace.version != net._version:
+        raise StaleReferenceError("trace was made for other inputs or structure")
     off = net.offsets
-    # dead neurons keep their zero columns; masked features are zeroed
-    # explicitly, because a zero weight times nan would still be nan
-    A = np.zeros((X.shape[0], off[-1]))
-    A[:, : off[1]] = np.where(net.active_inputs, X, 0.0)
-    sigmas = [None]
+    A = trace.activations
     for l, layer in enumerate(net.layers, start=1):
-        sigma = A[:, : off[l]] @ layer.weights.T
+        sigma = trace.sigma[l] = A[:, : off[l]] @ layer.weights.T
         sigma += layer.bias
         for kind, cols in layer.groups.items():
-            A[:, off[l]: off[l + 1]][:, cols] = _activate(kind, sigma[:, cols])
-        sigmas.append(sigma)
-    values = [A[:, off[l]: off[l + 1]] for l in range(net.n_layers + 1)]
-    return BatchTrace(A, values, sigmas, net._version)
+            trace.values[l][:, cols] = _activate(kind, sigma[:, cols])
+    return trace
 
 
 def backward_batch(net: Network, trace: BatchTrace, d_outputs) -> BatchGradients:
+    """Derivatives of a loss whose dL/d(outputs) is ``d_outputs``, written
+    into the gradient buffers of ``trace``."""
     if trace.version != net._version:
         raise StaleReferenceError("trace was produced by a different structure")
-    if any(kind not in SMOOTH_ACTIVATIONS
-           for layer in net.layers for kind in layer.groups):
+    if not trace.smooth:
         raise NonDifferentiableError(
             "backward requires smooth activations on all live neurons"
         )
     off = net.offsets
-    A = trace.activations
-    G = np.zeros_like(A)
+    A, G = trace.activations, trace.G
+    G[:, : off[-2]] = 0.0
     G[:, off[-2]:] = d_outputs
-    d_sigmas = [None] * (net.n_layers + 1)
     weight_grads = [None] * (net.n_layers + 1)
     bias_grads = [None] * (net.n_layers + 1)
     for l in range(net.n_layers, 0, -1):
         layer = net.layers[l - 1]
-        y = trace.values[l]
-        g = G[:, off[l]: off[l + 1]]
-        d_sigma = np.zeros_like(y)
+        y, g, d_sigma = trace.values[l], trace.y_grads[l], trace.d_sigma[l]
         for kind, cols in layer.groups.items():
             d_sigma[:, cols] = g[:, cols] * _activate_prime(kind, y[:, cols])
-        G[:, : off[l]] += d_sigma @ layer.weights
-        d_sigmas[l] = d_sigma
+        if l > 1 or trace.input_grads:  # layer 1 writes only dL/d(inputs)
+            G[:, : off[l]] += d_sigma @ layer.weights
         weight_grads[l] = d_sigma.T @ A[:, : off[l]]
         bias_grads[l] = d_sigma.sum(axis=0)
-    y_grads = [G[:, off[l]: off[l + 1]] for l in range(net.n_layers + 1)]
-    return BatchGradients(d_sigmas, weight_grads, bias_grads, y_grads)
+    return BatchGradients(trace.d_sigma, weight_grads, bias_grads, trace.y_grads)
 
 
 def forward(net: Network, x) -> ForwardTrace:

@@ -25,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExcludedElementError, StaleReferenceError
-from .network import ElementRef, Network, forward_batch
-from .training import LossKind, TrainConfig, targets_for, train_epoch
+from .network import Network
+from .training import EpochWorkspace, LossKind, TrainConfig, train_epoch
 
 INDICATOR_MODES = ("max", "avg")
 
@@ -60,46 +59,6 @@ def nearest_valid(weight, valid_set: ValidSet) -> float:
     smaller magnitude."""
     w = float(weight)
     return min(valid_set.values, key=lambda v: (abs(v - w), abs(v), v))
-
-
-# -- per-sample reference formulas ---------------------------------------
-
-def input_indicator_sample(trace, gradients, k) -> float:
-    """Linearized cost of zeroing feature k for one sample."""
-    if k not in gradients.inputs:
-        raise StaleReferenceError(f"feature {k} is masked off")
-    return abs(gradients.inputs[k] * trace.input[k])
-
-
-def weight_indicator_sample(net: Network, gradients, ref: ElementRef,
-                            target) -> float:
-    """Linearized cost of moving one weight to its target value."""
-    if not net.is_trainable(ref):
-        raise ExcludedElementError(f"{ref} is frozen and outside the pool")
-    return abs(gradients.weights[ref]) * abs(float(target) - net.weight(ref))
-
-
-def neuron_indicator_sample(net: Network, trace, gradients,
-                            ref: ElementRef) -> float:
-    """Linearized cost of zeroing one hidden neuron's output."""
-    if net.is_output_layer(ref.layer):
-        raise ExcludedElementError("output neurons are protected")
-    if not net.is_alive(ref):
-        raise StaleReferenceError(f"{ref} is not a live neuron")
-    y = trace.y[ref.layer - 1][ref.neuron]
-    return abs(gradients.neurons[ref] * y)
-
-
-def aggregate_samples(values, mode) -> float:
-    """Collapse per-sample values to one epoch rating."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("cannot aggregate an empty sample set")
-    if mode == "max":
-        return float(values.max())
-    if mode == "avg":
-        return float(values.mean())
-    raise ValueError(f"unknown indicator mode {mode!r}")
 
 
 # -- cross-epoch ledger ---------------------------------------------------
@@ -185,18 +144,20 @@ def collect_ledger(net: Network, dataset, loss_kind: LossKind,
 
     The network keeps training while the statistics accumulate, so the
     indicators reflect a trajectory rather than a single weight state.
-    Training changes weights only, so the refs are resolved to rows once.
+    Training changes weights only, so the refs are resolved to rows once
+    and one EpochWorkspace serves every epoch; it computes input gradients
+    only when an input is rated.
     """
     if epochs < 1:
         raise ValueError("need at least one accumulation epoch")
     ledger = SensitivityLedger(refs)
     rows = _sample_rows(net, ledger.refs)
-    velocity = None
-    targets = targets_for(dataset, net)
+    work = EpochWorkspace(net, dataset, loss_kind,
+                          input_grads=any(ref.kind == "input" for ref in ledger.refs))
     for _ in range(epochs):
-        trace = forward_batch(net, dataset.features)
-        grads, velocity = train_epoch(net, dataset, loss_kind, train_config,
-                                      velocity, trace=trace, targets=targets)
+        trace, terms = work.evaluate()
+        grads, _ = train_epoch(net, dataset, loss_kind, train_config,
+                               work.velocity, trace=trace, terms=terms)
         ledger.add_epoch(_sample_magnitudes(trace, grads, rows))
     return ledger
 

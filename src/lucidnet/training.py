@@ -5,21 +5,25 @@ optional classical momentum, applied to trainable elements only.  Full batch
 keeps the per-epoch indicator statistics well defined and makes training a
 deterministic function of (initial network, config).
 
-An epoch costs one forward and one backward pass: ``train_until`` decides
-its success criterion and outcome from the forward pass that the epoch's
-gradient step then reuses.  ``train_epoch`` returns the epoch's
-``BatchGradients``, from which ``sensitivity.collect_ledger`` takes the
-per-sample statistics of the elements it rates.
+An epoch costs one forward pass, one ``loss_terms`` and one backward pass,
+whose criterion check, outcome and gradient step all read the same values.
+What a run does not change (buffers, targets, label indices, velocity) is
+built once per ``train_until`` or ``sensitivity.collect_ledger`` call as an
+``EpochWorkspace``.  ``train_epoch`` runs once per epoch and returns the
+``BatchGradients`` from which ``collect_ledger`` takes its statistics.
+Accuracy everywhere compares predicted output index with label index.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergenceError
-from .network import Network, backward_batch, forward_batch
+from .network import BatchTrace, Network, backward_batch, forward_batch
 
 SUCCESS_CRITERIA = ("loss-below-threshold", "zero-classification-error")
 
@@ -107,24 +111,50 @@ def total_loss(net: Network, dataset, loss_kind: LossKind) -> float:
     return float(losses.sum())
 
 
+class EpochWorkspace:
+    """What the epochs of one training run share: a BatchTrace over
+    ``dataset.features``, the targets, each row's label index and the
+    velocity.  Training changes weights only, so none of it goes stale."""
+
+    def __init__(self, net: Network, dataset, loss_kind: LossKind,
+                 input_grads=False):
+        self.net, self.dataset, self.loss_kind = net, dataset, loss_kind
+        self.trace = BatchTrace(net, dataset.features, input_grads)
+        self.targets = targets_for(dataset, net)
+        self.velocity = [(np.zeros_like(layer.weights), np.zeros_like(layer.bias))
+                         for layer in net.layers]
+
+    @functools.cached_property
+    def row_label(self):  # only train_until's accuracy reads it
+        return _label_indices(self.dataset, self.net.output_labels)
+
+    def evaluate(self):
+        """The epoch's forward pass and its (total loss, dL/d(outputs))."""
+        trace = forward_batch(self.net, self.dataset.features, self.trace)
+        losses, d_out = loss_terms(self.loss_kind, self.targets, trace.outputs)
+        return trace, (float(losses.sum()), d_out)
+
+
 def train_epoch(net: Network, dataset, loss_kind: LossKind, config: TrainConfig,
-                velocity=None, *, trace=None, targets=None):
+                velocity=None, *, trace=None, terms=None):
     """One full-batch gradient step on the trainable elements, in place.
 
     ``trace`` is the network's forward pass over ``dataset.features`` at its
-    current weights and ``targets`` the ``targets_for`` matrix; either is
-    computed when not given.  Returns (BatchGradients, velocity): the
-    derivatives at ``trace``, which cover frozen elements too.  A non-finite
-    loss or gradient raises DivergenceError counting this one epoch.
+    current weights and ``terms`` the (total loss, dL/d(outputs)) at it;
+    either is computed when not given.  ``velocity`` is updated in place.
+    Returns (BatchGradients, velocity): the derivatives at ``trace``, which
+    cover frozen elements too.  A non-finite loss or gradient raises
+    DivergenceError counting this one epoch.
     """
     if trace is None:
         trace = forward_batch(net, dataset.features)
-    if targets is None:
-        targets = targets_for(dataset, net)
-    losses, d_out = loss_terms(loss_kind, targets, trace.outputs)
+    if terms is None:
+        losses, d_out = loss_terms(loss_kind, targets_for(dataset, net), trace.outputs)
+        terms = (float(losses.sum()), d_out)
+    loss, d_out = terms
     grads = backward_batch(net, trace, d_out)
 
-    if not np.isfinite(losses.sum()):
+    if not math.isfinite(loss):
         raise DivergenceError("total loss is not finite", epochs=1)
     if not all(np.isfinite(g).all() for g in grads.weight_grads[1:] + grads.bias_grads[1:]):
         raise DivergenceError("gradient is not finite", epochs=1)
@@ -135,14 +165,15 @@ def train_epoch(net: Network, dataset, loss_kind: LossKind, config: TrainConfig,
     lr, mu = config.learning_rate, config.momentum
     for l, layer in enumerate(net.layers, start=1):
         v_w, v_b = velocity[l - 1]
-        v_w = mu * v_w + grads.weight_grads[l] * layer.trainable
-        v_b = mu * v_b + grads.bias_grads[l] * layer.bias_trainable
+        v_w *= mu
+        v_w += grads.weight_grads[l] * layer.trainable
+        v_b *= mu
+        v_b += grads.bias_grads[l] * layer.bias_trainable
         if lr != 0.0:
             np.subtract(layer.weights, lr * v_w, out=layer.weights,
                         where=layer.trainable)
             np.subtract(layer.bias, lr * v_b, out=layer.bias,
                         where=layer.bias_trainable)
-        velocity[l - 1] = (v_w, v_b)
     return grads, velocity
 
 
@@ -158,36 +189,37 @@ def train_until(net: Network, dataset, loss_kind: LossKind,
     """Run epochs until the success criterion holds or the budget runs out.
 
     Each epoch evaluates the network once: the criterion, the outcome's loss
-    and accuracy, and the gradient step all read the same forward pass.
-    The network is left in its final state either way.  A non-finite loss
+    and accuracy, and the gradient step all read the same forward pass and
+    loss terms, in one EpochWorkspace built for the run.  The network is left in its final state either way.  A non-finite loss
     raises DivergenceError, even where the accuracy alone would meet the
     criterion; its ``epochs`` counts the epochs run, a raising one included.
     """
     if len(dataset.labels) == 0:
         raise ValueError("dataset is empty")
-    targets = targets_for(dataset, net)
-    row_label = _label_indices(dataset, net.output_labels)
+    work = EpochWorkspace(net, dataset, loss_kind)
     by_loss = config.success_criterion == "loss-below-threshold"
-    velocity = None
     epochs = 0
     while True:
-        trace = forward_batch(net, dataset.features)
-        losses, _ = loss_terms(loss_kind, targets, trace.outputs)
-        loss = float(losses.sum())
-        if not np.isfinite(loss):
+        trace, terms = work.evaluate()
+        loss = terms[0]
+        if not math.isfinite(loss):
             raise DivergenceError("total loss is not finite", epochs)
-        picks = _predicted_outputs(trace.outputs)
-        accuracy = int(np.count_nonzero(picks == row_label)) / len(row_label)
+        accuracy = _accuracy(_predicted_outputs(trace.outputs), work.row_label)
         met = loss <= config.loss_threshold if by_loss else accuracy == 1.0
         if met or epochs >= config.max_epochs:
             return TrainOutcome(met, epochs, loss, accuracy)
         try:
-            _, velocity = train_epoch(net, dataset, loss_kind, config, velocity,
-                                      trace=trace, targets=targets)
+            train_epoch(net, dataset, loss_kind, config, work.velocity,
+                        trace=trace, terms=terms)
         except DivergenceError as exc:
             exc.epochs += epochs
             raise
         epochs += 1
+
+
+def _accuracy(picks, row_label):
+    """Share of rows whose predicted output index is their label's index."""
+    return int(np.count_nonzero(picks == row_label)) / len(row_label)
 
 
 def _predicted_outputs(outputs):
@@ -207,7 +239,7 @@ def classify_outputs(outputs, labels):
 
 def evaluate_classification(net: Network, dataset):
     """Accuracy and per-sample predicted classes."""
-    trace = forward_batch(net, dataset.features)
-    preds = classify_outputs(trace.outputs, net.output_labels)
-    correct = sum(p == a for p, a in zip(preds, dataset.labels))
-    return correct / len(preds), preds
+    picks = _predicted_outputs(forward_batch(net, dataset.features).outputs)
+    accuracy = _accuracy(picks, _label_indices(dataset, net.output_labels))
+    labels = net.output_labels
+    return accuracy, [labels[i] for i in picks.tolist()]

@@ -35,7 +35,6 @@ from lucidnet import (
     total_loss,
     train_until,
     verbalize,
-    weight_indicator_sample,
 )
 from lucidnet.training import classify_outputs, loss_terms, targets_for
 
@@ -47,6 +46,7 @@ from conftest import (
     move_weight,
     random_ternary_step_net,
 )
+from indicator_reference import weight_indicator_sample
 
 
 def report(number, ok, detail=""):

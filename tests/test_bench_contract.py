@@ -19,7 +19,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import tracer  # noqa: E402
 import workloads  # noqa: E402
 
-from lucidnet import PruneConfig, PruningProblem, TrainConfig, run_pipeline  # noqa: E402
+from lucidnet import (  # noqa: E402
+    LossKind,
+    PruneConfig,
+    PruningProblem,
+    TrainConfig,
+    run_pipeline,
+)
 from lucidnet import pruning, training  # noqa: E402
 
 from conftest import fresh_trained_xor  # noqa: E402
@@ -116,3 +122,21 @@ def check_stage_epochs(problem, loop, stop_reason, shape):
     assert op.error is None
     logged = p.counters["epochs.ledger"] + p.counters["epochs.retrain"]
     assert spans.get("training.train_epoch").calls == logged
+
+
+@pytest.mark.parametrize("max_epochs, converged", [(5000, True), (3, False)],
+                         ids=["converges", "exhausts-budget"])
+def test_train_until_counts_one_train_epoch_per_epoch(max_epochs, converged):
+    """The traced gate counts ``training.train_epoch`` calls against the
+    epochs that runs report, so ``train_until`` calls it once per epoch."""
+    net, data, config, _ = fresh_trained_xor(1, max_epochs=0)
+    config.max_epochs = max_epochs
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        outcome = training.train_until(net, data, LossKind("mse"), config)
+    finally:
+        spans.uninstall()
+    assert outcome.converged == converged and outcome.epochs_used > 0
+    assert spans.get("training.train_epoch").calls == outcome.epochs_used
+    assert spans.get("training.train_until").calls == 1

@@ -305,6 +305,18 @@ class TestOptionValues:
         ], "accumulation epoch")
         assert not (tmp_path / "out" / "prune_log.jsonl").exists()
 
+    @pytest.mark.parametrize("arch", [5, "", [], [2.0, 4, 1], [2, True, 1],
+                                      {"sizes": [2, 4, 1]}, [2, None, 1]],
+                             ids=["int", "empty-string", "empty-list", "float",
+                                  "bool", "object", "null"])
+    def test_bad_config_arch(self, tmp_path, capsys, arch):
+        path = write(tmp_path / "run.json", json.dumps({"network": {"arch": arch}}))
+        self._usage_error(capsys, [
+            "train", "--dataset", xor_csv(tmp_path), "--config", path,
+            "--out", str(tmp_path / "out"),
+        ], "is not a list of layer sizes")
+        assert not (tmp_path / "out" / "network.json").exists()
+
 
 class TestValidSetSpelling:
     """``--valid-set -1,0,1`` as documented, and ``--valid-set=-1,0,1``,
@@ -690,6 +702,42 @@ class TestUnreadableInput:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert message in err[0]
         assert captured.out == ""
+
+
+class TestVerbalizeTexts:
+    """``verbalize --texts`` reads an object mapping each feature to a pair
+    of sentences; any other document is a data error (exit 2) with one
+    ``error:`` line and no rules written."""
+
+    @staticmethod
+    def _run(tmp_path, texts):
+        from lucidnet import single_question_rule_network
+
+        net_path = tmp_path / "rule_net.json"
+        single_question_rule_network().save(net_path)
+        texts_path = write(tmp_path / "texts.json", json.dumps(texts))
+        names = ",".join(f"q{k}" for k in range(1, 13))
+        return main(["verbalize", "--network", str(net_path), "--feature-names",
+                     names, "--texts", texts_path, "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("texts", [
+        [1, 2], "q1", None, {"q1": 5}, {"q1": "ab"}, {"q1": ["only one"]},
+        {"q1": ["yes", "no", "maybe"]}, {"q1": ["yes", 2]},
+    ], ids=["list", "string", "null", "number", "string-pair", "one-sentence",
+            "three-sentences", "non-string"])
+    def test_malformed_document(self, tmp_path, capsys, texts):
+        assert self._run(tmp_path, texts) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "pair of sentences" in err[0]
+        assert not (tmp_path / "out" / "rules.json").exists()
+
+    def test_sentence_pairs_reach_the_rules(self, tmp_path, capsys):
+        texts = {"q1": ["Q1 holds", "Q1 fails"], "q9": ["Q9 holds", "Q9 fails"]}
+        assert self._run(tmp_path, texts) == 0
+        rules = RuleSet.load(tmp_path / "out" / "rules.json")
+        assert rules.feature_texts == {k: tuple(v) for k, v in texts.items()}
 
 
 class TestParserReuse:

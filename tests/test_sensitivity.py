@@ -10,28 +10,30 @@ from lucidnet import (
     StaleReferenceError,
     TrainConfig,
     ValidSet,
-    aggregate_samples,
     backward,
     bias_ref,
     build_network,
     candidate_pool,
     collect_ledger,
     forward,
-    input_indicator_sample,
     input_ref,
     nearest_valid,
-    neuron_indicator_sample,
     neuron_ref,
     synapse_ref,
     total_loss,
     train_epoch,
-    weight_indicator_sample,
 )
 from lucidnet.network import ForwardTrace, GradientBundle, backward_batch, forward_batch
 from lucidnet.sensitivity import SensitivityLedger, export_csv
 from lucidnet.training import loss_terms, targets_for
 
 from conftest import make_dataset, single_neuron_net
+from indicator_reference import (
+    aggregate_samples,
+    input_indicator_sample,
+    neuron_indicator_sample,
+    weight_indicator_sample,
+)
 
 
 # the candidate pool of each element class, as a pruning step takes it
