@@ -24,13 +24,9 @@ from .errors import (
 )
 from .network import (
     ElementRef,
-    ForwardTrace,
-    GradientBundle,
     Network,
-    backward,
     bias_ref,
     build_network,
-    forward,
     forward_batch,
     input_ref,
     neuron_ref,

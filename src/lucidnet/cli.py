@@ -154,7 +154,10 @@ def cmd_train(args):
         raise UsageError(f"invalid network options: {exc}") from None
     tcfg = _train_config(args, config)
     loss_kind = _loss_kind(args, config)
-    outcome = train_until(net, dataset, loss_kind, tcfg)
+    try:
+        outcome = train_until(net, dataset, loss_kind, tcfg)
+    except DatasetError as exc:  # a row label the network cannot output
+        raise UsageError(f"invalid network options: {exc}") from None
     out = _out_dir(args, config)
     net_path = os.path.join(out, "network.json")
     net.save(net_path)

@@ -50,10 +50,13 @@ class Dataset:
             raise DatasetError("one label per sample required")
         if not np.isin(self.features, (-1.0, 1.0)).all():
             raise DatasetError("binary features must be coded as -1 or +1")
-        known = set(self.class_labels)
-        for lab in self.labels:
-            if lab not in known:
-                raise DatasetError(f"label {lab!r} not among class labels")
+        # each row's index in class_labels, encoded once per dataset
+        index = {lab: i for i, lab in enumerate(self.class_labels)}
+        codes = [index.get(lab, -1) for lab in self.labels]
+        if -1 in codes:
+            raise DatasetError(f"label {self.labels[codes.index(-1)]!r} "
+                               "not among class labels")
+        self.label_codes = np.array(codes, dtype=int)
 
     def __len__(self):
         return len(self.labels)

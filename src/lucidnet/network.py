@@ -19,8 +19,9 @@ for a whole pruning session and masked or dead units contribute exactly 0.
 (CLI exit code 2).  ``forward_batch``/``backward_batch`` run one masked
 matmul per layer in the buffers of a ``BatchTrace``; a training run makes
 one trace and passes it back to every epoch's ``forward_batch``, so the
-masked inputs and matrices are built once per run.  The single-sample
-``forward``/``backward`` reference API runs them on one row.
+masked inputs and matrices are built once per run.  ``BatchTrace.reset``
+rebinds a trace after a structural edit, so a pruning stage allocates its
+buffers once.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -614,37 +615,18 @@ def _weight_entry(entry, where):
     return float(w), trainable
 
 
-@dataclass
-class ForwardTrace:
-    """Single-sample evaluation record: summator outputs, activations, and
-    the network output vector in output-label order."""
-
-    input: np.ndarray
-    sigma: list
-    y: list
-    outputs: np.ndarray
-
-
-@dataclass
-class GradientBundle:
-    """Single-sample reverse-mode derivatives keyed by element."""
-
-    weights: dict = field(default_factory=dict)
-    neurons: dict = field(default_factory=dict)
-    inputs: dict = field(default_factory=dict)
-
-
 class BatchTrace:
     """Vectorized forward pass over N samples, in buffers that later passes
-    over the same inputs reuse while the network's structure holds.
+    over the same inputs reuse.
 
     ``activations`` is the (N, columns) concatenated value matrix: the
-    inputs with masked features zeroed (written once), then every layer's
-    outputs.  ``values[l]`` is layer l's block of it and ``sigma[l]`` its
-    summator outputs.  The trace also holds the gradient matrix and the
-    dL/dsigma blocks that ``backward_batch`` fills, and whether every live
-    neuron is smooth.  With ``input_grads`` false the backward pass skips
-    dL/d(inputs) and leaves that block at zero.
+    inputs with masked features zeroed, then every layer's outputs.
+    ``values[l]`` is layer l's block of it and ``sigma[l]`` its summator
+    outputs.  The trace also holds the gradient matrix and the dL/dsigma
+    blocks that ``backward_batch`` fills, and whether every live neuron is
+    smooth.  With ``input_grads`` false the backward pass skips
+    dL/d(inputs) and leaves that block at zero.  A trace serves one
+    structure of the network; ``reset`` rebinds it to the current one.
     """
 
     __slots__ = ("source", "activations", "values", "sigma", "G", "y_grads",
@@ -658,17 +640,26 @@ class BatchTrace:
                 f"expected (N, {net.input_dim}) inputs, got {X.shape}"
             )
         off = net.offsets
-        # dead neurons keep their zero columns; masked features are zeroed
-        # explicitly, because a zero weight times nan would still be nan
-        A = self.activations = np.zeros((X.shape[0], off[-1]))
-        A[:, : off[1]] = np.where(net.active_inputs, X, 0.0)
+        A = self.activations = np.empty((X.shape[0], off[-1]))
         self.G = np.zeros_like(A)
         blocks = [slice(off[l], off[l + 1]) for l in range(net.n_layers + 1)]
         self.values = [A[:, cols] for cols in blocks]
         self.y_grads = [self.G[:, cols] for cols in blocks]
-        self.d_sigma = [None] + [np.zeros((X.shape[0], layer.width))
+        self.d_sigma = [None] + [np.empty((X.shape[0], layer.width))
                                  for layer in net.layers]
         self.sigma = [None] * (net.n_layers + 1)
+        self.reset(net, input_grads)
+
+    def reset(self, net: Network, input_grads=True):
+        """Put the buffers in the state a new trace of ``net`` over the same
+        inputs has.  Dead neurons are never written, so every neuron column
+        and dL/dsigma block is zeroed; masked features are zeroed explicitly,
+        because a zero weight times nan would still be nan."""
+        A = self.activations
+        A[:, : net.input_dim] = np.where(net.active_inputs, self.source, 0.0)
+        A[:, net.input_dim:] = 0.0
+        for d_sigma in self.d_sigma[1:]:
+            d_sigma.fill(0.0)
         self.version = net._version
         self.smooth = all(kind in SMOOTH_ACTIVATIONS
                           for layer in net.layers for kind in layer.groups)
@@ -701,7 +692,7 @@ class BatchGradients:
 
 def forward_batch(net: Network, X, trace: BatchTrace | None = None) -> BatchTrace:
     """Every unit's value on each row of X, written into ``trace`` when
-    given (a trace of an earlier pass over this X at the network's current
+    given (a trace over this X, made or reset at the network's current
     structure), else into a new BatchTrace."""
     if trace is None:
         trace = BatchTrace(net, X)
@@ -742,41 +733,6 @@ def backward_batch(net: Network, trace: BatchTrace, d_outputs) -> BatchGradients
         weight_grads[l] = d_sigma.T @ A[:, : off[l]]
         bias_grads[l] = d_sigma.sum(axis=0)
     return BatchGradients(trace.d_sigma, weight_grads, bias_grads, trace.y_grads)
-
-
-def forward(net: Network, x) -> ForwardTrace:
-    """Evaluate one input vector, recording sigma and y for every neuron."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (net.input_dim,):
-        raise InputShapeError(f"expected ({net.input_dim},) input, got {x.shape}")
-    bt = forward_batch(net, x[None, :])
-    return ForwardTrace(
-        input=x.copy(),
-        sigma=[s[0] for s in bt.sigma[1:]],
-        y=[v[0].copy() for v in bt.values[1:]],
-        outputs=bt.outputs[0].copy(),
-    )
-
-
-def backward(net: Network, trace: ForwardTrace, d_outputs) -> GradientBundle:
-    """Reverse-mode derivatives of a scalar loss with respect to every
-    weight, live neuron output, and active input feature.
-
-    ``d_outputs`` is dL/d(network outputs).  Frozen weights are still
-    reported: freezing gates updates, not derivatives.
-    """
-    bt = forward_batch(net, trace.input[None, :])
-    bg = backward_batch(net, bt, np.asarray(d_outputs, dtype=float)[None, :])
-    bundle = GradientBundle()
-    for ref, _, _ in net.iter_weights():
-        _, i, col = net._weight(ref)  # col is None for a bias
-        bundle.weights[ref] = float(bg.bias_grads[ref.layer][i] if col is None
-                                    else bg.weight_grads[ref.layer][i, col])
-    for nref in net.iter_neurons():
-        bundle.neurons[nref] = float(bg.y_grads[nref.layer][0, nref.neuron])
-    for k in net.active_feature_indices():
-        bundle.inputs[k] = float(bg.input_grads[0, k])
-    return bundle
 
 
 def build_network(layer_sizes, activation="tanh", output_labels=None, seed=0):

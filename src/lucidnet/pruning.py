@@ -6,7 +6,9 @@ epochs and rate exactly the pool, modify the lowest-rated candidates,
 retrain, and either keep the result or restore the snapshot.  The pool is
 taken once per snapshot: ledger epochs move only trainable weights and a
 restore returns to the snapshot, so membership cannot change until a step
-is accepted.  The basic loop modifies one element per pass; the accelerated
+is accepted.  A stage builds one ``EpochWorkspace`` and every ledger and
+retrain of the stage resets and reuses it, so the stage allocates its
+buffers once.  The basic loop modifies one element per pass; the accelerated
 loop modifies batches of M, halving M on failure without recomputing the
 indicators, and stops once a single-element attempt fails.  The basic loop
 is the accelerated one with M fixed at 1.  A step whose training diverges
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 from .errors import DivergenceError, NotTrainedError, PipelineAbort, PoolExhausted
 from .network import Network, input_ref, synapse_ref
 from .sensitivity import ValidSet, collect_ledger, nearest_valid
-from .training import LossKind, TrainConfig, criterion_met, train_until
+from .training import EpochWorkspace, LossKind, TrainConfig, criterion_met, train_until
 
 PROBLEM_KINDS = (
     "feature-selection",
@@ -259,15 +261,16 @@ def prune_accelerated(net: Network, dataset, config: PruneConfig) -> PruneResult
     return _prune(net, dataset, config, m if m == "half-of-pool" else int(m))
 
 
-def rate_pool(net, dataset, config, pool):
+def rate_pool(net, dataset, config, pool, work=None):
     """{ref: indicator} over ``pool`` from a fresh ledger of the config's
-    accumulation epochs, which train the network."""
+    accumulation epochs, which train the network (in ``work`` if given)."""
     ledger = collect_ledger(net, dataset, config.loss_kind, config.retrain,
-                            config.accumulation_epochs, pool)
+                            config.accumulation_epochs, pool, work)
     return ledger.finalize(net, config.indicator_mode, config.problem.valid_set)
 
 
 def _prune(net, dataset, config, m):
+    work = EpochWorkspace(net, dataset, config.loss_kind)  # one per stage
     steps = []
     save_hash = _digest(net.to_json())
     while True:
@@ -281,10 +284,11 @@ def _prune(net, dataset, config, m):
             applied, cascade, outcome, epochs = [], [], None, 0
             try:
                 if final_map is None:
-                    final_map = rate_pool(net, dataset, config, pool)
+                    final_map = rate_pool(net, dataset, config, pool, work)
                 candidates = select_candidates(final_map, net, config.problem, m)
                 applied, cascade = apply_modification(net, candidates, config.problem)
-                outcome = train_until(net, dataset, config.loss_kind, config.retrain)
+                outcome = train_until(net, dataset, config.loss_kind,
+                                      config.retrain, work)
             except PoolExhausted:
                 net.restore(saved)
                 return PruneResult(net, steps, "pool-exhausted")

@@ -11,11 +11,14 @@ sample statistic and is applied once at finalize time against the current
 weight and its current nearest valid value.
 
 ``collect_ledger(..., refs)`` builds a ledger for exactly the refs it is
-given, normally the pruning step's candidate pool: each epoch it takes the
-per-sample magnitudes of those refs from the gradients that ``train_epoch``
-returns, and ``SensitivityLedger.finalize`` rates the ledger's own refs in
-order as ``{ref: indicator}``.  Which elements are candidates is decided by
-``pruning.candidate_pool`` alone.
+given, normally the pruning step's candidate pool, and
+``SensitivityLedger.finalize`` rates the ledger's own refs in order as
+``{ref: indicator}``.  The refs are resolved once per call, grouped by the
+gradient block they read; each epoch refills one reused samples buffer from
+the gradients that ``train_epoch`` leaves in the trace, gathering at most
+``_CHUNK`` rows at a time, so no per-epoch temporary grows with the pool.
+Which elements are candidates is decided by ``pruning.candidate_pool``
+alone.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import Network
-from .training import EpochWorkspace, LossKind, TrainConfig, train_epoch
+from .training import LossKind, TrainConfig, prepare_workspace, train_epoch
 
 INDICATOR_MODES = ("max", "avg")
 
@@ -110,55 +113,74 @@ class SensitivityLedger:
         return out
 
 
-def _sample_rows(net: Network, refs):
-    """Per ref, its row in the gradient table and in the value table of
-    ``_sample_magnitudes``: an input or a neuron pairs dL/dy with y, a
-    synapse dL/dsigma with its source value, a bias dL/dsigma with 1."""
+_CHUNK = 16  # sample rows gathered at a time; bounds the temporaries
+
+
+def _sample_plan(net: Network, refs):
+    """The refs resolved once, grouped by the gradient block they read and
+    cut into chunks of at most ``_CHUNK``: (block, positions in ``refs``,
+    gradient columns, value columns or None).  Block 0 is ``trace.G``,
+    which an input or a neuron reads with its own value column; block l is
+    ``trace.d_sigma[l]``, which a synapse reads with its source's value
+    column and a bias with none."""
     off = net.offsets
-    grad_rows, value_rows = [], []
-    for ref in refs:
+    groups = {}
+    for pos, ref in enumerate(refs):
         if ref.kind in ("input", "neuron"):
-            row = off[ref.layer] + ref.neuron
-            grad_rows.append(row)
-            value_rows.append(row)
+            col = off[ref.layer] + ref.neuron
+            groups.setdefault((0, True), []).append((pos, col, col))
         else:
-            grad_rows.append(off[-1] + off[ref.layer] - off[1] + ref.neuron)
-            value_rows.append(off[-1] if ref.kind == "bias" else
-                              net.layers[ref.layer - 1].slots[ref.neuron][ref.slot - 1])
-    return np.array(grad_rows, dtype=int), np.array(value_rows, dtype=int)
+            synapse = ref.kind == "synapse"
+            source = (net.layers[ref.layer - 1].slots[ref.neuron][ref.slot - 1]
+                      if synapse else 0)
+            groups.setdefault((ref.layer, synapse), []).append(
+                (pos, ref.neuron, source))
+    plan = []
+    for (block, scaled), rows in groups.items():
+        for s in range(0, len(rows), _CHUNK):
+            pos, cols, sources = map(np.array, zip(*rows[s: s + _CHUNK]))
+            plan.append((block, pos, cols, sources if scaled else None))
+    return plan
 
 
-def _sample_magnitudes(trace, grads, rows):
-    """(len(refs), N) C-contiguous per-sample magnitudes of one epoch.  The
-    tables hold one sample vector per row, so each ref gathers whole rows."""
-    grad_table = np.vstack([g.T for g in grads.y_grads + grads.d_sigma[1:]])
-    value_table = np.vstack((trace.activations.T, np.ones(len(trace.activations))))
-    grad_rows, value_rows = rows
-    samples = grad_table[grad_rows] * value_table[value_rows]
-    return np.abs(samples, out=samples)
+def _fill_samples(trace, plan, samples):
+    """Write one epoch's per-sample magnitudes into ``samples``, row i for
+    refs[i]: |dL/dy * y| for an input or a neuron, |dL/dsigma * source|
+    for a synapse and |dL/dsigma| for a bias.  Each chunk gathers whole
+    rows from transposed views of the trace's blocks."""
+    blocks = [trace.G.T] + [d_sigma.T for d_sigma in trace.d_sigma[1:]]
+    values = trace.activations.T
+    for block, pos, cols, sources in plan:
+        rows = blocks[block][cols]
+        if sources is not None:
+            rows *= values[sources]
+        samples[pos] = np.abs(rows, out=rows)
 
 
 def collect_ledger(net: Network, dataset, loss_kind: LossKind,
-                   train_config: TrainConfig, epochs, refs):
+                   train_config: TrainConfig, epochs, refs, work=None):
     """Accumulate a ledger for ``refs`` over several live training epochs.
 
     The network keeps training while the statistics accumulate, so the
     indicators reflect a trajectory rather than a single weight state.
-    Training changes weights only, so the refs are resolved to rows once
-    and one EpochWorkspace serves every epoch; it computes input gradients
-    only when an input is rated.
+    Training changes weights only, so the refs are resolved once, and one
+    samples buffer and one EpochWorkspace serve every epoch: ``work`` (of
+    this network, dataset and loss), reset first, or else one built for the
+    call.  Input gradients are computed only when an input is rated.
     """
     if epochs < 1:
         raise ValueError("need at least one accumulation epoch")
     ledger = SensitivityLedger(refs)
-    rows = _sample_rows(net, ledger.refs)
-    work = EpochWorkspace(net, dataset, loss_kind,
-                          input_grads=any(ref.kind == "input" for ref in ledger.refs))
+    plan = _sample_plan(net, ledger.refs)
+    samples = np.empty((len(ledger.refs), len(dataset.features)))
+    work = prepare_workspace(work, net, dataset, loss_kind, input_grads=any(
+        ref.kind == "input" for ref in ledger.refs))
     for _ in range(epochs):
         trace, terms = work.evaluate()
-        grads, _ = train_epoch(net, dataset, loss_kind, train_config,
-                               work.velocity, trace=trace, terms=terms)
-        ledger.add_epoch(_sample_magnitudes(trace, grads, rows))
+        train_epoch(net, dataset, loss_kind, train_config, work.velocity,
+                    trace=trace, terms=terms)
+        _fill_samples(trace, plan, samples)
+        ledger.add_epoch(samples)
     return ledger
 
 

@@ -7,11 +7,14 @@ deterministic function of (initial network, config).
 
 An epoch costs one forward pass, one ``loss_terms`` and one backward pass,
 whose criterion check, outcome and gradient step all read the same values.
-What a run does not change (buffers, targets, label indices, velocity) is
-built once per ``train_until`` or ``sensitivity.collect_ledger`` call as an
-``EpochWorkspace``.  ``train_epoch`` runs once per epoch and returns the
-``BatchGradients`` from which ``collect_ledger`` takes its statistics.
-Accuracy everywhere compares predicted output index with label index.
+What the runs on one network and dataset share (buffers, targets, label
+indices, velocity) is an ``EpochWorkspace``: a pruning stage builds one and
+hands it to every ``train_until`` and ``sensitivity.collect_ledger`` call,
+each of which resets it first; called without one, they build their own.
+``train_epoch`` runs once per epoch and returns the ``BatchGradients`` whose
+buffers ``collect_ledger`` samples.  Accuracy everywhere compares predicted
+output index with label index; ``targets_for`` refuses a row label that is
+not an output label.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DatasetError, DivergenceError
 from .network import BatchTrace, Network, backward_batch, forward_batch
 
 SUCCESS_CRITERIA = ("loss-below-threshold", "zero-classification-error")
@@ -80,26 +83,26 @@ def loss_terms(loss_kind: LossKind, targets, outputs):
 
 
 def targets_for(dataset, net: Network):
-    """±1 target matrix matching the network's output convention."""
+    """±1 target matrix matching the network's output convention.  Raises
+    DatasetError for a row label that is not one of the output labels."""
+    rows = _label_indices(dataset, net.output_labels)
+    if (rows < 0).any():
+        label = dataset.labels[int(np.argmin(rows))]
+        raise DatasetError(f"label {label!r} is not one of the network's "
+                           f"output labels {net.output_labels}")
     width = net.layers[-1].width
-    labels = net.output_labels
-    n = len(dataset.labels)
     if width == 1:
-        z = np.where(
-            np.array([lab == labels[0] for lab in dataset.labels]), 1.0, -1.0
-        )
-        return z[:, None]
-    z = -np.ones((n, width))
-    index = {lab: i for i, lab in enumerate(labels)}
-    for j, lab in enumerate(dataset.labels):
-        z[j, index[lab]] = 1.0
+        return np.where(rows == 0, 1.0, -1.0)[:, None]
+    z = -np.ones((len(rows), width))
+    z[np.arange(len(rows)), rows] = 1.0
     return z
 
 
 def _label_indices(dataset, labels):
     """Index of each row's label in ``labels``, or -1 when absent."""
     index = {lab: i for i, lab in enumerate(labels)}
-    return np.array([index.get(lab, -1) for lab in dataset.labels], dtype=int)
+    return np.array([index.get(lab, -1) for lab in dataset.class_labels],
+                    dtype=int)[dataset.label_codes]
 
 
 def total_loss(net: Network, dataset, loss_kind: LossKind) -> float:
@@ -114,7 +117,9 @@ def total_loss(net: Network, dataset, loss_kind: LossKind) -> float:
 class EpochWorkspace:
     """What the epochs of one training run share: a BatchTrace over
     ``dataset.features``, the targets, each row's label index and the
-    velocity.  Training changes weights only, so none of it goes stale."""
+    velocity.  Training changes weights only, so none of it goes stale
+    within a run; ``reset`` readies it for the next run on the same network,
+    whose structure may have changed since."""
 
     def __init__(self, net: Network, dataset, loss_kind: LossKind,
                  input_grads=False):
@@ -123,6 +128,14 @@ class EpochWorkspace:
         self.targets = targets_for(dataset, net)
         self.velocity = [(np.zeros_like(layer.weights), np.zeros_like(layer.bias))
                          for layer in net.layers]
+
+    def reset(self, input_grads=False):
+        """The trace rebound to the network's structure, the velocity zero."""
+        self.trace.reset(self.net, input_grads)
+        for v_w, v_b in self.velocity:
+            v_w.fill(0.0)
+            v_b.fill(0.0)
+        return self
 
     @functools.cached_property
     def row_label(self):  # only train_until's accuracy reads it
@@ -133,6 +146,16 @@ class EpochWorkspace:
         trace = forward_batch(self.net, self.dataset.features, self.trace)
         losses, d_out = loss_terms(self.loss_kind, self.targets, trace.outputs)
         return trace, (float(losses.sum()), d_out)
+
+
+def prepare_workspace(work, net, dataset, loss_kind, input_grads=False):
+    """``work`` reset for a new run, or a new EpochWorkspace when None."""
+    if work is None:
+        return EpochWorkspace(net, dataset, loss_kind, input_grads)
+    if not (work.net is net and work.dataset is dataset
+            and work.loss_kind == loss_kind):
+        raise ValueError("workspace of another network, dataset or loss")
+    return work.reset(input_grads)
 
 
 def train_epoch(net: Network, dataset, loss_kind: LossKind, config: TrainConfig,
@@ -185,18 +208,20 @@ def criterion_met(net: Network, dataset, loss_kind: LossKind, config: TrainConfi
 
 
 def train_until(net: Network, dataset, loss_kind: LossKind,
-                config: TrainConfig) -> TrainOutcome:
+                config: TrainConfig, work=None) -> TrainOutcome:
     """Run epochs until the success criterion holds or the budget runs out.
 
     Each epoch evaluates the network once: the criterion, the outcome's loss
     and accuracy, and the gradient step all read the same forward pass and
-    loss terms, in one EpochWorkspace built for the run.  The network is left in its final state either way.  A non-finite loss
+    loss terms, in one EpochWorkspace: ``work`` (an EpochWorkspace of this
+    network, dataset and loss), reset first, or else one built for the run.
+    The network is left in its final state either way.  A non-finite loss
     raises DivergenceError, even where the accuracy alone would meet the
     criterion; its ``epochs`` counts the epochs run, a raising one included.
     """
     if len(dataset.labels) == 0:
         raise ValueError("dataset is empty")
-    work = EpochWorkspace(net, dataset, loss_kind)
+    work = prepare_workspace(work, net, dataset, loss_kind)
     by_loss = config.success_criterion == "loss-below-threshold"
     epochs = 0
     while True:

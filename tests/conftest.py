@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from lucidnet import Dataset, Network, build_network, forward, input_ref
+from lucidnet import Dataset, Network, build_network, input_ref
+
+from sample_reference import forward
 
 
 def make_dataset(features, labels, class_labels=None, names=None):

@@ -18,12 +18,19 @@ def input_indicator_sample(trace, gradients, k) -> float:
     return abs(gradients.inputs[k] * trace.input[k])
 
 
+def weight_gradient_sample(net: Network, gradients, ref: ElementRef) -> float:
+    """|dL/dw| of one weight for one sample: its indicator before the
+    displacement factor, which the ledger applies once at finalize."""
+    if not net.is_trainable(ref):
+        raise ExcludedElementError(f"{ref} is frozen and outside the pool")
+    return abs(gradients.weights[ref])
+
+
 def weight_indicator_sample(net: Network, gradients, ref: ElementRef,
                             target) -> float:
     """Linearized cost of moving one weight to its target value."""
-    if not net.is_trainable(ref):
-        raise ExcludedElementError(f"{ref} is frozen and outside the pool")
-    return abs(gradients.weights[ref]) * abs(float(target) - net.weight(ref))
+    return (weight_gradient_sample(net, gradients, ref)
+            * abs(float(target) - net.weight(ref)))
 
 
 def neuron_indicator_sample(net: Network, trace, gradients,

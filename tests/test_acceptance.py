@@ -17,13 +17,11 @@ from lucidnet import (
     PruningProblem,
     TrainConfig,
     ValidSet,
-    backward,
     build_network,
     compare_rulesets,
     evaluate_classification,
     evaluate_rules,
     fixtures_A1_A2,
-    forward,
     forward_batch,
     is_logically_transparent,
     nearest_valid,
@@ -47,6 +45,7 @@ from conftest import (
     random_ternary_step_net,
 )
 from indicator_reference import weight_indicator_sample
+from sample_reference import backward, forward
 
 
 def report(number, ok, detail=""):

@@ -305,6 +305,14 @@ class TestOptionValues:
         ], "accumulation epoch")
         assert not (tmp_path / "out" / "prune_log.jsonl").exists()
 
+    @pytest.mark.parametrize("arch", ["2,4,2", "2,4,1"])
+    def test_labels_that_miss_a_row_label(self, tmp_path, capsys, arch):
+        self._usage_error(capsys, [
+            "train", "--dataset", xor_csv(tmp_path), "--arch", arch,
+            "--labels", "a,b", "--out", str(tmp_path / "out"),
+        ], "label 'neg' is not one of the network's output labels ['a', 'b']")
+        assert not (tmp_path / "out" / "network.json").exists()
+
     @pytest.mark.parametrize("arch", [5, "", [], [2.0, 4, 1], [2, True, 1],
                                       {"sizes": [2, 4, 1]}, [2, None, 1]],
                              ids=["int", "empty-string", "empty-list", "float",
@@ -645,7 +653,8 @@ class TestElectionSchema:
 
 class TestRoundTrips:
     def test_network_save_load_preserves_semantics(self, tmp_path):
-        from lucidnet import build_network, forward
+        from lucidnet import build_network
+        from sample_reference import forward
 
         source = build_network((4, 3, 2), seed=31)
         path = tmp_path / "net.json"

@@ -13,11 +13,9 @@ from lucidnet import (
     PruneConfig,
     PruningProblem,
     TrainConfig,
-    backward,
     bias_ref,
     build_network,
     evaluate_classification,
-    forward,
     neuron_ref,
     prune_accelerated,
     prune_basic,
@@ -40,6 +38,7 @@ from conftest import (
     network_from_layers,
     neuron_doc,
 )
+from sample_reference import backward, forward
 
 
 class TestSigmoidActivation:

@@ -9,10 +9,8 @@ from lucidnet import (
     NonDifferentiableError,
     StaleReferenceError,
     TrainConfig,
-    backward,
     bias_ref,
     build_network,
-    forward,
     forward_batch,
     input_ref,
     neuron_ref,
@@ -28,6 +26,7 @@ from conftest import (
     make_dataset,
     single_neuron_net,
 )
+from sample_reference import backward, forward
 
 
 class TestForward:

@@ -10,12 +10,10 @@ from lucidnet import (
     StaleReferenceError,
     TrainConfig,
     ValidSet,
-    backward,
     bias_ref,
     build_network,
     candidate_pool,
     collect_ledger,
-    forward,
     input_ref,
     nearest_valid,
     neuron_ref,
@@ -23,7 +21,7 @@ from lucidnet import (
     total_loss,
     train_epoch,
 )
-from lucidnet.network import ForwardTrace, GradientBundle, backward_batch, forward_batch
+from lucidnet.network import backward_batch, forward_batch
 from lucidnet.sensitivity import SensitivityLedger, export_csv
 from lucidnet.training import loss_terms, targets_for
 
@@ -34,6 +32,7 @@ from indicator_reference import (
     neuron_indicator_sample,
     weight_indicator_sample,
 )
+from sample_reference import ForwardTrace, GradientBundle, backward, forward
 
 
 # the candidate pool of each element class, as a pruning step takes it

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lucidnet import (
+    DatasetError,
     DivergenceError,
     LossKind,
     Network,
@@ -17,7 +18,7 @@ from lucidnet import (
     train_epoch,
     train_until,
 )
-from lucidnet.training import classify_outputs, criterion_met
+from lucidnet.training import classify_outputs, criterion_met, targets_for
 
 from conftest import fresh_trained_xor, make_dataset, single_neuron_net
 
@@ -178,6 +179,14 @@ def reference_train_until(net, ds, loss, cfg):
         epochs += 1
 
 
+def outcome_or_refusal(run):
+    """The run's outcome, or the text of the DatasetError it raised."""
+    try:
+        return run()
+    except DatasetError as exc:
+        return "refused", str(exc)
+
+
 @st.composite
 def training_cases(draw):
     n_out = draw(st.sampled_from([1, 2]))
@@ -190,7 +199,7 @@ def training_cases(draw):
     n = draw(st.integers(1, 8))
     rows = draw(st.lists(st.lists(st.sampled_from([-1.0, 1.0]), min_size=dim,
                                   max_size=dim), min_size=n, max_size=n))
-    # a single-output net also meets a label it does not know
+    # a single-output net also meets a label it does not know, and refuses it
     row_labels = labels + ["other"] if n_out == 1 else labels
     ds = make_dataset(rows, draw(st.lists(st.sampled_from(row_labels),
                                           min_size=n, max_size=n)),
@@ -214,10 +223,11 @@ class TestTrainUntilMatchesReferenceLoop:
     def test_same_outcome_and_network(self, case):
         net, ds, loss, cfg = case
         twin = Network.from_json(net.to_json())
-        got = train_until(net, ds, loss, cfg)
-        want = reference_train_until(twin, ds, loss, cfg)
+        got = outcome_or_refusal(lambda: train_until(net, ds, loss, cfg))
+        want = outcome_or_refusal(lambda: reference_train_until(twin, ds, loss, cfg))
         assert got == want
-        assert type(got.converged) is type(want.converged)
+        if isinstance(want, TrainOutcome):
+            assert type(got.converged) is type(want.converged)
         assert net.to_json() == twin.to_json()
 
 
@@ -239,6 +249,34 @@ class TestEvaluateClassification:
         accuracy, preds = evaluate_classification(net, ds)
         assert accuracy == pytest.approx(2 / 3)
         assert preds == ["pos", "neg", "pos"]
+
+
+class TestRowLabels:
+    """Row labels are encoded once per dataset and mapped to output indices
+    by ``targets_for``, which refuses a label the network cannot output."""
+
+    def test_targets_follow_the_output_order(self):
+        ds = make_dataset([[1.0]] * 3, ["a", "b", "a"], class_labels=["a", "b"])
+        assert ds.label_codes.tolist() == [0, 1, 0]
+        two = build_network((1, 2, 2), output_labels=["b", "a"])
+        assert targets_for(ds, two).tolist() == [[-1, 1], [1, -1], [-1, 1]]
+        one = build_network((1, 2, 1), output_labels=["b", "a"])
+        assert targets_for(ds, one).tolist() == [[-1], [1], [-1]]
+
+    @pytest.mark.parametrize("n_out", [1, 2])
+    def test_a_label_outside_the_outputs_is_refused(self, n_out):
+        net = build_network((1, 2, n_out), output_labels=["a", "b"])
+        ds = make_dataset([[1.0], [-1.0], [1.0]], ["a", "c", "d"],
+                          class_labels=["a", "b", "c", "d"])
+        before = net.to_json()
+        for run in (lambda: targets_for(ds, net),
+                    lambda: train_until(net, ds, LossKind(), TrainConfig(0.1))):
+            with pytest.raises(DatasetError, match="label 'c' is not one of"):
+                run()
+        assert net.to_json() == before
+        # evaluation still counts a foreign label as a wrong prediction
+        accuracy, _ = evaluate_classification(net, ds)
+        assert accuracy <= 1 / 3
 
 
 class TestInvariants:

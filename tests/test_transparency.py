@@ -15,7 +15,6 @@ from lucidnet import (
     compare_rulesets,
     evaluate_rules,
     fixtures_A1_A2,
-    forward,
     forward_batch,
     is_logically_transparent,
     neuron_ref,
@@ -37,6 +36,7 @@ from conftest import (
     random_ternary_step_net,
     single_neuron_net,
 )
+from sample_reference import forward
 
 
 def ternary_neuron_net(weights, bias, n_inputs=None):

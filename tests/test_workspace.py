@@ -1,16 +1,21 @@
-"""Training through one epoch workspace per run equals the plain per-epoch
+"""Training through a reused epoch workspace equals the plain per-epoch
 composition bit for bit.
 
-``train_until`` and ``collect_ledger`` build one ``EpochWorkspace`` per call
-and reuse its buffers, targets, label indices and velocity in every epoch.
-The plain composition below builds everything afresh each epoch: a
+``train_until`` and ``collect_ledger`` reuse one ``EpochWorkspace`` (its
+buffers, targets, label indices and velocity) in every epoch, and a pruning
+stage hands one workspace to all its calls, each of which resets it.  The
+plain composition below builds everything afresh each epoch: a
 ``forward_batch`` with its own buffers, ``loss_terms`` against a fresh
 target matrix, label-string accuracy, and a ``train_epoch`` whose
 ``backward_batch`` reads that fresh trace.  Both must give the same outcome,
 network, velocity and indicator map, and raise the same errors at the same
-epoch.
+epoch.  A reset trace must be in the state of a new one, the chunked ledger
+must equal the per-sample indicator formulas, and a stage that reuses its
+workspace must log and leave what one with a fresh workspace per call does.
 """
 
+import io
+import json
 from unittest import mock
 
 import numpy as np
@@ -19,10 +24,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lucidnet import (
+    DatasetError,
     DivergenceError,
     LossKind,
+    Network,
     NonDifferentiableError,
+    PruneConfig,
+    PruningProblem,
     SensitivityLedger,
+    StaleReferenceError,
     TrainConfig,
     TrainOutcome,
     ValidSet,
@@ -30,14 +40,31 @@ from lucidnet import (
     collect_ledger,
     forward_batch,
     input_ref,
+    nearest_valid,
+    neuron_ref,
+    run_pipeline,
+    synapse_ref,
     train_until,
 )
-from lucidnet import training
+from lucidnet import pruning, training
 from lucidnet.network import BatchTrace, backward_batch
-from lucidnet.sensitivity import _sample_magnitudes, _sample_rows
-from lucidnet.training import classify_outputs, loss_terms, targets_for
+from lucidnet.sensitivity import _CHUNK, _fill_samples, _sample_plan
+from lucidnet.training import EpochWorkspace, classify_outputs, loss_terms, targets_for
 
-from conftest import edit_lists, make_dataset, single_neuron_net
+from conftest import (
+    apply_edits,
+    edit_lists,
+    majority_dataset,
+    make_dataset,
+    single_neuron_net,
+)
+from indicator_reference import (
+    aggregate_samples,
+    input_indicator_sample,
+    neuron_indicator_sample,
+    weight_gradient_sample,
+)
+from sample_reference import ForwardTrace, GradientBundle
 from test_network_reference import loaded, network_docs
 
 PLAIN_TRAIN_EPOCH = training.train_epoch
@@ -71,14 +98,13 @@ def plain_train_until(net, ds, loss, cfg):
 def plain_ledger(net, ds, loss, cfg, epochs, refs):
     """``collect_ledger`` with fresh buffers and targets every epoch."""
     ledger = SensitivityLedger(refs)
-    rows = _sample_rows(net, ledger.refs)
+    plan = _sample_plan(net, ledger.refs)
     velocity = None
     for _ in range(epochs):
         trace = forward_batch(net, ds.features)
-        d_out = loss_terms(loss, targets_for(ds, net), trace.outputs)[1]
-        grads = backward_batch(net, trace, d_out)
-        samples = _sample_magnitudes(trace, grads, rows)
         _, velocity = PLAIN_TRAIN_EPOCH(net, ds, loss, cfg, velocity, trace=trace)
+        samples = np.empty((len(refs), len(ds.labels)))
+        _fill_samples(trace, plan, samples)
         ledger.add_epoch(samples)
     return ledger
 
@@ -87,7 +113,7 @@ def outcome_or_error(run):
     """("returned", value) of a run, or ("raised", type, text, epochs)."""
     try:
         return "returned", run()
-    except (DivergenceError, NonDifferentiableError) as exc:
+    except (DatasetError, DivergenceError, NonDifferentiableError) as exc:
         return "raised", type(exc), str(exc), getattr(exc, "epochs", None)
 
 
@@ -117,7 +143,7 @@ def training_cases(draw):
     n = draw(st.integers(1, 8))
     rows = draw(st.lists(st.lists(st.sampled_from([-1.0, 1.0]), min_size=net.input_dim,
                                   max_size=net.input_dim), min_size=n, max_size=n))
-    # a single-output net also meets a label it does not know
+    # a single-output net also meets a label it does not know, and refuses it
     row_labels = labels + ["other"] if net.layers[-1].width == 1 else labels
     ds = make_dataset(rows, draw(st.lists(st.sampled_from(row_labels),
                                           min_size=n, max_size=n)),
@@ -308,3 +334,285 @@ class TestBatchTrace:
             assert same_bits(lean.bias_grads[l], full.bias_grads[l])
             assert same_bits(lean.d_sigma[l], full.d_sigma[l])
             assert same_bits(lean.y_grads[l], full.y_grads[l])
+
+
+# -- stage-long reuse -----------------------------------------------------
+
+def trace_state(trace):
+    """What ``forward_batch`` and ``backward_batch`` read of a trace before
+    they write it: the value matrix, the dL/dsigma blocks and the flags."""
+    return ([trace.activations.tobytes()] + [d.tobytes() for d in trace.d_sigma[1:]]
+            + [trace.version, trace.smooth, trace.input_grads])
+
+
+@st.composite
+def reuse_cases(draw):
+    """A network, its twin, inputs with nan in masked features, edits to
+    make after the trace is used, whether a hidden neuron then turns to a
+    step, and whether the reset trace computes input gradients."""
+    doc, edits, later = draw(network_docs()), draw(edit_lists), draw(edit_lists)
+    net, twin = loaded(doc, edits), loaded(doc, edits)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.uniform(-1.0, 1.0, size=(draw(st.integers(1, 6)), net.input_dim))
+    X[:, [k for k in range(net.input_dim) if not net.active_inputs[k]]] = np.nan
+    return net, twin, X, later, draw(st.booleans()), draw(st.booleans())
+
+
+class TestTraceReset:
+    """``BatchTrace.reset`` after structural edits gives exactly the state
+    of a new trace, so every pass through it matches a new trace's."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(reuse_cases())
+    def test_reset_equals_a_new_trace(self, case):
+        net, twin, X, later, step, input_grads = case
+        trace = BatchTrace(net, X, input_grads=True)
+        d_out = np.linspace(-1.0, 1.0, X.shape[0] * net.layers[-1].width)
+        d_out = d_out.reshape(X.shape[0], -1)
+        with np.errstate(all="ignore"):
+            backward_batch(net, forward_batch(net, X, trace), d_out)
+        for other in (net, twin):
+            apply_edits(other, later)
+            hidden = list(other.iter_neurons(hidden_only=True))
+            if step and hidden:
+                other.set_activation(hidden[0], "step")
+        if net._version != trace.version:  # only reset rebinds the trace
+            with pytest.raises(StaleReferenceError):
+                forward_batch(net, X, trace)
+        trace.reset(net, input_grads)
+        fresh = BatchTrace(twin, X, input_grads)
+        assert trace_state(trace) == trace_state(fresh)
+        with np.errstate(all="ignore"):
+            got = outcome_or_error(lambda: backward_batch(
+                net, forward_batch(net, X, trace), d_out))
+            want = outcome_or_error(lambda: backward_batch(
+                twin, forward_batch(twin, X, fresh), d_out))
+        assert got[0] == want[0]
+        if got[0] == "returned":
+            for name in ("weight_grads", "bias_grads"):
+                for g, w in zip(getattr(got[1], name)[1:], getattr(want[1], name)[1:]):
+                    assert same_bits(g, w)
+            assert same_bits(trace.G, fresh.G)
+            assert same_bits(trace.activations, fresh.activations)
+
+    def test_workspace_reset_zeroes_the_velocity(self):
+        net, ds = xor_case()
+        work = EpochWorkspace(net, ds, LossKind("mse"))
+        train_until(net, ds, LossKind("mse"), TrainConfig(0.3, 0.9, max_epochs=5), work)
+        assert any(v_w.any() for v_w, _ in work.velocity)
+        net.remove_element(synapse_ref(1, 0, 1))
+        assert work.reset() is work
+        fresh = EpochWorkspace(net, ds, LossKind("mse"))
+        for (g_w, g_b), (w_w, w_b) in zip(work.velocity, fresh.velocity):
+            assert same_bits(g_w, w_w) and same_bits(g_b, w_b)
+        assert trace_state(work.trace) == trace_state(fresh.trace)
+
+    def test_a_workspace_of_another_run_is_refused(self):
+        net, ds = xor_case()
+        other, _ = xor_case()
+        work = EpochWorkspace(net, ds, LossKind("mse"))
+        cfg = TrainConfig(0.3)
+        for args in ((other, ds, LossKind("mse")), (net, ds, LossKind("margin"))):
+            with pytest.raises(ValueError, match="another network"):
+                train_until(*args, cfg, work)
+            with pytest.raises(ValueError, match="another network"):
+                collect_ledger(*args, cfg, 1, [], work)
+
+
+def per_sample_records(net, trace):
+    """Each sample's forward record and gradient bundle, read off one batch
+    pass whose gradients ``backward_batch`` wrote into ``trace``."""
+    off = net.offsets
+    weights = [(ref, ref.layer) + net._weight(ref)[1:]
+               for ref, _, _ in net.iter_weights()]
+    records = []
+    for j in range(len(trace.activations)):
+        bundle = GradientBundle()
+        for ref, l, i, col in weights:
+            d_sigma = trace.d_sigma[l][j, i]
+            bundle.weights[ref] = (d_sigma if col is None
+                                   else d_sigma * trace.activations[j, col])
+        for ref in net.iter_neurons():
+            bundle.neurons[ref] = trace.G[j, off[ref.layer] + ref.neuron]
+        for k in net.active_feature_indices():
+            bundle.inputs[k] = trace.G[j, k]
+        record = ForwardTrace(trace.activations[j, : off[1]], None,
+                              [v[j] for v in trace.values[1:]], trace.outputs[j])
+        records.append((record, bundle))
+    return records
+
+
+def reference_ledger_map(net, ds, loss, cfg, epochs, pool, mode, valid):
+    """The finalized map of ``collect_ledger``, built element by element
+    and sample by sample with the formulas of ``indicator_reference``."""
+    sums = dict.fromkeys(pool, 0.0)
+    velocity = None
+    for _ in range(epochs):
+        trace = forward_batch(net, ds.features)
+        _, velocity = PLAIN_TRAIN_EPOCH(net, ds, loss, cfg, velocity, trace=trace)
+        records = per_sample_records(net, trace)
+        for ref in pool:
+            if ref.kind == "input":
+                values = [input_indicator_sample(r, b, ref.neuron) for r, b in records]
+            elif ref.kind == "neuron":
+                values = [neuron_indicator_sample(net, r, b, ref) for r, b in records]
+            else:
+                values = [weight_gradient_sample(net, b, ref) for _, b in records]
+            sums[ref] += aggregate_samples(values, mode)
+    out = {}
+    for ref in pool:
+        out[ref] = sums[ref] / epochs
+        if ref.kind in ("synapse", "bias"):
+            weight = net.weight(ref)
+            out[ref] *= abs(nearest_valid(weight, valid) - weight)
+    return out
+
+
+def every_element(net):
+    """Active inputs, hidden neurons and trainable weights, biases too."""
+    refs = [input_ref(k) for k in net.active_feature_indices()]
+    refs += list(net.iter_neurons(hidden_only=True))
+    return refs + [ref for ref, _, trainable in net.iter_weights() if trainable]
+
+
+@st.composite
+def ledger_cases(draw):
+    sizes = (draw(st.integers(1, 6)), draw(st.integers(1, 7)),
+             draw(st.integers(1, 5)), draw(st.integers(1, 2)))
+    labels = ["pos", "neg"] if sizes[-1] == 1 else ["c0", "c1"]
+    seed, edits = draw(st.integers(0, 2**31)), draw(edit_lists)
+    activation = draw(st.sampled_from(["tanh", "sigmoid"]))
+    net, twin = (build_network(sizes, activation, labels, seed) for _ in range(2))
+    apply_edits(net, edits)
+    apply_edits(twin, edits)
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(1, 140))  # past numpy's pairwise-summation block
+    ds = make_dataset(rng.choice([-1.0, 1.0], size=(n, sizes[0])),
+                      rng.choice(labels, size=n), class_labels=labels)
+    picks = draw(st.lists(st.booleans(), min_size=120, max_size=120))
+    pool = [ref for ref, keep in zip(every_element(net), picks) if keep]
+    pool = [pool[i] for i in draw(st.permutations(range(len(pool))))]
+    cfg = TrainConfig(learning_rate=draw(st.sampled_from([0.0, 0.05, 0.3])),
+                      momentum=draw(st.sampled_from([0.0, 0.5])))
+    loss = draw(st.sampled_from([LossKind("mse"), LossKind("margin", 0.5)]))
+    return net, twin, ds, loss, cfg, pool
+
+
+class TestLedgerEqualsPerSampleReference:
+    """The chunked ledger rates every ref as the per-sample formulas do,
+    bit for bit, in the pool's order: shuffled pools mix inputs, neurons,
+    and the biases and synapses of several layers, and often hold more
+    than one chunk of refs reading one gradient block."""
+
+    @staticmethod
+    def check(net, twin, ds, loss, cfg, pool, epochs, mode):
+        valid = ValidSet.ternary()
+        got = collect_ledger(net, ds, loss, cfg, epochs, pool).finalize(net, mode, valid)
+        want = reference_ledger_map(twin, ds, loss, cfg, epochs, pool, mode, valid)
+        assert list(got) == pool
+        assert [repr(got[ref]) for ref in pool] == [repr(want[ref]) for ref in pool]
+        assert net.to_json() == twin.to_json()
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=ledger_cases(), epochs=st.integers(1, 3),
+           mode=st.sampled_from(["max", "avg"]))
+    def test_shuffled_pools(self, case, epochs, mode):
+        self.check(*case, epochs, mode)
+
+    @pytest.mark.parametrize("mode", ["max", "avg"])
+    def test_whole_pool_of_a_wide_net(self, mode):
+        nets = [build_network((6, 7, 5, 2), seed=3) for _ in range(2)]
+        for net in nets:
+            net.remove_element(neuron_ref(1, 4))
+            net.set_weight(synapse_ref(2, 1, 2), 1.0, freeze=True)
+        rng = np.random.default_rng(4)
+        ds = make_dataset(rng.choice([-1.0, 1.0], size=(200, 6)),
+                          rng.choice(["class0", "class1"], size=200),
+                          class_labels=["class0", "class1"])
+        pool = every_element(nets[0])
+        pool = [pool[i] for i in rng.permutation(len(pool))]
+        layer1 = [ref for ref in pool if ref.kind == "synapse" and ref.layer == 1]
+        assert len(layer1) > 2 * _CHUNK
+        self.check(*nets, ds, LossKind("mse"), TrainConfig(0.05, 0.5), pool, 3, mode)
+
+
+def fresh_per_call(monkeypatch):
+    """Make the pruning loop drop its stage workspace, so that every
+    ``collect_ledger`` and ``train_until`` call builds its own."""
+    until, ledger = pruning.train_until, pruning.collect_ledger
+    monkeypatch.setattr(pruning, "train_until", lambda *args: until(*args[:4]))
+    monkeypatch.setattr(pruning, "collect_ledger", lambda *args: ledger(*args[:6]))
+
+
+def count_workspaces(monkeypatch):
+    built = []
+
+    class Counted(EpochWorkspace):
+        def __init__(self, *args, **kwargs):
+            built.append(None)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(training, "EpochWorkspace", Counted)
+    monkeypatch.setattr(pruning, "EpochWorkspace", Counted)
+    return built
+
+
+PIPELINE = [
+    (PruningProblem("feature-selection"), "basic", 200),
+    (PruningProblem("neuron-removal"), "accelerated", 200),
+    (PruningProblem("synapse-removal"), "accelerated", 4),
+    (PruningProblem("precision-reduction", valid_set=ValidSet.ternary()), "basic", 30),
+]
+
+
+@pytest.fixture(scope="module")
+def trained_majority():
+    ds = majority_dataset()
+    net = build_network((8, 5, 3, 1), output_labels=["pos", "neg"], seed=2)
+    cfg = TrainConfig(learning_rate=0.01, momentum=0.5, max_epochs=2000)
+    assert train_until(net, ds, LossKind("mse"), cfg).converged
+    return net.to_json(), ds
+
+
+class TestStageWorkspace:
+    """A pruning stage that reuses one workspace for every ledger and
+    retrain logs and leaves exactly what a stage with a fresh workspace
+    per call does."""
+
+    @staticmethod
+    def pipeline(text, ds, monkeypatch, fresh):
+        if fresh:
+            fresh_per_call(monkeypatch)
+        built = count_workspaces(monkeypatch)
+        net = Network.from_json(text)
+        logs, counts = [], []
+        for problem, loop, budget in PIPELINE:
+            sink = io.StringIO()
+            config = PruneConfig(problem, TrainConfig(0.01, 0.5, max_epochs=budget),
+                                 accumulation_epochs=2, loop=loop, log_sink=sink)
+            start = len(built)
+            (result,), net = run_pipeline(net, ds, [config])
+            logs.append(sink.getvalue())
+            counts.append((len(built) - start, len(result.steps)))
+        monkeypatch.undo()
+        return logs, net.to_json(), counts
+
+    def test_logs_and_network_equal_fresh_workspaces(self, trained_majority,
+                                                     monkeypatch):
+        text, ds = trained_majority
+        logs, final, counts = self.pipeline(text, ds, monkeypatch, fresh=False)
+        assert (logs, final) == self.pipeline(text, ds, monkeypatch, fresh=True)[:2]
+        assert [built for built, _ in counts] == [1] * len(PIPELINE)
+        records = [[json.loads(line) for line in log.splitlines()] for log in logs]
+        features, neurons, synapses, precision = records
+        # the stages did what this test is about
+        assert any(r["accepted"] and r["refs"] for r in features)
+        assert any(r["accepted"] and r["cascade"] for r in neurons)
+        for stage in (neurons, synapses):
+            # a rejected step restores the snapshot, and a later step of
+            # the same stage, accepted, runs on the reused workspace
+            flags = [r["accepted"] for r in stage]
+            assert (False, True) in zip(flags, flags[1:])
+            assert any(r["epochs_used"] > 0 for r in stage)
+        assert any(r["accepted"] for r in precision)
+        assert '"trainable":false' in final
