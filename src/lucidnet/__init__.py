@@ -70,7 +70,6 @@ from .transparency import (
     evaluate_rules,
     fixtures_A1_A2,
     is_logically_transparent,
-    single_question_rule_network,
     substitute_step,
     verbalize,
 )

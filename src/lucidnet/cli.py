@@ -76,6 +76,15 @@ def _pick(flag_value, config, *keys, default=None):
     return node
 
 
+def _typed(value, key, integer=False):
+    """``value`` if it is a JSON integer (``integer``) or number, not a
+    bool or a string; else TypeError.  Flags arrive typed by argparse."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise TypeError(f"{key!r} must be {'an integer' if integer else 'a number'}, "
+                        f"not {value!r}")
+    return value
+
+
 def _loss_kind(args, config):
     kind = _pick(getattr(args, "loss", None), config, "loss", "kind", default="mse")
     width = _pick(
@@ -83,25 +92,25 @@ def _loss_kind(args, config):
         default=1.0,
     )
     try:
-        return LossKind(kind=kind, margin_width=float(width))
-    except (ValueError, TypeError) as exc:
+        return LossKind(kind=kind, margin_width=float(_typed(width, "margin_width")))
+    except (ValueError, TypeError, OverflowError) as exc:
         raise UsageError(f"invalid loss: {exc}") from None
 
 
 def _train_config(args, config, section="train"):
-    def pick(flag_value, key, default):
-        return _pick(flag_value, config, section, key, default=default)
+    def pick(flag_value, key, default, integer=False):
+        return _typed(_pick(flag_value, config, section, key, default=default), key, integer)
 
     try:
         return TrainConfig(
             learning_rate=float(pick(args.lr, "learning_rate", 0.1)),
             momentum=float(pick(args.momentum, "momentum", 0.0)),
-            max_epochs=int(pick(args.epochs, "max_epochs", 1000)),
+            max_epochs=pick(args.epochs, "max_epochs", 1000, integer=True),
             loss_threshold=float(pick(args.threshold, "loss_threshold", 0.0)),
-            success_criterion=pick(args.criterion, "success_criterion",
-                                   "zero-classification-error"),
+            success_criterion=_pick(args.criterion, config, section, "success_criterion",
+                                    default="zero-classification-error"),
         )
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise UsageError(f"invalid {section} options: {exc}") from None
 
 
@@ -182,18 +191,22 @@ def _stage_config(stage, retrain, loss_kind, log_sink):
     if not isinstance(stage, dict) or "problem" not in stage:
         raise UsageError("a pruning stage must be an object with a 'problem'")
     problem, options = {"kind": stage["problem"]}, {}
+
+    def count(key):
+        return _typed(stage[key], key, integer=True)
+
     try:
         if stage.get("valid_set"):
             problem["valid_set"] = ValidSet(tuple(stage["valid_set"]))
         if "target_fan_in" in stage:
-            problem["target_fan_in"] = int(stage["target_fan_in"])
+            problem["target_fan_in"] = count("target_fan_in")
         if "mode" in stage:
             options["indicator_mode"] = stage["mode"]
         if "accumulation_epochs" in stage:
-            options["accumulation_epochs"] = int(stage["accumulation_epochs"])
+            options["accumulation_epochs"] = count("accumulation_epochs")
         if "initial_m" in stage:
             m = stage["initial_m"]
-            options["initial_m"] = m if m == "half-of-pool" else int(m)
+            options["initial_m"] = m if m == "half-of-pool" else count("initial_m")
         if "loop" in stage:
             options["loop"] = stage["loop"]
         return PruneConfig(problem=PruningProblem(**problem), retrain=retrain,
@@ -220,9 +233,11 @@ def cmd_prune(args):
     if args.problem is not None or not stages:
         if args.problem is None:
             raise UsageError("either --problem or config stages are required")
+        m = args.initial_m  # a string flag: a count or 'half-of-pool'
         stages = [_given(
             problem=args.problem, mode=args.mode, accumulation_epochs=args.acc_epochs,
-            initial_m=args.initial_m, loop=args.loop, target_fan_in=args.target_fan_in,
+            initial_m=int(m) if m and m.removeprefix("-").isdecimal() else m,
+            loop=args.loop, target_fan_in=args.target_fan_in,
             valid_set=args.valid_set and args.valid_set.split(","),
         )]
     elif not isinstance(stages, list):

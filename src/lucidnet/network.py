@@ -11,17 +11,21 @@ vector with its own trainable mask, per-neuron alive flags and activations
 sit beside it, and a per-neuron slot table maps synapse ``s`` of a neuron to
 its column, which keeps ``synapse:l:i:s`` refs and the JSON synapse order.
 
-Edits never change array shapes: removing an input, neuron or synapse
-clears its mask entries and zeroes its weights, so ElementRefs stay valid
-for a whole pruning session and masked or dead units contribute exactly 0.
-``to_doc`` compacts the survivors; ``snapshot``/``restore`` copy arrays.
+Every weight and bias lives in one flat vector, ``Network.params``, laid
+out [weights 1, bias 1, weights 2, ...], every trainable flag in the bool
+vector ``Network.trainable`` of that layout, and the layers' arrays are
+views of them, never rebound.  Edits never change array shapes: removing
+an input, neuron or synapse clears its mask entries and zeroes its weights
+in place, so ElementRefs stay valid for a whole pruning session and masked
+or dead units contribute exactly 0.  ``to_doc`` compacts the survivors;
+``snapshot``/``restore`` copy arrays.
 ``Network.from_doc`` rejects a malformed document with a ``DatasetError``
 (CLI exit code 2).  ``forward_batch``/``backward_batch`` run one masked
-matmul per layer in the buffers of a ``BatchTrace``; a training run makes
-one trace and passes it back to every epoch's ``forward_batch``, so the
-masked inputs and matrices are built once per run.  ``BatchTrace.reset``
-rebinds a trace after a structural edit, so a pruning stage allocates its
-buffers once.
+matmul per layer in the buffers of a ``BatchTrace``, whose flat gradient
+has the layout of ``params``; a training run makes one trace and passes
+it back to every epoch's ``forward_batch``, so the masked inputs and
+matrices are built once per run.  ``BatchTrace.reset`` rebinds a trace
+after a structural edit, so a pruning stage allocates its buffers once.
 """
 
 from __future__ import annotations
@@ -61,13 +65,12 @@ def _activate(kind, sigma):
     raise ValueError(f"unknown activation kind {kind!r}")
 
 
-def _activate_prime(kind, y):
-    # derivatives expressed through the output value y = f(sigma)
-    if kind == "tanh":
-        return 1.0 - y * y
-    if kind == "sigmoid":
-        return 0.5 * (1.0 - y * y)
-    raise NonDifferentiableError("step activation has no derivative")
+def _activate_prime(kind, y, out=None):
+    # through the output y = f(sigma): 1 - y*y (tanh), 0.5 * (1 - y*y) (sigmoid)
+    if kind not in SMOOTH_ACTIVATIONS:
+        raise NonDifferentiableError("step activation has no derivative")
+    out = np.subtract(1.0, np.multiply(y, y, out=out), out=out)
+    return out if kind == "tanh" else np.multiply(out, 0.5, out=out)
 
 
 _KIND_ORDER = {"input": 0, "neuron": 1, "synapse": 2, "bias": 3}
@@ -190,10 +193,6 @@ class Layer:
         self.weights[mask] = 0.0
 
 
-_LAYER_STATE = ("weights", "alive", "trainable", "bias", "bias_trainable",
-                "neuron_alive")
-
-
 class Network:
     """Layered feed-forward network with tombstoning structural edits."""
 
@@ -209,6 +208,13 @@ class Network:
         for layer in layers:
             self.offsets.append(self.offsets[-1] + layer.width)
         self._version = 0
+        self.params = np.concatenate(
+            [a.ravel() for layer in layers for a in (layer.weights, layer.bias)])
+        self.trainable = np.concatenate(
+            [a.ravel() for layer in layers for a in (layer.trainable, layer.bias_trainable)])
+        for layer, (w, b), (t, bt) in zip(layers, self.views(self.params),
+                                          self.views(self.trainable)):
+            layer.weights, layer.bias, layer.trainable, layer.bias_trainable = w, b, t, bt
         width = self.layers[-1].width
         if width == 1:
             if len(self.output_labels) != 2:
@@ -223,6 +229,13 @@ class Network:
     @property
     def n_layers(self):
         return len(self.layers)
+
+    def views(self, flat):
+        """Per layer, (weights, bias) views of a vector in the layout of ``params``."""
+        sizes = [n for layer in self.layers for n in (layer.weights.size, layer.width)]
+        parts = np.split(flat, np.cumsum(sizes)[:-1])
+        return [(w.reshape(layer.weights.shape), b)
+                for layer, w, b in zip(self.layers, parts[::2], parts[1::2])]
 
     def is_output_layer(self, layer):
         return layer == self.n_layers
@@ -579,20 +592,21 @@ class Network:
 
     def snapshot(self):
         """Copy of the mutable state, for ``restore``."""
-        return list(self.active_inputs), [
-            [getattr(layer, name).copy() for name in _LAYER_STATE] + [list(layer.activation)]
-            for layer in self.layers
-        ]
+        return (list(self.active_inputs), self.params.copy(), self.trainable.copy(),
+                [(layer.alive.copy(), layer.neuron_alive.copy(), list(layer.activation))
+                 for layer in self.layers])
 
     def restore(self, snap):
         """Return to the state of a ``snapshot`` of this network; the same
         snapshot can be restored any number of times."""
-        active, layer_states = snap
+        active, params, trainable, layer_states = snap
         self.active_inputs = list(active)
-        for layer, state in zip(self.layers, layer_states):
-            for name, value in zip(_LAYER_STATE, state):
-                np.copyto(getattr(layer, name), value)
-            layer.activation = list(state[-1])
+        np.copyto(self.params, params)
+        np.copyto(self.trainable, trainable)
+        for layer, (alive, neuron_alive, activation) in zip(self.layers, layer_states):
+            np.copyto(layer.alive, alive)
+            np.copyto(layer.neuron_alive, neuron_alive)
+            layer.activation = list(activation)
         self._touch()
 
 
@@ -622,15 +636,17 @@ class BatchTrace:
     ``activations`` is the (N, columns) concatenated value matrix: the
     inputs with masked features zeroed, then every layer's outputs.
     ``values[l]`` is layer l's block of it and ``sigma[l]`` its summator
-    outputs.  The trace also holds the gradient matrix and the dL/dsigma
-    blocks that ``backward_batch`` fills, and whether every live neuron is
-    smooth.  With ``input_grads`` false the backward pass skips
+    outputs.  The trace also holds what ``backward_batch`` fills (the
+    gradient matrix, the dL/dsigma blocks, and ``grad`` in the layout of
+    ``Network.params`` with its per-layer views) and whether every live
+    neuron is smooth.  With ``input_grads`` false the backward pass skips
     dL/d(inputs) and leaves that block at zero.  A trace serves one
     structure of the network; ``reset`` rebinds it to the current one.
     """
 
     __slots__ = ("source", "activations", "values", "sigma", "G", "y_grads",
-                 "d_sigma", "version", "smooth", "input_grads")
+                 "d_sigma", "grad", "weight_grads", "bias_grads", "version",
+                 "smooth", "input_grads")
 
     def __init__(self, net: Network, X, input_grads=True):
         self.source = X
@@ -647,6 +663,10 @@ class BatchTrace:
         self.y_grads = [self.G[:, cols] for cols in blocks]
         self.d_sigma = [None] + [np.empty((X.shape[0], layer.width))
                                  for layer in net.layers]
+        self.grad = np.zeros_like(net.params)
+        # (None, weights 1, ...) and (None, bias 1, ...), made once
+        self.weight_grads, self.bias_grads = map(list, zip((None, None),
+                                                           *net.views(self.grad)))
         self.sigma = [None] * (net.n_layers + 1)
         self.reset(net, input_grads)
 
@@ -676,7 +696,8 @@ class BatchGradients:
 
     ``d_sigma[l]`` is (N, width): per-sample dL^j/dsigma, which is also the
     per-sample bias gradient.  ``weight_grads[l]`` (the shape of layer l's
-    matrix) and ``bias_grads[l]`` are summed over the samples.
+    matrix) and ``bias_grads[l]`` are summed over the samples; they are
+    views of ``flat``, the gradient in the layout of ``Network.params``.
     ``y_grads[l]`` is (N, width); ``input_grads`` is y_grads[0].
     """
 
@@ -684,6 +705,7 @@ class BatchGradients:
     weight_grads: list
     bias_grads: list
     y_grads: list
+    flat: np.ndarray
 
     @property
     def input_grads(self):
@@ -721,18 +743,20 @@ def backward_batch(net: Network, trace: BatchTrace, d_outputs) -> BatchGradients
     A, G = trace.activations, trace.G
     G[:, : off[-2]] = 0.0
     G[:, off[-2]:] = d_outputs
-    weight_grads = [None] * (net.n_layers + 1)
-    bias_grads = [None] * (net.n_layers + 1)
     for l in range(net.n_layers, 0, -1):
         layer = net.layers[l - 1]
         y, g, d_sigma = trace.values[l], trace.y_grads[l], trace.d_sigma[l]
         for kind, cols in layer.groups.items():
-            d_sigma[:, cols] = g[:, cols] * _activate_prime(kind, y[:, cols])
+            if isinstance(cols, slice):  # one group of every neuron: in place
+                np.multiply(g, _activate_prime(kind, y, d_sigma), out=d_sigma)
+            else:
+                d_sigma[:, cols] = g[:, cols] * _activate_prime(kind, y[:, cols])
         if l > 1 or trace.input_grads:  # layer 1 writes only dL/d(inputs)
             G[:, : off[l]] += d_sigma @ layer.weights
-        weight_grads[l] = d_sigma.T @ A[:, : off[l]]
-        bias_grads[l] = d_sigma.sum(axis=0)
-    return BatchGradients(trace.d_sigma, weight_grads, bias_grads, trace.y_grads)
+        np.matmul(d_sigma.T, A[:, : off[l]], out=trace.weight_grads[l])
+        np.add.reduce(d_sigma, axis=0, out=trace.bias_grads[l])
+    return BatchGradients(trace.d_sigma, trace.weight_grads, trace.bias_grads,
+                          trace.y_grads, trace.grad)
 
 
 def build_network(layer_sizes, activation="tanh", output_labels=None, seed=0):

@@ -1,9 +1,10 @@
 """Loss functions and full-batch gradient-descent training.
 
 The optimizer is deliberately plain: one full-batch step per epoch with
-optional classical momentum, applied to trainable elements only.  Full batch
-keeps the per-epoch indicator statistics well defined and makes training a
-deterministic function of (initial network, config).
+optional classical momentum, applied to trainable elements only as one
+masked update of the flat ``net.params`` with a velocity of its layout.
+Full batch keeps the per-epoch indicator statistics well defined and makes
+training a deterministic function of (initial network, config).
 
 An epoch costs one forward pass, one ``loss_terms`` and one backward pass,
 whose criterion check, outcome and gradient step all read the same values.
@@ -74,12 +75,21 @@ def loss_terms(loss_kind: LossKind, targets, outputs):
     zhat = np.asarray(outputs, dtype=float)
     if loss_kind.kind == "mse":
         diff = zhat - z
-        return 0.5 * (diff * diff).sum(axis=1), diff
+        return 0.5 * _row_sums(diff * diff), diff
     margins = loss_kind.margin_width - z * zhat
     active = margins > 0.0  # subgradient 0 exactly at the kink
-    losses = np.where(active, margins, 0.0).sum(axis=1)
+    losses = _row_sums(np.where(active, margins, 0.0))
     grads = np.where(active, -z, 0.0)
     return losses, grads
+
+
+def _row_sums(terms):
+    """``terms.sum(axis=1)`` bit for bit: numpy adds a row of fewer than 8
+    elements to 0.0 left to right, so a narrow array is summed column by
+    column, which is faster than reducing each short row."""
+    if terms.shape[1] >= 8:
+        return terms.sum(axis=1)
+    return sum(terms.T, 0.0)  # 0.0 + column 0 + column 1 + ...
 
 
 def targets_for(dataset, net: Network):
@@ -126,15 +136,12 @@ class EpochWorkspace:
         self.net, self.dataset, self.loss_kind = net, dataset, loss_kind
         self.trace = BatchTrace(net, dataset.features, input_grads)
         self.targets = targets_for(dataset, net)
-        self.velocity = [(np.zeros_like(layer.weights), np.zeros_like(layer.bias))
-                         for layer in net.layers]
+        self.velocity = np.zeros_like(net.params)
 
     def reset(self, input_grads=False):
         """The trace rebound to the network's structure, the velocity zero."""
         self.trace.reset(self.net, input_grads)
-        for v_w, v_b in self.velocity:
-            v_w.fill(0.0)
-            v_b.fill(0.0)
+        self.velocity.fill(0.0)
         return self
 
     @functools.cached_property
@@ -164,10 +171,11 @@ def train_epoch(net: Network, dataset, loss_kind: LossKind, config: TrainConfig,
 
     ``trace`` is the network's forward pass over ``dataset.features`` at its
     current weights and ``terms`` the (total loss, dL/d(outputs)) at it;
-    either is computed when not given.  ``velocity`` is updated in place.
-    Returns (BatchGradients, velocity): the derivatives at ``trace``, which
-    cover frozen elements too.  A non-finite loss or gradient raises
-    DivergenceError counting this one epoch.
+    either is computed when not given.  ``velocity``, in the layout of
+    ``net.params``, is updated in place.  Returns (BatchGradients,
+    velocity): the derivatives at ``trace``, which cover frozen elements
+    too.  A non-finite loss or gradient raises DivergenceError counting
+    this one epoch.
     """
     if trace is None:
         trace = forward_batch(net, dataset.features)
@@ -179,24 +187,16 @@ def train_epoch(net: Network, dataset, loss_kind: LossKind, config: TrainConfig,
 
     if not math.isfinite(loss):
         raise DivergenceError("total loss is not finite", epochs=1)
-    if not all(np.isfinite(g).all() for g in grads.weight_grads[1:] + grads.bias_grads[1:]):
+    if not np.isfinite(grads.flat).all():
         raise DivergenceError("gradient is not finite", epochs=1)
 
     if velocity is None:
-        velocity = [(np.zeros_like(layer.weights), np.zeros_like(layer.bias))
-                    for layer in net.layers]
-    lr, mu = config.learning_rate, config.momentum
-    for l, layer in enumerate(net.layers, start=1):
-        v_w, v_b = velocity[l - 1]
-        v_w *= mu
-        v_w += grads.weight_grads[l] * layer.trainable
-        v_b *= mu
-        v_b += grads.bias_grads[l] * layer.bias_trainable
-        if lr != 0.0:
-            np.subtract(layer.weights, lr * v_w, out=layer.weights,
-                        where=layer.trainable)
-            np.subtract(layer.bias, lr * v_b, out=layer.bias,
-                        where=layer.bias_trainable)
+        velocity = np.zeros_like(net.params)
+    velocity *= config.momentum
+    velocity += grads.flat * net.trainable
+    if config.learning_rate != 0.0:  # a zero step would still flip -0.0
+        np.subtract(net.params, config.learning_rate * velocity, out=net.params,
+                    where=net.trainable)
     return grads, velocity
 
 

@@ -498,17 +498,3 @@ def fixtures_A1_A2():
         RuleSet.from_json((folder / f"{name}.json").read_text(encoding="utf-8"))
         for name in ("a1", "a2")
     )
-
-
-def single_question_rule_network() -> Network:
-    """One frozen step neuron encoding the five-question election rule:
-    the power party wins on at least two yes answers among questions 3, 4,
-    6, and 9, or on one such yes combined with a no on question 8."""
-    weights = {2: 1.0, 3: 1.0, 5: 1.0, 7: -1.0, 8: 1.0}  # 0-based features
-    synapses = [{"src_layer": 0, "src_index": k, "w": w, "trainable": False}
-                for k, w in sorted(weights.items())]
-    neuron = {"bias": {"w": 1.0, "trainable": False}, "synapses": synapses,
-              "activation": "step"}
-    return Network.from_doc({"input_dim": 12, "layers": [[neuron]],
-                             "active_inputs": [k in weights for k in range(12)],
-                             "output_labels": ["P", "O"]})

@@ -77,6 +77,16 @@ def single_neuron_net(weights, bias, activation="step", trainable=False,
     return network_from_layers(input_dim, [[neuron]], labels)
 
 
+def single_question_rule_network():
+    """One frozen step neuron encoding the five-question election rule:
+    the power party wins on at least two yes answers among questions 3, 4,
+    6, and 9, or on one such yes combined with a no on question 8."""
+    weights = {2: 1.0, 3: 1.0, 5: 1.0, 7: -1.0, 8: 1.0}  # 0-based features
+    neuron = neuron_doc(1.0, [(0, k, w) for k, w in sorted(weights.items())])
+    return network_from_layers(12, [[neuron]], ["P", "O"],
+                               [k in weights for k in range(12)])
+
+
 def random_ternary_step_net(rng, n_inputs, hidden_sizes, n_out=1):
     """Frozen random ternary step network; dead fan-outs are possible and
     that is fine for soundness checks."""

@@ -28,7 +28,6 @@ from lucidnet import (
     prune_accelerated,
     prune_basic,
     run_pipeline,
-    single_question_rule_network,
     step_function,
     total_loss,
     train_until,
@@ -43,6 +42,7 @@ from conftest import (
     make_dataset,
     move_weight,
     random_ternary_step_net,
+    single_question_rule_network,
 )
 from indicator_reference import weight_indicator_sample
 from sample_reference import backward, forward

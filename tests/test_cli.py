@@ -15,7 +15,7 @@ from lucidnet.cli import build_parser, main
 from lucidnet.data import ELECTION_FEATURE_NAMES, save_dataset
 from lucidnet.transparency import RuleSet, fixtures_A1_A2
 
-from conftest import majority_dataset, make_dataset
+from conftest import majority_dataset, make_dataset, single_question_rule_network
 
 
 def write(path, text):
@@ -326,6 +326,79 @@ class TestOptionValues:
         assert not (tmp_path / "out" / "network.json").exists()
 
 
+# a config number of the wrong JSON type is refused, not truncated or parsed
+WRONG_INTEGERS = [2.5, 2.0, True, "2"]
+WRONG_NUMBERS = [True, "0.1", None, [0.1]]
+
+
+class TestConfigNumberTypes:
+    """A count in a config must be a JSON integer and a rate or threshold
+    a JSON number; a bool, a string or (for a count) a fraction is a usage
+    error with one ``error:`` line, raised before any output is written."""
+
+    @staticmethod
+    def _refused(capsys, argv, key):
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert repr(key) in err[0]
+
+    def _train(self, tmp_path, capsys, config, key):
+        path = write(tmp_path / "run.json", json.dumps(config))
+        self._refused(capsys, ["train", "--dataset", xor_csv(tmp_path), "--arch", "2,4,1",
+                               "--config", path, "--out", str(tmp_path / "out")], key)
+        assert not (tmp_path / "out" / "network.json").exists()
+
+    def _prune(self, tmp_path, capsys, config, key):
+        path = write(tmp_path / "run.json", json.dumps(config))
+        self._refused(capsys, ["prune", "--network", untrained_network(tmp_path),
+                               "--dataset", xor_csv(tmp_path), "--config", path,
+                               "--out", str(tmp_path / "out")], key)
+        assert not (tmp_path / "out" / "prune_log.jsonl").exists()
+
+    @pytest.mark.parametrize("value", WRONG_INTEGERS)
+    @pytest.mark.parametrize("key", ["max_epochs", "accumulation_epochs",
+                                     "target_fan_in", "initial_m"])
+    def test_integer_fields(self, tmp_path, capsys, key, value):
+        if key == "max_epochs":
+            self._train(tmp_path, capsys, {"train": {key: value}}, key)
+            self._prune(tmp_path, capsys, {"retrain": {key: value},
+                                           "stages": [{"problem": "synapse-removal"}]}, key)
+        else:
+            stage = {"problem": "uniform-simplification", key: value}
+            self._prune(tmp_path, capsys, {"stages": [stage]}, key)
+
+    @pytest.mark.parametrize("value", WRONG_NUMBERS)
+    @pytest.mark.parametrize("key", ["learning_rate", "momentum", "loss_threshold",
+                                     "margin_width"])
+    def test_number_fields(self, tmp_path, capsys, key, value):
+        if key == "margin_width":
+            config = {"loss": {"kind": "margin", key: value}}
+        else:
+            config = {"train": {key: value}}
+        self._train(tmp_path, capsys, config, key)
+
+    def test_integers_serve_as_numbers_and_flags_keep_their_types(self, tmp_path, capsys):
+        path = write(tmp_path / "run.json", json.dumps({
+            "train": {"learning_rate": 1, "momentum": 0, "max_epochs": 5000,
+                      "loss_threshold": 0},
+            "loss": {"kind": "mse", "margin_width": 1}}))
+        assert main(["train", "--dataset", xor_csv(tmp_path), "--arch", "2,6,1",
+                     "--config", path, "--lr", "0.3", "--momentum", "0.9", "--epochs",
+                     "5000", "--seed", "1", "--out", str(tmp_path / "out")]) == 0
+        net = str(tmp_path / "out" / "network.json")
+        assert main(["prune", "--network", net, "--dataset", xor_csv(tmp_path),
+                     "--problem", "synapse-removal", "--initial-m", "2",
+                     "--acc-epochs", "1", "--lr", "0.3", "--epochs", "50",
+                     "--out", str(tmp_path / "pruned")]) == 0
+        capsys.readouterr()
+        for m in ("two", "2.5", "\u00b2", "--3"):
+            assert main(["prune", "--network", net, "--dataset", xor_csv(tmp_path),
+                         "--problem", "synapse-removal", f"--initial-m={m}",
+                         "--out", str(tmp_path / "refused")]) == 1
+            assert "'initial_m' must be an integer" in capsys.readouterr().err
+
+
 class TestValidSetSpelling:
     """``--valid-set -1,0,1`` as documented, and ``--valid-set=-1,0,1``,
     give the same run."""
@@ -374,7 +447,6 @@ class TestVerbalizeCompareEval:
         assert "violation:" in err and "trainable" in err
 
     def test_verbalize_ternary_network(self, tmp_path, capsys):
-        from lucidnet import single_question_rule_network
 
         net = single_question_rule_network()
         net_path = tmp_path / "rule_net.json"
@@ -720,7 +792,6 @@ class TestVerbalizeTexts:
 
     @staticmethod
     def _run(tmp_path, texts):
-        from lucidnet import single_question_rule_network
 
         net_path = tmp_path / "rule_net.json"
         single_question_rule_network().save(net_path)

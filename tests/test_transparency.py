@@ -18,7 +18,6 @@ from lucidnet import (
     forward_batch,
     is_logically_transparent,
     neuron_ref,
-    single_question_rule_network,
     step_function,
     substitute_step,
     synapse_ref,
@@ -35,6 +34,7 @@ from conftest import (
     random_ternary_layers,
     random_ternary_step_net,
     single_neuron_net,
+    single_question_rule_network,
 )
 from sample_reference import forward
 

@@ -70,9 +70,9 @@ from test_network_reference import loaded, network_docs
 PLAIN_TRAIN_EPOCH = training.train_epoch
 
 
-def plain_train_until(net, ds, loss, cfg):
+def plain_train_until(net, ds, loss, cfg, train_epoch=PLAIN_TRAIN_EPOCH):
     """(outcome, velocity) of the epoch loop with nothing kept between
-    epochs but the velocity."""
+    epochs but the velocity, stepping with ``train_epoch``."""
     velocity = None
     epochs = 0
     while True:
@@ -88,7 +88,7 @@ def plain_train_until(net, ds, loss, cfg):
         if met or epochs >= cfg.max_epochs:
             return TrainOutcome(met, epochs, total, accuracy), velocity
         try:
-            _, velocity = PLAIN_TRAIN_EPOCH(net, ds, loss, cfg, velocity, trace=trace)
+            _, velocity = train_epoch(net, ds, loss, cfg, velocity, trace=trace)
         except DivergenceError as exc:
             exc.epochs += epochs
             raise
@@ -124,7 +124,7 @@ def spy_velocity():
 
     def spy(*args, **kwargs):
         grads, velocity = PLAIN_TRAIN_EPOCH(*args, **kwargs)
-        last[:] = [[(v_w.copy(), v_b.copy()) for v_w, v_b in velocity]]
+        last[:] = [velocity.copy()]
         return grads, velocity
 
     return mock.patch.object(training, "train_epoch", spy), last
@@ -175,9 +175,7 @@ class TestTrainUntilEqualsPlainComposition:
             if velocity is None:
                 assert last == []
             else:
-                assert len(last[0]) == len(velocity)
-                for (g_w, g_b), (w_w, w_b) in zip(last[0], velocity):
-                    assert same_bits(g_w, w_w) and same_bits(g_b, w_b)
+                assert same_bits(last[0], velocity)
         else:
             assert got == want
         assert net.to_json() == twin.to_json()
@@ -399,12 +397,11 @@ class TestTraceReset:
         net, ds = xor_case()
         work = EpochWorkspace(net, ds, LossKind("mse"))
         train_until(net, ds, LossKind("mse"), TrainConfig(0.3, 0.9, max_epochs=5), work)
-        assert any(v_w.any() for v_w, _ in work.velocity)
+        assert work.velocity.any()
         net.remove_element(synapse_ref(1, 0, 1))
         assert work.reset() is work
         fresh = EpochWorkspace(net, ds, LossKind("mse"))
-        for (g_w, g_b), (w_w, w_b) in zip(work.velocity, fresh.velocity):
-            assert same_bits(g_w, w_w) and same_bits(g_b, w_b)
+        assert same_bits(work.velocity, fresh.velocity)
         assert trace_state(work.trace) == trace_state(fresh.trace)
 
     def test_a_workspace_of_another_run_is_refused(self):
