@@ -234,10 +234,13 @@ def cmd_prune(args):
         if args.problem is None:
             raise UsageError("either --problem or config stages are required")
         m = args.initial_m  # a string flag: a count or 'half-of-pool'
+        try:
+            m = int(m)
+        except (TypeError, ValueError):
+            pass  # None, or text that _stage_config accepts only as 'half-of-pool'
         stages = [_given(
             problem=args.problem, mode=args.mode, accumulation_epochs=args.acc_epochs,
-            initial_m=int(m) if m and m.removeprefix("-").isdecimal() else m,
-            loop=args.loop, target_fan_in=args.target_fan_in,
+            initial_m=m, loop=args.loop, target_fan_in=args.target_fan_in,
             valid_set=args.valid_set and args.valid_set.split(","),
         )]
     elif not isinstance(stages, list):

@@ -65,12 +65,13 @@ def _activate(kind, sigma):
     raise ValueError(f"unknown activation kind {kind!r}")
 
 
-def _activate_prime(kind, y, out=None):
-    # through the output y = f(sigma): 1 - y*y (tanh), 0.5 * (1 - y*y) (sigmoid)
-    if kind not in SMOOTH_ACTIVATIONS:
-        raise NonDifferentiableError("step activation has no derivative")
-    out = np.subtract(1.0, np.multiply(y, y, out=out), out=out)
-    return out if kind == "tanh" else np.multiply(out, 0.5, out=out)
+def _activate_prime(kind, y):
+    # derivatives expressed through the output value y = f(sigma)
+    if kind == "tanh":
+        return 1.0 - y * y
+    if kind == "sigmoid":
+        return 0.5 * (1.0 - y * y)
+    raise NonDifferentiableError("step activation has no derivative")
 
 
 _KIND_ORDER = {"input": 0, "neuron": 1, "synapse": 2, "bias": 3}
@@ -747,10 +748,7 @@ def backward_batch(net: Network, trace: BatchTrace, d_outputs) -> BatchGradients
         layer = net.layers[l - 1]
         y, g, d_sigma = trace.values[l], trace.y_grads[l], trace.d_sigma[l]
         for kind, cols in layer.groups.items():
-            if isinstance(cols, slice):  # one group of every neuron: in place
-                np.multiply(g, _activate_prime(kind, y, d_sigma), out=d_sigma)
-            else:
-                d_sigma[:, cols] = g[:, cols] * _activate_prime(kind, y[:, cols])
+            d_sigma[:, cols] = g[:, cols] * _activate_prime(kind, y[:, cols])
         if l > 1 or trace.input_grads:  # layer 1 writes only dL/d(inputs)
             G[:, : off[l]] += d_sigma @ layer.weights
         np.matmul(d_sigma.T, A[:, : off[l]], out=trace.weight_grads[l])

@@ -75,21 +75,12 @@ def loss_terms(loss_kind: LossKind, targets, outputs):
     zhat = np.asarray(outputs, dtype=float)
     if loss_kind.kind == "mse":
         diff = zhat - z
-        return 0.5 * _row_sums(diff * diff), diff
+        return 0.5 * (diff * diff).sum(axis=1), diff
     margins = loss_kind.margin_width - z * zhat
     active = margins > 0.0  # subgradient 0 exactly at the kink
-    losses = _row_sums(np.where(active, margins, 0.0))
+    losses = np.where(active, margins, 0.0).sum(axis=1)
     grads = np.where(active, -z, 0.0)
     return losses, grads
-
-
-def _row_sums(terms):
-    """``terms.sum(axis=1)`` bit for bit: numpy adds a row of fewer than 8
-    elements to 0.0 left to right, so a narrow array is summed column by
-    column, which is faster than reducing each short row."""
-    if terms.shape[1] >= 8:
-        return terms.sum(axis=1)
-    return sum(terms.T, 0.0)  # 0.0 + column 0 + column 1 + ...
 
 
 def targets_for(dataset, net: Network):

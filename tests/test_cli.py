@@ -387,10 +387,11 @@ class TestConfigNumberTypes:
                      "--config", path, "--lr", "0.3", "--momentum", "0.9", "--epochs",
                      "5000", "--seed", "1", "--out", str(tmp_path / "out")]) == 0
         net = str(tmp_path / "out" / "network.json")
-        assert main(["prune", "--network", net, "--dataset", xor_csv(tmp_path),
-                     "--problem", "synapse-removal", "--initial-m", "2",
-                     "--acc-epochs", "1", "--lr", "0.3", "--epochs", "50",
-                     "--out", str(tmp_path / "pruned")]) == 0
+        for m in ("2", "+2", " 2"):  # every spelling int() reads
+            assert main(["prune", "--network", net, "--dataset", xor_csv(tmp_path),
+                         "--problem", "synapse-removal", "--initial-m", m,
+                         "--acc-epochs", "1", "--lr", "0.3", "--epochs", "50",
+                         "--out", str(tmp_path / "pruned")]) == 0
         capsys.readouterr()
         for m in ("two", "2.5", "\u00b2", "--3"):
             assert main(["prune", "--network", net, "--dataset", xor_csv(tmp_path),

@@ -18,13 +18,7 @@ from lucidnet import (
     train_epoch,
     train_until,
 )
-from lucidnet.training import (
-    _row_sums,
-    classify_outputs,
-    criterion_met,
-    loss_terms,
-    targets_for,
-)
+from lucidnet.training import classify_outputs, criterion_met, targets_for
 
 from conftest import fresh_trained_xor, make_dataset, single_neuron_net
 
@@ -62,39 +56,6 @@ class TestTotalLoss:
         ds = make_dataset([[1.0], [1.0], [-1.0]], ["pos", "pos", "neg"],
                           class_labels=["pos", "neg"])
         assert total_loss(net, ds, LossKind("mse")) == pytest.approx(1.5)
-
-
-signed = st.tuples(st.booleans(), st.one_of(st.just(0.0), st.floats(1e-8, 1e8)))
-entries = signed.map(lambda pair: -pair[1] if pair[0] else pair[1])
-
-
-class TestRowSums:
-    """``loss_terms`` sums each sample's terms column by column below 8
-    outputs, which must equal numpy's ``sum(axis=1)`` bit for bit."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(width=st.integers(1, 12), data=st.data())
-    def test_equal_numpy_row_sums(self, width, data):
-        n = data.draw(st.integers(1, 12))
-        rows = st.lists(entries, min_size=width, max_size=width)
-        terms = np.array(data.draw(st.lists(rows, min_size=n, max_size=n)))
-        got = _row_sums(terms)
-        assert got.tobytes() == terms.sum(axis=1).tobytes()
-        z = np.where(np.array(data.draw(st.lists(st.booleans(), min_size=n * width,
-                                                 max_size=n * width))), 1.0, -1.0)
-        z = z.reshape(n, width)
-        losses, diff = loss_terms(LossKind("mse"), z, terms)
-        assert losses.tobytes() == (0.5 * ((terms - z) ** 2).sum(axis=1)).tobytes()
-        margins = 0.5 - z * terms
-        losses, _ = loss_terms(LossKind("margin", 0.5), z, terms)
-        assert losses.tobytes() == np.where(margins > 0.0, margins, 0.0).sum(axis=1).tobytes()
-
-    @pytest.mark.parametrize("width", range(1, 13))
-    def test_wide_magnitudes(self, width):
-        rng = np.random.default_rng(width)
-        terms = rng.choice([-1.0, 1.0], size=(3000, width)) * 10.0 ** rng.uniform(
-            -8, 8, size=(3000, width))
-        assert _row_sums(terms).tobytes() == terms.sum(axis=1).tobytes()
 
 
 class TestTrainEpoch:
