@@ -10,7 +10,6 @@ from .data import Dataset, load_dataset
 from .errors import (
     DatasetError,
     DivergenceError,
-    ExcludedElementError,
     IllegalModificationError,
     InputShapeError,
     LucidnetError,

@@ -8,6 +8,7 @@ on stderr.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import functools
 import json
@@ -55,119 +56,158 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_config(path):
-    if path is None:
-        return {}
-    with open(path) as fh:
-        config = json.load(fh)
-    if not isinstance(config, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
-    return config
+# a JSON type: the name an error message gives it, and its test
+JsonType = collections.namedtuple("JsonType", "name test")
+STRING = JsonType("a string", lambda value: isinstance(value, str))
+INTEGER = JsonType("an integer",
+                   lambda value: isinstance(value, int) and not isinstance(value, bool))
+NUMBER = JsonType("a number", lambda value: INTEGER.test(value) or isinstance(value, float))
+OBJECT = JsonType("an object", lambda value: isinstance(value, dict))
 
 
-def _pick(flag_value, config, *keys, default=None):
-    if flag_value is not None:
-        return flag_value
-    node = config
-    for key in keys:
-        if not isinstance(node, dict) or key not in node:
-            return default
-        node = node[key]
-    return node
+def _list_of(name, test, min_len=0):
+    return JsonType(name, lambda value: isinstance(value, list) and len(value) >= min_len
+                    and all(map(test, value)))
 
 
-def _typed(value, key, integer=False):
-    """``value`` if it is a JSON integer (``integer``) or number, not a
-    bool or a string; else TypeError.  Flags arrive typed by argparse."""
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        raise TypeError(f"{key!r} must be {'an integer' if integer else 'a number'}, "
-                        f"not {value!r}")
-    return value
+REQUIRED = object()  # the default of an option that a command cannot run without
+_TRAIN = {
+    "learning_rate": (NUMBER, 0.1),
+    "momentum": (NUMBER, 0.0),
+    "max_epochs": (INTEGER, 1000),
+    "loss_threshold": (NUMBER, 0.0),
+    "success_criterion": (STRING, "zero-classification-error"),
+}
+# Every key a config file may hold: (section, key) -> (JSON type, default).
+# Section None is the top level, and "stages" each object in that list.
+# Each flag's dest is its key.  A stage key left out takes the library's
+# default, which None stands for; a section has no default of its own.
+OPTIONS = {
+    (None, "dataset"): (STRING, REQUIRED),
+    (None, "output_dir"): (STRING, "."),
+    (None, "seed"): (INTEGER, 0),
+    **{(None, key): (OBJECT, None) for key in ("network", "train", "retrain", "loss")},
+    (None, "stages"): (_list_of("a list of pruning stages, each an object with a 'problem'",
+                                lambda item: OBJECT.test(item) and "problem" in item), None),
+    ("network", "file"): (STRING, REQUIRED),
+    ("network", "arch"): (_list_of("a list of layer sizes", INTEGER.test, min_len=1),
+                          REQUIRED),
+    ("network", "activation"): (STRING, "tanh"),
+    ("network", "labels"): (_list_of("a list of strings", STRING.test), None),
+    **{(s, key): spec for s in ("train", "retrain") for key, spec in _TRAIN.items()},
+    ("loss", "kind"): (STRING, "mse"),
+    ("loss", "margin_width"): (NUMBER, 1.0),
+    ("stages", "problem"): (STRING, REQUIRED),
+    ("stages", "mode"): (STRING, None),
+    ("stages", "accumulation_epochs"): (INTEGER, None),
+    ("stages", "initial_m"): (JsonType("an integer or 'half-of-pool'", lambda value: (
+        value == "half-of-pool" or INTEGER.test(value))), None),
+    ("stages", "loop"): (STRING, None),
+    ("stages", "target_fan_in"): (INTEGER, None),
+    ("stages", "valid_set"): (_list_of("a nonempty list of numbers", NUMBER.test, min_len=1),
+                              None),
+}
 
 
-def _loss_kind(args, config):
-    kind = _pick(getattr(args, "loss", None), config, "loss", "kind", default="mse")
-    width = _pick(
-        getattr(args, "margin_width", None), config, "loss", "margin_width",
-        default=1.0,
-    )
+def _checked(section, node):
+    """Refuse a key of ``node`` (the config object, one of its sections or
+    one stage) that OPTIONS lacks, or a value of the wrong JSON type."""
+    where = f" in {section!r}" if section else ""
+    for key, value in node.items():
+        if (section, key) not in OPTIONS:
+            raise UsageError(f"unknown config key {key!r}{where}")
+        json_type, _ = OPTIONS[section, key]
+        if not json_type.test(value):
+            raise UsageError(f"{key!r}{where} must be {json_type.name}, not {value!r}")
+        if json_type is OBJECT:
+            _checked(key, value)
+        elif key == "stages":
+            for stage in value:
+                _checked(key, stage)
+
+
+def _flag_type(section, key, parse):
+    """argparse type: the JSON value that ``parse`` reads from a flag's
+    text, refused in the words of a config value of the wrong type."""
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{key!r} must be {OPTIONS[section, key][0].name}, not {text!r}") from None
+    return convert
+
+
+def _options(args):
+    """``option(section, key)`` of one command: the key's flag if given,
+    else its value in the ``--config`` file, else its default in OPTIONS;
+    a number is a float, and a required option left out is refused."""
+    path = vars(args).get("config")
+    config = {}
+    if path is not None:
+        with open(path) as fh:
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise UsageError(f"config file {path} must hold a JSON object")
+        _checked(None, config)
+
+    def option(section, key):
+        json_type, default = OPTIONS[section, key]
+        value = vars(args).get(key)
+        if value is None:
+            value = (config.get(section, {}) if section else config).get(key, default)
+        if value is REQUIRED:
+            where = f" in {section!r}" if section else ""
+            raise UsageError(f"{key!r}{where} is required: give its flag or its config key")
+        return float(value) if json_type is NUMBER else value
+    return option
+
+
+def _flag_stage(args):
+    """The stage object that the given stage flags make."""
+    return {key: value for key, value in vars(args).items()
+            if ("stages", key) in OPTIONS and value is not None}
+
+
+def _training(option, section):
+    """The TrainConfig of ``section`` and the LossKind."""
     try:
-        return LossKind(kind=kind, margin_width=float(_typed(width, "margin_width")))
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise UsageError(f"invalid loss: {exc}") from None
+        return (TrainConfig(**{key: option(section, key) for key in _TRAIN}),
+                LossKind(option("loss", "kind"), option("loss", "margin_width")))
+    except (ValueError, OverflowError) as exc:
+        raise UsageError(f"invalid training options: {exc}") from None
 
 
-def _train_config(args, config, section="train"):
-    def pick(flag_value, key, default, integer=False):
-        return _typed(_pick(flag_value, config, section, key, default=default), key, integer)
-
-    try:
-        return TrainConfig(
-            learning_rate=float(pick(args.lr, "learning_rate", 0.1)),
-            momentum=float(pick(args.momentum, "momentum", 0.0)),
-            max_epochs=pick(args.epochs, "max_epochs", 1000, integer=True),
-            loss_threshold=float(pick(args.threshold, "loss_threshold", 0.0)),
-            success_criterion=_pick(args.criterion, config, section, "success_criterion",
-                                    default="zero-classification-error"),
-        )
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise UsageError(f"invalid {section} options: {exc}") from None
-
-
-def _out_dir(args, config):
-    out = _pick(args.out, config, "output_dir", default=".")
+def _out_dir(option):
+    out = option(None, "output_dir")
     os.makedirs(out, exist_ok=True)
     return out
-
-
-def _load_dataset_arg(args, config):
-    path = _pick(args.dataset, config, "dataset")
-    if path is None:
-        raise UsageError("a dataset is required (--dataset or config)")
-    return data_mod.load_dataset(path)
 
 
 # -- commands ----------------------------------------------------------------
 
 
-def cmd_train(args):
-    config = _load_config(args.config)
-    dataset = _load_dataset_arg(args, config)
-    arch = _pick(args.arch, config, "network", "arch")
-    if arch is None:
-        raise UsageError("a network architecture is required (--arch or config)")
-    if isinstance(arch, str):
-        try:
-            arch = [int(v) for v in arch.replace("-", ",").split(",")]
-        except ValueError:
-            raise UsageError(f"--arch {arch!r} is not a list of layer sizes") from None
-    if not (isinstance(arch, list) and arch and all(
-            isinstance(v, int) and not isinstance(v, bool) for v in arch)):
-        raise UsageError(f"network arch {arch!r} is not a list of layer sizes")
+def cmd_train(args, option):
+    dataset = data_mod.load_dataset(option(None, "dataset"))
+    arch = option("network", "arch")
     if arch[0] != len(dataset.feature_names):
         raise UsageError(
             f"architecture input width {arch[0]} does not match dataset width "
             f"{len(dataset.feature_names)}"
         )
-    activation = _pick(args.activation, config, "network", "activation",
-                       default="tanh")
-    labels = _pick(args.labels, config, "network", "labels")
-    if labels is None:
-        labels = dataset.class_labels
-    elif isinstance(labels, str):
-        labels = labels.split(",")
+    labels = option("network", "labels")
     try:
-        seed = int(_pick(args.seed, config, "seed", default=0))
-        net = build_network(arch, activation=activation, output_labels=labels, seed=seed)
-    except (ValueError, TypeError) as exc:
+        net = build_network(arch, activation=option("network", "activation"),
+                            output_labels=dataset.class_labels if labels is None else labels,
+                            seed=option(None, "seed"))
+    except ValueError as exc:
         raise UsageError(f"invalid network options: {exc}") from None
-    tcfg = _train_config(args, config)
-    loss_kind = _loss_kind(args, config)
+    tcfg, loss_kind = _training(option, "train")
     try:
         outcome = train_until(net, dataset, loss_kind, tcfg)
     except DatasetError as exc:  # a row label the network cannot output
         raise UsageError(f"invalid network options: {exc}") from None
-    out = _out_dir(args, config)
+    out = _out_dir(option)
     net_path = os.path.join(out, "network.json")
     net.save(net_path)
     print(
@@ -186,66 +226,27 @@ def cmd_train(args):
 
 
 def _stage_config(stage, retrain, loss_kind, log_sink):
-    """PruneConfig of one stage object; a key left out takes the
-    PruningProblem or PruneConfig default."""
-    if not isinstance(stage, dict) or "problem" not in stage:
-        raise UsageError("a pruning stage must be an object with a 'problem'")
-    problem, options = {"kind": stage["problem"]}, {}
-
-    def count(key):
-        return _typed(stage[key], key, integer=True)
-
+    """PruneConfig of one stage object, from flags or the config file; a
+    key left out takes the PruningProblem or PruneConfig default."""
+    options = {{"mode": "indicator_mode"}.get(k, k): v for k, v in stage.items()}
+    problem = {k: options.pop(k) for k in ("valid_set", "target_fan_in") if k in options}
     try:
-        if stage.get("valid_set"):
-            problem["valid_set"] = ValidSet(tuple(stage["valid_set"]))
-        if "target_fan_in" in stage:
-            problem["target_fan_in"] = count("target_fan_in")
-        if "mode" in stage:
-            options["indicator_mode"] = stage["mode"]
-        if "accumulation_epochs" in stage:
-            options["accumulation_epochs"] = count("accumulation_epochs")
-        if "initial_m" in stage:
-            m = stage["initial_m"]
-            options["initial_m"] = m if m == "half-of-pool" else count("initial_m")
-        if "loop" in stage:
-            options["loop"] = stage["loop"]
-        return PruneConfig(problem=PruningProblem(**problem), retrain=retrain,
+        if "valid_set" in problem:
+            problem["valid_set"] = ValidSet(tuple(problem["valid_set"]))
+        return PruneConfig(PruningProblem(options.pop("problem"), **problem), retrain,
                            loss_kind=loss_kind, log_sink=log_sink, **options)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise UsageError(f"invalid pruning options: {exc}") from None
 
 
-def _given(**options):
-    """The options whose flags were given."""
-    return {key: value for key, value in options.items() if value is not None}
-
-
-def cmd_prune(args):
-    config = _load_config(args.config)
-    dataset = _load_dataset_arg(args, config)
-    net_path = _pick(args.network, config, "network", "file")
-    if net_path is None:
-        raise UsageError("a trained network file is required (--network)")
-    net = Network.load(net_path)
-    retrain = _train_config(args, config, section="retrain")
-    loss_kind = _loss_kind(args, config)
-    stages = config.get("stages")
-    if args.problem is not None or not stages:
-        if args.problem is None:
-            raise UsageError("either --problem or config stages are required")
-        m = args.initial_m  # a string flag: a count or 'half-of-pool'
-        try:
-            m = int(m)
-        except (TypeError, ValueError):
-            pass  # None, or text that _stage_config accepts only as 'half-of-pool'
-        stages = [_given(
-            problem=args.problem, mode=args.mode, accumulation_epochs=args.acc_epochs,
-            initial_m=m, loop=args.loop, target_fan_in=args.target_fan_in,
-            valid_set=args.valid_set and args.valid_set.split(","),
-        )]
-    elif not isinstance(stages, list):
-        raise UsageError("config 'stages' must be a list")
-    out = _out_dir(args, config)
+def cmd_prune(args, option):
+    dataset = data_mod.load_dataset(option(None, "dataset"))
+    net = Network.load(option("network", "file"))
+    retrain, loss_kind = _training(option, "retrain")
+    stages = [_flag_stage(args)] if args.problem is not None else option(None, "stages")
+    if not stages:
+        raise UsageError("either --problem or config stages are required")
+    out = _out_dir(option)
     log_path = os.path.join(out, "prune_log.jsonl")
     for stage in stages:  # refuse a bad stage before the log exists
         _stage_config(stage, retrain, loss_kind, None)
@@ -266,30 +267,27 @@ def cmd_prune(args):
     return 0
 
 
-def cmd_indicators(args):
-    config = _load_config(args.config)
-    dataset = _load_dataset_arg(args, config)
-    net = Network.load(args.network)
-    tcfg = _train_config(args, config)
-    loss_kind = _loss_kind(args, config)
+def cmd_indicators(args, option):
+    dataset = data_mod.load_dataset(option(None, "dataset"))
+    net = Network.load(option("network", "file"))
+    tcfg, loss_kind = _training(option, "train")
     # rate the candidate pool that the class's pruning problem takes
-    stage = _stage_config(_given(
-        problem={"input": "feature-selection", "weight": "precision-reduction",
-                 "neuron": "neuron-removal"}[args.element_class],
-        mode=args.mode, accumulation_epochs=args.acc_epochs,
-        valid_set=(args.valid_set or "0").split(",")
-        if args.element_class == "weight" else None,
-    ), tcfg, loss_kind, None)
+    stage = _flag_stage(args)
+    stage["problem"] = {"input": "feature-selection", "weight": "precision-reduction",
+                        "neuron": "neuron-removal"}[args.element_class]
+    if stage["problem"] != "precision-reduction":
+        del stage["valid_set"]  # only the weight class reads a valid set
+    stage = _stage_config(stage, tcfg, loss_kind, None)
     # the ledger trains the loaded network in memory; the file is untouched
     final_map = rate_pool(net, dataset, stage, candidate_pool(net, stage.problem))
-    out = _out_dir(args, config)
+    out = _out_dir(option)
     csv_path = os.path.join(out, "indicators.csv")
     export_csv(final_map, args.element_class, stage.indicator_mode, csv_path)
     print(f"elements={len(final_map)} csv={csv_path}")
     return 0
 
 
-def cmd_verbalize(args):
+def cmd_verbalize(args, option):
     net = Network.load(args.network)
     transparent, violations = is_logically_transparent(net)
     hard = [v for v in violations if v[1] in ("trainable", "non-ternary")]
@@ -332,7 +330,7 @@ def cmd_verbalize(args):
                 "training decisions (summators too close to the threshold)"
             )
     ruleset = verbalize(net, feature_names=feature_names, feature_texts=texts)
-    out = _out_dir(args, {})
+    out = _out_dir(option)
     rules_json = os.path.join(out, "rules.json")
     rules_txt = os.path.join(out, "rules.txt")
     ruleset.save(rules_json)
@@ -347,11 +345,11 @@ def cmd_verbalize(args):
     return 0
 
 
-def cmd_compare(args):
+def cmd_compare(args, option):
     r1 = RuleSet.load(args.rules1)
     r2 = RuleSet.load(args.rules2)
     comparison = compare_rulesets(r1, r2)
-    out = _out_dir(args, {})
+    out = _out_dir(option)
     csv_path = os.path.join(out, "disagreements.csv")
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -370,7 +368,7 @@ def cmd_compare(args):
     return 0
 
 
-def cmd_eval(args):
+def cmd_eval(args, option):
     if (args.network is None) == (args.rules is None):
         raise UsageError("exactly one of --network or --rules is required")
     dataset = data_mod.load_dataset(args.dataset)
@@ -389,8 +387,8 @@ def cmd_eval(args):
     return 0
 
 
-def cmd_export_fixtures(args):
-    out = _out_dir(args, {})
+def cmd_export_fixtures(args, option):
+    out = _out_dir(option)
     a1, a2 = fixtures_A1_A2()
     a1_path = os.path.join(out, "a1.json")
     a2_path = os.path.join(out, "a2.json")
@@ -404,79 +402,77 @@ def cmd_export_fixtures(args):
     return 0
 
 
-def _add_train_flags(p):
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--momentum", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--criterion", choices=(
-        "loss-below-threshold", "zero-classification-error"), default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--loss", choices=("mse", "margin"), default=None)
-    p.add_argument("--margin-width", type=float, default=None, dest="margin_width")
-    p.add_argument("--seed", type=int, default=None)
-
-
 @functools.cache
 def build_parser():
     """The command-line parser, built on first use and shared after that:
     nothing changes it once built, and each parse makes a fresh Namespace."""
     parser = _Parser(prog="lucidnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags of the commands that read a config file
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--dataset")
+    configured.add_argument("--config")
+    configured.add_argument("--out", dest="output_dir")
+    configured.add_argument("--lr", type=float, dest="learning_rate")
+    configured.add_argument("--momentum", type=float)
+    configured.add_argument("--epochs", type=int, dest="max_epochs")
+    configured.add_argument("--criterion", choices=(
+        "loss-below-threshold", "zero-classification-error"), dest="success_criterion")
+    configured.add_argument("--threshold", type=float, dest="loss_threshold")
+    configured.add_argument("--loss", choices=("mse", "margin"), dest="kind")
+    configured.add_argument("--margin-width", type=float)
+    configured.add_argument("--seed", type=int)
+    valid_set = _flag_type("stages", "valid_set",
+                           lambda text: [float(v) for v in text.split(",")])
 
-    p = sub.add_parser("train", help="train a fresh network on a dataset")
-    p.add_argument("--dataset")
-    p.add_argument("--arch", help="layer sizes, e.g. 12,10,10,2")
+    p = sub.add_parser("train", parents=[configured],
+                       help="train a fresh network on a dataset")
+    p.add_argument("--arch", help="layer sizes, e.g. 12,10,10,2", type=_flag_type(
+        "network", "arch", lambda text: [int(v) for v in text.replace("-", ",").split(",")]))
     p.add_argument("--activation", choices=("tanh", "sigmoid"))
-    p.add_argument("--labels", help="output class labels, e.g. P,O")
-    p.add_argument("--config")
-    p.add_argument("--out")
-    _add_train_flags(p)
+    p.add_argument("--labels", help="output class labels, e.g. P,O",
+                   type=lambda text: text.split(","))
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("prune", help="run pruning stages on a trained network")
-    p.add_argument("--network")
-    p.add_argument("--dataset")
-    p.add_argument("--config")
+    p = sub.add_parser("prune", parents=[configured],
+                       help="run pruning stages on a trained network")
+    p.add_argument("--network", dest="file")
     p.add_argument("--problem", choices=(
         "feature-selection", "neuron-removal", "synapse-removal",
         "precision-reduction", "uniform-simplification"))
     p.add_argument("--mode", choices=("max", "avg"))
-    p.add_argument("--valid-set", dest="valid_set",
+    p.add_argument("--valid-set", type=valid_set,
                    help="comma-separated values, e.g. -1,0,1")
-    p.add_argument("--target-fan-in", type=int, dest="target_fan_in")
-    p.add_argument("--acc-epochs", type=int, dest="acc_epochs")
-    p.add_argument("--initial-m", dest="initial_m")
+    p.add_argument("--target-fan-in", type=int)
+    p.add_argument("--acc-epochs", type=int, dest="accumulation_epochs")
+    p.add_argument("--initial-m", type=_flag_type(
+        "stages", "initial_m", lambda text: text if text == "half-of-pool" else int(text)))
     p.add_argument("--loop", choices=("basic", "accelerated"))
-    p.add_argument("--out")
-    _add_train_flags(p)
     p.set_defaults(func=cmd_prune)
 
-    p = sub.add_parser("indicators", help="export a sensitivity indicator table")
-    p.add_argument("--network", required=True)
-    p.add_argument("--dataset")
-    p.add_argument("--element-class", dest="element_class", required=True,
+    p = sub.add_parser("indicators", parents=[configured],
+                       help="export a sensitivity indicator table")
+    p.add_argument("--network", dest="file", required=True)
+    p.add_argument("--element-class", required=True,
                    choices=("input", "weight", "neuron"))
     p.add_argument("--mode", choices=("max", "avg"))
-    p.add_argument("--valid-set", dest="valid_set")
-    p.add_argument("--acc-epochs", type=int, dest="acc_epochs")
-    p.add_argument("--config")
-    p.add_argument("--out")
-    _add_train_flags(p)
+    p.add_argument("--valid-set", type=valid_set, default=[0])
+    p.add_argument("--acc-epochs", type=int, dest="accumulation_epochs")
     p.set_defaults(func=cmd_indicators)
 
     p = sub.add_parser("verbalize", help="extract threshold rules from a "
                                          "frozen ternary network")
     p.add_argument("--network", required=True)
     p.add_argument("--dataset", help="dataset whose header names the features")
-    p.add_argument("--feature-names", dest="feature_names")
+    p.add_argument("--feature-names")
     p.add_argument("--texts", help="JSON file of feature sentence pairs")
-    p.add_argument("--out")
+    p.add_argument("--out", dest="output_dir")
     p.set_defaults(func=cmd_verbalize)
 
     p = sub.add_parser("compare", help="exhaustively compare two rule sets")
     p.add_argument("--rules1", required=True)
     p.add_argument("--rules2", required=True)
-    p.add_argument("--out")
+    p.add_argument("--out", dest="output_dir")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("eval", help="accuracy of a network or rule set on a dataset")
@@ -487,7 +483,7 @@ def build_parser():
 
     p = sub.add_parser("export-fixtures", help="write the shipped election "
                                                "rule sets and CSV template")
-    p.add_argument("--out")
+    p.add_argument("--out", dest="output_dir")
     p.set_defaults(func=cmd_export_fixtures)
     return parser
 
@@ -496,17 +492,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return args.func(args, _options(args))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NotTrainedError, PipelineAbort, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except LucidnetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # a missing file, a directory, no permission
+    except (LucidnetError, OSError) as exc:  # OSError: missing, a directory, no permission
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UnicodeDecodeError as exc:

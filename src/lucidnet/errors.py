@@ -21,10 +21,6 @@ class IllegalModificationError(LucidnetError):
     """Attempted structural edit on a protected element (output neurons)."""
 
 
-class ExcludedElementError(LucidnetError):
-    """Indicator requested for an element outside the candidate pool."""
-
-
 class DivergenceError(LucidnetError):
     """Training produced a non-finite loss or gradient.  ``epochs`` counts
     the ``train_epoch`` calls the training made, the raising one included."""

@@ -7,8 +7,12 @@ pruning steps against them.
 
 import numpy as np
 
-from lucidnet import ExcludedElementError, StaleReferenceError
+from lucidnet import LucidnetError, StaleReferenceError
 from lucidnet.network import ElementRef, Network
+
+
+class ExcludedElementError(LucidnetError):
+    """Indicator requested for an element outside the candidate pool."""
 
 
 def input_indicator_sample(trace, gradients, k) -> float:

@@ -2,6 +2,7 @@ import csv
 import importlib.resources
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 import lucidnet
 from lucidnet import DatasetError, Network, load_dataset
-from lucidnet.cli import build_parser, main
+from lucidnet.cli import OPTIONS, REQUIRED, build_parser, main
 from lucidnet.data import ELECTION_FEATURE_NAMES, save_dataset
 from lucidnet.transparency import RuleSet, fixtures_A1_A2
 
@@ -118,9 +119,7 @@ class TestTrainCommand:
         config = write(tmp_path / "run.json", json.dumps({
             "dataset": data,
             "network": {"arch": [2, 6, 1], "labels": ["pos", "neg"]},
-            # keys the CLI does not read, such as rng_seed, are ignored
-            "train": {"learning_rate": 0.3, "momentum": 0.9,
-                      "max_epochs": 5000, "rng_seed": 7},
+            "train": {"learning_rate": 0.3, "momentum": 0.9, "max_epochs": 5000},
             "output_dir": str(tmp_path / "from_config"),
         }))
         code = main(["train", "--config", config, "--seed", "2"])
@@ -221,7 +220,7 @@ BAD_OPTION_FLAGS = [
     ("train-momentum", ["train", "--dataset", "{data}", "--arch", "2,4,1",
                         "--momentum", "1.5"], "momentum must lie in [0, 1)"),
     ("train-arch", ["train", "--dataset", "{data}", "--arch", "3,x,1"],
-     "is not a list of layer sizes"),
+     "'arch' must be a list of layer sizes"),
     ("train-layer-size", ["train", "--dataset", "{data}", "--arch", "2,0,1"],
      "layer sizes must be positive"),
     ("train-seed", ["train", "--dataset", "{data}", "--arch", "2,4,1", "--seed", "-1"],
@@ -230,8 +229,8 @@ BAD_OPTION_FLAGS = [
                       "--epochs", "-5"], "max_epochs must be nonnegative"),
     ("train-duplicate-labels", ["train", "--dataset", "{data}", "--arch", "2,4,1",
                                 "--labels", "pos,pos"], "repeat a label"),
-    ("prune-valid-set", PRUNE + ["--problem", "precision-reduction",
-                                 "--valid-set=a,b"], "could not convert"),
+    ("prune-valid-set", PRUNE + ["--problem", "precision-reduction", "--valid-set=a,b"],
+     "'valid_set' must be a nonempty list of numbers"),
     ("prune-acc-epochs", PRUNE + ["--problem", "synapse-removal",
                                   "--acc-epochs", "0"], "accumulation epoch"),
     ("prune-target-fan-in", PRUNE + ["--problem", "uniform-simplification",
@@ -243,6 +242,10 @@ BAD_OPTION_FLAGS = [
     ("indicators-acc-epochs", INDICATORS + ["--element-class", "input",
                                             "--acc-epochs", "0"],
      "accumulation epoch"),
+    ("train-no-dataset", ["train", "--arch", "2,4,1"], "'dataset' is required"),
+    ("train-no-arch", ["train", "--dataset", "{data}"], "'arch' in 'network' is required"),
+    ("prune-no-network", ["prune", "--dataset", "{data}", "--problem", "synapse-removal"],
+     "'file' in 'network' is required"),
 ]
 BAD_PRUNE_CONFIGS = [
     ("unknown-problem", {"stages": [{"problem": "bogus"}]},
@@ -322,7 +325,7 @@ class TestOptionValues:
         self._usage_error(capsys, [
             "train", "--dataset", xor_csv(tmp_path), "--config", path,
             "--out", str(tmp_path / "out"),
-        ], "is not a list of layer sizes")
+        ], "'arch' in 'network' must be a list of layer sizes")
         assert not (tmp_path / "out" / "network.json").exists()
 
 
@@ -332,9 +335,10 @@ WRONG_NUMBERS = [True, "0.1", None, [0.1]]
 
 
 class TestConfigNumberTypes:
-    """A count in a config must be a JSON integer and a rate or threshold
-    a JSON number; a bool, a string or (for a count) a fraction is a usage
-    error with one ``error:`` line, raised before any output is written."""
+    """A count in a config must be a JSON integer, a rate or threshold a
+    JSON number and a path a JSON string; a bool, a string or (for a count)
+    a fraction is a usage error with one ``error:`` line, raised before any
+    output is written.  So is a key that no command reads."""
 
     @staticmethod
     def _refused(capsys, argv, key):
@@ -358,25 +362,74 @@ class TestConfigNumberTypes:
 
     @pytest.mark.parametrize("value", WRONG_INTEGERS)
     @pytest.mark.parametrize("key", ["max_epochs", "accumulation_epochs",
-                                     "target_fan_in", "initial_m"])
+                                     "target_fan_in", "initial_m", "seed"])
     def test_integer_fields(self, tmp_path, capsys, key, value):
         if key == "max_epochs":
             self._train(tmp_path, capsys, {"train": {key: value}}, key)
             self._prune(tmp_path, capsys, {"retrain": {key: value},
                                            "stages": [{"problem": "synapse-removal"}]}, key)
+        elif key == "seed":
+            self._train(tmp_path, capsys, {key: value}, key)
         else:
             stage = {"problem": "uniform-simplification", key: value}
             self._prune(tmp_path, capsys, {"stages": [stage]}, key)
 
     @pytest.mark.parametrize("value", WRONG_NUMBERS)
     @pytest.mark.parametrize("key", ["learning_rate", "momentum", "loss_threshold",
-                                     "margin_width"])
+                                     "margin_width", "valid_set"])
     def test_number_fields(self, tmp_path, capsys, key, value):
+        if key == "valid_set":  # a list of numbers
+            stage = {"problem": "precision-reduction", key: [-1, value, 1]}
+            self._prune(tmp_path, capsys, {"stages": [stage]}, key)
+            return
         if key == "margin_width":
             config = {"loss": {"kind": "margin", key: value}}
         else:
             config = {"train": {key: value}}
         self._train(tmp_path, capsys, config, key)
+
+    @pytest.mark.parametrize("value", [[False, "1"], "012", [], 0, None])
+    def test_valid_set_is_a_list_of_numbers(self, tmp_path, capsys, value):
+        stage = {"problem": "precision-reduction", "valid_set": value}
+        self._prune(tmp_path, capsys, {"stages": [stage]}, "valid_set")
+
+    @pytest.mark.parametrize("command, config, key", [
+        ("train", {"dataset": 0}, "dataset"),
+        ("train", {"output_dir": 7}, "output_dir"),
+        ("prune", {"network": {"file": 0}, "stages": [{"problem": "synapse-removal"}]},
+         "file"),
+    ], ids=["dataset", "output-dir", "network-file"])
+    def test_path_fields(self, tmp_path, capsys, monkeypatch, command, config, key):
+        # a number read as a path would open a file descriptor or land here
+        monkeypatch.chdir(tmp_path)
+        data = xor_csv(tmp_path)
+        path = write(tmp_path / "run.json", json.dumps(config))
+        argv = {"train": ["train", "--arch", "2,4,1"],
+                "prune": ["prune", "--dataset", data]}[command]
+        if key != "dataset":
+            argv += ["--dataset", data]
+        self._refused(capsys, argv + ["--config", path], key)
+        assert not list(tmp_path.rglob("network.json"))
+        assert not list(tmp_path.rglob("prune_log.jsonl"))
+
+    @pytest.mark.parametrize("config, message", [
+        ({"outdir": "run"}, "unknown config key 'outdir'"),
+        ({"train": {"lr": 0.3}}, "unknown config key 'lr' in 'train'"),
+        ({"stages": [{"problem": "synapse-removal", "acc_epochs": 3}]},
+         "unknown config key 'acc_epochs' in 'stages'"),
+        ({"train": {"rng_seed": 7}}, "unknown config key 'rng_seed' in 'train'"),
+        ({"train": 5}, "'train' must be an object, not 5"),
+    ], ids=["top-level", "section", "stage", "section-extra", "section-not-object"])
+    def test_unknown_keys(self, tmp_path, capsys, config, message):
+        """Each command refuses the file, even where it would not read it."""
+        path = write(tmp_path / "run.json", json.dumps(config))
+        for argv in (["train", "--dataset", xor_csv(tmp_path), "--arch", "2,4,1"],
+                     ["prune", "--network", untrained_network(tmp_path),
+                      "--dataset", xor_csv(tmp_path), "--problem", "synapse-removal"]):
+            assert main(argv + ["--config", path, "--out", str(tmp_path / "out")]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0] == f"error: {message}"
+        assert not (tmp_path / "out").exists()
 
     def test_integers_serve_as_numbers_and_flags_keep_their_types(self, tmp_path, capsys):
         path = write(tmp_path / "run.json", json.dumps({
@@ -398,6 +451,30 @@ class TestConfigNumberTypes:
                          "--problem", "synapse-removal", f"--initial-m={m}",
                          "--out", str(tmp_path / "refused")]) == 1
             assert "'initial_m' must be an integer" in capsys.readouterr().err
+
+
+class TestStageFromFlagsOrFile:
+    """``prune --problem`` and its stage flags make the same stage as the
+    config file's stage object with the same keys."""
+
+    def test_flags_and_file_make_the_same_stage(self, tmp_path, capsys):
+        data, out = trained_xor(tmp_path)
+        retrain = ["--lr", "0.05", "--epochs", "200"]
+        flags = ["--problem", "precision-reduction", "--valid-set", "-1,0,1",
+                 "--mode", "max", "--acc-epochs", "2", "--loop", "accelerated",
+                 "--initial-m", "2"]
+        stage = {"problem": "precision-reduction", "valid_set": [-1, 0, 1], "mode": "max",
+                 "accumulation_epochs": 2, "loop": "accelerated", "initial_m": 2}
+        config = write(tmp_path / "run.json", json.dumps({"stages": [stage]}))
+        outputs = []
+        for k, extra in enumerate((flags, ["--config", config])):
+            dest = tmp_path / f"pruned{k}"
+            assert main(["prune", "--network", str(out / "network.json"), "--dataset", data,
+                         *retrain, *extra, "--out", str(dest)]) == 0
+            outputs.append(((dest / "network.json").read_bytes(),
+                            (dest / "prune_log.jsonl").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][1].splitlines()[0])["M"] == 2
 
 
 class TestValidSetSpelling:
@@ -870,3 +947,45 @@ class TestParserReuse:
         build_parser.cache_clear()
         assert main(["eval", "--rules", rules, "--dataset", data]) == 0
         assert capsys.readouterr() == reused
+
+
+class TestReadmeConfig:
+    """The README's config example runs, and its key table is OPTIONS."""
+
+    @staticmethod
+    def _section():
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text[text.index("### Config files"):]
+        return section[:section.index("\n## ")]
+
+    def test_example_runs_train_then_prune(self, tmp_path, capsys):
+        config = json.loads(re.search(r"```json\n(.*?)```", self._section(), re.S)[1])
+        config.update(dataset=xor_csv(tmp_path), output_dir=str(tmp_path / "run"))
+        path = write(tmp_path / "run.json", json.dumps(config))
+        assert main(["train", "--config", path]) == 0
+        net = str(tmp_path / "run" / "network.json")
+        assert main(["prune", "--config", path, "--network", net,
+                     "--out", str(tmp_path / "run" / "pruned")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in lines if line.startswith("stage=")] == [
+            f"problem={stage['problem']}" for stage in config["stages"]]
+
+    def test_key_table_is_the_option_table(self):
+        rows = {}
+        for line in self._section().splitlines():
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            if len(cells) != 5 or not cells[1].startswith("`"):
+                continue
+            sections, keys, json_type, _, default = cells
+            for section in sections.split(", "):
+                for key in keys.split(", "):
+                    rows[None if section == "top level" else section.strip("`"),
+                         key.strip("`")] = (json_type, default)
+        assert rows.keys() == OPTIONS.keys()
+        for option, (json_type, default) in OPTIONS.items():
+            doc_type, doc_default = rows[option]
+            assert doc_type == json_type.name.split(" ", 1)[1], option
+            if default is REQUIRED:
+                assert doc_default.startswith("required"), option
+            elif default is not None:
+                assert doc_default == f"`{json.dumps(default)}`", option

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from lucidnet import (
-    ExcludedElementError,
     LossKind,
     PruningProblem,
     StaleReferenceError,
@@ -27,6 +26,7 @@ from lucidnet.training import loss_terms, targets_for
 
 from conftest import make_dataset, single_neuron_net
 from indicator_reference import (
+    ExcludedElementError,
     aggregate_samples,
     input_indicator_sample,
     neuron_indicator_sample,
