@@ -202,6 +202,8 @@ def cmd_train(args, option):
                             seed=option(None, "seed"))
     except ValueError as exc:
         raise UsageError(f"invalid network options: {exc}") from None
+    except MemoryError:
+        raise UsageError(f"invalid network options: no memory for layer sizes {arch}") from None
     tcfg, loss_kind = _training(option, "train")
     try:
         outcome = train_until(net, dataset, loss_kind, tcfg)
@@ -304,6 +306,9 @@ def cmd_verbalize(args, option):
         feature_names = dataset.feature_names
     elif args.feature_names:
         feature_names = args.feature_names.split(",")
+    if feature_names is not None and len(feature_names) != net.input_dim:
+        raise UsageError(f"{len(feature_names)} feature names for a network "
+                         f"of {net.input_dim} inputs")
     texts = {}
     if args.texts:
         with open(args.texts) as fh:

@@ -21,10 +21,10 @@ or dead units contribute exactly 0.  ``to_doc`` compacts the survivors;
 ``snapshot``/``restore`` copy arrays.
 ``Network.from_doc`` rejects a malformed document with a ``DatasetError``
 (CLI exit code 2).  ``forward_batch``/``backward_batch`` run one masked
-matmul per layer in the buffers of a ``BatchTrace``, whose flat gradient
-has the layout of ``params``; a training run makes one trace and passes
-it back to every epoch's ``forward_batch``, so the masked inputs and
-matrices are built once per run.  ``BatchTrace.reset`` rebinds a trace
+matmul per layer in the buffers of a ``BatchTrace`` and return it; its
+flat gradient has the layout of ``params``.  A training run makes one trace
+and passes it back to every epoch's ``forward_batch``, so the masked inputs
+and matrices are built once per run.  ``BatchTrace.reset`` rebinds a trace
 after a structural edit, so a pruning stage allocates its buffers once.
 """
 
@@ -637,12 +637,14 @@ class BatchTrace:
     ``activations`` is the (N, columns) concatenated value matrix: the
     inputs with masked features zeroed, then every layer's outputs.
     ``values[l]`` is layer l's block of it and ``sigma[l]`` its summator
-    outputs.  The trace also holds what ``backward_batch`` fills (the
-    gradient matrix, the dL/dsigma blocks, and ``grad`` in the layout of
-    ``Network.params`` with its per-layer views) and whether every live
-    neuron is smooth.  With ``input_grads`` false the backward pass skips
-    dL/d(inputs) and leaves that block at zero.  A trace serves one
-    structure of the network; ``reset`` rebinds it to the current one.
+    outputs.  ``backward_batch`` fills ``y_grads[l]``, layer l's block of
+    the gradient matrix ``G`` (``y_grads[0]``: the inputs'), ``d_sigma[l]``,
+    the per-sample dL/dsigma and bias gradients, and ``grad``, the sum over
+    the samples in the layout of ``Network.params``, whose per-layer views
+    are ``weight_grads`` and ``bias_grads``.  With ``input_grads`` false it
+    leaves ``y_grads[0]`` at zero.  ``smooth`` says whether every live
+    neuron is smooth.  A trace serves one structure of the network;
+    ``reset`` rebinds it to the current one.
     """
 
     __slots__ = ("source", "activations", "values", "sigma", "G", "y_grads",
@@ -691,28 +693,6 @@ class BatchTrace:
         return self.values[-1]
 
 
-@dataclass
-class BatchGradients:
-    """Reverse-mode derivatives of a batch.
-
-    ``d_sigma[l]`` is (N, width): per-sample dL^j/dsigma, which is also the
-    per-sample bias gradient.  ``weight_grads[l]`` (the shape of layer l's
-    matrix) and ``bias_grads[l]`` are summed over the samples; they are
-    views of ``flat``, the gradient in the layout of ``Network.params``.
-    ``y_grads[l]`` is (N, width); ``input_grads`` is y_grads[0].
-    """
-
-    d_sigma: list
-    weight_grads: list
-    bias_grads: list
-    y_grads: list
-    flat: np.ndarray
-
-    @property
-    def input_grads(self):
-        return self.y_grads[0]
-
-
 def forward_batch(net: Network, X, trace: BatchTrace | None = None) -> BatchTrace:
     """Every unit's value on each row of X, written into ``trace`` when
     given (a trace over this X, made or reset at the network's current
@@ -731,9 +711,9 @@ def forward_batch(net: Network, X, trace: BatchTrace | None = None) -> BatchTrac
     return trace
 
 
-def backward_batch(net: Network, trace: BatchTrace, d_outputs) -> BatchGradients:
+def backward_batch(net: Network, trace: BatchTrace, d_outputs) -> BatchTrace:
     """Derivatives of a loss whose dL/d(outputs) is ``d_outputs``, written
-    into the gradient buffers of ``trace``."""
+    into the gradient buffers of ``trace``, which is returned."""
     if trace.version != net._version:
         raise StaleReferenceError("trace was produced by a different structure")
     if not trace.smooth:
@@ -753,8 +733,7 @@ def backward_batch(net: Network, trace: BatchTrace, d_outputs) -> BatchGradients
             G[:, : off[l]] += d_sigma @ layer.weights
         np.matmul(d_sigma.T, A[:, : off[l]], out=trace.weight_grads[l])
         np.add.reduce(d_sigma, axis=0, out=trace.bias_grads[l])
-    return BatchGradients(trace.d_sigma, trace.weight_grads, trace.bias_grads,
-                          trace.y_grads, trace.grad)
+    return trace
 
 
 def build_network(layer_sizes, activation="tanh", output_labels=None, seed=0):

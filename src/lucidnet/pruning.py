@@ -11,9 +11,10 @@ retrain of the stage resets and reuses it, so the stage allocates its
 buffers once.  The basic loop modifies one element per pass; the accelerated
 loop modifies batches of M, halving M on failure without recomputing the
 indicators, and stops once a single-element attempt fails.  The basic loop
-is the accelerated one with M fixed at 1.  A step whose training diverges
-counts as a failed retrain: the snapshot is restored and the step is logged
-with the reason.
+is the accelerated one with M fixed at 1, and both first refuse a network
+that does not meet the retrain's success criterion.  A step whose training
+diverges counts as a failed retrain: the snapshot is restored and the step
+is logged with the reason.
 
 The result says which way the loop stopped: "pool-exhausted" when no
 candidate of the class was left, or "failed-at-m1" when the lowest-rated
@@ -27,6 +28,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
+import operator
 from dataclasses import dataclass, field
 
 from .errors import DivergenceError, NotTrainedError, PipelineAbort, PoolExhausted
@@ -90,9 +93,11 @@ class PruneConfig:
             raise ValueError("need at least one accumulation epoch")
         if self.loop not in ("basic", "accelerated"):
             raise ValueError(f"unknown loop kind {self.loop!r}")
-        if self.initial_m != "half-of-pool" and (
-                isinstance(self.initial_m, str) or self.initial_m < 1):
-            raise ValueError("initial M is a count of at least 1 or 'half-of-pool'")
+        m = self.initial_m
+        if m != "half-of-pool":
+            if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+                raise ValueError("initial M is a count of at least 1 or 'half-of-pool'")
+            self.initial_m = operator.index(m)  # numpy's too: the log holds an int
 
 
 def _digest(text):
@@ -237,17 +242,9 @@ def _emit(config, record):
         config.log_sink.write(record.to_json() + "\n")
 
 
-def _require_trained(net, dataset, config):
-    if not criterion_met(net, dataset, config.loss_kind, config.retrain):
-        raise NotTrainedError(
-            "pruning requires a network that already meets the success criterion"
-        )
-
-
 def prune_basic(net: Network, dataset, config: PruneConfig) -> PruneResult:
     """One-element-at-a-time loop: snapshot, rate, modify, retrain, and
     restore the snapshot on the first failed retraining."""
-    _require_trained(net, dataset, config)
     return _prune(net, dataset, config, 1)
 
 
@@ -256,9 +253,7 @@ def prune_accelerated(net: Network, dataset, config: PruneConfig) -> PruneResult
     and halve M without recomputing indicators; a failure at M = 1 ends the
     procedure with the last saved network.  An initial M of
     "half-of-pool" is half the first candidate pool, and at least 1."""
-    _require_trained(net, dataset, config)
-    m = config.initial_m
-    return _prune(net, dataset, config, m if m == "half-of-pool" else int(m))
+    return _prune(net, dataset, config, config.initial_m)
 
 
 def rate_pool(net, dataset, config, pool, work=None):
@@ -270,6 +265,10 @@ def rate_pool(net, dataset, config, pool, work=None):
 
 
 def _prune(net, dataset, config, m):
+    if not criterion_met(net, dataset, config.loss_kind, config.retrain):
+        raise NotTrainedError(
+            "pruning requires a network that already meets the success criterion"
+        )
     work = EpochWorkspace(net, dataset, config.loss_kind)  # one per stage
     steps = []
     save_hash = _digest(net.to_json())

@@ -24,6 +24,7 @@ alone.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,7 @@ INDICATOR_MODES = ("max", "avg")
 
 @dataclass(frozen=True)
 class ValidSet:
-    """Finite ascending set of permitted weight values."""
+    """Finite ascending set of permitted weight values, each finite."""
 
     values: tuple
 
@@ -44,6 +45,8 @@ class ValidSet:
         vals = tuple(float(v) for v in self.values)
         if not vals:
             raise ValueError("valid set must be nonempty")
+        if not all(map(math.isfinite, vals)):
+            raise ValueError(f"valid set values must be finite, not {vals}")
         if sorted(set(vals)) != list(vals):
             raise ValueError("valid set must be strictly ascending, no duplicates")
         object.__setattr__(self, "values", vals)
@@ -176,10 +179,8 @@ def collect_ledger(net: Network, dataset, loss_kind: LossKind,
     work = prepare_workspace(work, net, dataset, loss_kind, input_grads=any(
         ref.kind == "input" for ref in ledger.refs))
     for _ in range(epochs):
-        trace, terms = work.evaluate()
-        train_epoch(net, dataset, loss_kind, train_config, work.velocity,
-                    trace=trace, terms=terms)
-        _fill_samples(trace, plan, samples)
+        train_epoch(work, train_config, work.evaluate())
+        _fill_samples(work.trace, plan, samples)
         ledger.add_epoch(samples)
     return ledger
 

@@ -9,13 +9,14 @@ training a deterministic function of (initial network, config).
 An epoch costs one forward pass, one ``loss_terms`` and one backward pass,
 whose criterion check, outcome and gradient step all read the same values.
 What the runs on one network and dataset share (buffers, targets, label
-indices, velocity) is an ``EpochWorkspace``: a pruning stage builds one and
-hands it to every ``train_until`` and ``sensitivity.collect_ledger`` call,
+indices, velocity) is an ``EpochWorkspace``, whose ``evaluate`` is the one
+place that turns a forward pass into loss terms.  A pruning stage builds
+one and hands it to every ``train_until`` and ``collect_ledger`` call,
 each of which resets it first; called without one, they build their own.
-``train_epoch`` runs once per epoch and returns the ``BatchGradients`` whose
-buffers ``collect_ledger`` samples.  Accuracy everywhere compares predicted
-output index with label index; ``targets_for`` refuses a row label that is
-not an output label.
+``train_epoch`` steps from the terms of ``evaluate`` and leaves the
+derivatives in the workspace's trace, where ``collect_ledger`` samples
+them.  Accuracy everywhere compares predicted output index with label
+index; ``targets_for`` refuses a row label that is not an output label.
 """
 
 from __future__ import annotations
@@ -110,9 +111,7 @@ def total_loss(net: Network, dataset, loss_kind: LossKind) -> float:
     """Sum of the per-sample losses over the whole training set."""
     if len(dataset.labels) == 0:
         raise ValueError("dataset is empty")
-    trace = forward_batch(net, dataset.features)
-    losses, _ = loss_terms(loss_kind, targets_for(dataset, net), trace.outputs)
-    return float(losses.sum())
+    return EpochWorkspace(net, dataset, loss_kind).evaluate()[0]
 
 
 class EpochWorkspace:
@@ -140,10 +139,10 @@ class EpochWorkspace:
         return _label_indices(self.dataset, self.net.output_labels)
 
     def evaluate(self):
-        """The epoch's forward pass and its (total loss, dL/d(outputs))."""
+        """(total loss, dL/d(outputs)) of a forward pass into ``trace``."""
         trace = forward_batch(self.net, self.dataset.features, self.trace)
         losses, d_out = loss_terms(self.loss_kind, self.targets, trace.outputs)
-        return trace, (float(losses.sum()), d_out)
+        return float(losses.sum()), d_out
 
 
 def prepare_workspace(work, net, dataset, loss_kind, input_grads=False):
@@ -156,39 +155,27 @@ def prepare_workspace(work, net, dataset, loss_kind, input_grads=False):
     return work.reset(input_grads)
 
 
-def train_epoch(net: Network, dataset, loss_kind: LossKind, config: TrainConfig,
-                velocity=None, *, trace=None, terms=None):
-    """One full-batch gradient step on the trainable elements, in place.
-
-    ``trace`` is the network's forward pass over ``dataset.features`` at its
-    current weights and ``terms`` the (total loss, dL/d(outputs)) at it;
-    either is computed when not given.  ``velocity``, in the layout of
-    ``net.params``, is updated in place.  Returns (BatchGradients,
-    velocity): the derivatives at ``trace``, which cover frozen elements
-    too.  A non-finite loss or gradient raises DivergenceError counting
-    this one epoch.
+def train_epoch(work: EpochWorkspace, config: TrainConfig, terms):
+    """One full-batch gradient step on the trainable elements of
+    ``work.net``, in place, from the ``terms`` that ``work.evaluate()`` just
+    returned.  The derivatives, frozen elements' too, are left in
+    ``work.trace``; ``work.velocity`` is updated in place.  A non-finite
+    loss or gradient raises DivergenceError counting this one epoch.
     """
-    if trace is None:
-        trace = forward_batch(net, dataset.features)
-    if terms is None:
-        losses, d_out = loss_terms(loss_kind, targets_for(dataset, net), trace.outputs)
-        terms = (float(losses.sum()), d_out)
+    net, velocity = work.net, work.velocity
     loss, d_out = terms
-    grads = backward_batch(net, trace, d_out)
+    grad = backward_batch(net, work.trace, d_out).grad
 
     if not math.isfinite(loss):
         raise DivergenceError("total loss is not finite", epochs=1)
-    if not np.isfinite(grads.flat).all():
+    if not np.isfinite(grad).all():
         raise DivergenceError("gradient is not finite", epochs=1)
 
-    if velocity is None:
-        velocity = np.zeros_like(net.params)
     velocity *= config.momentum
-    velocity += grads.flat * net.trainable
+    velocity += grad * net.trainable
     if config.learning_rate != 0.0:  # a zero step would still flip -0.0
         np.subtract(net.params, config.learning_rate * velocity, out=net.params,
                     where=net.trainable)
-    return grads, velocity
 
 
 def criterion_met(net: Network, dataset, loss_kind: LossKind, config: TrainConfig):
@@ -216,17 +203,16 @@ def train_until(net: Network, dataset, loss_kind: LossKind,
     by_loss = config.success_criterion == "loss-below-threshold"
     epochs = 0
     while True:
-        trace, terms = work.evaluate()
+        terms = work.evaluate()
         loss = terms[0]
         if not math.isfinite(loss):
             raise DivergenceError("total loss is not finite", epochs)
-        accuracy = _accuracy(_predicted_outputs(trace.outputs), work.row_label)
+        accuracy = _accuracy(_predicted_outputs(work.trace.outputs), work.row_label)
         met = loss <= config.loss_threshold if by_loss else accuracy == 1.0
         if met or epochs >= config.max_epochs:
             return TrainOutcome(met, epochs, loss, accuracy)
         try:
-            train_epoch(net, dataset, loss_kind, config, work.velocity,
-                        trace=trace, terms=terms)
+            train_epoch(work, config, terms)
         except DivergenceError as exc:
             exc.epochs += epochs
             raise

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from lucidnet import Dataset, Network, build_network, input_ref
+from lucidnet import Dataset, Network, build_network, input_ref, train_epoch
 
 from sample_reference import forward
 
@@ -181,3 +181,10 @@ def fresh_trained_xor(seed, lr=0.3, momentum=0.9, max_epochs=5000):
     dataset = make_dataset(X, ["neg", "pos", "pos", "neg"], class_labels=["pos", "neg"])
     outcome = train_until(net, dataset, LossKind("mse"), cfg)
     return net, dataset, cfg, outcome
+
+
+def step(work, config):
+    """One ``train_epoch`` from the workspace's own evaluation; returns the
+    workspace, whose trace then holds the step's derivatives."""
+    train_epoch(work, config, work.evaluate())
+    return work

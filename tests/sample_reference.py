@@ -63,5 +63,5 @@ def backward(net: Network, trace: ForwardTrace, d_outputs) -> GradientBundle:
     for nref in net.iter_neurons():
         bundle.neurons[nref] = float(bg.y_grads[nref.layer][0, nref.neuron])
     for k in net.active_feature_indices():
-        bundle.inputs[k] = float(bg.input_grads[0, k])
+        bundle.inputs[k] = float(bg.y_grads[0][0, k])
     return bundle

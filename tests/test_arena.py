@@ -24,14 +24,13 @@ from lucidnet import (
     build_network,
     neuron_ref,
     synapse_ref,
-    train_epoch,
     train_until,
 )
 from lucidnet import training
 from lucidnet.network import backward_batch, forward_batch
 from lucidnet.training import EpochWorkspace
 
-from conftest import apply_edits, edit_lists, make_dataset
+from conftest import apply_edits, edit_lists, make_dataset, step
 from test_network_reference import network_docs
 from test_workspace import (
     outcome_or_error,
@@ -113,21 +112,22 @@ class TestGradientLayout:
         rng = np.random.default_rng(0)
         X = rng.uniform(-1.0, 1.0, size=(9, 4))
         trace = forward_batch(net, X)
-        grads = backward_batch(net, trace, rng.uniform(-1.0, 1.0, size=(9, 2)))
-        assert grads.flat is trace.grad and grads.flat.shape == net.params.shape
+        grad = trace.grad
+        assert backward_batch(net, trace, rng.uniform(-1.0, 1.0, size=(9, 2))) is trace
+        assert trace.grad is grad and grad.shape == net.params.shape
         A = trace.activations
         parts = []
         for l in range(1, net.n_layers + 1):
             d_sigma = trace.d_sigma[l]
-            assert np.shares_memory(grads.weight_grads[l], grads.flat)
-            assert np.shares_memory(grads.bias_grads[l], grads.flat)
+            assert np.shares_memory(trace.weight_grads[l], grad)
+            assert np.shares_memory(trace.bias_grads[l], grad)
             # what a fresh product and sum give, each in its own array
             parts += [(d_sigma.T @ A[:, : net.offsets[l]]).ravel(), d_sigma.sum(axis=0)]
-        assert same_bits(np.concatenate(parts), grads.flat)
+        assert same_bits(np.concatenate(parts), grad)
         # a second pass writes the same buffers again
         again = backward_batch(net, forward_batch(net, X, trace),
                                np.zeros((9, 2)))
-        assert again.flat is grads.flat and not again.flat.any()
+        assert again.grad is grad and not grad.any()
 
     def test_a_non_finite_gradient_anywhere_diverges(self):
         for where in ("weight_grads", "bias_grads"):
@@ -140,7 +140,7 @@ class TestGradientLayout:
 
             with mock.patch.object(training, "backward_batch", backward), \
                     pytest.raises(DivergenceError, match="gradient"):
-                train_epoch(net, ds, LossKind("mse"), TrainConfig(0.3))
+                step(EpochWorkspace(net, ds, LossKind("mse")), TrainConfig(0.3))
 
 
 class TestFlatUpdateEqualsPerLayer:
@@ -181,11 +181,11 @@ class TestFlatUpdateEqualsPerLayer:
             other.set_weight(synapse_ref(1, 0, 2), -0.0, freeze=True)
             other.remove_element(synapse_ref(1, 2, 1))
         cfg = TrainConfig(lr, momentum, max_epochs=7)
-        velocity, want = None, None
+        work, want = EpochWorkspace(net, ds, LossKind("mse")), None
         for _ in range(7):
-            _, velocity = train_epoch(net, ds, LossKind("mse"), cfg, velocity)
+            step(work, cfg)
             _, want = per_layer_train_epoch(twin, ds, LossKind("mse"), cfg, want)
-            assert same_bits(velocity, flat_velocity(twin, want))
+            assert same_bits(work.velocity, flat_velocity(twin, want))
             assert same_bits(net.params, twin.params)
 
     def test_a_weight_frozen_mid_run_ignores_its_momentum(self):
@@ -194,16 +194,17 @@ class TestFlatUpdateEqualsPerLayer:
         net, ds = xor_case()
         twin, _ = xor_case()
         cfg = TrainConfig(0.3, 0.9)
-        velocity, want = None, None
-        for step in range(6):
-            if step == 3:
+        work, want = EpochWorkspace(net, ds, LossKind("mse")), None
+        for epoch in range(6):
+            if epoch == 3:
                 for other in (net, twin):
                     other.set_weight(synapse_ref(1, 1, 1), 0.25, freeze=True)
-            _, velocity = train_epoch(net, ds, LossKind("mse"), cfg, velocity)
+                work.trace.reset(net)  # rebound to the edit; the velocity is kept
+            step(work, cfg)
             _, want = per_layer_train_epoch(twin, ds, LossKind("mse"), cfg, want)
-            assert same_bits(velocity, flat_velocity(twin, want))
+            assert same_bits(work.velocity, flat_velocity(twin, want))
             assert same_bits(net.params, twin.params)
         assert net.weight(synapse_ref(1, 1, 1)) == 0.25
         position = net.views(np.arange(len(net.params)))[0][0]  # layer 1 weights
-        assert velocity[position[1, 0]] != 0.0
+        assert work.velocity[position[1, 0]] != 0.0
 

@@ -16,7 +16,12 @@ from lucidnet.cli import OPTIONS, REQUIRED, build_parser, main
 from lucidnet.data import ELECTION_FEATURE_NAMES, save_dataset
 from lucidnet.transparency import RuleSet, fixtures_A1_A2
 
-from conftest import majority_dataset, make_dataset, single_question_rule_network
+from conftest import (
+    majority_dataset,
+    make_dataset,
+    single_neuron_net,
+    single_question_rule_network,
+)
 
 
 def write(path, text):
@@ -231,6 +236,8 @@ BAD_OPTION_FLAGS = [
                                 "--labels", "pos,pos"], "repeat a label"),
     ("prune-valid-set", PRUNE + ["--problem", "precision-reduction", "--valid-set=a,b"],
      "'valid_set' must be a nonempty list of numbers"),
+    ("prune-valid-set-nan", PRUNE + ["--problem", "precision-reduction",
+                                     "--valid-set=nan,1"], "must be finite"),
     ("prune-acc-epochs", PRUNE + ["--problem", "synapse-removal",
                                   "--acc-epochs", "0"], "accumulation epoch"),
     ("prune-target-fan-in", PRUNE + ["--problem", "uniform-simplification",
@@ -314,6 +321,19 @@ class TestOptionValues:
             "train", "--dataset", xor_csv(tmp_path), "--arch", arch,
             "--labels", "a,b", "--out", str(tmp_path / "out"),
         ], "label 'neg' is not one of the network's output labels ['a', 'b']")
+        assert not (tmp_path / "out" / "network.json").exists()
+
+    def test_a_network_too_large_to_allocate(self, tmp_path, capsys, monkeypatch):
+        # whether the real allocation fails depends on the machine's
+        # overcommit policy, so build_network is made to fail as numpy would
+        def build_network(*args, **kwargs):
+            raise MemoryError("Unable to allocate 224. GiB")
+
+        monkeypatch.setattr(lucidnet.cli, "build_network", build_network)
+        self._usage_error(capsys, [
+            "train", "--dataset", xor_csv(tmp_path), "--arch", "2,9999999999,1",
+            "--out", str(tmp_path / "out"),
+        ], "invalid network options: no memory for layer sizes [2, 9999999999, 1]")
         assert not (tmp_path / "out" / "network.json").exists()
 
     @pytest.mark.parametrize("arch", [5, "", [], [2.0, 4, 1], [2, True, 1],
@@ -539,6 +559,20 @@ class TestVerbalizeCompareEval:
         assert rules.rules[0].k == 2
         text = (tmp_path / "rules.txt").read_text()
         assert "at least 2" in text
+
+    @pytest.mark.parametrize("names", ["a,b,c", "a"])
+    def test_verbalize_refuses_a_feature_name_count_off_the_inputs(
+            self, tmp_path, capsys, names):
+        net = single_neuron_net([1.0, -1.0], 0.0)  # two inputs
+        net.save(tmp_path / "net.json")
+        code = main(["verbalize", "--network", str(tmp_path / "net.json"),
+                     "--feature-names", names, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "feature names for a network of 2 inputs" in err[0]
+        assert not (tmp_path / "out" / "rules.json").exists()
+        assert not (tmp_path / "out" / "rules.txt").exists()
 
     def test_compare_fixture_files(self, tmp_path, capsys):
         assert main(["export-fixtures", "--out", str(tmp_path)]) == 0

@@ -20,11 +20,11 @@ from lucidnet import (
     bias_ref,
     forward_batch,
     synapse_ref,
-    train_epoch,
 )
 from lucidnet.network import backward_batch
+from lucidnet.training import EpochWorkspace
 
-from conftest import apply_edits, edit_lists
+from conftest import apply_edits, edit_lists, step
 
 def _act(kind, sigma):
     return math.tanh(sigma) if kind == "tanh" else math.tanh(0.5 * sigma)
@@ -156,9 +156,9 @@ class TestAgainstReference:
                 dead = sorted(set(range(net.layers[l - 1].width)) - set(live))
                 assert (trace.values[l][j, dead] == 0.0).all()
             active = net.active_feature_indices()
-            assert_close(grads.input_grads[j, active],
+            assert_close(grads.y_grads[0][j, active],
                          [y_grad[0][k] for k in active])
-            assert (grads.input_grads[j, masked] == 0.0).all()
+            assert (grads.y_grads[0][j, masked] == 0.0).all()
 
         keys = compact_keys(net)
         got = [grads.bias_grads[r.layer][r.neuron] if r.kind == "bias" else
@@ -182,7 +182,7 @@ class TestAgainstReference:
         data = Dataset([f"x{k}" for k in range(net.input_dim)], X,
                        [labels[j % len(labels)] for j in range(len(X))], labels)
         with np.errstate(all="ignore"):
-            train_epoch(net, data, LossKind("mse"), TrainConfig(0.1, momentum=0.5))
+            step(EpochWorkspace(net, data, LossKind("mse")), TrainConfig(0.1, momentum=0.5))
         assert {ref: w for ref, w, t in net.iter_weights() if not t} == frozen
         apply_edits(net, more)
         net.restore(snap)

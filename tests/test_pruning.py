@@ -420,6 +420,16 @@ class TestProblemDefinitions:
         with pytest.raises(ValueError):
             PruningProblem("precision-reduction")
 
+    def test_initial_m_is_a_count_or_half_of_pool(self):
+        retrain = TrainConfig(0.1)
+        for bad in (True, False, 2.5, 2.0, "3", "half", 0, -1, None):
+            with pytest.raises(ValueError, match="initial M"):
+                PruneConfig(PruningProblem("synapse-removal"), retrain, initial_m=bad)
+        for good, want in ((1, 1), (np.int64(3), 3), ("half-of-pool", "half-of-pool")):
+            m = PruneConfig(PruningProblem("synapse-removal"), retrain,
+                            initial_m=good).initial_m
+            assert m == want and type(m) is type(want)
+
     def test_element_classes(self):
         assert PruningProblem("feature-selection").element_class == "input"
         assert PruningProblem("neuron-removal").element_class == "neuron"

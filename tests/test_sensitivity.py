@@ -18,7 +18,6 @@ from lucidnet import (
     neuron_ref,
     synapse_ref,
     total_loss,
-    train_epoch,
 )
 from lucidnet.network import backward_batch, forward_batch
 from lucidnet.sensitivity import SensitivityLedger, export_csv
@@ -33,6 +32,7 @@ from indicator_reference import (
     weight_indicator_sample,
 )
 from sample_reference import ForwardTrace, GradientBundle, backward, forward
+from test_workspace import plain_step
 
 
 # the candidate pool of each element class, as a pruning step takes it
@@ -65,6 +65,10 @@ class TestNearestValid:
             ValidSet((1.0, 1.0))
         with pytest.raises(ValueError):
             ValidSet((1.0, -1.0))
+        for bad in ((float("nan"), 1.0), (0.0, float("inf")), (-float("inf"),),
+                    (float("nan"),)):
+            with pytest.raises(ValueError, match="finite"):
+                ValidSet(bad)
 
 
 class TestSampleIndicators:
@@ -386,7 +390,7 @@ class TestLedgerExactness:
             for ref in pool:
                 values = element_samples(twin, trace, grads, ref)
                 sums[ref] = sums.get(ref, 0.0) + aggregate_samples(values, mode)
-            _, velocity = train_epoch(twin, ds, loss, cfg, velocity, trace=trace)
+            _, velocity = plain_step(twin, ds, loss, cfg, velocity, trace=trace)
         assert net.to_json() == twin.to_json()
         if element_class == "weight":
             want = {}

@@ -15,12 +15,16 @@ from lucidnet import (
     evaluate_classification,
     synapse_ref,
     total_loss,
-    train_epoch,
     train_until,
 )
-from lucidnet.training import classify_outputs, criterion_met, targets_for
+from lucidnet.training import (
+    EpochWorkspace,
+    classify_outputs,
+    criterion_met,
+    targets_for,
+)
 
-from conftest import fresh_trained_xor, make_dataset, single_neuron_net
+from conftest import fresh_trained_xor, make_dataset, single_neuron_net, step
 
 
 def passthrough_net(labels=("pos", "neg")):
@@ -66,7 +70,7 @@ class TestTrainEpoch:
         ds = make_dataset([[1, -1]], ["pos"], class_labels=["pos", "neg"])
         before = net.to_json()
         cfg = TrainConfig(learning_rate=0.5, max_epochs=1)
-        grads, _ = train_epoch(net, ds, LossKind("mse"), cfg)
+        grads = step(EpochWorkspace(net, ds, LossKind("mse")), cfg).trace
         assert net.to_json() == before
         # freezing gates updates, not derivatives: one sample row per layer
         assert [g.shape for g in grads.d_sigma[1:]] == [(1, 2), (1, 1)]
@@ -76,7 +80,7 @@ class TestTrainEpoch:
         net = build_network((2, 3, 1), output_labels=["pos", "neg"], seed=4)
         ds = make_dataset([[1, 1]], ["neg"], class_labels=["pos", "neg"])
         before = net.to_json()
-        train_epoch(net, ds, LossKind("mse"), TrainConfig(learning_rate=0.0))
+        step(EpochWorkspace(net, ds, LossKind("mse")), TrainConfig(learning_rate=0.0))
         assert net.to_json() == before
 
     def test_hand_computed_first_step(self):
@@ -85,7 +89,7 @@ class TestTrainEpoch:
         net = one_tanh_neuron(weight=0.0, bias=0.0)
         net.set_weight(bias_ref(1, 0), 0.0, freeze=True)
         ds = make_dataset([[1.0]], ["pos"], class_labels=["pos", "neg"])
-        train_epoch(net, ds, LossKind("mse"), TrainConfig(learning_rate=0.1))
+        step(EpochWorkspace(net, ds, LossKind("mse")), TrainConfig(learning_rate=0.1))
         assert net.weight(synapse_ref(1, 0, 1)) == pytest.approx(0.1)
 
     def test_non_finite_loss_raises(self):
@@ -94,7 +98,7 @@ class TestTrainEpoch:
         net.set_weight(synapse_ref(1, 0, 1), float("nan"))
         ds = make_dataset([[1.0]], ["pos"], class_labels=["pos", "neg"])
         with pytest.raises(DivergenceError) as caught:
-            train_epoch(net, ds, LossKind("mse"), TrainConfig(learning_rate=0.1))
+            step(EpochWorkspace(net, ds, LossKind("mse")), TrainConfig(learning_rate=0.1))
         assert caught.value.epochs == 1
 
 
@@ -168,14 +172,14 @@ class TestTrainUntil:
 
 def reference_train_until(net, ds, loss, cfg):
     """The epoch loop spelled out with one public call per decision."""
-    velocity = None
+    work = None
     epochs = 0
     while True:
         met = criterion_met(net, ds, loss, cfg)
         if met or epochs >= cfg.max_epochs:
             return TrainOutcome(met, epochs, total_loss(net, ds, loss),
                                 evaluate_classification(net, ds)[0])
-        _, velocity = train_epoch(net, ds, loss, cfg, velocity)
+        work = step(work or EpochWorkspace(net, ds, loss), cfg)  # keeps the velocity
         epochs += 1
 
 
@@ -286,7 +290,7 @@ class TestInvariants:
             net = one_tanh_neuron(weight=start)
             net.set_weight(bias_ref(1, 0), 0.0, freeze=True)
             before = total_loss(net, ds, LossKind("mse"))
-            train_epoch(net, ds, LossKind("mse"), TrainConfig(learning_rate=0.01))
+            step(EpochWorkspace(net, ds, LossKind("mse")), TrainConfig(learning_rate=0.01))
             assert total_loss(net, ds, LossKind("mse")) <= before + 1e-15
 
     def test_training_is_deterministic(self):

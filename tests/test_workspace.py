@@ -16,6 +16,7 @@ workspace must log and leave what one with a fresh workspace per call does.
 
 import io
 import json
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -70,9 +71,21 @@ from test_network_reference import loaded, network_docs
 PLAIN_TRAIN_EPOCH = training.train_epoch
 
 
-def plain_train_until(net, ds, loss, cfg, train_epoch=PLAIN_TRAIN_EPOCH):
+def plain_step(net, ds, loss, cfg, velocity=None, *, trace):
+    """``train_epoch`` on a fresh ``trace`` of ``net``, with loss terms
+    against a fresh target matrix and ``velocity`` (zero when None);
+    returns (trace, velocity)."""
+    losses, d_out = loss_terms(loss, targets_for(ds, net), trace.outputs)
+    if velocity is None:
+        velocity = np.zeros_like(net.params)
+    work = SimpleNamespace(net=net, trace=trace, velocity=velocity)
+    PLAIN_TRAIN_EPOCH(work, cfg, (float(losses.sum()), d_out))
+    return trace, velocity
+
+
+def plain_train_until(net, ds, loss, cfg, stepper=plain_step):
     """(outcome, velocity) of the epoch loop with nothing kept between
-    epochs but the velocity, stepping with ``train_epoch``."""
+    epochs but the velocity, stepping with ``stepper``."""
     velocity = None
     epochs = 0
     while True:
@@ -88,7 +101,7 @@ def plain_train_until(net, ds, loss, cfg, train_epoch=PLAIN_TRAIN_EPOCH):
         if met or epochs >= cfg.max_epochs:
             return TrainOutcome(met, epochs, total, accuracy), velocity
         try:
-            _, velocity = train_epoch(net, ds, loss, cfg, velocity, trace=trace)
+            _, velocity = stepper(net, ds, loss, cfg, velocity, trace=trace)
         except DivergenceError as exc:
             exc.epochs += epochs
             raise
@@ -102,7 +115,7 @@ def plain_ledger(net, ds, loss, cfg, epochs, refs):
     velocity = None
     for _ in range(epochs):
         trace = forward_batch(net, ds.features)
-        _, velocity = PLAIN_TRAIN_EPOCH(net, ds, loss, cfg, velocity, trace=trace)
+        _, velocity = plain_step(net, ds, loss, cfg, velocity, trace=trace)
         samples = np.empty((len(refs), len(ds.labels)))
         _fill_samples(trace, plan, samples)
         ledger.add_epoch(samples)
@@ -119,13 +132,12 @@ def outcome_or_error(run):
 
 def spy_velocity():
     """Patch ``training.train_epoch`` to keep a copy of the velocity that
-    each call returns; the list holds the last one."""
+    each call leaves in its workspace; the list holds the last one."""
     last = []
 
-    def spy(*args, **kwargs):
-        grads, velocity = PLAIN_TRAIN_EPOCH(*args, **kwargs)
-        last[:] = [velocity.copy()]
-        return grads, velocity
+    def spy(work, config, terms):
+        PLAIN_TRAIN_EPOCH(work, config, terms)
+        last[:] = [work.velocity.copy()]
 
     return mock.patch.object(training, "train_epoch", spy), last
 
@@ -326,7 +338,7 @@ class TestBatchTrace:
         full = backward_batch(net, forward_batch(net, ds.features), d_out)
         trace = BatchTrace(net, ds.features, input_grads=False)
         lean = backward_batch(net, forward_batch(net, ds.features, trace), d_out)
-        assert not lean.input_grads.any() and full.input_grads.any()
+        assert not lean.y_grads[0].any() and full.y_grads[0].any()
         for l in range(1, net.n_layers + 1):
             assert same_bits(lean.weight_grads[l], full.weight_grads[l])
             assert same_bits(lean.bias_grads[l], full.bias_grads[l])
@@ -446,7 +458,7 @@ def reference_ledger_map(net, ds, loss, cfg, epochs, pool, mode, valid):
     velocity = None
     for _ in range(epochs):
         trace = forward_batch(net, ds.features)
-        _, velocity = PLAIN_TRAIN_EPOCH(net, ds, loss, cfg, velocity, trace=trace)
+        _, velocity = plain_step(net, ds, loss, cfg, velocity, trace=trace)
         records = per_sample_records(net, trace)
         for ref in pool:
             if ref.kind == "input":

@@ -19,8 +19,9 @@ from lucidnet.training import loss_terms, targets_for
 
 def per_layer_train_epoch(net, dataset, loss_kind, config, velocity=None, *,
                           trace=None):
-    """One full-batch step, layer by layer; returns (BatchGradients,
-    velocity) with the velocity as a list of (weights, bias) pairs."""
+    """One full-batch step, layer by layer; returns (trace, velocity), the
+    trace holding the step's derivatives and the velocity a list of
+    (weights, bias) pairs."""
     if trace is None:
         trace = forward_batch(net, dataset.features)
     losses, d_out = loss_terms(loss_kind, targets_for(dataset, net), trace.outputs)
