@@ -39,6 +39,7 @@ from .transparency import (
     RuleSet,
     classify_rules,
     compare_rulesets,
+    feature_texts_from,
     fixtures_A1_A2,
     is_logically_transparent,
     substitute_step,
@@ -312,14 +313,7 @@ def cmd_verbalize(args, option):
     texts = {}
     if args.texts:
         with open(args.texts) as fh:
-            texts = json.load(fh)
-        if not (isinstance(texts, dict) and all(
-                isinstance(v, list) and len(v) == 2
-                and all(isinstance(line, str) for line in v)
-                for v in texts.values())):
-            raise DatasetError(f"--texts {args.texts} must map each feature "
-                               "to a pair of sentences")
-        texts = {k: tuple(v) for k, v in texts.items()}
+            texts = feature_texts_from(json.load(fh), f"--texts {args.texts}")
     smooth_preds = None
     if dataset is not None and all(
         net.activation(r) != "step" for r in net.iter_neurons()
@@ -359,10 +353,8 @@ def cmd_compare(args, option):
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(comparison.universe + ["r1_class", "r2_class"])
-        for assignment, c1, c2 in comparison.disagreements:
-            writer.writerow(
-                [str(int(assignment[a])) for a in comparison.universe] + [c1, c2]
-            )
+        for index, c1, c2 in comparison.disagreements:
+            writer.writerow([*comparison.assignment(index).values(), c1, c2])
     print(comparison.summary_line())
     print(
         f"total={comparison.total} "

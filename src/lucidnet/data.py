@@ -1,6 +1,6 @@
 """Datasets of ±1-coded binary features with class labels.
 
-CSV layout: a header row of feature names plus a final "class" column.
+CSV layout: a header row of distinct feature names and a final "class" column.
 Feature cells accept -1, 1, +1, yes, or no (yes maps to +1, no to -1).
 """
 
@@ -46,6 +46,10 @@ class Dataset:
             raise DatasetError("features must be a 2-d array")
         if self.features.shape[1] != len(self.feature_names):
             raise DatasetError("feature width does not match feature names")
+        names = self.feature_names
+        if len(set(names)) != len(names):
+            repeated = next(n for i, n in enumerate(names) if n in names[:i])
+            raise DatasetError(f"feature name {repeated!r} is repeated")
         if self.features.shape[0] != len(self.labels):
             raise DatasetError("one label per sample required")
         if not np.isin(self.features, (-1.0, 1.0)).all():

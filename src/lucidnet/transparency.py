@@ -15,15 +15,16 @@ network.
 
 Rule sets run through one interpreter, ``classify_rules``, which takes a
 whole block of assignments as ±1 feature columns: ``evaluate_rules`` is its
-one-row call, ``compare_rulesets`` enumerates a universe in blocks of 4,096
-assignments, and ``lucidnet eval --rules`` passes the dataset's columns.
+one-row call, ``lucidnet eval --rules`` passes the dataset's columns, and
+``compare_rulesets`` runs a universe 4,096 assignment indices at a time and
+keeps each disagreement as its index, which ``RuleComparison.assignment``
+decodes.
 ``RuleSet.from_doc`` rejects a malformed rule-set document with a
 ``DatasetError``, which the CLI reports with exit code 2.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -76,6 +77,17 @@ def _require(ok, message):
         raise DatasetError(f"rule set: {message}")
 
 
+def feature_texts_from(texts, source):
+    """Feature texts from a JSON value that maps each feature to a list of
+    two strings, the affirmed sentence first; a DatasetError naming
+    ``source`` for any other value."""
+    if not isinstance(texts, dict) or not all(
+            isinstance(v, list) and len(v) == 2 and all(isinstance(t, str) for t in v)
+            for v in texts.values()):
+        raise DatasetError(f"{source} must map each feature to a pair of sentences")
+    return {k: tuple(v) for k, v in texts.items()}
+
+
 @dataclass
 class RuleSet:
     rules: list
@@ -124,9 +136,9 @@ class RuleSet:
     @staticmethod
     def from_doc(doc):
         """Rule set from its JSON document.  Raises DatasetError for a
-        missing or mistyped field, a duplicate rule name or class label, a
-        statement that cites a rule not defined before it, or an output rule
-        naming an unknown rule or class."""
+        missing or mistyped field, a duplicate rule name or class label, one
+        class label, a statement citing a rule not defined before it, an
+        output rule naming an unknown rule or class, or two for one class."""
         _require(isinstance(doc, dict), "the document is not a JSON object")
         for key in ("rules", "output_rules", "class_labels"):
             _require(isinstance(doc.get(key), list), f"{key!r} must be a list")
@@ -134,6 +146,7 @@ class RuleSet:
         _require(all(isinstance(c, str) for c in labels)
                  and len(set(labels)) == len(labels),
                  "'class_labels' must be distinct strings")
+        _require(len(labels) >= 2, "'class_labels' needs at least two classes")
         rules = []
         defined = set()
         for r in doc["rules"]:
@@ -176,17 +189,16 @@ class RuleSet:
                      f"output rule names unknown rule {rule!r}")
             _require(isinstance(label, str) and label in doc["class_labels"],
                      f"output label {label!r} is not a class label")
+            _require(all(label != seen for seen, _ in output_rules),
+                     f"class {label!r} has two output rules")
             output_rules.append((label, rule))
         _require(output_rules, "'output_rules' is empty")
-        texts = doc.get("feature_texts", {})
-        _require(isinstance(texts, dict) and all(
-            isinstance(v, list) and len(v) == 2 for v in texts.values()
-        ), "'feature_texts' must map each feature to a pair of sentences")
         return RuleSet(
             rules=rules,
             output_rules=output_rules,
             class_labels=list(doc["class_labels"]),
-            feature_texts={k: tuple(v) for k, v in texts.items()},
+            feature_texts=feature_texts_from(doc.get("feature_texts", {}),
+                                             "rule set: 'feature_texts'"),
         )
 
     @staticmethod
@@ -410,8 +422,16 @@ class RuleComparison:
     both_second: int
     first_second: int  # r1 says labels[0], r2 says labels[1]
     second_first: int
-    disagreements: list  # (assignment, r1 class, r2 class)
+    disagreements: list  # (assignment index, r1 class, r2 class)
     universe: list
+
+    def assignment(self, index):
+        """The ±1 assignment over ``universe`` that ``index`` names, in
+        ``itertools.product`` order: ``universe[i]`` is +1 where bit
+        ``len(universe) - 1 - i`` of the index is set."""
+        n = len(self.universe)
+        return {name: 1 if index >> (n - 1 - i) & 1 else -1
+                for i, name in enumerate(self.universe)}
 
     @property
     def agree(self):
@@ -430,51 +450,34 @@ class RuleComparison:
         )
 
 
-_SIGNS = (-1.0, 1.0)  # every enumerated assignment shares these two objects
-_BLOCK_BITS = 12  # 4,096 assignments per block
-
-
 def compare_rulesets(r1: RuleSet, r2: RuleSet) -> RuleComparison:
     """Exhaustive agreement table over all ±1 assignments of the union
-    attribute universe (at most 20 attributes), in ``itertools.product``
-    order with the first attribute varying slowest.
-
-    The universe runs through ``classify_rules`` in blocks of 4,096
-    assignments: the last twelve attributes take every combination within
-    each block and the others are constant in it.  Only disagreements
-    become assignment dicts.
+    attribute universe (at most 20 attributes), run through
+    ``classify_rules`` 4,096 assignment indices at a time and decoded as
+    ``RuleComparison.assignment`` decodes one.  A disagreement is kept as
+    (index, r1 class, r2 class).
     """
     if set(r1.class_labels) != set(r2.class_labels):
         raise LucidnetError("rulesets classify into different label sets")
     universe = sorted(set(r1.attribute_universe) | set(r2.attribute_universe))
-    if len(universe) > 20:
-        raise LucidnetError(
-            f"universe of {len(universe)} attributes is too large to enumerate"
-        )
+    n = len(universe)
+    if n > 20:
+        raise LucidnetError(f"universe of {n} attributes is too large to enumerate")
     labels = tuple(r1.class_labels[:2])
-    n_high = max(len(universe) - _BLOCK_BITS, 0)
-    high_names, low_names = universe[:n_high], universe[n_high:]
-    low = list(itertools.product(_SIGNS, repeat=len(low_names)))
-    rows = np.arange(len(low))
-    low_columns = {
-        name: np.where(rows >> (len(low_names) - 1 - i) & 1, 1.0, -1.0)
-        for i, name in enumerate(low_names)
-    }
     # RuleComparison's order: both first, both second, first/second, second/first
     counts = np.zeros(4, dtype=np.int64)
     disagreements = []
-    for high in itertools.product(_SIGNS, repeat=n_high):
-        columns = dict(low_columns)
-        for name, value in zip(high_names, high):
-            columns[name] = np.full(len(low), value)
+    for start in range(0, 2 ** n, 4096):
+        index = np.arange(start, min(start + 4096, 2 ** n))
+        columns = {name: np.where(index >> (n - 1 - i) & 1, 1.0, -1.0)
+                   for i, name in enumerate(universe)}
         c1 = classify_rules(r1, columns)
         c2 = classify_rules(r2, columns)
         differ = c1 != c2
         counts += np.bincount(2 * differ + (c1 != labels[0]), minlength=4)
         where = np.flatnonzero(differ)
         disagreements.extend(
-            (dict(zip(universe, high + low[j])), a, b)
-            for j, a, b in zip(where.tolist(), c1[where].tolist(), c2[where].tolist())
+            zip(index[where].tolist(), c1[where].tolist(), c2[where].tolist())
         )
     return RuleComparison(labels, *counts.tolist(), disagreements=disagreements,
                           universe=universe)

@@ -696,6 +696,13 @@ MALFORMED_RULE_SETS = [
      "output label 'X' is not a class label"),
     ("duplicate-class-label", _set(("class_labels",), ["O", "O"]),
      "'class_labels' must be distinct strings"),
+    ("one-class-label", _set(("class_labels",), ["O"]),
+     "'class_labels' needs at least two classes"),
+    ("class-with-two-output-rules",
+     lambda doc: doc["output_rules"].append({"label": "O", "rule": "s"}),
+     "class 'O' has two output rules"),
+    ("non-string-feature-text", _set(("feature_texts",), {"a": [1, 2]}),
+     "'feature_texts' must map each feature to a pair of sentences"),
 ]
 
 

@@ -120,3 +120,11 @@ class TestLoaderMatchesReference:
         with pytest.raises(DatasetError) as info:
             loader(str(path))
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("loader", [load_dataset, reference_load])
+    def test_repeated_feature_name(self, tmp_path, loader):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,a,class\n1,1,-1,P\n")
+        with pytest.raises(DatasetError) as info:
+            loader(str(path))
+        assert str(info.value) == "feature name 'a' is repeated"

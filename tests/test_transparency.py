@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,18 +285,20 @@ def reference_label(ruleset, assignment):
 
 
 def reference_compare(r1, r2):
-    """Counts and disagreements from a loop over ``itertools.product``."""
+    """Counts and disagreements from a loop over ``itertools.product``; a
+    disagreement is (index in that order, assignment, r1 class, r2 class)."""
     universe = sorted(set(r1.attribute_universe) | set(r2.attribute_universe))
     first = r1.class_labels[0]
     counts = [0, 0, 0, 0]
     disagreements = []
-    for bits in itertools.product((-1.0, 1.0), repeat=len(universe)):
+    for index, bits in enumerate(
+            itertools.product((-1.0, 1.0), repeat=len(universe))):
         assignment = dict(zip(universe, bits))
         c1 = reference_label(r1, assignment)
         c2 = reference_label(r2, assignment)
         counts[2 * (c1 != c2) + (c1 != first)] += 1
         if c1 != c2:
-            disagreements.append((assignment, c1, c2))
+            disagreements.append((index, assignment, c1, c2))
     return universe, counts, disagreements
 
 
@@ -343,10 +346,9 @@ def assert_same_comparison(r1, r2):
     assert cmp.universe == universe
     assert [cmp.both_first, cmp.both_second, cmp.first_second,
             cmp.second_first] == counts
-    assert cmp.disagreements == disagreements
-    # values are the two shared floats; labels the rule sets' own strings
-    values = {id(v) for a, _, _ in cmp.disagreements for v in a.values()}
-    assert len(values) <= 2
+    assert cmp.disagreements == [(j, c1, c2) for j, _, c1, c2 in disagreements]
+    assert all(cmp.assignment(j) == a for j, a, _, _ in disagreements)
+    # labels are the rule sets' own strings
     own1 = {id(c) for c in r1.class_labels} | {id(c) for c, _ in r1.output_rules}
     own2 = {id(c) for c in r2.class_labels} | {id(c) for c, _ in r2.output_rules}
     assert all(id(c1) in own1 and id(c2) in own2
@@ -404,7 +406,7 @@ class TestBatchInterpreter:
                            output_rules=[("O", "c")], class_labels=["P", "O"])
 
         cmp = assert_same_comparison(constant(0), constant(1))
-        assert cmp.total == 1 and cmp.disagreements == [({}, "O", "P")]
+        assert cmp.total == 1 and cmp.disagreements == [(0, "O", "P")]
         assert classify_rules(constant(0), {}).tolist() == ["O"]
 
 
@@ -481,6 +483,29 @@ class TestCompareRulesets:
         a1, a2 = fixtures_A1_A2()
         cmp = compare_rulesets(a1, a2)
         assert cmp.total == 2 ** len(cmp.universe)
+
+    def test_disagreements_are_held_as_indices(self):
+        # 16 attributes; a00 decides r1 and a15 decides r2, so they disagree
+        # on half of the 65,536 assignments.  One dict per disagreement held
+        # 17.0 MiB; (index, class, class) triples hold 3.3 MiB.
+        def decided_by(feature, idle):
+            return RuleSet(
+                rules=[ThresholdRule("idle", 1, [Statement(True, feature=f)
+                                                 for f in idle]),
+                       ThresholdRule("out", 1, [Statement(True, feature=feature)])],
+                output_rules=[("O", "out")], class_labels=["P", "O"])
+
+        r1 = decided_by("a00", [f"a{k:02d}" for k in range(1, 15)])
+        r2 = decided_by("a15", [])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cmp = compare_rulesets(r1, r2)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(cmp.universe) == 16 and len(cmp.disagreements) == 2 ** 15
+        assert held < 6 * 2 ** 20
 
     def test_oversize_universe_rejected(self):
         big1 = RuleSet(
