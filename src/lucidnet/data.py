@@ -44,6 +44,8 @@ class Dataset:
         self.features = np.asarray(self.features, dtype=float)
         if self.features.ndim != 2:
             raise DatasetError("features must be a 2-d array")
+        if self.features.shape[0] == 0:
+            raise DatasetError("a dataset needs at least one row")
         if self.features.shape[1] != len(self.feature_names):
             raise DatasetError("feature width does not match feature names")
         names = self.feature_names

@@ -6,15 +6,14 @@ epochs and rate exactly the pool, modify the lowest-rated candidates,
 retrain, and either keep the result or restore the snapshot.  The pool is
 taken once per snapshot: ledger epochs move only trainable weights and a
 restore returns to the snapshot, so membership cannot change until a step
-is accepted.  A stage builds one ``EpochWorkspace`` and every ledger and
-retrain of the stage resets and reuses it, so the stage allocates its
-buffers once.  The basic loop modifies one element per pass; the accelerated
-loop modifies batches of M, halving M on failure without recomputing the
-indicators, and stops once a single-element attempt fails.  The basic loop
-is the accelerated one with M fixed at 1, and both first refuse a network
-that does not meet the retrain's success criterion.  A step whose training
-diverges counts as a failed retrain: the snapshot is restored and the step
-is logged with the reason.
+is accepted.  A stage builds one ``EpochWorkspace``, which refuses a row
+label the network cannot output, and its entry check, ledgers and retrains
+reset and reuse it.  The accelerated loop modifies batches of M, halving M
+on failure without recomputing the indicators, and stops once a
+single-element attempt fails; the basic loop is the same with M fixed at 1.
+Both first refuse a network that fails ``criterion_met``.  A step whose
+training diverges counts as a failed retrain: the snapshot is restored and
+the step is logged with the reason.
 
 The result says which way the loop stopped: "pool-exhausted" when no
 candidate of the class was left, or "failed-at-m1" when the lowest-rated
@@ -265,11 +264,11 @@ def rate_pool(net, dataset, config, pool, work=None):
 
 
 def _prune(net, dataset, config, m):
-    if not criterion_met(net, dataset, config.loss_kind, config.retrain):
+    work = EpochWorkspace(net, dataset, config.loss_kind)  # one per stage
+    if not criterion_met(net, dataset, config.loss_kind, config.retrain, work):
         raise NotTrainedError(
             "pruning requires a network that already meets the success criterion"
         )
-    work = EpochWorkspace(net, dataset, config.loss_kind)  # one per stage
     steps = []
     save_hash = _digest(net.to_json())
     while True:

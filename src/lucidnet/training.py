@@ -15,8 +15,10 @@ one and hands it to every ``train_until`` and ``collect_ledger`` call,
 each of which resets it first; called without one, they build their own.
 ``train_epoch`` steps from the terms of ``evaluate`` and leaves the
 derivatives in the workspace's trace, where ``collect_ledger`` samples
-them.  Accuracy everywhere compares predicted output index with label
-index; ``targets_for`` refuses a row label that is not an output label.
+them.  ``EpochWorkspace.judge`` is the one success check: ``train_until``
+calls it every epoch and ``criterion_met`` once, on a fresh evaluation.
+Accuracy everywhere compares predicted output index with label index;
+``targets_for`` refuses a row label that is not an output label.
 """
 
 from __future__ import annotations
@@ -109,8 +111,6 @@ def _label_indices(dataset, labels):
 
 def total_loss(net: Network, dataset, loss_kind: LossKind) -> float:
     """Sum of the per-sample losses over the whole training set."""
-    if len(dataset.labels) == 0:
-        raise ValueError("dataset is empty")
     return EpochWorkspace(net, dataset, loss_kind).evaluate()[0]
 
 
@@ -135,7 +135,7 @@ class EpochWorkspace:
         return self
 
     @functools.cached_property
-    def row_label(self):  # only train_until's accuracy reads it
+    def row_label(self):  # only judge reads it
         return _label_indices(self.dataset, self.net.output_labels)
 
     def evaluate(self):
@@ -143,6 +143,15 @@ class EpochWorkspace:
         trace = forward_batch(self.net, self.dataset.features, self.trace)
         losses, d_out = loss_terms(self.loss_kind, self.targets, trace.outputs)
         return float(losses.sum()), d_out
+
+    def judge(self, config: TrainConfig, loss):
+        """(criterion met, accuracy) for the ``loss`` that ``evaluate`` just
+        returned; a non-finite loss never meets the criterion."""
+        picks = _predicted_outputs(self.trace.outputs)
+        accuracy = int(np.count_nonzero(picks == self.row_label)) / len(picks)
+        by_loss = config.success_criterion == "loss-below-threshold"
+        met = loss <= config.loss_threshold if by_loss else accuracy == 1.0
+        return math.isfinite(loss) and met, accuracy
 
 
 def prepare_workspace(work, net, dataset, loss_kind, input_grads=False):
@@ -178,11 +187,12 @@ def train_epoch(work: EpochWorkspace, config: TrainConfig, terms):
                     where=net.trainable)
 
 
-def criterion_met(net: Network, dataset, loss_kind: LossKind, config: TrainConfig):
-    if config.success_criterion == "loss-below-threshold":
-        return total_loss(net, dataset, loss_kind) <= config.loss_threshold
-    accuracy, _ = evaluate_classification(net, dataset)
-    return accuracy == 1.0
+def criterion_met(net: Network, dataset, loss_kind: LossKind,
+                  config: TrainConfig, work=None) -> bool:
+    """The success criterion judged as ``train_until`` judges an epoch, from
+    one evaluation in ``work`` (reset first) or in a workspace of its own."""
+    work = prepare_workspace(work, net, dataset, loss_kind)
+    return work.judge(config, work.evaluate()[0])[0]
 
 
 def train_until(net: Network, dataset, loss_kind: LossKind,
@@ -197,18 +207,14 @@ def train_until(net: Network, dataset, loss_kind: LossKind,
     raises DivergenceError, even where the accuracy alone would meet the
     criterion; its ``epochs`` counts the epochs run, a raising one included.
     """
-    if len(dataset.labels) == 0:
-        raise ValueError("dataset is empty")
     work = prepare_workspace(work, net, dataset, loss_kind)
-    by_loss = config.success_criterion == "loss-below-threshold"
     epochs = 0
     while True:
         terms = work.evaluate()
         loss = terms[0]
         if not math.isfinite(loss):
             raise DivergenceError("total loss is not finite", epochs)
-        accuracy = _accuracy(_predicted_outputs(work.trace.outputs), work.row_label)
-        met = loss <= config.loss_threshold if by_loss else accuracy == 1.0
+        met, accuracy = work.judge(config, loss)
         if met or epochs >= config.max_epochs:
             return TrainOutcome(met, epochs, loss, accuracy)
         try:
@@ -217,11 +223,6 @@ def train_until(net: Network, dataset, loss_kind: LossKind,
             exc.epochs += epochs
             raise
         epochs += 1
-
-
-def _accuracy(picks, row_label):
-    """Share of rows whose predicted output index is their label's index."""
-    return int(np.count_nonzero(picks == row_label)) / len(row_label)
 
 
 def _predicted_outputs(outputs):
@@ -242,6 +243,6 @@ def classify_outputs(outputs, labels):
 def evaluate_classification(net: Network, dataset):
     """Accuracy and per-sample predicted classes."""
     picks = _predicted_outputs(forward_batch(net, dataset.features).outputs)
-    accuracy = _accuracy(picks, _label_indices(dataset, net.output_labels))
+    hits = int(np.count_nonzero(picks == _label_indices(dataset, net.output_labels)))
     labels = net.output_labels
-    return accuracy, [labels[i] for i in picks.tolist()]
+    return hits / len(picks), [labels[i] for i in picks.tolist()]

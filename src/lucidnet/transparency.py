@@ -451,19 +451,21 @@ class RuleComparison:
 
 
 def compare_rulesets(r1: RuleSet, r2: RuleSet) -> RuleComparison:
-    """Exhaustive agreement table over all ±1 assignments of the union
-    attribute universe (at most 20 attributes), run through
-    ``classify_rules`` 4,096 assignment indices at a time and decoded as
-    ``RuleComparison.assignment`` decodes one.  A disagreement is kept as
-    (index, r1 class, r2 class).
+    """Exhaustive agreement table of two rule sets over the same two classes
+    on all ±1 assignments of the union attribute universe (at most 20
+    attributes), run through ``classify_rules`` 4,096 assignment indices at
+    a time and decoded as ``RuleComparison.assignment`` decodes one.  A
+    disagreement is kept as (index, r1 class, r2 class).
     """
     if set(r1.class_labels) != set(r2.class_labels):
         raise LucidnetError("rulesets classify into different label sets")
+    if len(r1.class_labels) != 2:  # the four counters are two-class
+        raise LucidnetError(f"can only compare two classes, not {r1.class_labels}")
     universe = sorted(set(r1.attribute_universe) | set(r2.attribute_universe))
     n = len(universe)
     if n > 20:
         raise LucidnetError(f"universe of {n} attributes is too large to enumerate")
-    labels = tuple(r1.class_labels[:2])
+    labels = tuple(r1.class_labels)
     # RuleComparison's order: both first, both second, first/second, second/first
     counts = np.zeros(4, dtype=np.int64)
     disagreements = []

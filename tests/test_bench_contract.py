@@ -124,6 +124,27 @@ def check_stage_epochs(problem, loop, stop_reason, shape):
     assert spans.get("training.train_epoch").calls == logged
 
 
+def test_entry_check_costs_one_forward_pass():
+    """Every forward pass of a stage feeds a ledger or retrain step, ends a
+    ``train_until`` or is ``criterion_met``'s one evaluation."""
+    net, data, _, _ = fresh_trained_xor(1)
+    config = PruneConfig(
+        PruningProblem("synapse-removal"),
+        TrainConfig(learning_rate=0.3, momentum=0.9, max_epochs=200),
+        accumulation_epochs=2, loop="basic",
+    )
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        result = pruning.prune_basic(net, data, config)
+    finally:
+        spans.uninstall()
+    calls = {name: spans.get(f"training.{name}").calls
+             for name in ("train_epoch", "train_until", "criterion_met")}
+    assert result.steps and calls["criterion_met"] == 1
+    assert spans.get("network.forward_batch").calls == sum(calls.values())
+
+
 @pytest.mark.parametrize("max_epochs, converged", [(5000, True), (3, False)],
                          ids=["converges", "exhausts-budget"])
 def test_train_until_counts_one_train_epoch_per_epoch(max_epochs, converged):

@@ -171,6 +171,28 @@ class TestPruneCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: pruning requires")
 
+    @pytest.mark.parametrize("argv", [
+        ["prune", "--problem", "synapse-removal"],
+        ["prune", "--problem", "synapse-removal",
+         "--criterion", "loss-below-threshold"],
+        ["indicators", "--element-class", "weight"],
+    ], ids=["prune", "prune-by-loss", "indicators"])
+    def test_a_row_label_the_network_cannot_output(self, tmp_path, capsys, argv):
+        # a data error under either criterion, before any criterion check
+        out = tmp_path / "run"
+        assert main(["train", "--dataset", xor_csv(tmp_path), "--arch", "2,6,1",
+                     "--labels", "pos,neg", "--lr", "0.3", "--momentum", "0.9",
+                     "--epochs", "5000", "--seed", "1", "--out", str(out)]) == 0
+        capsys.readouterr()
+        data = write(tmp_path / "foreign.csv",
+                     "x0,x1,class\n-1,-1,neg\n-1,1,pos\n1,-1,zzz\n1,1,neg\n")
+        code = main(argv + ["--network", str(out / "network.json"),
+                            "--dataset", data, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: label 'zzz' is not one of the network's output labels "
+            "['pos', 'neg']"]
+
 
 class TestIndicatorsCommand:
     def test_indicator_table(self, tmp_path, capsys):
@@ -587,6 +609,25 @@ class TestVerbalizeCompareEval:
             rows = list(csv.reader(fh))
         assert rows[0][-2:] == ["r1_class", "r2_class"]
         assert len(rows) == 31  # header + 30 disagreements
+
+    def test_compare_refuses_three_classes(self, tmp_path, capsys):
+        # on a = +1 one says X and the other P; neither ever says O
+        paths = []
+        for when_a, otherwise in (("X", "P"), ("P", "X")):
+            doc = valid_rules_doc()
+            doc["class_labels"] = ["P", "O", "X"]
+            doc["rules"].append({"name": "no", "k": 1, "statements": [
+                {"feature": "a", "affirmed": False}]})
+            doc["output_rules"] = [{"label": when_a, "rule": "out"},
+                                   {"label": otherwise, "rule": "no"}]
+            paths.append(write(tmp_path / f"{when_a}.json", json.dumps(doc)))
+        code = main(["compare", "--rules1", paths[0], "--rules2", paths[1],
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "['P', 'O', 'X']" in err[0]
+        assert not (tmp_path / "out" / "disagreements.csv").exists()
 
     def test_export_fixtures_writes_packaged_files(self, tmp_path, capsys):
         assert main(["export-fixtures", "--out", str(tmp_path)]) == 0

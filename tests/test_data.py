@@ -98,6 +98,14 @@ def csv_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("csv")
 
 
+class TestDataset:
+    def test_zero_rows_are_refused(self):
+        # refused where a dataset is made, so no evaluation, training or
+        # ledger ever meets one
+        with pytest.raises(DatasetError, match="at least one row"):
+            Dataset(["a", "b"], np.zeros((0, 2)), [], ["P", "O"])
+
+
 class TestLoaderMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(text=csv_texts())

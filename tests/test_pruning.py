@@ -29,6 +29,7 @@ from lucidnet import (
     train_until,
 )
 from lucidnet import training
+from lucidnet.network import BatchTrace
 from lucidnet.pruning import _digest
 from lucidnet.training import loss_terms
 
@@ -310,9 +311,9 @@ class TestStaleIndicators:
 
 
 class TestDivergence:
-    """A test double makes the second loss evaluation of the pruning run
-    non-finite, so training diverges: in the retrain after one
-    accumulation epoch, in the ledger itself after two."""
+    """A test double makes the second loss evaluation after the stage's
+    entry check (call 1) non-finite, so training diverges: in the retrain
+    after one accumulation epoch, in the ledger itself after two."""
 
     def _run(self, loop, acc, monkeypatch):
         net, ds, _, _ = fresh_trained_xor(1)
@@ -325,7 +326,7 @@ class TestDivergence:
         def diverging_loss_terms(loss_kind, targets, outputs):
             losses, grads = loss_terms(loss_kind, targets, outputs)
             calls.append(None)
-            return (losses + np.inf if len(calls) == 2 else losses), grads
+            return (losses + np.inf if len(calls) == 3 else losses), grads
 
         monkeypatch.setattr(training, "loss_terms", diverging_loss_terms)
         runner = prune_basic if loop == "basic" else prune_accelerated
@@ -357,6 +358,21 @@ class TestDivergence:
         for step, rec in zip(result.steps, logged):
             assert ("reason" in rec) == (step.reason is not None)
             assert ("reason" in rec) == (rec["loss"] is None)
+
+
+def test_a_stage_allocates_one_batch_trace(monkeypatch):
+    """The entry check evaluates in the stage's workspace, whose trace
+    then serves every ledger and retrain of the stage."""
+    net, ds, _, _ = fresh_trained_xor(1)
+    built, init = [], BatchTrace.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BatchTrace, "__init__", counted)
+    result = prune_basic(net, ds, prune_cfg("synapse-removal"))
+    assert len(result.steps) > 1 and len(built) == 1
 
 
 class TestRunPipeline:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,9 @@ from lucidnet import (
     total_loss,
     train_until,
 )
+from lucidnet import training
 from lucidnet.training import (
+    SUCCESS_CRITERIA,
     EpochWorkspace,
     classify_outputs,
     criterion_met,
@@ -116,8 +120,6 @@ class TestTrainConfig:
 
 class TestTrainUntil:
     def test_non_finite_loss_diverges_even_at_full_accuracy(self, monkeypatch):
-        from lucidnet import training
-
         net = one_tanh_neuron(weight=2.0)
         ds = make_dataset([[1.0], [-1.0]], ["pos", "neg"],
                           class_labels=["pos", "neg"])
@@ -171,14 +173,18 @@ class TestTrainUntil:
 
 
 def reference_train_until(net, ds, loss, cfg):
-    """The epoch loop spelled out with one public call per decision."""
+    """The epoch loop spelled out with one public call per quantity and the
+    success criterion decided here, from those quantities."""
     work = None
     epochs = 0
     while True:
-        met = criterion_met(net, ds, loss, cfg)
+        total, accuracy = total_loss(net, ds, loss), evaluate_classification(net, ds)[0]
+        if cfg.success_criterion == "loss-below-threshold":
+            met = total <= cfg.loss_threshold
+        else:
+            met = accuracy == 1.0
         if met or epochs >= cfg.max_epochs:
-            return TrainOutcome(met, epochs, total_loss(net, ds, loss),
-                                evaluate_classification(net, ds)[0])
+            return TrainOutcome(met, epochs, total, accuracy)
         work = step(work or EpochWorkspace(net, ds, loss), cfg)  # keeps the velocity
         epochs += 1
 
@@ -232,7 +238,48 @@ class TestTrainUntilMatchesReferenceLoop:
         assert got == want
         if isinstance(want, TrainOutcome):
             assert type(got.converged) is type(want.converged)
+            assert type(got.final_accuracy) is type(want.final_accuracy)
         assert net.to_json() == twin.to_json()
+
+
+class TestCriterionMet:
+    """``criterion_met`` is ``train_until``'s own epoch check."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(training_cases())
+    def test_equals_a_zero_epoch_train_until(self, case):
+        net, ds, loss, cfg = case
+        before = net.to_json()
+        zero = replace(cfg, max_epochs=0)
+        want = outcome_or_refusal(lambda: train_until(net, ds, loss, zero).converged)
+        works = [None]
+        used = outcome_or_refusal(lambda: EpochWorkspace(net, ds, loss))
+        if isinstance(used, EpochWorkspace):
+            train_until(net, ds, loss, zero, used)  # leaves the workspace used
+            works.append(used)
+        for work in works:
+            got = outcome_or_refusal(lambda: criterion_met(net, ds, loss, cfg, work))
+            assert got == want and type(got) is type(want)
+        assert net.to_json() == before
+
+    @pytest.mark.parametrize("criterion", SUCCESS_CRITERIA)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_loss_is_not_met(self, monkeypatch, criterion, bad):
+        net = passthrough_net()
+        ds = make_dataset([[1.0], [-1.0]], ["pos", "neg"],
+                          class_labels=["pos", "neg"])
+        cfg = TrainConfig(learning_rate=0.1, loss_threshold=1.0,
+                          success_criterion=criterion)
+        assert criterion_met(net, ds, LossKind("mse"), cfg) is True
+        real = training.loss_terms
+
+        def non_finite(loss_kind, targets, outputs):
+            losses, grads = real(loss_kind, targets, outputs)
+            return losses + bad, grads
+
+        monkeypatch.setattr(training, "loss_terms", non_finite)
+        assert evaluate_classification(net, ds)[0] == 1.0
+        assert criterion_met(net, ds, LossKind("mse"), cfg) is False
 
 
 class TestEvaluateClassification:

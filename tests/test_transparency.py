@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -374,7 +375,12 @@ class TestBatchInterpreter:
     @settings(max_examples=60, deadline=None)
     @given(rule_set_pairs())
     def test_compare_matches_reference(self, pair):
-        assert_same_comparison(*pair)
+        r1, r2 = pair
+        if len(r1.class_labels) == 2:
+            assert_same_comparison(r1, r2)
+        else:  # the agreement counters are two-class
+            with pytest.raises(LucidnetError, match=re.escape(str(r1.class_labels))):
+                compare_rulesets(r1, r2)
 
     def test_compare_across_block_boundaries(self):
         # 14 attributes: 16,384 assignments in four blocks of 4,096
@@ -506,6 +512,18 @@ class TestCompareRulesets:
             tracemalloc.stop()
         assert len(cmp.universe) == 16 and len(cmp.disagreements) == 2 ** 15
         assert held < 6 * 2 ** 20
+
+    def test_more_than_two_classes_refused(self):
+        # the four counters are two-class: an X/P disagreement has no place
+        def says(when_a, otherwise):
+            return RuleSet(
+                rules=[ThresholdRule("yes", 1, [Statement(True, feature="a")]),
+                       ThresholdRule("no", 1, [Statement(False, feature="a")])],
+                output_rules=[(when_a, "yes"), (otherwise, "no")],
+                class_labels=["P", "O", "X"])
+
+        with pytest.raises(LucidnetError, match=re.escape("['P', 'O', 'X']")):
+            compare_rulesets(says("X", "P"), says("P", "X"))
 
     def test_oversize_universe_rejected(self):
         big1 = RuleSet(
