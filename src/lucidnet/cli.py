@@ -26,7 +26,14 @@ from .errors import (
     UsageError,
 )
 from .network import Network, build_network
-from .pruning import PruneConfig, PruningProblem, candidate_pool, rate_pool, run_pipeline
+from .pruning import (
+    PruneConfig,
+    PruningProblem,
+    candidate_pool,
+    rate_pool,
+    require_trained,
+    run_pipeline,
+)
 from .sensitivity import ValidSet, export_csv
 from .training import (
     LossKind,
@@ -251,8 +258,10 @@ def cmd_prune(args, option):
         raise UsageError("either --problem or config stages are required")
     out = _out_dir(option)
     log_path = os.path.join(out, "prune_log.jsonl")
-    for stage in stages:  # refuse a bad stage before the log exists
-        _stage_config(stage, retrain, loss_kind, None)
+    # refuse a bad stage, and a network that the first stage refuses at its
+    # entry (exit 2 or 3), before the log exists
+    checked = [_stage_config(stage, retrain, loss_kind, None) for stage in stages]
+    require_trained(net, dataset, checked[0])
     with open(log_path, "w") as log:
         configs = [_stage_config(stage, retrain, loss_kind, log) for stage in stages]
         results, net = run_pipeline(net, dataset, configs)

@@ -25,7 +25,10 @@ matmul per layer in the buffers of a ``BatchTrace`` and return it; its
 flat gradient has the layout of ``params``.  A training run makes one trace
 and passes it back to every epoch's ``forward_batch``, so the masked inputs
 and matrices are built once per run.  ``BatchTrace.reset`` rebinds a trace
-after a structural edit, so a pruning stage allocates its buffers once.
+after a structural edit, so a pruning stage allocates its buffers once, and
+builds the epoch plan that passes run from once per structure.  The plan
+changes no BLAS call, so every result equals the plain per-group loop's
+bit for bit.
 """
 
 from __future__ import annotations
@@ -54,24 +57,25 @@ def step_function(x):
     return np.where(np.asarray(x, dtype=float) < 0.0, -1.0, 1.0)
 
 
-def _activate(kind, sigma):
+def _activate(kind, sigma, out=None):
+    """f(sigma), into ``out`` when given (a smooth kind only)."""
     if kind == "tanh":
-        return np.tanh(sigma)
+        return np.tanh(sigma, out=out)
     if kind == "sigmoid":
         # logistic rescaled to (-1, 1) so targets share the tanh range
-        return np.tanh(0.5 * sigma)
+        return np.tanh(np.multiply(sigma, 0.5, out=out), out=out)
     if kind == "step":
         return step_function(sigma)
     raise ValueError(f"unknown activation kind {kind!r}")
 
 
-def _activate_prime(kind, y):
-    # derivatives expressed through the output value y = f(sigma)
-    if kind == "tanh":
-        return 1.0 - y * y
-    if kind == "sigmoid":
-        return 0.5 * (1.0 - y * y)
-    raise NonDifferentiableError("step activation has no derivative")
+def _activate_prime(kind, y, out=None):
+    """f'(sigma) expressed through the output value y = f(sigma), into
+    ``out`` when given."""
+    if kind not in SMOOTH_ACTIVATIONS:
+        raise NonDifferentiableError("step activation has no derivative")
+    prime = np.subtract(1.0, np.multiply(y, y, out=out), out=out)
+    return np.multiply(prime, 0.5, out=prime) if kind == "sigmoid" else prime
 
 
 _KIND_ORDER = {"input": 0, "neuron": 1, "synapse": 2, "bias": 3}
@@ -643,13 +647,19 @@ class BatchTrace:
     the samples in the layout of ``Network.params``, whose per-layer views
     are ``weight_grads`` and ``bias_grads``.  With ``input_grads`` false it
     leaves ``y_grads[0]`` at zero.  ``smooth`` says whether every live
-    neuron is smooth.  A trace serves one structure of the network;
-    ``reset`` rebinds it to the current one.
+    neuron is smooth.  All of these are buffers that the next pass
+    overwrites, ``sigma[l]`` too.  ``G`` is column-major: it never enters a
+    matrix product, so its blocks, and the column of each unit, are
+    contiguous instead.
+
+    A trace serves one structure of one network.  ``reset`` rebinds it to
+    the network's current structure and, when that changed, builds the
+    epoch ``plan`` that every pass runs from: one ``_LayerPlan`` per layer.
     """
 
     __slots__ = ("source", "activations", "values", "sigma", "G", "y_grads",
                  "d_sigma", "grad", "weight_grads", "bias_grads", "version",
-                 "smooth", "input_grads")
+                 "smooth", "input_grads", "net", "plan", "g_lo", "_ys", "_product")
 
     def __init__(self, net: Network, X, input_grads=True):
         self.source = X
@@ -658,39 +668,95 @@ class BatchTrace:
             raise InputShapeError(
                 f"expected (N, {net.input_dim}) inputs, got {X.shape}"
             )
-        off = net.offsets
-        A = self.activations = np.empty((X.shape[0], off[-1]))
-        self.G = np.zeros_like(A)
+        n, off = X.shape[0], net.offsets
+        A = self.activations = np.empty((n, off[-1]))
+        self.G = np.zeros_like(A, order="F")
         blocks = [slice(off[l], off[l + 1]) for l in range(net.n_layers + 1)]
         self.values = [A[:, cols] for cols in blocks]
         self.y_grads = [self.G[:, cols] for cols in blocks]
-        self.d_sigma = [None] + [np.empty((X.shape[0], layer.width))
-                                 for layer in net.layers]
+        self.sigma, self.d_sigma, self._ys = (
+            [None] + [np.empty((n, layer.width)) for layer in net.layers]
+            for _ in range(3))
+        # the layers' d_sigma @ weights products share one buffer
+        self._product = np.empty(n * off[-2])
         self.grad = np.zeros_like(net.params)
         # (None, weights 1, ...) and (None, bias 1, ...), made once
         self.weight_grads, self.bias_grads = map(list, zip((None, None),
                                                            *net.views(self.grad)))
-        self.sigma = [None] * (net.n_layers + 1)
+        self.net = self.version = self.input_grads = None
         self.reset(net, input_grads)
 
     def reset(self, net: Network, input_grads=True):
-        """Put the buffers in the state a new trace of ``net`` over the same
-        inputs has.  Dead neurons are never written, so every neuron column
-        and dL/dsigma block is zeroed; masked features are zeroed explicitly,
-        because a zero weight times nan would still be nan."""
+        """Put the buffers that passes read before they write in the state a
+        new trace of ``net`` over the same inputs has: every neuron column,
+        ``G`` and every dL/dsigma block zero, and masked features zeroed
+        explicitly, because a zero weight times nan would still be nan.
+        The plan is built again only for another structure or
+        ``input_grads``."""
         A = self.activations
         A[:, : net.input_dim] = np.where(net.active_inputs, self.source, 0.0)
         A[:, net.input_dim:] = 0.0
+        self.G.fill(0.0)
         for d_sigma in self.d_sigma[1:]:
             d_sigma.fill(0.0)
-        self.version = net._version
+        if (self.net, self.version, self.input_grads) == (net, net._version, input_grads):
+            return
+        self.net, self.version, self.input_grads = net, net._version, input_grads
         self.smooth = all(kind in SMOOTH_ACTIVATIONS
                           for layer in net.layers for kind in layer.groups)
-        self.input_grads = input_grads
+        self.plan = [_LayerPlan(self, net, l) for l in range(1, net.n_layers + 1)]
+        # the first G column a pass adds into; the columns before it stay 0
+        self.g_lo = min([p.lo for p in self.plan if p.writes], default=net.offsets[-2])
 
     @property
     def outputs(self):
         return self.values[-1]
+
+
+class _LayerPlan:
+    """How the passes over one structure run layer l: views of the trace's
+    buffers and the layer's arrays, bound once, and what the structure
+    decides about them.
+
+    ``kind`` is the activation kind of every live neuron of the layer when
+    that is one smooth kind, else None, and the layer runs per kind group
+    on the neurons' columns.  A layer of one kind runs at full width in place,
+    its outputs first into the contiguous ``y`` and then into its block of
+    ``activations``; the columns of its ``dead`` neurons (None when all
+    live) are then set to 0 in both and in dL/dsigma.  ``lo`` is the first
+    source column with a live synapse.  Every weight before it is a masked
+    zero, so dL/d(sources) is added into ``G`` from ``lo`` on, and only when
+    the layer ``writes`` it (layer 1 only for input gradients).  The
+    d_sigma @ weights product still has its full width, in the trace's
+    shared product buffer.
+    """
+
+    __slots__ = ("layer", "inputs", "weights", "weights_t", "bias", "sigma",
+                 "values", "y", "y_grads", "d_sigma", "d_sigma_t",
+                 "weight_grads", "bias_grads", "kind", "dead", "lo", "writes",
+                 "product", "g_window_t", "product_window_t")
+
+    def __init__(self, trace: BatchTrace, net: Network, l):
+        off, n = net.offsets, len(trace.activations)
+        layer = self.layer = net.layers[l - 1]
+        self.inputs = trace.activations[:, : off[l]]
+        self.weights, self.weights_t, self.bias = layer.weights, layer.weights.T, layer.bias
+        self.sigma, self.values = trace.sigma[l], trace.values[l]
+        self.y, self.y_grads, self.d_sigma = trace._ys[l], trace.y_grads[l], trace.d_sigma[l]
+        self.d_sigma_t = self.d_sigma.T
+        self.weight_grads, self.bias_grads = trace.weight_grads[l], trace.bias_grads[l]
+        kinds = list(layer.groups)  # of the live neurons
+        self.kind = (kinds[0] if len(kinds) == 1 and kinds[0] in SMOOTH_ACTIVATIONS
+                     else None)
+        dead = np.flatnonzero(~layer.neuron_alive)
+        self.dead = dead if dead.size else None
+        sources = np.flatnonzero(layer.alive.any(axis=0))
+        self.lo = int(sources[0]) if sources.size else off[l]
+        self.writes = l > 1 or trace.input_grads
+        self.product = trace._product[: n * off[l]].reshape(n, off[l])
+        # transposed, the add into G runs along its contiguous columns
+        self.g_window_t = trace.G.T[self.lo: off[l]]
+        self.product_window_t = self.product.T[self.lo:]
 
 
 def forward_batch(net: Network, X, trace: BatchTrace | None = None) -> BatchTrace:
@@ -699,40 +765,48 @@ def forward_batch(net: Network, X, trace: BatchTrace | None = None) -> BatchTrac
     structure), else into a new BatchTrace."""
     if trace is None:
         trace = BatchTrace(net, X)
-    elif X is not trace.source or trace.version != net._version:
+    elif X is not trace.source or trace.net is not net or trace.version != net._version:
         raise StaleReferenceError("trace was made for other inputs or structure")
-    off = net.offsets
-    A = trace.activations
-    for l, layer in enumerate(net.layers, start=1):
-        sigma = trace.sigma[l] = A[:, : off[l]] @ layer.weights.T
-        sigma += layer.bias
-        for kind, cols in layer.groups.items():
-            trace.values[l][:, cols] = _activate(kind, sigma[:, cols])
+    for p in trace.plan:
+        sigma = np.matmul(p.inputs, p.weights_t, out=p.sigma)
+        np.add(sigma, p.bias, out=sigma)
+        if p.kind is None:
+            for kind, cols in p.layer.groups.items():
+                p.values[:, cols] = _activate(kind, sigma[:, cols])
+            continue
+        y = _activate(p.kind, sigma, p.y)
+        if p.dead is not None:
+            y[:, p.dead] = 0.0
+        np.copyto(p.values, y)
     return trace
 
 
 def backward_batch(net: Network, trace: BatchTrace, d_outputs) -> BatchTrace:
     """Derivatives of a loss whose dL/d(outputs) is ``d_outputs``, written
     into the gradient buffers of ``trace``, which is returned."""
-    if trace.version != net._version:
+    if trace.net is not net or trace.version != net._version:
         raise StaleReferenceError("trace was produced by a different structure")
     if not trace.smooth:
         raise NonDifferentiableError(
             "backward requires smooth activations on all live neurons"
         )
-    off = net.offsets
-    A, G = trace.activations, trace.G
-    G[:, : off[-2]] = 0.0
+    off, G = net.offsets, trace.G
+    G[:, trace.g_lo: off[-2]] = 0.0
     G[:, off[-2]:] = d_outputs
-    for l in range(net.n_layers, 0, -1):
-        layer = net.layers[l - 1]
-        y, g, d_sigma = trace.values[l], trace.y_grads[l], trace.d_sigma[l]
-        for kind, cols in layer.groups.items():
-            d_sigma[:, cols] = g[:, cols] * _activate_prime(kind, y[:, cols])
-        if l > 1 or trace.input_grads:  # layer 1 writes only dL/d(inputs)
-            G[:, : off[l]] += d_sigma @ layer.weights
-        np.matmul(d_sigma.T, A[:, : off[l]], out=trace.weight_grads[l])
-        np.add.reduce(d_sigma, axis=0, out=trace.bias_grads[l])
+    for p in reversed(trace.plan):
+        if p.kind is None:
+            for kind, cols in p.layer.groups.items():
+                p.d_sigma[:, cols] = p.y_grads[:, cols] * _activate_prime(
+                    kind, p.values[:, cols])
+        else:  # f'(sigma) first, in place
+            np.multiply(p.y_grads, _activate_prime(p.kind, p.y, p.d_sigma), out=p.d_sigma)
+            if p.dead is not None:
+                p.d_sigma[:, p.dead] = 0.0
+        if p.writes:
+            np.matmul(p.d_sigma, p.weights, out=p.product)
+            np.add(p.g_window_t, p.product_window_t, out=p.g_window_t)
+        np.matmul(p.d_sigma_t, p.inputs, out=p.weight_grads)
+        np.add.reduce(p.d_sigma, axis=0, out=p.bias_grads)
     return trace
 
 

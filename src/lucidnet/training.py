@@ -72,13 +72,34 @@ class TrainOutcome:
     final_accuracy: float
 
 
+class LossBuffers:
+    """A ±1 target matrix with the arrays that ``loss_terms`` writes mse
+    terms against it into; each call overwrites them.  It goes in place of
+    the targets, so every call of ``loss_terms``, and any function standing
+    in for it, keeps the same three arguments."""
+
+    __slots__ = ("targets", "losses", "d_out", "squares")
+
+    def __init__(self, targets):
+        self.targets = targets
+        self.losses = np.empty(len(targets))
+        self.d_out, self.squares = np.empty_like(targets), np.empty_like(targets)
+
+
 def loss_terms(loss_kind: LossKind, targets, outputs):
-    """Per-sample loss values and dL/d(outputs)."""
-    z = np.asarray(targets, dtype=float)
+    """Per-sample loss values and dL/d(outputs).  ``targets`` is the ±1
+    target matrix, or LossBuffers of it, whose arrays then hold and are
+    the returned mse terms."""
+    buffers = targets if isinstance(targets, LossBuffers) else None
+    z = np.asarray(targets if buffers is None else buffers.targets, dtype=float)
     zhat = np.asarray(outputs, dtype=float)
     if loss_kind.kind == "mse":
-        diff = zhat - z
-        return 0.5 * (diff * diff).sum(axis=1), diff
+        d_out, squares, losses = ((None,) * 3 if buffers is None else
+                                  (buffers.d_out, buffers.squares, buffers.losses))
+        diff = np.subtract(zhat, z, out=d_out)
+        # each row summed as (diff * diff).sum(axis=1) sums it
+        losses = np.add.reduce(np.multiply(diff, diff, out=squares), axis=1, out=losses)
+        return np.multiply(losses, 0.5, out=losses), diff
     margins = loss_kind.margin_width - z * zhat
     active = margins > 0.0  # subgradient 0 exactly at the kink
     losses = np.where(active, margins, 0.0).sum(axis=1)
@@ -116,7 +137,8 @@ def total_loss(net: Network, dataset, loss_kind: LossKind) -> float:
 
 class EpochWorkspace:
     """What the epochs of one training run share: a BatchTrace over
-    ``dataset.features``, the targets, each row's label index and the
+    ``dataset.features``, the targets with the buffers of their loss terms,
+    each row's label index with the buffers of its accuracy count, and the
     velocity.  Training changes weights only, so none of it goes stale
     within a run; ``reset`` readies it for the next run on the same network,
     whose structure may have changed since."""
@@ -125,7 +147,7 @@ class EpochWorkspace:
                  input_grads=False):
         self.net, self.dataset, self.loss_kind = net, dataset, loss_kind
         self.trace = BatchTrace(net, dataset.features, input_grads)
-        self.targets = targets_for(dataset, net)
+        self.targets = LossBuffers(targets_for(dataset, net))
         self.velocity = np.zeros_like(net.params)
 
     def reset(self, input_grads=False):
@@ -135,20 +157,33 @@ class EpochWorkspace:
         return self
 
     @functools.cached_property
-    def row_label(self):  # only judge reads it
-        return _label_indices(self.dataset, self.net.output_labels)
+    def _picks(self):  # only judge reads it
+        """(the pick each row needs, pick buffer, hit buffer); a single
+        output's pick is whether it picks output 0."""
+        rows = _label_indices(self.dataset, self.net.output_labels)
+        hits = np.empty(len(rows), dtype=bool)
+        if self.net.layers[-1].width == 1:
+            return rows == 0, np.empty_like(hits), hits
+        return rows, np.empty_like(rows, dtype=np.intp), hits
 
     def evaluate(self):
-        """(total loss, dL/d(outputs)) of a forward pass into ``trace``."""
+        """(total loss, dL/d(outputs)) of a forward pass into ``trace``; the
+        next evaluation overwrites the dL/d(outputs) buffer."""
         trace = forward_batch(self.net, self.dataset.features, self.trace)
         losses, d_out = loss_terms(self.loss_kind, self.targets, trace.outputs)
         return float(losses.sum()), d_out
 
     def judge(self, config: TrainConfig, loss):
         """(criterion met, accuracy) for the ``loss`` that ``evaluate`` just
-        returned; a non-finite loss never meets the criterion."""
-        picks = _predicted_outputs(self.trace.outputs)
-        accuracy = int(np.count_nonzero(picks == self.row_label)) / len(picks)
+        returned, with the picks of ``_predicted_outputs``; a non-finite loss
+        never meets the criterion."""
+        need, picks, hits = self._picks
+        outputs = self.trace.outputs
+        if outputs.shape[1] == 1:
+            np.greater_equal(outputs[:, 0], 0.0, out=picks)
+        else:
+            np.argmax(outputs, axis=1, out=picks)
+        accuracy = int(np.count_nonzero(np.equal(picks, need, out=hits))) / len(hits)
         by_loss = config.success_criterion == "loss-below-threshold"
         met = loss <= config.loss_threshold if by_loss else accuracy == 1.0
         return math.isfinite(loss) and met, accuracy

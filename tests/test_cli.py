@@ -171,6 +171,24 @@ class TestPruneCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: pruning requires")
 
+    @pytest.mark.parametrize("label, epochs, want", [("zzz", 5000, 2), ("neg", 0, 3)],
+                             ids=["unknown-row-label", "untrained"])
+    def test_a_prune_refused_at_entry_leaves_no_log(self, tmp_path, capsys,
+                                                    label, epochs, want):
+        out = tmp_path / "run"
+        main(["train", "--dataset", xor_csv(tmp_path), "--arch", "2,6,1",
+              "--labels", "pos,neg", "--lr", "0.3", "--momentum", "0.9",
+              "--epochs", str(epochs), "--seed", "1", "--out", str(out)])
+        capsys.readouterr()
+        data = write(tmp_path / "rows.csv",
+                     f"x0,x1,class\n-1,-1,neg\n-1,1,pos\n1,-1,pos\n1,1,{label}\n")
+        code = main(["prune", "--network", str(out / "network.json"),
+                     "--dataset", data, "--problem", "synapse-removal",
+                     "--out", str(tmp_path / "pruned")])
+        assert code == want
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not list((tmp_path / "pruned").rglob("prune_log.jsonl"))
+
     @pytest.mark.parametrize("argv", [
         ["prune", "--problem", "synapse-removal"],
         ["prune", "--problem", "synapse-removal",
