@@ -36,10 +36,10 @@ from .pruning import (
 )
 from .sensitivity import ValidSet, export_csv
 from .training import (
+    EpochWorkspace,
     LossKind,
     TrainConfig,
     evaluate_classification,
-    total_loss,
     train_until,
 )
 from .transparency import (
@@ -270,8 +270,10 @@ def cmd_prune(args, option):
     for i, (config, result) in enumerate(zip(configs, results)):
         print(f"stage={i} problem={config.problem.kind} steps={len(result.steps)} "
               f"accepted={len(result.accepted_steps)} stop={result.stop_reason}")
-    final_loss = total_loss(net, dataset, loss_kind)
-    accuracy, _ = evaluate_classification(net, dataset)
+    # one evaluation gives both; the entry check refused labels the net lacks
+    work = EpochWorkspace(net, dataset, loss_kind)
+    final_loss = work.evaluate()[0]
+    accuracy = work.judge(retrain, final_loss)[1]
     print(
         f"final loss={final_loss!r} accuracy={accuracy!r} "
         f"network={net_path} log={log_path}"

@@ -26,9 +26,11 @@ flat gradient has the layout of ``params``.  A training run makes one trace
 and passes it back to every epoch's ``forward_batch``, so the masked inputs
 and matrices are built once per run.  ``BatchTrace.reset`` rebinds a trace
 after a structural edit, so a pruning stage allocates its buffers once, and
-builds the epoch plan that passes run from once per structure.  The plan
-changes no BLAS call, so every result equals the plain per-group loop's
-bit for bit.
+builds the epoch plan that passes run from once per structure.  Every
+layer, whatever its mix of tanh, sigmoid, step and dead neurons, runs
+through the same loop body; a sigmoid is tanh at half the summator, scaled
+per column.  The plan changes no BLAS call, so every result equals a plain
+loop that activates each kind on its own columns, bit for bit.
 """
 
 from __future__ import annotations
@@ -55,27 +57,6 @@ ACTIVATIONS = ("tanh", "sigmoid", "step")
 def step_function(x):
     """Hard threshold used on frozen networks: -1 below zero, +1 otherwise."""
     return np.where(np.asarray(x, dtype=float) < 0.0, -1.0, 1.0)
-
-
-def _activate(kind, sigma, out=None):
-    """f(sigma), into ``out`` when given (a smooth kind only)."""
-    if kind == "tanh":
-        return np.tanh(sigma, out=out)
-    if kind == "sigmoid":
-        # logistic rescaled to (-1, 1) so targets share the tanh range
-        return np.tanh(np.multiply(sigma, 0.5, out=out), out=out)
-    if kind == "step":
-        return step_function(sigma)
-    raise ValueError(f"unknown activation kind {kind!r}")
-
-
-def _activate_prime(kind, y, out=None):
-    """f'(sigma) expressed through the output value y = f(sigma), into
-    ``out`` when given."""
-    if kind not in SMOOTH_ACTIVATIONS:
-        raise NonDifferentiableError("step activation has no derivative")
-    prime = np.subtract(1.0, np.multiply(y, y, out=out), out=out)
-    return np.multiply(prime, 0.5, out=prime) if kind == "sigmoid" else prime
 
 
 _KIND_ORDER = {"input": 0, "neuron": 1, "synapse": 2, "bias": 3}
@@ -144,12 +125,11 @@ class Layer:
     """One neuron layer: ``weights`` is (width, columns of all earlier
     layers); ``alive``/``trainable`` share its shape, and a dead entry holds
     weight 0 and is never trainable.  ``slots[i]`` lists neuron i's synapse
-    columns in slot order.  ``groups`` maps each activation kind to the
-    columns of the live neurons using it; ``Network._touch`` refreshes it.
+    columns in slot order.
     """
 
     __slots__ = ("weights", "alive", "trainable", "bias", "bias_trainable",
-                 "neuron_alive", "activation", "slots", "groups")
+                 "neuron_alive", "activation", "slots")
 
     def __init__(self, weights, trainable, bias, bias_trainable, activation,
                  slots):
@@ -164,22 +144,10 @@ class Layer:
         self.neuron_alive = np.ones(width, dtype=bool)
         self.activation = list(activation)
         self.slots = tuple(tuple(cols) for cols in slots)
-        self.regroup()
 
     @property
     def width(self):
         return len(self.bias)
-
-    def regroup(self):
-        groups = {}
-        for i, (kind, alive) in enumerate(zip(self.activation,
-                                              self.neuron_alive.tolist())):
-            if alive:
-                groups.setdefault(kind, []).append(i)
-        if len(groups) == 1 and self.neuron_alive.all():
-            self.groups = {kind: slice(None) for kind in groups}
-        else:
-            self.groups = {kind: np.array(cols) for kind, cols in groups.items()}
 
     def live_slots(self, i, mask=None):
         """(slot, column) of neuron i's synapses set in ``mask`` (by
@@ -345,8 +313,6 @@ class Network:
 
     def _touch(self):
         self._version += 1
-        for layer in self.layers:
-            layer.regroup()
 
     def set_weight(self, ref, value, freeze=False):
         """Assign a weight; freezing removes it from the trainable pool."""
@@ -646,15 +612,16 @@ class BatchTrace:
     the per-sample dL/dsigma and bias gradients, and ``grad``, the sum over
     the samples in the layout of ``Network.params``, whose per-layer views
     are ``weight_grads`` and ``bias_grads``.  With ``input_grads`` false it
-    leaves ``y_grads[0]`` at zero.  ``smooth`` says whether every live
-    neuron is smooth.  All of these are buffers that the next pass
-    overwrites, ``sigma[l]`` too.  ``G`` is column-major: it never enters a
-    matrix product, so its blocks, and the column of each unit, are
-    contiguous instead.
+    leaves ``y_grads[0]`` at zero.  ``smooth`` says whether no live neuron
+    is a step, as ``backward_batch`` requires.  All of these are buffers
+    that the next pass overwrites, ``sigma[l]`` too.  ``G`` is column-major:
+    it never enters a matrix product, so its blocks, and the column of each
+    unit, are contiguous instead.
 
     A trace serves one structure of one network.  ``reset`` rebinds it to
     the network's current structure and, when that changed, builds the
-    epoch ``plan`` that every pass runs from: one ``_LayerPlan`` per layer.
+    epoch ``plan`` that every pass runs from: one ``_LayerPlan`` per layer,
+    the only place where the layers' activation kinds are read.
     """
 
     __slots__ = ("source", "activations", "values", "sigma", "G", "y_grads",
@@ -702,9 +669,8 @@ class BatchTrace:
         if (self.net, self.version, self.input_grads) == (net, net._version, input_grads):
             return
         self.net, self.version, self.input_grads = net, net._version, input_grads
-        self.smooth = all(kind in SMOOTH_ACTIVATIONS
-                          for layer in net.layers for kind in layer.groups)
         self.plan = [_LayerPlan(self, net, l) for l in range(1, net.n_layers + 1)]
+        self.smooth = all(p.step is None for p in self.plan)
         # the first G column a pass adds into; the columns before it stay 0
         self.g_lo = min([p.lo for p in self.plan if p.writes], default=net.offsets[-2])
 
@@ -718,38 +684,41 @@ class _LayerPlan:
     buffers and the layer's arrays, bound once, and what the structure
     decides about them.
 
-    ``kind`` is the activation kind of every live neuron of the layer when
-    that is one smooth kind, else None, and the layer runs per kind group
-    on the neurons' columns.  A layer of one kind runs at full width in place,
-    its outputs first into the contiguous ``y`` and then into its block of
-    ``activations``; the columns of its ``dead`` neurons (None when all
-    live) are then set to 0 in both and in dL/dsigma.  ``lo`` is the first
-    source column with a live synapse.  Every weight before it is a masked
-    zero, so dL/d(sources) is added into ``G`` from ``lo`` on, and only when
-    the layer ``writes`` it (layer 1 only for input gradients).  The
-    d_sigma @ weights product still has its full width, in the trace's
-    shared product buffer.
+    Every layer runs one way, at full width and in place.  The outputs
+    are ``tanh(sigma * scale)`` into the contiguous ``y``: ``scale`` is None
+    unless a live neuron is a sigmoid, else 0.5 per live sigmoid column and
+    1.0 elsewhere, since the sigmoid, the logistic rescaled to (-1, 1), is
+    tanh(sigma / 2) and sigma * 1.0 is sigma.  The ``step`` columns (of the
+    live step neurons, or None) are then overwritten by
+    ``step_function(sigma)`` and the ``dead`` ones (None when all live) set
+    to 0, and ``y`` is copied into the layer's block of ``activations``.
+    Backward, dL/dsigma is ``(1 - y * y) * scale * dL/dy`` with the dead
+    columns set to 0.  ``lo`` is the first source column with a live
+    synapse.  Every weight before it is a masked zero, so dL/d(sources) is
+    added into ``G`` from ``lo`` on, and only when the layer ``writes`` it
+    (layer 1 only for input gradients).  The d_sigma @ weights product
+    still has its full width, in the trace's shared product buffer.
     """
 
-    __slots__ = ("layer", "inputs", "weights", "weights_t", "bias", "sigma",
-                 "values", "y", "y_grads", "d_sigma", "d_sigma_t",
-                 "weight_grads", "bias_grads", "kind", "dead", "lo", "writes",
-                 "product", "g_window_t", "product_window_t")
+    __slots__ = ("inputs", "weights", "weights_t", "bias", "sigma", "values", "y",
+                 "y_grads", "d_sigma", "d_sigma_t", "weight_grads", "bias_grads",
+                 "scale", "step", "dead", "lo", "writes", "product", "g_window_t",
+                 "product_window_t")
 
     def __init__(self, trace: BatchTrace, net: Network, l):
         off, n = net.offsets, len(trace.activations)
-        layer = self.layer = net.layers[l - 1]
+        layer = net.layers[l - 1]
         self.inputs = trace.activations[:, : off[l]]
         self.weights, self.weights_t, self.bias = layer.weights, layer.weights.T, layer.bias
         self.sigma, self.values = trace.sigma[l], trace.values[l]
         self.y, self.y_grads, self.d_sigma = trace._ys[l], trace.y_grads[l], trace.d_sigma[l]
         self.d_sigma_t = self.d_sigma.T
         self.weight_grads, self.bias_grads = trace.weight_grads[l], trace.bias_grads[l]
-        kinds = list(layer.groups)  # of the live neurons
-        self.kind = (kinds[0] if len(kinds) == 1 and kinds[0] in SMOOTH_ACTIVATIONS
-                     else None)
-        dead = np.flatnonzero(~layer.neuron_alive)
-        self.dead = dead if dead.size else None
+        kinds = [kind if alive else "dead"
+                 for kind, alive in zip(layer.activation, layer.neuron_alive.tolist())]
+        self.scale = (np.array([0.5 if kind == "sigmoid" else 1.0 for kind in kinds])
+                      if "sigmoid" in kinds else None)
+        self.step, self.dead = (_columns(kinds, kind) for kind in ("step", "dead"))
         sources = np.flatnonzero(layer.alive.any(axis=0))
         self.lo = int(sources[0]) if sources.size else off[l]
         self.writes = l > 1 or trace.input_grads
@@ -757,6 +726,11 @@ class _LayerPlan:
         # transposed, the add into G runs along its contiguous columns
         self.g_window_t = trace.G.T[self.lo: off[l]]
         self.product_window_t = self.product.T[self.lo:]
+
+
+def _columns(kinds, kind):
+    """The columns whose entry of ``kinds`` is ``kind``, or None if none is."""
+    return np.flatnonzero([k == kind for k in kinds]) if kind in kinds else None
 
 
 def forward_batch(net: Network, X, trace: BatchTrace | None = None) -> BatchTrace:
@@ -770,11 +744,10 @@ def forward_batch(net: Network, X, trace: BatchTrace | None = None) -> BatchTrac
     for p in trace.plan:
         sigma = np.matmul(p.inputs, p.weights_t, out=p.sigma)
         np.add(sigma, p.bias, out=sigma)
-        if p.kind is None:
-            for kind, cols in p.layer.groups.items():
-                p.values[:, cols] = _activate(kind, sigma[:, cols])
-            continue
-        y = _activate(p.kind, sigma, p.y)
+        y = np.tanh(sigma if p.scale is None else np.multiply(sigma, p.scale, out=p.y),
+                    out=p.y)
+        if p.step is not None:
+            y[:, p.step] = step_function(sigma[:, p.step])
         if p.dead is not None:
             y[:, p.dead] = 0.0
         np.copyto(p.values, y)
@@ -794,14 +767,13 @@ def backward_batch(net: Network, trace: BatchTrace, d_outputs) -> BatchTrace:
     G[:, trace.g_lo: off[-2]] = 0.0
     G[:, off[-2]:] = d_outputs
     for p in reversed(trace.plan):
-        if p.kind is None:
-            for kind, cols in p.layer.groups.items():
-                p.d_sigma[:, cols] = p.y_grads[:, cols] * _activate_prime(
-                    kind, p.values[:, cols])
-        else:  # f'(sigma) first, in place
-            np.multiply(p.y_grads, _activate_prime(p.kind, p.y, p.d_sigma), out=p.d_sigma)
-            if p.dead is not None:
-                p.d_sigma[:, p.dead] = 0.0
+        # f'(sigma) = (1 - y * y) * scale first, in place
+        prime = np.subtract(1.0, np.multiply(p.y, p.y, out=p.d_sigma), out=p.d_sigma)
+        if p.scale is not None:
+            np.multiply(prime, p.scale, out=prime)
+        np.multiply(p.y_grads, prime, out=p.d_sigma)
+        if p.dead is not None:
+            p.d_sigma[:, p.dead] = 0.0
         if p.writes:
             np.matmul(p.d_sigma, p.weights, out=p.product)
             np.add(p.g_window_t, p.product_window_t, out=p.g_window_t)

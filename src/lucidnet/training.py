@@ -43,6 +43,8 @@ class LossKind:
     def __post_init__(self):
         if self.kind not in ("mse", "margin"):
             raise ValueError(f"unknown loss kind {self.kind!r}")
+        if not math.isfinite(self.margin_width):
+            raise ValueError("margin width must be finite")
 
 
 @dataclass
@@ -60,6 +62,8 @@ class TrainConfig:
             raise ValueError("momentum must lie in [0, 1)")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be nonnegative")
+        if math.isnan(self.loss_threshold):  # a negative one forces the whole budget
+            raise ValueError("loss threshold must be a number, not nan")
         if self.success_criterion not in SUCCESS_CRITERIA:
             raise ValueError(f"unknown success criterion {self.success_criterion!r}")
 

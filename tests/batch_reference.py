@@ -1,15 +1,18 @@
-"""The batch passes that ``BatchTrace``'s epoch plan replaced, for the tests.
+"""Plain batch passes that ``BatchTrace``'s epoch plan must equal, for the tests.
 
-``forward_batch`` and ``backward_batch`` now run from a plan built once per
-structure, in buffers: tanh and sigmoid layers in place, a column-major
-gradient matrix, and adds into it that skip the columns of masked weights.
-The loop below is the one they replaced, written over arrays of its own: a
-row-major gradient matrix, every layer's activations per kind group on
-fresh arrays, and each layer's d_sigma @ weights added over all its
-source columns.  It makes the same BLAS calls, so a test can require the
-plan's results to equal it bit for bit.  ``reference_train_until`` runs
-the epoch loop of ``train_until`` on it, with the loss, accuracy and step
-arithmetic spelled out as they were.  It knows the smooth kinds only.
+``forward_batch`` and ``backward_batch`` run every layer from a plan built
+once per structure, in buffers: one loop body that computes tanh of the
+scaled summator in place, overwrites the step columns and zeroes the dead
+ones, a column-major gradient matrix, and adds into it that skip the
+columns of masked weights.  The loop below groups each layer's live
+neurons by activation kind itself, from ``layer.activation`` and
+``neuron_alive``, and activates each group on its own columns of fresh
+arrays; dead neurons stay 0.  Its gradient matrix is row-major and each
+layer's d_sigma @ weights is added over all its source columns.  It makes
+the same BLAS calls, so a test can require the plan's results to equal it
+bit for bit.  ``reference_train_until`` runs the epoch loop of
+``train_until`` on it, with the loss, accuracy and step arithmetic
+spelled out as they were.  Backward knows the smooth kinds only.
 """
 
 import math
@@ -18,10 +21,22 @@ from types import SimpleNamespace
 import numpy as np
 
 from lucidnet import DivergenceError, TrainOutcome
+from lucidnet.network import step_function
 from lucidnet.training import targets_for
 
 
+def _groups(layer):
+    """Activation kind -> columns of the layer's live neurons of that kind."""
+    groups = {}
+    for i, (kind, alive) in enumerate(zip(layer.activation, layer.neuron_alive)):
+        if alive:
+            groups.setdefault(kind, []).append(i)
+    return groups
+
+
 def _activate(kind, sigma):
+    if kind == "step":
+        return step_function(sigma)
     return np.tanh(sigma) if kind == "tanh" else np.tanh(0.5 * sigma)
 
 
@@ -41,7 +56,7 @@ def reference_forward(net, X):
         s += layer.bias
         sigma.append(s)
         values = A[:, off[l]: off[l + 1]]
-        for kind, cols in layer.groups.items():
+        for kind, cols in _groups(layer).items():
             values[:, cols] = _activate(kind, s[:, cols])
     return SimpleNamespace(activations=A, sigma=sigma,
                            outputs=A[:, off[-2]:])
@@ -60,7 +75,7 @@ def reference_backward(net, trace, d_outputs, input_grads=True):
     for l in range(net.n_layers, 0, -1):
         layer = net.layers[l - 1]
         y, g, d_sigma = A[:, off[l]: off[l + 1]], G[:, off[l]: off[l + 1]], trace.d_sigma[l]
-        for kind, cols in layer.groups.items():
+        for kind, cols in _groups(layer).items():
             d_sigma[:, cols] = g[:, cols] * _activate_prime(kind, y[:, cols])
         if l > 1 or input_grads:
             G[:, : off[l]] += d_sigma @ layer.weights

@@ -1,6 +1,7 @@
 import csv
 import importlib.resources
 import json
+import math
 import os
 import re
 import subprocess
@@ -274,6 +275,15 @@ BAD_OPTION_FLAGS = [
                       "--epochs", "-5"], "max_epochs must be nonnegative"),
     ("train-duplicate-labels", ["train", "--dataset", "{data}", "--arch", "2,4,1",
                                 "--labels", "pos,pos"], "repeat a label"),
+    ("train-threshold-nan", ["train", "--dataset", "{data}", "--arch", "2,4,1",
+                             "--criterion", "loss-below-threshold", "--threshold", "nan"],
+     "loss threshold must be a number, not nan"),
+    ("train-margin-width-nan", ["train", "--dataset", "{data}", "--arch", "2,4,1",
+                                "--loss", "margin", "--margin-width", "nan"],
+     "margin width must be finite"),
+    ("prune-margin-width-inf", PRUNE + ["--problem", "synapse-removal", "--loss", "margin",
+                                        "--margin-width", "inf"],
+     "margin width must be finite"),
     ("prune-valid-set", PRUNE + ["--problem", "precision-reduction", "--valid-set=a,b"],
      "'valid_set' must be a nonempty list of numbers"),
     ("prune-valid-set-nan", PRUNE + ["--problem", "precision-reduction",
@@ -354,6 +364,28 @@ class TestOptionValues:
             "--out", str(tmp_path / "out"),
         ], "accumulation epoch")
         assert not (tmp_path / "out" / "prune_log.jsonl").exists()
+
+    @pytest.mark.parametrize("config", [
+        {"train": {"success_criterion": "loss-below-threshold",
+                   "loss_threshold": math.nan}},
+        {"loss": {"kind": "margin", "margin_width": math.nan}},
+    ], ids=["loss-threshold", "margin-width"])
+    def test_nan_in_a_train_config(self, tmp_path, capsys, config):
+        # Python's json reads the NaN that json.dumps writes
+        path = write(tmp_path / "run.json", json.dumps(config))
+        self._usage_error(capsys, [
+            "train", "--dataset", xor_csv(tmp_path), "--arch", "2,4,1",
+            "--config", path, "--out", str(tmp_path / "out"),
+        ], "invalid training options")
+        assert not (tmp_path / "out" / "network.json").exists()
+
+    def test_a_negative_threshold_runs_the_whole_budget(self, tmp_path, capsys):
+        assert main([
+            "train", "--dataset", xor_csv(tmp_path), "--arch", "2,4,1", "--epochs", "3",
+            "--criterion", "loss-below-threshold", "--threshold", "-1",
+            "--out", str(tmp_path / "out"),
+        ]) == 3
+        assert "epochs=3 " in capsys.readouterr().out
 
     @pytest.mark.parametrize("arch", ["2,4,2", "2,4,1"])
     def test_labels_that_miss_a_row_label(self, tmp_path, capsys, arch):
