@@ -31,7 +31,6 @@ from .pruning import (
     PruningProblem,
     candidate_pool,
     rate_pool,
-    require_trained,
     run_pipeline,
 )
 from .sensitivity import ValidSet, export_csv
@@ -249,6 +248,22 @@ def _stage_config(stage, retrain, loss_kind, log_sink):
         raise UsageError(f"invalid pruning options: {exc}") from None
 
 
+class _LogOnFirstWrite:
+    """A text sink whose file is created by its first write."""
+
+    def __init__(self, path):
+        self.path, self._file = path, None
+
+    def write(self, text):
+        if self._file is None:
+            self._file = open(self.path, "w")
+        self._file.write(text)
+
+    def close(self):
+        if self._file is not None:
+            self._file.close()
+
+
 def cmd_prune(args, option):
     dataset = data_mod.load_dataset(option(None, "dataset"))
     net = Network.load(option("network", "file"))
@@ -258,13 +273,15 @@ def cmd_prune(args, option):
         raise UsageError("either --problem or config stages are required")
     out = _out_dir(option)
     log_path = os.path.join(out, "prune_log.jsonl")
-    # refuse a bad stage, and a network that the first stage refuses at its
-    # entry (exit 2 or 3), before the log exists
-    checked = [_stage_config(stage, retrain, loss_kind, None) for stage in stages]
-    require_trained(net, dataset, checked[0])
-    with open(log_path, "w") as log:
+    # a bad stage, or a network that the first stage refuses at its entry
+    # (exit 2 or 3), leaves no log: the file is made by its first record
+    log = _LogOnFirstWrite(log_path)
+    try:
         configs = [_stage_config(stage, retrain, loss_kind, log) for stage in stages]
         results, net = run_pipeline(net, dataset, configs)
+        log.write("")  # a run of zero steps leaves an empty log
+    finally:
+        log.close()
     net_path = os.path.join(out, "network.json")
     net.save(net_path)
     for i, (config, result) in enumerate(zip(configs, results)):

@@ -30,7 +30,9 @@ builds the epoch plan that passes run from once per structure.  Every
 layer, whatever its mix of tanh, sigmoid, step and dead neurons, runs
 through the same loop body; a sigmoid is tanh at half the summator, scaled
 per column.  The plan changes no BLAS call, so every result equals a plain
-loop that activates each kind on its own columns, bit for bit.
+loop that activates each kind on its own columns, bit for bit.  A trace may
+hold one row per group of equal rows, each weighted by its ``counts`` entry
+in the weight and bias gradients.
 """
 
 from __future__ import annotations
@@ -618,17 +620,24 @@ class BatchTrace:
     it never enters a matrix product, so its blocks, and the column of each
     unit, are contiguous instead.
 
+    A row of X may stand for a group of equal rows.  ``counts`` (all 1 when
+    not given) holds each row's group size, every per-sample buffer holds
+    one row per group, and ``grad`` is the count-weighted sum, while ``G``
+    and ``d_sigma`` stay unweighted.  A trace serves one grouping: an
+    ``EpochWorkspace`` builds a new one whenever the active inputs change.
+
     A trace serves one structure of one network.  ``reset`` rebinds it to
     the network's current structure and, when that changed, builds the
     epoch ``plan`` that every pass runs from: one ``_LayerPlan`` per layer,
     the only place where the layers' activation kinds are read.
     """
 
-    __slots__ = ("source", "activations", "values", "sigma", "G", "y_grads",
+    __slots__ = ("source", "counts", "activations", "values", "sigma", "G", "y_grads",
                  "d_sigma", "grad", "weight_grads", "bias_grads", "version",
-                 "smooth", "input_grads", "net", "plan", "g_lo", "_ys", "_product")
+                 "smooth", "input_grads", "net", "plan", "g_lo", "_ys", "_product",
+                 "_weighted")
 
-    def __init__(self, net: Network, X, input_grads=True):
+    def __init__(self, net: Network, X, input_grads=True, counts=None):
         self.source = X
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != net.input_dim:
@@ -636,6 +645,9 @@ class BatchTrace:
                 f"expected (N, {net.input_dim}) inputs, got {X.shape}"
             )
         n, off = X.shape[0], net.offsets
+        self.counts = np.ones(n) if counts is None else np.asarray(counts, dtype=float)
+        if self.counts.shape != (n,):
+            raise InputShapeError(f"expected {n} counts, got {self.counts.shape}")
         A = self.activations = np.empty((n, off[-1]))
         self.G = np.zeros_like(A, order="F")
         blocks = [slice(off[l], off[l + 1]) for l in range(net.n_layers + 1)]
@@ -644,8 +656,11 @@ class BatchTrace:
         self.sigma, self.d_sigma, self._ys = (
             [None] + [np.empty((n, layer.width)) for layer in net.layers]
             for _ in range(3))
-        # the layers' d_sigma @ weights products share one buffer
+        # the layers' d_sigma @ weights products share one buffer, and so
+        # do their count-weighted dL/dsigma, unless every count is 1
         self._product = np.empty(n * off[-2])
+        self._weighted = (None if (self.counts == 1.0).all()
+                          else np.empty(n * max(layer.width for layer in net.layers)))
         self.grad = np.zeros_like(net.params)
         # (None, weights 1, ...) and (None, bias 1, ...), made once
         self.weight_grads, self.bias_grads = map(list, zip((None, None),
@@ -693,17 +708,21 @@ class _LayerPlan:
     ``step_function(sigma)`` and the ``dead`` ones (None when all live) set
     to 0, and ``y`` is copied into the layer's block of ``activations``.
     Backward, dL/dsigma is ``(1 - y * y) * scale * dL/dy`` with the dead
-    columns set to 0.  ``lo`` is the first source column with a live
-    synapse.  Every weight before it is a masked zero, so dL/d(sources) is
+    columns set to 0.  Times the trace's ``counts`` it goes into
+    ``weighted``, which only the weight and bias gradients read; with every
+    count 1 the product would equal it, so ``weighted`` is ``d_sigma``
+    itself and no product is taken.  ``lo`` is
+    the first source column with a live synapse.  Every weight before it is
+    a masked zero, so dL/d(sources) is
     added into ``G`` from ``lo`` on, and only when the layer ``writes`` it
     (layer 1 only for input gradients).  The d_sigma @ weights product
     still has its full width, in the trace's shared product buffer.
     """
 
     __slots__ = ("inputs", "weights", "weights_t", "bias", "sigma", "values", "y",
-                 "y_grads", "d_sigma", "d_sigma_t", "weight_grads", "bias_grads",
-                 "scale", "step", "dead", "lo", "writes", "product", "g_window_t",
-                 "product_window_t")
+                 "y_grads", "d_sigma", "counts", "weighted", "weighted_t",
+                 "weight_grads", "bias_grads", "scale", "step", "dead", "lo", "writes",
+                 "product", "g_window_t", "product_window_t")
 
     def __init__(self, trace: BatchTrace, net: Network, l):
         off, n = net.offsets, len(trace.activations)
@@ -712,7 +731,10 @@ class _LayerPlan:
         self.weights, self.weights_t, self.bias = layer.weights, layer.weights.T, layer.bias
         self.sigma, self.values = trace.sigma[l], trace.values[l]
         self.y, self.y_grads, self.d_sigma = trace._ys[l], trace.y_grads[l], trace.d_sigma[l]
-        self.d_sigma_t = self.d_sigma.T
+        self.counts = trace.counts[:, None]
+        self.weighted = (self.d_sigma if trace._weighted is None else
+                         trace._weighted[: n * layer.width].reshape(n, layer.width))
+        self.weighted_t = self.weighted.T
         self.weight_grads, self.bias_grads = trace.weight_grads[l], trace.bias_grads[l]
         kinds = [kind if alive else "dead"
                  for kind, alive in zip(layer.activation, layer.neuron_alive.tolist())]
@@ -777,8 +799,10 @@ def backward_batch(net: Network, trace: BatchTrace, d_outputs) -> BatchTrace:
         if p.writes:
             np.matmul(p.d_sigma, p.weights, out=p.product)
             np.add(p.g_window_t, p.product_window_t, out=p.g_window_t)
-        np.matmul(p.d_sigma_t, p.inputs, out=p.weight_grads)
-        np.add.reduce(p.d_sigma, axis=0, out=p.bias_grads)
+        if p.weighted is not p.d_sigma:
+            np.multiply(p.d_sigma, p.counts, out=p.weighted)
+        np.matmul(p.weighted_t, p.inputs, out=p.weight_grads)
+        np.add.reduce(p.weighted, axis=0, out=p.bias_grads)
     return trace
 
 

@@ -263,18 +263,12 @@ def rate_pool(net, dataset, config, pool, work=None):
     return ledger.finalize(net, config.indicator_mode, config.problem.valid_set)
 
 
-def require_trained(net, dataset, config: PruneConfig, work=None):
-    """A stage's entry check: raise NotTrainedError unless the network meets
-    its success criterion, judged in ``work`` when given."""
+def _prune(net, dataset, config, m):
+    work = EpochWorkspace(net, dataset, config.loss_kind)  # one per stage
     if not criterion_met(net, dataset, config.loss_kind, config.retrain, work):
         raise NotTrainedError(
             "pruning requires a network that already meets the success criterion"
         )
-
-
-def _prune(net, dataset, config, m):
-    work = EpochWorkspace(net, dataset, config.loss_kind)  # one per stage
-    require_trained(net, dataset, config, work)
     steps = []
     save_hash = _digest(net.to_json())
     while True:

@@ -17,6 +17,8 @@ given, normally the pruning step's candidate pool, and
 gradient block they read; each epoch refills one reused samples buffer from
 the gradients that ``train_epoch`` leaves in the trace, gathering at most
 ``_CHUNK`` rows at a time, so no per-epoch temporary grows with the pool.
+A sample is one of the workspace's groups of equal rows, which the avg
+statistic weights by its size.
 Which elements are candidates is decided by ``pruning.candidate_pool``
 alone.
 """
@@ -76,10 +78,20 @@ class SensitivityLedger:
     Both the max and the avg statistic are tracked, so either mode can be
     finalized from one accumulation run.  Each is one array of sums in the
     order of ``refs``, added to in epoch order.
+
+    A sample may stand for a group of equal rows, as in an
+    ``EpochWorkspace``: the sample arrays then hold one column per group,
+    and ``counts``, given once here, holds the group sizes.  Only the avg
+    statistic reads them, as the count-weighted mean over all rows; the max
+    of the groups is the max of the rows.  Without ``counts`` each sample is
+    one row.  A ledger serves one grouping: ``collect_ledger`` builds it
+    after the workspace's reset, which regroups whenever the active inputs
+    changed, and no epoch of a ledger changes them.
     """
 
-    def __init__(self, refs):
+    def __init__(self, refs, counts=None):
         self.refs = list(refs)
+        self.counts = counts
         self.epochs_accumulated = 0
         self._max_sums = np.zeros(len(self.refs))
         self._avg_sums = np.zeros(len(self.refs))
@@ -91,7 +103,9 @@ class SensitivityLedger:
         if samples.shape[0] != len(self.refs):
             raise ValueError(f"{samples.shape[0]} sample rows for {len(self.refs)} refs")
         self._max_sums += samples.max(axis=1)
-        self._avg_sums += samples.mean(axis=1)
+        counts = np.ones(samples.shape[1]) if self.counts is None else self.counts
+        # with every count 1, the sum and the division of samples.mean(axis=1)
+        self._avg_sums += np.add.reduce(samples * counts, axis=1) / counts.sum()
         self.epochs_accumulated += 1
 
     def finalize(self, net: Network, mode, valid_set: ValidSet | None = None):
@@ -173,11 +187,12 @@ def collect_ledger(net: Network, dataset, loss_kind: LossKind,
     """
     if epochs < 1:
         raise ValueError("need at least one accumulation epoch")
-    ledger = SensitivityLedger(refs)
-    plan = _sample_plan(net, ledger.refs)
-    samples = np.empty((len(ledger.refs), len(dataset.features)))
+    refs = list(refs)
     work = prepare_workspace(work, net, dataset, loss_kind, input_grads=any(
-        ref.kind == "input" for ref in ledger.refs))
+        ref.kind == "input" for ref in refs))
+    ledger = SensitivityLedger(refs, work.trace.counts)
+    plan = _sample_plan(net, ledger.refs)
+    samples = np.empty((len(ledger.refs), len(work.rows)))
     for _ in range(epochs):
         train_epoch(work, train_config, work.evaluate())
         _fill_samples(work.trace, plan, samples)

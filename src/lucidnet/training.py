@@ -10,8 +10,11 @@ An epoch costs one forward pass, one ``loss_terms`` and one backward pass,
 whose criterion check, outcome and gradient step all read the same values.
 What the runs on one network and dataset share (buffers, targets, label
 indices, velocity) is an ``EpochWorkspace``, whose ``evaluate`` is the one
-place that turns a forward pass into loss terms.  A pruning stage builds
-one and hands it to every ``train_until`` and ``collect_ledger`` call,
+place that turns a forward pass into loss terms.  It runs each epoch once
+per group of rows that are equal on the active inputs and have one label,
+weighted by the group's size, and regroups when the active inputs change.
+A pruning stage builds one and hands it to every ``train_until`` and
+``collect_ledger`` call,
 each of which resets it first; called without one, they build their own.
 ``train_epoch`` steps from the terms of ``evaluate`` and leaves the
 derivatives in the workspace's trace, where ``collect_ledger`` samples
@@ -23,7 +26,6 @@ Accuracy everywhere compares predicted output index with label index;
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -139,43 +141,76 @@ def total_loss(net: Network, dataset, loss_kind: LossKind) -> float:
     return EpochWorkspace(net, dataset, loss_kind).evaluate()[0]
 
 
+def distinct_rows(dataset, active_inputs):
+    """(rows, counts) of the groups of the dataset's rows that are equal on
+    the active inputs and have one label: each group's first row, in order
+    of first occurrence, and its size.  Rows are compared byte for byte as
+    one key of any width."""
+    keys = np.ascontiguousarray(np.column_stack(
+        [dataset.features[:, np.flatnonzero(active_inputs)], dataset.label_codes]))
+    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return first[order], counts[order].astype(float)
+
+
 class EpochWorkspace:
-    """What the epochs of one training run share: a BatchTrace over
-    ``dataset.features``, the targets with the buffers of their loss terms,
-    each row's label index with the buffers of its accuracy count, and the
-    velocity.  Training changes weights only, so none of it goes stale
-    within a run; ``reset`` readies it for the next run on the same network,
-    whose structure may have changed since."""
+    """What the epochs of one training run share: a BatchTrace, the targets
+    with the buffers of their loss terms, each row's label index with the
+    buffers of its accuracy count, and the velocity.
+
+    Rows that are equal on the network's active inputs and have one label
+    give equal values and derivatives, so an epoch runs once per group of
+    them: ``rows`` holds each group's first row in order of first
+    occurrence, and every per-row buffer, the trace's too, holds one row
+    per group.  The trace's ``counts`` holds the group sizes; the total
+    loss and the accuracy count each group that many times, and ``grad``
+    is the count-weighted sum.  With no two rows alike every count is 1 and
+    the arithmetic is that of one row each.  Training changes weights only,
+    so none of it goes stale within a run; ``reset`` readies it for the next
+    run on the same network, whose structure may have changed since, and
+    regroups the rows whenever the active inputs changed (a feature
+    removal, its cascade, or a restore)."""
 
     def __init__(self, net: Network, dataset, loss_kind: LossKind,
                  input_grads=False):
         self.net, self.dataset, self.loss_kind = net, dataset, loss_kind
-        self.trace = BatchTrace(net, dataset.features, input_grads)
-        self.targets = LossBuffers(targets_for(dataset, net))
+        self._targets = targets_for(dataset, net)
+        need = _label_indices(dataset, net.output_labels)
+        # a single output's pick is whether it picks output 0
+        self._need = need == 0 if net.layers[-1].width == 1 else need.astype(np.intp)
         self.velocity = np.zeros_like(net.params)
+        self._group(input_grads)
+
+    def _group(self, input_grads):
+        """The trace and per-row buffers over the groups of the dataset's
+        rows under the network's current active inputs."""
+        self._grouped_by = list(self.net.active_inputs)
+        self.rows, counts = distinct_rows(self.dataset, self._grouped_by)
+        self.trace = BatchTrace(self.net, self.dataset.features[self.rows],
+                                input_grads, counts)
+        self.targets = LossBuffers(self._targets[self.rows])
+        self._weighted = np.empty(len(self.rows))
+        need = self._need[self.rows]
+        # (the pick each row needs, pick buffer, hit buffer); only judge reads it
+        self._picks = need, np.empty_like(need), np.empty(len(need), dtype=bool)
 
     def reset(self, input_grads=False):
-        """The trace rebound to the network's structure, the velocity zero."""
-        self.trace.reset(self.net, input_grads)
+        """The trace rebound to the network's structure, and regrouped when
+        the active inputs changed; the velocity zero."""
+        if self.net.active_inputs != self._grouped_by:
+            self._group(input_grads)
+        else:
+            self.trace.reset(self.net, input_grads)
         self.velocity.fill(0.0)
         return self
-
-    @functools.cached_property
-    def _picks(self):  # only judge reads it
-        """(the pick each row needs, pick buffer, hit buffer); a single
-        output's pick is whether it picks output 0."""
-        rows = _label_indices(self.dataset, self.net.output_labels)
-        hits = np.empty(len(rows), dtype=bool)
-        if self.net.layers[-1].width == 1:
-            return rows == 0, np.empty_like(hits), hits
-        return rows, np.empty_like(rows, dtype=np.intp), hits
 
     def evaluate(self):
         """(total loss, dL/d(outputs)) of a forward pass into ``trace``; the
         next evaluation overwrites the dL/d(outputs) buffer."""
-        trace = forward_batch(self.net, self.dataset.features, self.trace)
+        trace = forward_batch(self.net, self.trace.source, self.trace)
         losses, d_out = loss_terms(self.loss_kind, self.targets, trace.outputs)
-        return float(losses.sum()), d_out
+        return float(np.multiply(losses, trace.counts, out=self._weighted).sum()), d_out
 
     def judge(self, config: TrainConfig, loss):
         """(criterion met, accuracy) for the ``loss`` that ``evaluate`` just
@@ -187,7 +222,8 @@ class EpochWorkspace:
             np.greater_equal(outputs[:, 0], 0.0, out=picks)
         else:
             np.argmax(outputs, axis=1, out=picks)
-        accuracy = int(np.count_nonzero(np.equal(picks, need, out=hits))) / len(hits)
+        np.equal(picks, need, out=hits)
+        accuracy = float(self.trace.counts @ hits) / len(self.dataset)
         by_loss = config.success_criterion == "loss-below-threshold"
         met = loss <= config.loss_threshold if by_loss else accuracy == 1.0
         return math.isfinite(loss) and met, accuracy

@@ -12,7 +12,10 @@ layer's d_sigma @ weights is added over all its source columns.  It makes
 the same BLAS calls, so a test can require the plan's results to equal it
 bit for bit.  ``reference_train_until`` runs the epoch loop of
 ``train_until`` on it, with the loss, accuracy and step arithmetic
-spelled out as they were.  Backward knows the smooth kinds only.
+spelled out, over the dataset's rows grouped as ``EpochWorkspace`` groups
+them: the loss sums each group's loss times its count, the accuracy counts
+each group's rows, and the weight and bias gradients sum dL/dsigma times
+the counts.  Backward knows the smooth kinds only.
 """
 
 import math
@@ -23,6 +26,8 @@ import numpy as np
 from lucidnet import DivergenceError, TrainOutcome
 from lucidnet.network import step_function
 from lucidnet.training import targets_for
+
+from conftest import distinct_groups
 
 
 def _groups(layer):
@@ -62,9 +67,10 @@ def reference_forward(net, X):
                            outputs=A[:, off[-2]:])
 
 
-def reference_backward(net, trace, d_outputs, input_grads=True):
+def reference_backward(net, trace, d_outputs, input_grads=True, counts=None):
     """Fill ``trace`` (of ``reference_forward``) with ``G``, ``d_sigma``
-    and ``grad`` for a loss whose dL/d(outputs) is ``d_outputs``."""
+    and ``grad`` for a loss whose dL/d(outputs) is ``d_outputs``; row j of
+    the trace stands for counts[j] rows (1 when None) in ``grad``."""
     off = net.offsets
     A = trace.activations
     G = trace.G = np.zeros_like(A)
@@ -79,8 +85,9 @@ def reference_backward(net, trace, d_outputs, input_grads=True):
             d_sigma[:, cols] = g[:, cols] * _activate_prime(kind, y[:, cols])
         if l > 1 or input_grads:
             G[:, : off[l]] += d_sigma @ layer.weights
-        np.matmul(d_sigma.T, A[:, : off[l]], out=views[l - 1][0])
-        np.add.reduce(d_sigma, axis=0, out=views[l - 1][1])
+        weighted = d_sigma if counts is None else d_sigma * counts[:, None]
+        np.matmul(weighted.T, A[:, : off[l]], out=views[l - 1][0])
+        np.add.reduce(weighted, axis=0, out=views[l - 1][1])
     return trace
 
 
@@ -97,26 +104,27 @@ def reference_loss(loss_kind, targets, outputs):
 def reference_train_until(net, dataset, loss_kind, config):
     """The outcome of ``train_until``'s epoch loop over the reference
     passes; raises DivergenceError as it does."""
-    targets = targets_for(dataset, net)
-    rows = np.array([net.output_labels.index(lab) for lab in dataset.labels])
+    reps, counts = distinct_groups(dataset, net)
+    targets = targets_for(reps, net)
+    rows = np.array([net.output_labels.index(lab) for lab in reps.labels])
     velocity = np.zeros_like(net.params)
     epochs = 0
     while True:
-        trace = reference_forward(net, dataset.features)
+        trace = reference_forward(net, reps.features)
         losses, d_out = reference_loss(loss_kind, targets, trace.outputs)
-        loss = float(losses.sum())
+        loss = float((losses * counts).sum())
         if not math.isfinite(loss):
             raise DivergenceError("total loss is not finite", epochs)
         outputs = trace.outputs
         picks = (np.where(outputs[:, 0] >= 0.0, 0, 1) if outputs.shape[1] == 1
                  else np.argmax(outputs, axis=1))
-        accuracy = int(np.count_nonzero(picks == rows)) / len(picks)
+        accuracy = int(counts[picks == rows].sum()) / len(dataset)
         by_loss = config.success_criterion == "loss-below-threshold"
         met = math.isfinite(loss) and (loss <= config.loss_threshold if by_loss
                                        else accuracy == 1.0)
         if met or epochs >= config.max_epochs:
             return TrainOutcome(met, epochs, loss, accuracy)
-        grad = reference_backward(net, trace, d_out, input_grads=False).grad
+        grad = reference_backward(net, trace, d_out, False, counts).grad
         if not np.isfinite(grad).all():
             raise DivergenceError("gradient is not finite", epochs + 1)
         velocity *= config.momentum

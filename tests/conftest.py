@@ -18,6 +18,20 @@ def make_dataset(features, labels, class_labels=None, names=None):
     return Dataset(names, features, list(labels), list(class_labels))
 
 
+def distinct_groups(ds, net):
+    """(dataset of each group's first row, group sizes as floats): the
+    rows grouped by their values on the network's active inputs and their
+    label, in order of first occurrence, as ``EpochWorkspace`` groups them."""
+    groups = {}
+    for j, (row, label) in enumerate(zip(ds.features.tolist(), ds.labels)):
+        key = (tuple(v for v, on in zip(row, net.active_inputs) if on), label)
+        groups.setdefault(key, []).append(j)
+    rows = [members[0] for members in groups.values()]
+    counts = np.array([len(members) for members in groups.values()], dtype=float)
+    return make_dataset(ds.features[rows], [ds.labels[j] for j in rows],
+                        ds.class_labels, ds.feature_names), counts
+
+
 @pytest.fixture
 def xor_dataset():
     X = np.array([[-1, -1], [-1, 1], [1, -1], [1, 1]], dtype=float)

@@ -48,13 +48,16 @@ def neuron_indicator_sample(net: Network, trace, gradients,
     return abs(gradients.neurons[ref] * y)
 
 
-def aggregate_samples(values, mode) -> float:
-    """Collapse per-sample values to one epoch rating."""
+def aggregate_samples(values, mode, counts=None) -> float:
+    """Collapse per-sample values to one epoch rating.  With ``counts``,
+    sample j stands for counts[j] equal rows, which the avg weights by."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("cannot aggregate an empty sample set")
     if mode == "max":
         return float(values.max())
     if mode == "avg":
-        return float(values.mean())
+        if counts is None:
+            return float(values.mean())
+        return float(np.add.reduce(values * counts) / np.sum(counts))
     raise ValueError(f"unknown indicator mode {mode!r}")

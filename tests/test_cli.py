@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import lucidnet
-from lucidnet import DatasetError, Network, load_dataset
+from lucidnet import DatasetError, Network, load_dataset, pruning
 from lucidnet.cli import OPTIONS, REQUIRED, build_parser, main
 from lucidnet.data import ELECTION_FEATURE_NAMES, save_dataset
 from lucidnet.transparency import RuleSet, fixtures_A1_A2
@@ -189,6 +189,40 @@ class TestPruneCommand:
         assert code == want
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not list((tmp_path / "pruned").rglob("prune_log.jsonl"))
+
+    def test_a_run_of_zero_steps_leaves_an_empty_log(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--dataset", xor_csv(tmp_path), "--arch", "2,6,1",
+                     "--labels", "pos,neg", "--lr", "0.3", "--momentum", "0.9",
+                     "--epochs", "5000", "--seed", "1", "--out", str(out)]) == 0
+        # every fan-in is at most 6, so the stage ends before its first step
+        code = main(["prune", "--network", str(out / "network.json"),
+                     "--dataset", xor_csv(tmp_path), "--problem",
+                     "uniform-simplification", "--target-fan-in", "6",
+                     "--out", str(tmp_path / "pruned")])
+        assert code == 0
+        assert "steps=0 accepted=0 stop=pool-exhausted" in capsys.readouterr().out
+        assert (tmp_path / "pruned" / "prune_log.jsonl").read_text() == ""
+
+    @pytest.mark.parametrize("stages", [1, 2])
+    def test_each_stage_judges_its_entry_once(self, tmp_path, capsys, monkeypatch,
+                                              stages):
+        out = tmp_path / "run"
+        assert main(["train", "--dataset", xor_csv(tmp_path), "--arch", "2,6,1",
+                     "--labels", "pos,neg", "--lr", "0.3", "--momentum", "0.9",
+                     "--epochs", "5000", "--seed", "1", "--out", str(out)]) == 0
+        config = write(tmp_path / "stages.json", json.dumps({
+            "stages": [{"problem": "synapse-removal", "loop": "basic"}] * stages,
+            "retrain": {"learning_rate": 0.3, "momentum": 0.9, "max_epochs": 50}}))
+        judged = []
+        real = pruning.criterion_met
+        monkeypatch.setattr(pruning, "criterion_met",
+                            lambda *args: judged.append(None) or real(*args))
+        code = main(["prune", "--network", str(out / "network.json"),
+                     "--dataset", xor_csv(tmp_path), "--config", config,
+                     "--out", str(tmp_path / "pruned")])
+        assert code == 0
+        assert len(judged) == stages
 
     @pytest.mark.parametrize("argv", [
         ["prune", "--problem", "synapse-removal"],

@@ -32,7 +32,7 @@ from indicator_reference import (
     weight_indicator_sample,
 )
 from sample_reference import ForwardTrace, GradientBundle, backward, forward
-from test_workspace import plain_step
+from test_workspace import grouped_forward, plain_step
 
 
 # the candidate pool of each element class, as a pruning step takes it
@@ -360,7 +360,7 @@ class TestLedgerExactness:
 
     def _case(self):
         rng = np.random.default_rng(5)
-        rows = rng.choice([-1.0, 1.0], size=(300, 5))  # past numpy's 128-row block
+        rows = rng.choice([-1.0, 1.0], size=(300, 5))  # 300 rows in at most 64 groups
         labels = ["class0" if r[0] * r[2] + r[4] > 0 else "class1" for r in rows]
         ds = make_dataset(rows, labels, class_labels=["class0", "class1"])
         net = build_network((5, 4, 3, 2), seed=8)
@@ -384,13 +384,14 @@ class TestLedgerExactness:
         sums = {}
         velocity = None
         for _ in range(epochs):
-            trace = forward_batch(twin, ds.features)
-            d_out = loss_terms(loss, targets_for(ds, twin), trace.outputs)[1]
+            reps, trace = grouped_forward(twin, ds)
+            d_out = loss_terms(loss, targets_for(reps, twin), trace.outputs)[1]
             grads = backward_batch(twin, trace, d_out)
             for ref in pool:
                 values = element_samples(twin, trace, grads, ref)
-                sums[ref] = sums.get(ref, 0.0) + aggregate_samples(values, mode)
-            _, velocity = plain_step(twin, ds, loss, cfg, velocity, trace=trace)
+                sums[ref] = sums.get(ref, 0.0) + aggregate_samples(values, mode,
+                                                                   trace.counts)
+            _, velocity = plain_step(twin, reps, loss, cfg, velocity, trace=trace)
         assert net.to_json() == twin.to_json()
         if element_class == "weight":
             want = {}

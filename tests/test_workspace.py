@@ -4,10 +4,13 @@ composition bit for bit.
 ``train_until`` and ``collect_ledger`` reuse one ``EpochWorkspace`` (its
 buffers, targets, label indices and velocity) in every epoch, and a pruning
 stage hands one workspace to all its calls, each of which resets it.  The
-plain composition below builds everything afresh each epoch: a
-``forward_batch`` with its own buffers, ``loss_terms`` against a fresh
-target matrix, label-string accuracy, and a ``train_epoch`` whose
-``backward_batch`` reads that fresh trace.  Both must give the same outcome,
+plain composition below builds everything afresh each epoch over the
+dataset's rows grouped as the workspace groups them (``distinct_groups``,
+written out on its own): a ``forward_batch`` into a trace of its own with
+the group counts, ``loss_terms`` against a fresh target matrix, summed with
+each group's loss times its count, label-string accuracy counting each
+group's rows, and a ``train_epoch`` whose ``backward_batch`` reads that
+fresh trace.  Both must give the same outcome,
 network, velocity and indicator map, and raise the same errors at the same
 epoch.  A reset trace must be in the state of a new one, the chunked ledger
 must equal the per-sample indicator formulas, and a stage that reuses its
@@ -54,6 +57,7 @@ from lucidnet.training import EpochWorkspace, classify_outputs, loss_terms, targ
 
 from conftest import (
     apply_edits,
+    distinct_groups,
     edit_lists,
     majority_dataset,
     make_dataset,
@@ -71,15 +75,23 @@ from test_network_reference import loaded, network_docs
 PLAIN_TRAIN_EPOCH = training.train_epoch
 
 
-def plain_step(net, ds, loss, cfg, velocity=None, *, trace):
-    """``train_epoch`` on a fresh ``trace`` of ``net``, with loss terms
-    against a fresh target matrix and ``velocity`` (zero when None);
-    returns (trace, velocity)."""
-    losses, d_out = loss_terms(loss, targets_for(ds, net), trace.outputs)
+def grouped_forward(net, ds):
+    """(dataset of the groups' first rows, its trace with the group
+    counts) of one forward pass over the groups of ``ds``."""
+    reps, counts = distinct_groups(ds, net)
+    return reps, forward_batch(net, reps.features,
+                               BatchTrace(net, reps.features, True, counts))
+
+
+def plain_step(net, reps, loss, cfg, velocity=None, *, trace):
+    """``train_epoch`` on a fresh ``trace`` of ``net`` over the groups'
+    first rows ``reps``, with loss terms against a fresh target matrix and
+    ``velocity`` (zero when None); returns (trace, velocity)."""
+    losses, d_out = loss_terms(loss, targets_for(reps, net), trace.outputs)
     if velocity is None:
         velocity = np.zeros_like(net.params)
     work = SimpleNamespace(net=net, trace=trace, velocity=velocity)
-    PLAIN_TRAIN_EPOCH(work, cfg, (float(losses.sum()), d_out))
+    PLAIN_TRAIN_EPOCH(work, cfg, (float((losses * trace.counts).sum()), d_out))
     return trace, velocity
 
 
@@ -89,19 +101,21 @@ def plain_train_until(net, ds, loss, cfg, stepper=plain_step):
     velocity = None
     epochs = 0
     while True:
-        trace = forward_batch(net, ds.features)
-        losses, _ = loss_terms(loss, targets_for(ds, net), trace.outputs)
-        total = float(losses.sum())
+        reps, trace = grouped_forward(net, ds)
+        losses, _ = loss_terms(loss, targets_for(reps, net), trace.outputs)
+        total = float((losses * trace.counts).sum())
         if not np.isfinite(total):
             raise DivergenceError("total loss is not finite", epochs)
         preds = classify_outputs(trace.outputs, net.output_labels)
-        accuracy = sum(p == a for p, a in zip(preds, ds.labels)) / len(preds)
+        hits = sum(int(count) for p, a, count in zip(preds, reps.labels, trace.counts)
+                   if p == a)
+        accuracy = hits / len(ds)
         by_loss = cfg.success_criterion == "loss-below-threshold"
         met = total <= cfg.loss_threshold if by_loss else accuracy == 1.0
         if met or epochs >= cfg.max_epochs:
             return TrainOutcome(met, epochs, total, accuracy), velocity
         try:
-            _, velocity = stepper(net, ds, loss, cfg, velocity, trace=trace)
+            _, velocity = stepper(net, reps, loss, cfg, velocity, trace=trace)
         except DivergenceError as exc:
             exc.epochs += epochs
             raise
@@ -110,13 +124,13 @@ def plain_train_until(net, ds, loss, cfg, stepper=plain_step):
 
 def plain_ledger(net, ds, loss, cfg, epochs, refs):
     """``collect_ledger`` with fresh buffers and targets every epoch."""
-    ledger = SensitivityLedger(refs)
+    ledger = SensitivityLedger(refs, distinct_groups(ds, net)[1])
     plan = _sample_plan(net, ledger.refs)
     velocity = None
     for _ in range(epochs):
-        trace = forward_batch(net, ds.features)
-        _, velocity = plain_step(net, ds, loss, cfg, velocity, trace=trace)
-        samples = np.empty((len(refs), len(ds.labels)))
+        reps, trace = grouped_forward(net, ds)
+        _, velocity = plain_step(net, reps, loss, cfg, velocity, trace=trace)
+        samples = np.empty((len(refs), len(reps.labels)))
         _fill_samples(trace, plan, samples)
         ledger.add_epoch(samples)
     return ledger
@@ -453,12 +467,12 @@ def per_sample_records(net, trace):
 
 def reference_ledger_map(net, ds, loss, cfg, epochs, pool, mode, valid):
     """The finalized map of ``collect_ledger``, built element by element
-    and sample by sample with the formulas of ``indicator_reference``."""
+    and group by group with the formulas of ``indicator_reference``."""
     sums = dict.fromkeys(pool, 0.0)
     velocity = None
     for _ in range(epochs):
-        trace = forward_batch(net, ds.features)
-        _, velocity = plain_step(net, ds, loss, cfg, velocity, trace=trace)
+        reps, trace = grouped_forward(net, ds)
+        _, velocity = plain_step(net, reps, loss, cfg, velocity, trace=trace)
         records = per_sample_records(net, trace)
         for ref in pool:
             if ref.kind == "input":
@@ -467,7 +481,7 @@ def reference_ledger_map(net, ds, loss, cfg, epochs, pool, mode, valid):
                 values = [neuron_indicator_sample(net, r, b, ref) for r, b in records]
             else:
                 values = [weight_gradient_sample(net, b, ref) for _, b in records]
-            sums[ref] += aggregate_samples(values, mode)
+            sums[ref] += aggregate_samples(values, mode, trace.counts)
     out = {}
     for ref in pool:
         out[ref] = sums[ref] / epochs
