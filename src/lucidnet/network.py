@@ -657,10 +657,9 @@ class BatchTrace:
             [None] + [np.empty((n, layer.width)) for layer in net.layers]
             for _ in range(3))
         # the layers' d_sigma @ weights products share one buffer, and so
-        # do their count-weighted dL/dsigma, unless every count is 1
+        # do their count-weighted dL/dsigma
         self._product = np.empty(n * off[-2])
-        self._weighted = (None if (self.counts == 1.0).all()
-                          else np.empty(n * max(layer.width for layer in net.layers)))
+        self._weighted = np.empty(n * max(layer.width for layer in net.layers))
         self.grad = np.zeros_like(net.params)
         # (None, weights 1, ...) and (None, bias 1, ...), made once
         self.weight_grads, self.bias_grads = map(list, zip((None, None),
@@ -709,14 +708,12 @@ class _LayerPlan:
     to 0, and ``y`` is copied into the layer's block of ``activations``.
     Backward, dL/dsigma is ``(1 - y * y) * scale * dL/dy`` with the dead
     columns set to 0.  Times the trace's ``counts`` it goes into
-    ``weighted``, which only the weight and bias gradients read; with every
-    count 1 the product would equal it, so ``weighted`` is ``d_sigma``
-    itself and no product is taken.  ``lo`` is
+    ``weighted``, which only the weight and bias gradients read.  ``lo`` is
     the first source column with a live synapse.  Every weight before it is
-    a masked zero, so dL/d(sources) is
-    added into ``G`` from ``lo`` on, and only when the layer ``writes`` it
-    (layer 1 only for input gradients).  The d_sigma @ weights product
-    still has its full width, in the trace's shared product buffer.
+    a masked zero, so dL/d(sources) is added into ``G`` from ``lo`` on, and
+    only when the layer ``writes`` it (layer 1 only for input gradients).
+    The d_sigma @ weights product still has its full width, in the trace's
+    shared product buffer.
     """
 
     __slots__ = ("inputs", "weights", "weights_t", "bias", "sigma", "values", "y",
@@ -732,8 +729,7 @@ class _LayerPlan:
         self.sigma, self.values = trace.sigma[l], trace.values[l]
         self.y, self.y_grads, self.d_sigma = trace._ys[l], trace.y_grads[l], trace.d_sigma[l]
         self.counts = trace.counts[:, None]
-        self.weighted = (self.d_sigma if trace._weighted is None else
-                         trace._weighted[: n * layer.width].reshape(n, layer.width))
+        self.weighted = trace._weighted[: n * layer.width].reshape(n, layer.width)
         self.weighted_t = self.weighted.T
         self.weight_grads, self.bias_grads = trace.weight_grads[l], trace.bias_grads[l]
         kinds = [kind if alive else "dead"
@@ -799,8 +795,7 @@ def backward_batch(net: Network, trace: BatchTrace, d_outputs) -> BatchTrace:
         if p.writes:
             np.matmul(p.d_sigma, p.weights, out=p.product)
             np.add(p.g_window_t, p.product_window_t, out=p.g_window_t)
-        if p.weighted is not p.d_sigma:
-            np.multiply(p.d_sigma, p.counts, out=p.weighted)
+        np.multiply(p.d_sigma, p.counts, out=p.weighted)
         np.matmul(p.weighted_t, p.inputs, out=p.weight_grads)
         np.add.reduce(p.weighted, axis=0, out=p.bias_grads)
     return trace
