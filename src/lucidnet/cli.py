@@ -34,13 +34,7 @@ from .pruning import (
     run_pipeline,
 )
 from .sensitivity import ValidSet, export_csv
-from .training import (
-    EpochWorkspace,
-    LossKind,
-    TrainConfig,
-    evaluate_classification,
-    train_until,
-)
+from .training import LossKind, TrainConfig, evaluate_classification, train_until
 from .transparency import (
     RuleSet,
     classify_rules,
@@ -287,12 +281,8 @@ def cmd_prune(args, option):
     for i, (config, result) in enumerate(zip(configs, results)):
         print(f"stage={i} problem={config.problem.kind} steps={len(result.steps)} "
               f"accepted={len(result.accepted_steps)} stop={result.stop_reason}")
-    # one evaluation gives both; the entry check refused labels the net lacks
-    work = EpochWorkspace(net, dataset, loss_kind)
-    final_loss = work.evaluate()[0]
-    accuracy = work.judge(retrain, final_loss)[1]
     print(
-        f"final loss={final_loss!r} accuracy={accuracy!r} "
+        f"final loss={results[-1].final_loss!r} accuracy={results[-1].final_accuracy!r} "
         f"network={net_path} log={log_path}"
     )
     return 0

@@ -13,11 +13,16 @@ its column, which keeps ``synapse:l:i:s`` refs and the JSON synapse order.
 
 Every weight and bias lives in one flat vector, ``Network.params``, laid
 out [weights 1, bias 1, weights 2, ...], every trainable flag in the bool
-vector ``Network.trainable`` of that layout, and the layers' arrays are
-views of them, never rebound.  Edits never change array shapes: removing
-an input, neuron or synapse clears its mask entries and zeroes its weights
-in place, so ElementRefs stay valid for a whole pruning session and masked
-or dead units contribute exactly 0.  ``to_doc`` compacts the survivors;
+vector ``Network.trainable`` of that layout and every live flag in
+``Network.alive`` (a bias's entry is its neuron's flag), and the layers'
+arrays are views of them, never rebound.  Edits never change array shapes:
+removing an input, neuron or synapse clears its mask entries and zeroes its
+weights in place, so ElementRefs stay valid for a whole pruning session and
+masked or dead units contribute exactly 0.  The ``weight_table``, built once
+per network, lists every bias and synapse slot in ElementRef order with its
+position in ``params``, so pools, ratings and serialization read weights
+with array operations.  ``to_json`` writes the compact JSON of the
+survivors from the arrays, and ``to_doc`` is that JSON parsed;
 ``snapshot``/``restore`` copy arrays.
 ``Network.from_doc`` rejects a malformed document with a ``DatasetError``
 (CLI exit code 2).  ``forward_batch``/``backward_batch`` run one masked
@@ -38,9 +43,12 @@ in the weight and bias gradients.
 from __future__ import annotations
 
 import bisect
+import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -63,6 +71,13 @@ def step_function(x):
 
 _KIND_ORDER = {"input": 0, "neuron": 1, "synapse": 2, "bias": 3}
 
+# to_json's pieces, each spelling its object's keys in sorted order: a
+# neuron opens with its activation, a synapse with its source
+_NEURON_JSON = '{"activation":%s,"bias":{"trainable":%s,"w":%s},"synapses":['
+_SYNAPSE_JSON = '%s%s,"w":%s}'
+_SOURCE_JSON = '{"src_index":%d,"src_layer":%d,"trainable":'
+_NON_FINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
 
 @dataclass(frozen=True)
 class ElementRef:
@@ -72,12 +87,22 @@ class ElementRef:
     layer: 0 for input features, 1..L for neuron layers.
     neuron: feature index for inputs, neuron index within layer otherwise.
     slot: synapse position within the neuron, 1-based; 0 is the bias.
+
+    The hash is that of the four fields, computed once: pools and ratings
+    are dicts and sets of refs.
     """
 
     kind: str
     layer: int
     neuron: int
     slot: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash",
+                           hash((self.kind, self.layer, self.neuron, self.slot)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def key(self):
@@ -168,6 +193,51 @@ class Layer:
         self.weights[mask] = 0.0
 
 
+class WeightTable:
+    """Every bias and synapse slot of a network, live or not, one row each
+    in ``ElementRef.key`` order: per neuron, layer by layer, its bias, then
+    its synapses in slot order.  Per row, ``layer`` (1-based), ``neuron``,
+    ``slot`` (0 for the bias), ``synapse`` (whether it is one), ``source``
+    (a synapse's column of the value vector, else 0), ``unit`` (its
+    neuron's column) and ``pos`` (its index in ``Network.params``, and in
+    ``trainable`` and ``alive``).  ``column_layer`` is the layer of each
+    column of the value vector, and ``opening`` the row's entry among the
+    openings that ``Network.to_json`` lists: a synapse's source column, or
+    for a bias, the number of columns plus its neuron's index among all
+    neurons.  ``refs`` and ``index`` ({ref: row}) are made on first use."""
+
+    def __init__(self, net):
+        columns = []
+        start = 0  # of the layer's weights in params
+        for l, layer in enumerate(net.layers, start=1):
+            sizes = np.array([1 + len(cols) for cols in layer.slots], dtype=np.intp)  # bias, synapses
+            neuron = np.repeat(np.arange(layer.width), sizes)
+            slot = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+            source = np.zeros_like(slot)
+            source[slot > 0] = list(itertools.chain.from_iterable(layer.slots))
+            pos = np.where(slot > 0, start + neuron * layer.weights.shape[1] + source,
+                           start + layer.weights.size + neuron)
+            columns.append((np.full_like(slot, l), neuron, slot, source,
+                            net.offsets[l] + neuron, pos))
+            start += layer.weights.size + layer.width
+        (self.layer, self.neuron, self.slot, self.source, self.unit,
+         self.pos) = map(np.concatenate, zip(*columns))
+        self.synapse = self.slot > 0
+        off = net.offsets
+        self.column_layer = np.repeat(np.arange(len(off) - 1), np.diff(off)).tolist()
+        self.opening = np.where(self.synapse, self.source,
+                                off[-1] + self.unit - net.input_dim)
+
+    @cached_property
+    def refs(self):
+        return [synapse_ref(l, i, s) if s else bias_ref(l, i) for l, i, s in zip(
+            self.layer.tolist(), self.neuron.tolist(), self.slot.tolist())]
+
+    @cached_property
+    def index(self):
+        return {ref: row for row, ref in enumerate(self.refs)}
+
+
 class Network:
     """Layered feed-forward network with tombstoning structural edits."""
 
@@ -187,9 +257,13 @@ class Network:
             [a.ravel() for layer in layers for a in (layer.weights, layer.bias)])
         self.trainable = np.concatenate(
             [a.ravel() for layer in layers for a in (layer.trainable, layer.bias_trainable)])
-        for layer, (w, b), (t, bt) in zip(layers, self.views(self.params),
-                                          self.views(self.trainable)):
+        self.alive = np.concatenate(
+            [a.ravel() for layer in layers for a in (layer.alive, layer.neuron_alive)])
+        for layer, (w, b), (t, bt), (a, na) in zip(layers, self.views(self.params),
+                                                   self.views(self.trainable),
+                                                   self.views(self.alive)):
             layer.weights, layer.bias, layer.trainable, layer.bias_trainable = w, b, t, bt
+            layer.alive, layer.neuron_alive = a, na
         width = self.layers[-1].width
         if width == 1:
             if len(self.output_labels) != 2:
@@ -280,14 +354,24 @@ class Network:
             for i in np.flatnonzero(layer.neuron_alive).tolist():
                 yield neuron_ref(l, i)
 
-    def synapses(self, ref):
-        """Live synapses of a live neuron in slot order, as
-        (slot, (source layer, source index), weight, trainable)."""
-        layer, i = self._neuron(ref)
-        weights = layer.weights[i].tolist()
-        trainable = layer.trainable[i].tolist()
-        return [(slot, self._source(col), weights[col], trainable[col])
-                for slot, col in layer.live_slots(i)]
+    @cached_property
+    def weight_table(self):
+        """The network's WeightTable; slots and layout never change."""
+        return WeightTable(self)
+
+    def weight_rows(self, refs):
+        """Row in ``weight_table`` of each ref, -1 for an input or neuron
+        ref.  Raises StaleReferenceError, as ``weight`` does, for a weight
+        ref that names no live weight."""
+        table = self.weight_table
+        rows = np.fromiter(map(table.index.get, refs, itertools.repeat(-1)),
+                           dtype=np.intp, count=len(refs))
+        for k in np.flatnonzero((rows < 0) | ~self.alive[table.pos[rows]]).tolist():
+            ref = refs[k]
+            if ref.kind in ("synapse", "bias"):
+                self._weight(ref)  # raises, unless a synapse ref of slot 0 names the bias
+                rows[k] = table.index[bias_ref(ref.layer, ref.neuron)]
+        return rows
 
     def iter_weights(self, with_bias=True):
         """(ref, weight, trainable) of every live weight: per live neuron,
@@ -438,47 +522,42 @@ class Network:
     def to_doc(self):
         """Compact JSON document; tombstoned elements are dropped and
         neuron indices remapped."""
-        # compact (layer, index) of every column of the value vector
-        sources = [(0, k) for k in range(self.input_dim)]
-        for l, layer in enumerate(self.layers, start=1):
-            new = (np.cumsum(layer.neuron_alive) - 1).tolist()
-            sources.extend((l, new[i]) for i in range(layer.width))
-        layers_doc = []
-        for layer in self.layers:
-            weights = layer.weights.tolist()
-            alive = layer.alive.tolist()
-            trainable = layer.trainable.tolist()
-            bias = layer.bias.tolist()
-            bias_trainable = layer.bias_trainable.tolist()
-            layer_doc = []
-            for i in np.flatnonzero(layer.neuron_alive).tolist():
-                synapses = [
-                    {
-                        "src_layer": sources[col][0],
-                        "src_index": sources[col][1],
-                        "w": weights[i][col],
-                        "trainable": trainable[i][col],
-                    }
-                    for col in layer.slots[i]
-                    if alive[i][col]
-                ]
-                layer_doc.append(
-                    {
-                        "bias": {"w": bias[i], "trainable": bias_trainable[i]},
-                        "synapses": synapses,
-                        "activation": layer.activation[i],
-                    }
-                )
-            layers_doc.append(layer_doc)
-        return {
-            "input_dim": self.input_dim,
-            "active_inputs": list(self.active_inputs),
-            "layers": layers_doc,
-            "output_labels": list(self.output_labels),
-        }
+        return json.loads(self.to_json())
 
     def to_json(self):
-        return json.dumps(self.to_doc(), separators=(",", ":"), sort_keys=True)
+        """``json.dumps(doc, separators=(",", ":"), sort_keys=True)`` of the
+        compact document, written from the arrays: every live row of
+        ``weight_table`` gives one template its opening (a bias's neuron's
+        activation, a synapse's compact source), its trainable flag and its
+        weight, which float ``repr`` writes as ``json.dumps`` does."""
+        table = self.weight_table
+        live = np.flatnonzero(self.alive[table.pos])  # rows, in key order
+        pos = table.pos[live]
+        weights = self.params[pos]
+        texts = list(map(float.__repr__, weights.tolist()))
+        if not np.isfinite(weights).all():
+            texts = [_NON_FINITE_JSON.get(text, text) for text in texts]
+        compact = np.concatenate([np.arange(self.input_dim)] + [
+            np.cumsum(layer.neuron_alive) - 1 for layer in self.layers]).tolist()
+        openings = np.array(
+            [_SOURCE_JSON % pair for pair in zip(compact, table.column_layer)]
+            + [encode_basestring_ascii(kind) for layer in self.layers
+               for kind in layer.activation], dtype=object)
+        values = [None] * (3 * len(live))
+        values[0::3] = openings[table.opening[live]].tolist()
+        values[1::3] = np.where(self.trainable[pos], "true", "false").tolist()
+        values[2::3] = texts
+        # each bias row opens a neuron, whose live synapses follow it
+        counts = iter((np.diff(np.flatnonzero(np.append(~table.synapse[live], True)))
+                       - 1).tolist())
+        template = ",".join(
+            "[" + ",".join(_NEURON_JSON + ",".join([_SYNAPSE_JSON] * next(counts)) + "]}"
+                           for _ in range(np.count_nonzero(layer.neuron_alive))) + "]"
+            for layer in self.layers)
+        active = ",".join(["true" if a else "false" for a in self.active_inputs])
+        labels = ",".join(map(encode_basestring_ascii, self.output_labels))
+        return (f'{{"active_inputs":[{active}],"input_dim":{self.input_dim},'
+                f'"layers":[{template % tuple(values)}],"output_labels":[{labels}]}}')
 
     @staticmethod
     def from_doc(doc):
@@ -566,19 +645,17 @@ class Network:
     def snapshot(self):
         """Copy of the mutable state, for ``restore``."""
         return (list(self.active_inputs), self.params.copy(), self.trainable.copy(),
-                [(layer.alive.copy(), layer.neuron_alive.copy(), list(layer.activation))
-                 for layer in self.layers])
+                self.alive.copy(), [list(layer.activation) for layer in self.layers])
 
     def restore(self, snap):
         """Return to the state of a ``snapshot`` of this network; the same
         snapshot can be restored any number of times."""
-        active, params, trainable, layer_states = snap
+        active, params, trainable, alive, activations = snap
         self.active_inputs = list(active)
         np.copyto(self.params, params)
         np.copyto(self.trainable, trainable)
-        for layer, (alive, neuron_alive, activation) in zip(self.layers, layer_states):
-            np.copyto(layer.alive, alive)
-            np.copyto(layer.neuron_alive, neuron_alive)
+        np.copyto(self.alive, alive)
+        for layer, activation in zip(self.layers, activations):
             layer.activation = list(activation)
         self._touch()
 

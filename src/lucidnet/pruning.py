@@ -26,13 +26,16 @@ be modifiable.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import numbers
 import operator
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DivergenceError, NotTrainedError, PipelineAbort, PoolExhausted
-from .network import Network, input_ref, synapse_ref
+from .network import Network, input_ref
 from .sensitivity import ValidSet, collect_ledger, nearest_valid
 from .training import EpochWorkspace, LossKind, TrainConfig, criterion_met, train_until
 
@@ -110,7 +113,9 @@ class PruneStepRecord:
     save_hash digests the JSON form of the network when the snapshot was
     taken before the attempt and net_hash_after the JSON form after accept
     or restore, so the audit log alone proves that every rejected step
-    rolled back byte-exactly.  A stage digests its entry network once for
+    rolled back byte-exactly.  A digest is a sha256 prefix of
+    ``Network.to_json``, the bytes of ``network.json``, which are written
+    from the arrays without building a document.  A stage digests its entry network once for
     its first save_hash; after that each snapshot's save_hash is the
     net_hash_after of the step accepted just before it, since nothing
     changes the network in between.  A rejected step digests the restored
@@ -158,11 +163,15 @@ class PruneStepRecord:
 class PruneResult:
     """``stop_reason`` is "pool-exhausted" when no candidate of the class
     was left to try, or "failed-at-m1" when the lowest-rated single
-    candidate failed to retrain."""
+    candidate failed to retrain.  ``final_loss`` and ``final_accuracy``
+    are those of the returned network: of the last accepted step's
+    retrain, or of the stage's entry check when no step was accepted."""
 
     network: Network
     steps: list
     stop_reason: str
+    final_loss: float
+    final_accuracy: float
 
     @property
     def accepted_steps(self):
@@ -170,22 +179,26 @@ class PruneResult:
 
 
 def candidate_pool(net: Network, problem: PruningProblem):
-    """Live, trainable elements of the problem's class."""
+    """Live, trainable elements of the problem's class, in ElementRef.key
+    order.  The weight pools are masks over ``net.weight_table``: every
+    live trainable weight, or for uniform simplification the live trainable
+    synapses of each neuron whose fan-in (live synapses that are trainable
+    or nonzero) is the network's largest, when that exceeds the target."""
     if problem.kind == "feature-selection":
         return [input_ref(k) for k in net.active_feature_indices()]
     if problem.kind == "neuron-removal":
         return list(net.iter_neurons(hidden_only=True))
+    table = net.weight_table
+    alive, trainable = net.alive[table.pos], net.trainable[table.pos]
+    take = alive & trainable
     if problem.kind == "uniform-simplification":
-        fan = {ref: net.fan_in(ref) for ref in net.iter_neurons()}
-        top = max(fan.values(), default=0)
+        counted = table.synapse & alive & (trainable | (net.params[table.pos] != 0.0))
+        fan = np.bincount(table.unit[counted], minlength=net.offsets[-1])
+        top = fan.max()
         if top <= problem.target_fan_in:
             return []
-        return [
-            synapse_ref(ref.layer, ref.neuron, slot)
-            for ref, f in fan.items() if f == top
-            for slot, _, _, trainable in net.synapses(ref) if trainable
-        ]
-    return [ref for ref, _, trainable in net.iter_weights() if trainable]
+        take &= table.synapse & (fan[table.unit] == top)
+    return list(itertools.compress(table.refs, take.tolist()))
 
 
 def select_candidates(final_map, net: Network, problem: PruningProblem, m):
@@ -205,8 +218,8 @@ def select_candidates(final_map, net: Network, problem: PruningProblem, m):
         raise PoolExhausted(f"no candidates left for {problem.kind}")
     picked = sorted(final_map, key=lambda ref: (final_map[ref], ref.key))[:m]
     if problem.element_class == "weight":
-        return [(ref, nearest_valid(net.weight(ref), problem.valid_set))
-                for ref in picked]
+        weights = net.params[net.weight_table.pos[net.weight_rows(picked)]]
+        return list(zip(picked, nearest_valid(weights, problem.valid_set).tolist()))
     return [(ref, None) for ref in picked]
 
 
@@ -269,6 +282,7 @@ def _prune(net, dataset, config, m):
         raise NotTrainedError(
             "pruning requires a network that already meets the success criterion"
         )
+    final = work.judged  # the network's until a step is accepted
     steps = []
     save_hash = _digest(net.to_json())
     while True:
@@ -289,7 +303,7 @@ def _prune(net, dataset, config, m):
                                       config.retrain, work)
             except PoolExhausted:
                 net.restore(saved)
-                return PruneResult(net, steps, "pool-exhausted")
+                return PruneResult(net, steps, "pool-exhausted", *final)
             except DivergenceError as exc:
                 if final_map is not None:  # the retrain diverged
                     epochs = exc.epochs
@@ -315,9 +329,10 @@ def _prune(net, dataset, config, m):
             if accepted:
                 # nothing touches the network before the next snapshot
                 save_hash = record.net_hash_after
+                final = outcome.final_total_loss, outcome.final_accuracy
                 break  # fresh indicators on the smaller network
             if m == 1:
-                return PruneResult(net, steps, "failed-at-m1")
+                return PruneResult(net, steps, "failed-at-m1", *final)
             staleness += 1
             m //= 2
 

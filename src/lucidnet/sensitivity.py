@@ -13,8 +13,9 @@ weight and its current nearest valid value.
 ``collect_ledger(..., refs)`` builds a ledger for exactly the refs it is
 given, normally the pruning step's candidate pool, and
 ``SensitivityLedger.finalize`` rates the ledger's own refs in order as
-``{ref: indicator}``.  The refs are resolved once per call, grouped by the
-gradient block they read; each epoch refills one reused samples buffer from
+``{ref: indicator}``, gathering the rated weights by their positions in
+``Network.params``.  The refs are resolved once per call through the
+network's weight table, grouped by the gradient block they read; each epoch refills one reused samples buffer from
 the gradients that ``train_epoch`` leaves in the trace, gathering at most
 ``_CHUNK`` rows at a time, so no per-epoch temporary grows with the pool.
 A sample is one of the workspace's groups of equal rows, which the avg
@@ -62,11 +63,15 @@ class ValidSet:
         return ValidSet((-1.0, 0.0, 1.0))
 
 
-def nearest_valid(weight, valid_set: ValidSet) -> float:
-    """Member of the set closest to the weight; ties go to the value of
-    smaller magnitude."""
-    w = float(weight)
-    return min(valid_set.values, key=lambda v: (abs(v - w), abs(v), v))
+def nearest_valid(weights, valid_set: ValidSet):
+    """Member of the set closest to each weight: an array of them for an
+    array, a float for a number.  Ties go to the value of smaller
+    magnitude, then to the smaller value."""
+    values = np.array(sorted(valid_set.values, key=lambda v: (abs(v), v)))
+    w = np.asarray(weights, dtype=float)
+    # argmin takes the first of equal distances, so the order breaks ties
+    nearest = values[np.argmin(np.abs(values - w[..., None]), axis=-1)]
+    return float(nearest) if nearest.ndim == 0 else nearest
 
 
 # -- cross-epoch ledger ---------------------------------------------------
@@ -120,14 +125,15 @@ class SensitivityLedger:
         if mode not in INDICATOR_MODES:
             raise ValueError(f"unknown indicator mode {mode!r}")
         sums = self._max_sums if mode == "max" else self._avg_sums
-        out = dict(zip(self.refs, (sums / self.epochs_accumulated).tolist()))
-        for ref in self.refs:
-            if ref.kind in ("synapse", "bias"):
-                if valid_set is None:
-                    raise ValueError("weight indicators need a valid set")
-                weight = net.weight(ref)
-                out[ref] *= abs(nearest_valid(weight, valid_set) - weight)
-        return out
+        indicators = sums / self.epochs_accumulated
+        rows = net.weight_rows(self.refs)
+        weight = rows >= 0
+        if weight.any():
+            if valid_set is None:
+                raise ValueError("weight indicators need a valid set")
+            w = net.params[net.weight_table.pos[rows[weight]]]
+            indicators[weight] *= np.abs(nearest_valid(w, valid_set) - w)
+        return dict(zip(self.refs, indicators.tolist()))
 
 
 _CHUNK = 16  # sample rows gathered at a time; bounds the temporaries
@@ -139,24 +145,26 @@ def _sample_plan(net: Network, refs):
     gradient columns, value columns or None).  Block 0 is ``trace.G``,
     which an input or a neuron reads with its own value column; block l is
     ``trace.d_sigma[l]``, which a synapse reads with its source's value
-    column and a bias with none."""
-    off = net.offsets
-    groups = {}
-    for pos, ref in enumerate(refs):
-        if ref.kind in ("input", "neuron"):
-            col = off[ref.layer] + ref.neuron
-            groups.setdefault((0, True), []).append((pos, col, col))
-        else:
-            synapse = ref.kind == "synapse"
-            source = (net.layers[ref.layer - 1].slots[ref.neuron][ref.slot - 1]
-                      if synapse else 0)
-            groups.setdefault((ref.layer, synapse), []).append(
-                (pos, ref.neuron, source))
+    column and a bias with none.  Weights are read from the columns of
+    ``net.weight_table``."""
+    table = net.weight_table
+    rows = net.weight_rows(refs)  # -1, so the last row, for an input or neuron
+    group = 2 * table.layer[rows] + table.synapse[rows]  # 2 * block + scaled
+    cols, sources = table.neuron[rows], table.source[rows]
+    units = np.flatnonzero(rows < 0).tolist()
+    if units:
+        group[units] = 1
+        cols[units] = sources[units] = [net.offsets[refs[k].layer] + refs[k].neuron
+                                        for k in units]
+    order = np.argsort(group, kind="stable")  # each group keeps the order of refs
+    group, cols, sources = group[order], cols[order], sources[order]
+    ends = [e + 1 for e in np.flatnonzero(np.diff(group)).tolist()] + [len(refs)]
     plan = []
-    for (block, scaled), rows in groups.items():
-        for s in range(0, len(rows), _CHUNK):
-            pos, cols, sources = map(np.array, zip(*rows[s: s + _CHUNK]))
-            plan.append((block, pos, cols, sources if scaled else None))
+    for start, end in zip([0, *ends[:-1]], ends):
+        for s in range(start, end, _CHUNK):
+            block, scaled = divmod(int(group[s]), 2)
+            chunk = slice(s, min(s + _CHUNK, end))
+            plan.append((block, order[chunk], cols[chunk], sources[chunk] if scaled else None))
     return plan
 
 

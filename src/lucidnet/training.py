@@ -180,6 +180,7 @@ class EpochWorkspace:
         # a single output's pick is whether it picks output 0
         self._need = need == 0 if net.layers[-1].width == 1 else need.astype(np.intp)
         self.velocity = np.zeros_like(net.params)
+        self.judged = None
         self._group(input_grads)
 
     def _group(self, input_grads):
@@ -215,7 +216,8 @@ class EpochWorkspace:
     def judge(self, config: TrainConfig, loss):
         """(criterion met, accuracy) for the ``loss`` that ``evaluate`` just
         returned, with the picks of ``_predicted_outputs``; a non-finite loss
-        never meets the criterion."""
+        never meets the criterion.  ``judged`` keeps the (loss, accuracy) of
+        the last call."""
         need, picks, hits = self._picks
         outputs = self.trace.outputs
         if outputs.shape[1] == 1:
@@ -226,6 +228,7 @@ class EpochWorkspace:
         accuracy = float(self.trace.counts @ hits) / len(self.dataset)
         by_loss = config.success_criterion == "loss-below-threshold"
         met = loss <= config.loss_threshold if by_loss else accuracy == 1.0
+        self.judged = loss, accuracy
         return math.isfinite(loss) and met, accuracy
 
 

@@ -29,6 +29,7 @@ from lucidnet.cli import main
 from lucidnet.training import classify_outputs, loss_terms
 from lucidnet.transparency import evaluate_rules
 
+from bookkeeping_reference import synapses
 from conftest import (
     assert_close_rel,
     finite_difference_weight,
@@ -190,7 +191,7 @@ class TestDegenerateStructures:
         net.remove_element(neuron_ref(1, 0))
         net.remove_element(neuron_ref(1, 1))
         assert net.is_alive(neuron_ref(2, 0))
-        assert net.synapses(neuron_ref(2, 0)) == []
+        assert synapses(net, neuron_ref(2, 0)) == []
         y = forward(net, [1.0, -1.0]).outputs[0]
         assert y == pytest.approx(np.tanh(net.weight(bias_ref(2, 0))))
         # both features lost every consumer

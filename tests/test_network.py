@@ -20,6 +20,7 @@ from lucidnet import (
 
 from lucidnet.network import backward_batch
 
+from bookkeeping_reference import synapses
 from conftest import (
     assert_close_rel,
     finite_difference_weight,
@@ -178,7 +179,7 @@ class TestRemoveElement:
         cascade = net.remove_element(input_ref(1))
         assert not net.active_inputs[1]
         for nref in net.iter_neurons():
-            assert all(src != (0, 1) for _, src, _, _ in net.synapses(nref))
+            assert all(src != (0, 1) for _, src, _, _ in synapses(net, nref))
         assert {str(r) for r in cascade} == {"synapse:1:0:2", "synapse:1:1:2"}
 
     def test_no_cascade_in_fully_connected(self):

@@ -24,6 +24,7 @@ from lucidnet import (
 from lucidnet.network import backward_batch
 from lucidnet.training import EpochWorkspace
 
+from bookkeeping_reference import synapses
 from conftest import apply_edits, edit_lists, step
 
 def _act(kind, sigma):
@@ -111,7 +112,7 @@ def compact_keys(net):
         i = position.setdefault(nref.layer, 0)
         position[nref.layer] = i + 1
         keys[bias_ref(nref.layer, nref.neuron)] = (nref.layer, i, 0)
-        for rank, (slot, _, _, _) in enumerate(net.synapses(nref), start=1):
+        for rank, (slot, _, _, _) in enumerate(synapses(net, nref), start=1):
             keys[synapse_ref(nref.layer, nref.neuron, slot)] = (nref.layer, i, rank)
     return keys
 
