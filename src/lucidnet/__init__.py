@@ -55,7 +55,6 @@ from .training import (
     TrainConfig,
     TrainOutcome,
     evaluate_classification,
-    total_loss,
     train_epoch,
     train_until,
 )

@@ -9,7 +9,8 @@ earlier layers (inputs first, then layers 1..l-1), so skip connections need
 no second code path.  Same-shape ``alive``/``trainable`` masks, a bias
 vector with its own trainable mask, per-neuron alive flags and activations
 sit beside it, and a per-neuron slot table maps synapse ``s`` of a neuron to
-its column, which keeps ``synapse:l:i:s`` refs and the JSON synapse order.
+its column, which keeps ``synapse:l:i:s`` refs and the JSON synapse order;
+only the ``weight_table`` is built from it.
 
 Every weight and bias lives in one flat vector, ``Network.params``, laid
 out [weights 1, bias 1, weights 2, ...], every trainable flag in the bool
@@ -20,10 +21,14 @@ removing an input, neuron or synapse clears its mask entries and zeroes its
 weights in place, so ElementRefs stay valid for a whole pruning session and
 masked or dead units contribute exactly 0.  The ``weight_table``, built once
 per network, lists every bias and synapse slot in ElementRef order with its
-position in ``params``, so pools, ratings and serialization read weights
-with array operations.  ``to_json`` writes the compact JSON of the
-survivors from the arrays, and ``to_doc`` is that JSON parsed;
-``snapshot``/``restore`` copy arrays.
+position in ``params``, and every walk and edit indexes the flat vectors
+through it: ``_weight`` alone resolves a weight ref to its row, one
+``_kill`` tombstones synapses and whole neurons, ``fan_ins`` alone counts
+fan-in, one mask finds the live synapses of a dead source for the cascade
+audit and ``check_layered``, and pools, ratings, ``iter_weights`` and
+serialization read rows with array operations.  ``to_json`` writes the
+compact JSON of the survivors from the arrays, and ``to_doc`` is that JSON
+parsed; ``snapshot``/``restore`` copy arrays.
 ``Network.from_doc`` rejects a malformed document with a ``DatasetError``
 (CLI exit code 2).  ``forward_batch``/``backward_batch`` run one masked
 matmul per layer in the buffers of a ``BatchTrace`` and return it; its
@@ -152,7 +157,7 @@ class Layer:
     """One neuron layer: ``weights`` is (width, columns of all earlier
     layers); ``alive``/``trainable`` share its shape, and a dead entry holds
     weight 0 and is never trainable.  ``slots[i]`` lists neuron i's synapse
-    columns in slot order.
+    columns in slot order; only ``WeightTable`` reads it.
     """
 
     __slots__ = ("weights", "alive", "trainable", "bias", "bias_trainable",
@@ -176,22 +181,6 @@ class Layer:
     def width(self):
         return len(self.bias)
 
-    def live_slots(self, i, mask=None):
-        """(slot, column) of neuron i's synapses set in ``mask`` (by
-        default the live ones), in slot order."""
-        row = (self.alive if mask is None else mask)[i].tolist()
-        return [(s, col) for s, col in enumerate(self.slots[i], start=1) if row[col]]
-
-    def kill_neuron(self, i):
-        self.neuron_alive[i] = self.bias_trainable[i] = False
-        self.bias[i] = 0.0
-        self.kill_synapses(i)
-
-    def kill_synapses(self, mask):
-        self.alive[mask] = False
-        self.trainable[mask] = False
-        self.weights[mask] = 0.0
-
 
 class WeightTable:
     """Every bias and synapse slot of a network, live or not, one row each
@@ -200,11 +189,13 @@ class WeightTable:
     ``slot`` (0 for the bias), ``synapse`` (whether it is one), ``source``
     (a synapse's column of the value vector, else 0), ``unit`` (its
     neuron's column) and ``pos`` (its index in ``Network.params``, and in
-    ``trainable`` and ``alive``).  ``column_layer`` is the layer of each
-    column of the value vector, and ``opening`` the row's entry among the
-    openings that ``Network.to_json`` lists: a synapse's source column, or
-    for a bias, the number of columns plus its neuron's index among all
-    neurons.  ``refs`` and ``index`` ({ref: row}) are made on first use."""
+    ``trainable`` and ``alive``).  Per column u of the value vector, the
+    rows ``starts[u]:starts[u + 1]`` are its unit's: a neuron's bias, then
+    its synapse slots, or none for an input.  ``column_layer`` is the layer
+    of each column, and ``opening`` the row's entry among the openings that
+    ``Network.to_json`` lists: a synapse's source column, or for a bias,
+    the number of columns plus its neuron's index among all neurons.
+    ``refs`` and ``index`` ({ref: row}) are made on first use."""
 
     def __init__(self, net):
         columns = []
@@ -218,11 +209,12 @@ class WeightTable:
             pos = np.where(slot > 0, start + neuron * layer.weights.shape[1] + source,
                            start + layer.weights.size + neuron)
             columns.append((np.full_like(slot, l), neuron, slot, source,
-                            net.offsets[l] + neuron, pos))
+                            net.offsets[l] + neuron, pos, sizes))
             start += layer.weights.size + layer.width
         (self.layer, self.neuron, self.slot, self.source, self.unit,
-         self.pos) = map(np.concatenate, zip(*columns))
+         self.pos, sizes) = map(np.concatenate, zip(*columns))
         self.synapse = self.slot > 0
+        self.starts = [0] * net.input_dim + [0] + np.cumsum(sizes).tolist()
         off = net.offsets
         self.column_layer = np.repeat(np.arange(len(off) - 1), np.diff(off)).tolist()
         self.opening = np.where(self.synapse, self.source,
@@ -306,30 +298,34 @@ class Network:
             raise StaleReferenceError(f"{ref} is tombstoned")
         return layer, ref.neuron
 
+    def _rows(self, ref):
+        """(first, end): the rows in ``weight_table`` of the live neuron that
+        a neuron, synapse or bias ref belongs to, its bias first; raises
+        StaleReferenceError."""
+        self._neuron(ref)
+        starts, unit = self.weight_table.starts, self.offsets[ref.layer] + ref.neuron
+        return starts[unit], starts[unit + 1]
+
     def _weight(self, ref):
-        """(Layer, neuron index, column) of a live weight ref; the column is
-        None for a bias.  Raises StaleReferenceError."""
+        """Row in ``weight_table`` of a live weight ref; a synapse ref of
+        slot 0 names its neuron's bias.  Raises StaleReferenceError."""
         if ref.kind not in ("synapse", "bias"):
             raise StaleReferenceError(f"{ref} is not a weight ref")
-        layer, i = self._neuron(ref)
+        first, end = self._rows(ref)
         if ref.kind == "bias" or ref.slot == 0:
-            return layer, i, None
-        if not 1 <= ref.slot <= len(layer.slots[i]):
+            return first
+        if not 1 <= ref.slot < end - first:
             raise StaleReferenceError(f"{ref} out of range")
-        col = layer.slots[i][ref.slot - 1]
-        if not layer.alive[i, col]:
+        if not self.alive[self.weight_table.pos[first + ref.slot]]:
             raise StaleReferenceError(f"{ref} is tombstoned")
-        return layer, i, col
+        return first + ref.slot
 
     def weight(self, ref):
         """Current value of a live weight or bias."""
-        layer, i, col = self._weight(ref)
-        return float(layer.bias[i] if col is None else layer.weights[i, col])
+        return float(self.params[self.weight_table.pos[self._weight(ref)]])
 
     def is_trainable(self, ref):
-        layer, i, col = self._weight(ref)
-        return bool(layer.bias_trainable[i] if col is None
-                    else layer.trainable[i, col])
+        return bool(self.trainable[self.weight_table.pos[self._weight(ref)]])
 
     def activation(self, ref):
         layer, i = self._neuron(ref)
@@ -367,46 +363,52 @@ class Network:
         rows = np.fromiter(map(table.index.get, refs, itertools.repeat(-1)),
                            dtype=np.intp, count=len(refs))
         for k in np.flatnonzero((rows < 0) | ~self.alive[table.pos[rows]]).tolist():
-            ref = refs[k]
-            if ref.kind in ("synapse", "bias"):
-                self._weight(ref)  # raises, unless a synapse ref of slot 0 names the bias
-                rows[k] = table.index[bias_ref(ref.layer, ref.neuron)]
+            if refs[k].kind in ("synapse", "bias"):
+                rows[k] = self._weight(refs[k])
         return rows
 
     def iter_weights(self, with_bias=True):
-        """(ref, weight, trainable) of every live weight: per live neuron,
-        its bias, then its synapses in slot order."""
-        for l, layer in enumerate(self.layers, start=1):
-            weights, trainable = layer.weights.tolist(), layer.trainable.tolist()
-            bias, bias_trainable = layer.bias.tolist(), layer.bias_trainable.tolist()
-            for i in np.flatnonzero(layer.neuron_alive).tolist():
-                if with_bias:
-                    yield bias_ref(l, i), bias[i], bias_trainable[i]
-                for slot, col in layer.live_slots(i):
-                    yield synapse_ref(l, i, slot), weights[i][col], trainable[i][col]
+        """(ref, weight, trainable) of every live weight in the rows' order:
+        per live neuron, its bias, then its synapses in slot order."""
+        table = self.weight_table
+        live = self.alive[table.pos] & (with_bias | table.synapse)
+        pos = table.pos[live]
+        return zip(itertools.compress(table.refs, live.tolist()),
+                   self.params[pos].tolist(), self.trainable[pos].tolist())
 
     def active_feature_indices(self):
         return [k for k in range(self.input_dim) if self.active_inputs[k]]
 
+    def fan_ins(self):
+        """Per column of the value vector, the live synapses of its neuron
+        that still matter, being trainable or nonzero; 0 for an input."""
+        table = self.weight_table
+        pos = table.pos
+        counted = table.synapse & self.alive[pos] & (self.trainable[pos]
+                                                      | (self.params[pos] != 0.0))
+        return np.bincount(table.unit[counted], minlength=self.offsets[-1])
+
     def fan_in(self, ref):
-        """Live non-bias synapses that still matter: trainable or nonzero."""
-        layer, i = self._neuron(ref)
-        return int(np.count_nonzero(
-            layer.alive[i] & (layer.trainable[i] | (layer.weights[i] != 0.0))
-        ))
+        """A live neuron's entry of ``fan_ins``."""
+        self._neuron(ref)
+        return int(self.fan_ins()[self.offsets[ref.layer] + ref.neuron])
 
     # -- structural edits ----------------------------------------------
 
     def _touch(self):
         self._version += 1
 
+    def _kill(self, pos):
+        """Tombstone the weights at ``pos``, positions in ``params``; a
+        bias's entry of ``alive`` is its neuron's flag, so killing it kills
+        the neuron."""
+        self.alive[pos] = self.trainable[pos] = False
+        self.params[pos] = 0.0
+
     def set_weight(self, ref, value, freeze=False):
         """Assign a weight; freezing removes it from the trainable pool."""
-        layer, i, col = self._weight(ref)
-        if col is None:
-            layer.bias[i], layer.bias_trainable[i] = float(value), not freeze
-        else:
-            layer.weights[i, col], layer.trainable[i, col] = float(value), not freeze
+        pos = self.weight_table.pos[self._weight(ref)]
+        self.params[pos], self.trainable[pos] = float(value), not freeze
         self._touch()
 
     def set_activation(self, ref, kind):
@@ -424,6 +426,7 @@ class Network:
         died, neurons left with no path to an output, and input features
         with no remaining outgoing synapse.
         """
+        table = self.weight_table
         if ref.kind == "input":
             if not self.is_alive(ref):
                 raise StaleReferenceError(f"{ref} is not an active feature")
@@ -431,11 +434,9 @@ class Network:
         elif ref.kind == "neuron":
             if self.is_output_layer(ref.layer):
                 raise IllegalModificationError("output neurons are protected")
-            layer, i = self._neuron(ref)
-            layer.kill_neuron(i)
+            self._kill(table.pos[slice(*self._rows(ref))])
         elif ref.kind == "synapse" and ref.slot > 0:
-            layer, i, col = self._weight(ref)
-            layer.kill_synapses((i, col))
+            self._kill(table.pos[self._weight(ref)])
         else:
             raise IllegalModificationError("bias slots cannot be structurally removed")
         cascade = self._audit()
@@ -448,34 +449,37 @@ class Network:
             + [layer.neuron_alive for layer in self.layers]
         )
 
+    def _orphans(self):
+        """Mask over the rows of ``weight_table``: the live synapses that
+        read a masked feature or a dead neuron."""
+        table = self.weight_table
+        return table.synapse & self.alive[table.pos] & ~self._source_alive()[table.source]
+
     def _audit(self):
         """Sweep to a fixpoint of the cascade rules; returns removed refs."""
+        table = self.weight_table
         removed = []
         changed = True
         while changed:
             changed = False
             # (a) synapses whose source is gone
-            src_alive = self._source_alive()
-            for l, layer in enumerate(self.layers, start=1):
-                doomed = layer.alive & ~src_alive[None, : self.offsets[l]]
-                if not doomed.any():
-                    continue
-                for i in np.flatnonzero(doomed.any(axis=1)).tolist():
-                    removed.extend(synapse_ref(l, i, slot)
-                                   for slot, _ in layer.live_slots(i, doomed))
-                layer.kill_synapses(doomed)
+            doomed = self._orphans()
+            if doomed.any():
+                removed.extend(itertools.compress(table.refs, doomed.tolist()))
+                self._kill(table.pos[doomed])
                 changed = True
-            # (b) non-output neurons with no live path to an output
-            reachable = self._reaching_output()
-            for l, layer in enumerate(self.layers[:-1], start=1):
-                doomed = layer.neuron_alive & ~reachable[l]
-                for i in np.flatnonzero(doomed).tolist():
-                    removed.append(neuron_ref(l, i))
-                    removed.extend(synapse_ref(l, i, slot)
-                                   for slot, _ in layer.live_slots(i))
-                    removed.append(bias_ref(l, i))
-                    layer.kill_neuron(i)
-                    changed = True
+            # (b) non-output neurons with no live path to an output, each
+            # listed as itself, its live synapses, then its bias
+            doomed = self._source_alive() & ~self._reaching_output()
+            doomed[: self.input_dim] = False
+            if doomed.any():
+                live = self.alive[table.pos].tolist()
+                for unit in np.flatnonzero(doomed).tolist():
+                    rows = slice(table.starts[unit], table.starts[unit + 1])
+                    bias, *synapses = itertools.compress(table.refs[rows], live[rows])
+                    removed += [neuron_ref(bias.layer, bias.neuron), *synapses, bias]
+                self._kill(table.pos[doomed[table.unit]])
+                changed = True
             # (c) features with no remaining outgoing synapse
             used = np.any([layer.alive[:, : self.input_dim].any(axis=0)
                            for layer in self.layers], axis=0)
@@ -487,14 +491,13 @@ class Network:
         return removed
 
     def _reaching_output(self):
-        """Per layer, which live neurons have a live path to an output."""
-        reach = ([None] + [np.zeros(layer.width, dtype=bool) for layer in self.layers[:-1]]
-                 + [self.layers[-1].neuron_alive.copy()])
+        """Per column of the value vector, whether a live path leads from it
+        to an output; exact for the live neurons."""
+        off = self.offsets
+        reach = np.zeros(off[-1], dtype=bool)
+        reach[off[-2]:] = self.layers[-1].neuron_alive
         for l in range(self.n_layers, 1, -1):
-            used = self.layers[l - 1].alive[reach[l]].any(axis=0)
-            for sl in range(1, l):
-                block = used[self.offsets[sl]: self.offsets[sl + 1]]
-                reach[sl] |= block & self.layers[sl - 1].neuron_alive
+            reach[: off[l]] |= self.layers[l - 1].alive[reach[off[l]: off[l + 1]]].any(axis=0)
         return reach
 
     def audit_structure(self):
@@ -505,16 +508,18 @@ class Network:
         return extra
 
     def check_layered(self):
-        """Every live synapse must read a live source.  Sources lie in
-        strictly earlier layers by construction: a layer's matrix has no
-        columns for itself or later layers."""
-        src_alive = self._source_alive()
-        for l, layer in enumerate(self.layers, start=1):
-            for i, col in zip(*np.nonzero(layer.alive & ~src_alive[: self.offsets[l]])):
-                sl, si = self._source(int(col))
-                what = "a masked feature" if sl == 0 else "a dead neuron"
-                raise ValueError(f"a synapse of {neuron_ref(l, int(i))} "
-                                 f"(from {sl}:{si}) sources {what}")
+        """Every live synapse must read a live source; the message names the
+        first neuron with one that does not, and its lowest such source
+        column.  Sources lie in strictly earlier layers by construction: a
+        layer's matrix has no columns for itself or later layers."""
+        orphans = self._orphans()
+        if orphans.any():
+            table = self.weight_table
+            unit = table.unit[orphans.argmax()]
+            sl, si = self._source(int(table.source[orphans & (table.unit == unit)].min()))
+            what = "a masked feature" if sl == 0 else "a dead neuron"
+            raise ValueError(f"a synapse of {neuron_ref(*self._source(int(unit)))} "
+                             f"(from {sl}:{si}) sources {what}")
         return True
 
     # -- serialization ---------------------------------------------------

@@ -32,8 +32,6 @@ import numbers
 import operator
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DivergenceError, NotTrainedError, PipelineAbort, PoolExhausted
 from .network import Network, input_ref
 from .sensitivity import ValidSet, collect_ledger, nearest_valid
@@ -182,18 +180,16 @@ def candidate_pool(net: Network, problem: PruningProblem):
     """Live, trainable elements of the problem's class, in ElementRef.key
     order.  The weight pools are masks over ``net.weight_table``: every
     live trainable weight, or for uniform simplification the live trainable
-    synapses of each neuron whose fan-in (live synapses that are trainable
-    or nonzero) is the network's largest, when that exceeds the target."""
+    synapses of each neuron whose ``fan_ins`` entry is the network's
+    largest, when that exceeds the target."""
     if problem.kind == "feature-selection":
         return [input_ref(k) for k in net.active_feature_indices()]
     if problem.kind == "neuron-removal":
         return list(net.iter_neurons(hidden_only=True))
     table = net.weight_table
-    alive, trainable = net.alive[table.pos], net.trainable[table.pos]
-    take = alive & trainable
+    take = net.alive[table.pos] & net.trainable[table.pos]
     if problem.kind == "uniform-simplification":
-        counted = table.synapse & alive & (trainable | (net.params[table.pos] != 0.0))
-        fan = np.bincount(table.unit[counted], minlength=net.offsets[-1])
+        fan = net.fan_ins()
         top = fan.max()
         if top <= problem.target_fan_in:
             return []

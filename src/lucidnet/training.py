@@ -136,11 +136,6 @@ def _label_indices(dataset, labels):
                     dtype=int)[dataset.label_codes]
 
 
-def total_loss(net: Network, dataset, loss_kind: LossKind) -> float:
-    """Sum of the per-sample losses over the whole training set."""
-    return EpochWorkspace(net, dataset, loss_kind).evaluate()[0]
-
-
 def distinct_rows(dataset, active_inputs):
     """(rows, counts) of the groups of the dataset's rows that are equal on
     the active inputs and have one label: each group's first row, in order
@@ -176,9 +171,7 @@ class EpochWorkspace:
                  input_grads=False):
         self.net, self.dataset, self.loss_kind = net, dataset, loss_kind
         self._targets = targets_for(dataset, net)
-        need = _label_indices(dataset, net.output_labels)
-        # a single output's pick is whether it picks output 0
-        self._need = need == 0 if net.layers[-1].width == 1 else need.astype(np.intp)
+        self._need = _label_indices(dataset, net.output_labels).astype(np.intp)
         self.velocity = np.zeros_like(net.params)
         self.judged = None
         self._group(input_grads)
@@ -219,12 +212,7 @@ class EpochWorkspace:
         never meets the criterion.  ``judged`` keeps the (loss, accuracy) of
         the last call."""
         need, picks, hits = self._picks
-        outputs = self.trace.outputs
-        if outputs.shape[1] == 1:
-            np.greater_equal(outputs[:, 0], 0.0, out=picks)
-        else:
-            np.argmax(outputs, axis=1, out=picks)
-        np.equal(picks, need, out=hits)
+        np.equal(_predicted_outputs(self.trace.outputs, out=picks), need, out=hits)
         accuracy = float(self.trace.counts @ hits) / len(self.dataset)
         by_loss = config.success_criterion == "loss-below-threshold"
         met = loss <= config.loss_threshold if by_loss else accuracy == 1.0
@@ -303,19 +291,16 @@ def train_until(net: Network, dataset, loss_kind: LossKind,
         epochs += 1
 
 
-def _predicted_outputs(outputs):
-    """Index of the predicted output per row: argmax over outputs, ties to
-    the first; a single output picks 0 when nonnegative, else 1."""
+def _predicted_outputs(outputs, out=None):
+    """Index of the predicted output per row, written into the intp buffer
+    ``out`` when given: argmax over outputs, ties to the first; a single
+    output picks 0 when nonnegative, else 1 (nan too)."""
     outputs = np.asarray(outputs, dtype=float)
+    if out is None:
+        out = np.empty(len(outputs), dtype=np.intp)
     if outputs.shape[1] == 1:
-        return np.where(outputs[:, 0] >= 0.0, 0, 1)
-    return np.argmax(outputs, axis=1)  # argmax takes the first maximum
-
-
-def classify_outputs(outputs, labels):
-    """Predicted label per row: argmax over outputs, sign rule for a single
-    output, ties to the first label."""
-    return [labels[i] for i in _predicted_outputs(outputs).tolist()]
+        return np.logical_not(np.greater_equal(outputs[:, 0], 0.0, out=out), out=out)
+    return np.argmax(outputs, axis=1, out=out)  # argmax takes the first maximum
 
 
 def evaluate_classification(net: Network, dataset):

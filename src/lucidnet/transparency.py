@@ -257,18 +257,17 @@ class RuleSet:
 
 
 def is_logically_transparent(net: Network):
-    """(flag, violations): fan-in at most 3 everywhere and every live
-    weight frozen at a ternary value."""
-    violations = []
-    for nref in net.iter_neurons():
-        fan = net.fan_in(nref)
-        if fan > 3:
-            violations.append((str(nref), "fan-in"))
-    for wref, weight, trainable in net.iter_weights():
-        if trainable:
-            violations.append((str(wref), "trainable"))
-        elif weight not in TERNARY:
-            violations.append((str(wref), "non-ternary"))
+    """(flag, violations): every live neuron's ``fan_ins`` entry at most 3,
+    then every live weight frozen at a ternary value, read as masks over
+    ``net.weight_table`` in the order of its rows."""
+    fan = net.fan_ins()
+    violations = [(str(ref), "fan-in") for ref in net.iter_neurons()
+                  if fan[net.offsets[ref.layer] + ref.neuron] > 3]
+    table = net.weight_table
+    trainable = net.trainable[table.pos]
+    bad = net.alive[table.pos] & (trainable | ~np.isin(net.params[table.pos], TERNARY))
+    violations += [(str(table.refs[row]), "trainable" if trainable[row] else "non-ternary")
+                   for row in np.flatnonzero(bad).tolist()]
     return (not violations), violations
 
 
@@ -378,7 +377,7 @@ def classify_rules(ruleset: RuleSet, columns) -> np.ndarray:
     counts its satisfied statements per row and holds where the count
     reaches k.  A single output rule gives its label where it holds and the
     other class elsewhere; with several, the first that holds wins, and the
-    first when none does, as ``classify_outputs`` breaks ties.  Returns an
+    first when none does, as a network's argmax breaks ties.  Returns an
     object array of the rule set's own label strings.
     """
     n = len(next(iter(columns.values()))) if columns else 1

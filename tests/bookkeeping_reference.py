@@ -4,13 +4,19 @@ Each walks the network's layer arrays one element at a time, as the array
 code they check once did: the compact document that ``Network.to_json``
 serializes, the live synapses of a neuron, the candidate pools of
 ``pruning.candidate_pool`` and the weight ratings of
-``SensitivityLedger.finalize``.
+``SensitivityLedger.finalize``.  The per-layer walks and edits below are
+those that the network ran before every walk and edit went through its
+weight table: weight lookup, fan-in, the live weights, the cascade audit,
+the layering check and the transparency check.  They edit the layers'
+arrays, which are views of the network's flat vectors.
 """
 
 import numpy as np
 
-from lucidnet.network import input_ref, synapse_ref
+from lucidnet.errors import IllegalModificationError, StaleReferenceError
+from lucidnet.network import bias_ref, input_ref, neuron_ref, synapse_ref
 from lucidnet.sensitivity import ValidSet
+from lucidnet.transparency import TERNARY
 
 
 def reference_doc(net):
@@ -63,7 +69,7 @@ def synapses(net, ref):
     weights = layer.weights[i].tolist()
     trainable = layer.trainable[i].tolist()
     return [(slot, net._source(col), weights[col], trainable[col])
-            for slot, col in layer.live_slots(i)]
+            for slot, col in live_slots(layer, i)]
 
 
 def reference_pool(net, problem):
@@ -101,3 +107,163 @@ def reference_ratings(indicators, net, refs, valid_set):
             weight = net.weight(ref)
             out[ref] *= abs(reference_nearest(weight, valid_set) - weight)
     return out
+
+
+def live_slots(layer, i, mask=None):
+    """(slot, column) of neuron i's synapses set in ``mask`` (by default
+    the live ones), in slot order."""
+    row = (layer.alive if mask is None else mask)[i].tolist()
+    return [(s, col) for s, col in enumerate(layer.slots[i], start=1) if row[col]]
+
+
+def kill_synapses(layer, mask):
+    layer.alive[mask] = False
+    layer.trainable[mask] = False
+    layer.weights[mask] = 0.0
+
+
+def kill_neuron(layer, i):
+    layer.neuron_alive[i] = layer.bias_trainable[i] = False
+    layer.bias[i] = 0.0
+    kill_synapses(layer, i)
+
+
+def reference_weight(net, ref):
+    """(Layer, neuron index, column) of a live weight ref; the column is
+    None for a bias.  Raises StaleReferenceError."""
+    if ref.kind not in ("synapse", "bias"):
+        raise StaleReferenceError(f"{ref} is not a weight ref")
+    layer, i = net._neuron(ref)
+    if ref.kind == "bias" or ref.slot == 0:
+        return layer, i, None
+    if not 1 <= ref.slot <= len(layer.slots[i]):
+        raise StaleReferenceError(f"{ref} out of range")
+    col = layer.slots[i][ref.slot - 1]
+    if not layer.alive[i, col]:
+        raise StaleReferenceError(f"{ref} is tombstoned")
+    return layer, i, col
+
+
+def reference_fan_in(net, ref):
+    """Live non-bias synapses that still matter: trainable or nonzero."""
+    layer, i = net._neuron(ref)
+    return int(np.count_nonzero(
+        layer.alive[i] & (layer.trainable[i] | (layer.weights[i] != 0.0))
+    ))
+
+
+def reference_iter_weights(net, with_bias=True):
+    """(ref, weight, trainable) of every live weight: per live neuron, its
+    bias, then its synapses in slot order."""
+    for l, layer in enumerate(net.layers, start=1):
+        weights, trainable = layer.weights.tolist(), layer.trainable.tolist()
+        bias, bias_trainable = layer.bias.tolist(), layer.bias_trainable.tolist()
+        for i in np.flatnonzero(layer.neuron_alive).tolist():
+            if with_bias:
+                yield bias_ref(l, i), bias[i], bias_trainable[i]
+            for slot, col in live_slots(layer, i):
+                yield synapse_ref(l, i, slot), weights[i][col], trainable[i][col]
+
+
+def reference_remove_element(net, ref):
+    """``Network.remove_element`` through the per-layer kills and audit."""
+    if ref.kind == "input":
+        if not net.is_alive(ref):
+            raise StaleReferenceError(f"{ref} is not an active feature")
+        net.active_inputs[ref.neuron] = False
+    elif ref.kind == "neuron":
+        if net.is_output_layer(ref.layer):
+            raise IllegalModificationError("output neurons are protected")
+        layer, i = net._neuron(ref)
+        kill_neuron(layer, i)
+    elif ref.kind == "synapse" and ref.slot > 0:
+        layer, i, col = reference_weight(net, ref)
+        kill_synapses(layer, (i, col))
+    else:
+        raise IllegalModificationError("bias slots cannot be structurally removed")
+    cascade = reference_audit(net)
+    net._touch()
+    return cascade
+
+
+def source_alive(net):
+    return np.concatenate([np.array(net.active_inputs, dtype=bool)]
+                          + [layer.neuron_alive for layer in net.layers])
+
+
+def reference_audit(net):
+    """Sweep to a fixpoint of the cascade rules; returns removed refs."""
+    removed = []
+    changed = True
+    while changed:
+        changed = False
+        # (a) synapses whose source is gone
+        src_alive = source_alive(net)
+        for l, layer in enumerate(net.layers, start=1):
+            doomed = layer.alive & ~src_alive[None, : net.offsets[l]]
+            if not doomed.any():
+                continue
+            for i in np.flatnonzero(doomed.any(axis=1)).tolist():
+                removed.extend(synapse_ref(l, i, slot)
+                               for slot, _ in live_slots(layer, i, doomed))
+            kill_synapses(layer, doomed)
+            changed = True
+        # (b) non-output neurons with no live path to an output
+        reachable = reaching_output(net)
+        for l, layer in enumerate(net.layers[:-1], start=1):
+            doomed = layer.neuron_alive & ~reachable[l]
+            for i in np.flatnonzero(doomed).tolist():
+                removed.append(neuron_ref(l, i))
+                removed.extend(synapse_ref(l, i, slot)
+                               for slot, _ in live_slots(layer, i))
+                removed.append(bias_ref(l, i))
+                kill_neuron(layer, i)
+                changed = True
+        # (c) features with no remaining outgoing synapse
+        used = np.any([layer.alive[:, : net.input_dim].any(axis=0)
+                       for layer in net.layers], axis=0)
+        for k in range(net.input_dim):
+            if net.active_inputs[k] and not used[k]:
+                net.active_inputs[k] = False
+                removed.append(input_ref(k))
+                changed = True
+    return removed
+
+
+def reaching_output(net):
+    """Per layer, which live neurons have a live path to an output."""
+    reach = ([None] + [np.zeros(layer.width, dtype=bool) for layer in net.layers[:-1]]
+             + [net.layers[-1].neuron_alive.copy()])
+    for l in range(net.n_layers, 1, -1):
+        used = net.layers[l - 1].alive[reach[l]].any(axis=0)
+        for sl in range(1, l):
+            block = used[net.offsets[sl]: net.offsets[sl + 1]]
+            reach[sl] |= block & net.layers[sl - 1].neuron_alive
+    return reach
+
+
+def reference_check_layered(net):
+    """Every live synapse must read a live source."""
+    src_alive = source_alive(net)
+    for l, layer in enumerate(net.layers, start=1):
+        for i, col in zip(*np.nonzero(layer.alive & ~src_alive[: net.offsets[l]])):
+            sl, si = net._source(int(col))
+            what = "a masked feature" if sl == 0 else "a dead neuron"
+            raise ValueError(f"a synapse of {neuron_ref(l, int(i))} "
+                             f"(from {sl}:{si}) sources {what}")
+    return True
+
+
+def reference_transparency(net):
+    """(flag, violations): fan-in at most 3 everywhere and every live
+    weight frozen at a ternary value."""
+    violations = []
+    for nref in net.iter_neurons():
+        if reference_fan_in(net, nref) > 3:
+            violations.append((str(nref), "fan-in"))
+    for wref, weight, trainable in reference_iter_weights(net):
+        if trainable:
+            violations.append((str(wref), "trainable"))
+        elif weight not in TERNARY:
+            violations.append((str(wref), "non-ternary"))
+    return (not violations), violations

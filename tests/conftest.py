@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from lucidnet import Dataset, Network, build_network, input_ref, train_epoch
+from lucidnet.training import EpochWorkspace, _predicted_outputs
 
 from sample_reference import forward
 
@@ -153,6 +154,17 @@ def apply_edits(net, edits):
         else:
             net.remove_element(ref)
         assert net.audit_structure() == []
+
+
+def total_loss(net, dataset, loss_kind):
+    """Sum of the per-sample losses over the whole training set."""
+    return EpochWorkspace(net, dataset, loss_kind).evaluate()[0]
+
+
+def classify_outputs(outputs, labels):
+    """Predicted label per row: argmax over outputs, sign rule for a single
+    output, ties to the first label."""
+    return [labels[i] for i in _predicted_outputs(outputs).tolist()]
 
 
 def move_weight(net, ref, value):

@@ -57,7 +57,8 @@ def backward(net: Network, trace: ForwardTrace, d_outputs) -> GradientBundle:
     bg = backward_batch(net, bt, np.asarray(d_outputs, dtype=float)[None, :])
     bundle = GradientBundle()
     for ref, _, _ in net.iter_weights():
-        _, i, col = net._weight(ref)  # col is None for a bias
+        i = ref.neuron
+        col = None if ref.kind == "bias" else net.layers[ref.layer - 1].slots[i][ref.slot - 1]
         bundle.weights[ref] = float(bg.bias_grads[ref.layer][i] if col is None
                                     else bg.weight_grads[ref.layer][i, col])
     for nref in net.iter_neurons():

@@ -29,20 +29,21 @@ from lucidnet import (
     prune_basic,
     run_pipeline,
     step_function,
-    total_loss,
     train_until,
     verbalize,
 )
-from lucidnet.training import classify_outputs, loss_terms, targets_for
+from lucidnet.training import loss_terms, targets_for
 
 from conftest import (
     IRRELEVANT,
+    classify_outputs,
     fresh_trained_xor,
     majority_dataset,
     make_dataset,
     move_weight,
     random_ternary_step_net,
     single_question_rule_network,
+    total_loss,
 )
 from indicator_reference import weight_indicator_sample
 from sample_reference import backward, forward

@@ -21,23 +21,24 @@ from lucidnet import (
     prune_basic,
     substitute_step,
     synapse_ref,
-    total_loss,
     train_until,
     verbalize,
 )
 from lucidnet.cli import main
-from lucidnet.training import classify_outputs, loss_terms
+from lucidnet.training import loss_terms
 from lucidnet.transparency import evaluate_rules
 
 from bookkeeping_reference import synapses
 from conftest import (
     assert_close_rel,
+    classify_outputs,
     finite_difference_weight,
     fresh_trained_xor,
     make_dataset,
     move_weight,
     network_from_layers,
     neuron_doc,
+    total_loss,
 )
 from sample_reference import backward, forward
 

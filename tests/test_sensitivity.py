@@ -17,13 +17,12 @@ from lucidnet import (
     nearest_valid,
     neuron_ref,
     synapse_ref,
-    total_loss,
 )
 from lucidnet.network import backward_batch, forward_batch
 from lucidnet.sensitivity import SensitivityLedger, export_csv
 from lucidnet.training import loss_terms, targets_for
 
-from conftest import make_dataset, single_neuron_net
+from conftest import make_dataset, single_neuron_net, total_loss
 from indicator_reference import (
     ExcludedElementError,
     aggregate_samples,

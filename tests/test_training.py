@@ -15,20 +15,26 @@ from lucidnet import (
     bias_ref,
     build_network,
     evaluate_classification,
+    forward_batch,
     synapse_ref,
-    total_loss,
     train_until,
 )
 from lucidnet import training
 from lucidnet.training import (
     SUCCESS_CRITERIA,
     EpochWorkspace,
-    classify_outputs,
     criterion_met,
     targets_for,
 )
 
-from conftest import fresh_trained_xor, make_dataset, single_neuron_net, step
+from conftest import (
+    classify_outputs,
+    fresh_trained_xor,
+    make_dataset,
+    single_neuron_net,
+    step,
+    total_loss,
+)
 
 
 def passthrough_net(labels=("pos", "neg")):
@@ -300,6 +306,53 @@ class TestEvaluateClassification:
         accuracy, preds = evaluate_classification(net, ds)
         assert accuracy == pytest.approx(2 / 3)
         assert preds == ["pos", "neg", "pos"]
+
+
+def reference_pick(row):
+    """The output a row of outputs predicts: the sign rule for one output
+    (nan picks output 1), else the first maximum, or the first nan."""
+    if len(row) == 1:
+        return 0 if row[0] >= 0.0 else 1
+    nans = [k for k, v in enumerate(row) if v != v]
+    return nans[0] if nans else row.index(max(row))
+
+
+class TestJudgeAccuracy:
+    """``EpochWorkspace.judge`` and ``evaluate_classification`` pick through
+    one rule, on tied and nan outputs too."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(width=st.sampled_from([1, 3]), data=st.data())
+    def test_judge_counts_what_evaluate_classification_counts(self, width, data):
+        value = st.sampled_from([-1.0, 0.0, 1.0, float("nan")])
+        net = build_network((2, width), seed=0)
+        for i in range(width):
+            net.set_weight(bias_ref(1, i), data.draw(value))
+            for slot in (1, 2):
+                net.set_weight(synapse_ref(1, i, slot), data.draw(value))
+        rows = data.draw(st.lists(st.tuples(st.sampled_from([-1.0, 1.0]),
+                                            st.sampled_from([-1.0, 1.0]),
+                                            st.sampled_from(net.output_labels)),
+                                  min_size=1, max_size=8))
+        ds = make_dataset([r[:2] for r in rows], [r[2] for r in rows],
+                          class_labels=net.output_labels)
+        work = EpochWorkspace(net, ds, LossKind("mse"))
+        accuracy = work.judge(TrainConfig(0.1), work.evaluate()[0])[1]
+        outputs = forward_batch(net, ds.features).outputs.tolist()
+        hits = sum(net.output_labels[reference_pick(row)] == label
+                   for row, label in zip(outputs, ds.labels))
+        assert accuracy == evaluate_classification(net, ds)[0] == hits / len(rows)
+
+    @pytest.mark.parametrize("bias, label", [(0.0, "pos"), (-0.0, "pos"),
+                                             (float("nan"), "neg"), (-0.5, "neg")])
+    def test_a_single_output_picks_by_sign_and_nan_picks_output_1(self, bias, label):
+        net = build_network((1, 1), seed=0)
+        net.set_weight(synapse_ref(1, 0, 1), 0.0)
+        net.set_weight(bias_ref(1, 0), bias)
+        ds = make_dataset([[1.0]], [label], class_labels=net.output_labels)
+        work = EpochWorkspace(net, ds, LossKind("mse"))
+        assert work.judge(TrainConfig(0.1), work.evaluate()[0])[1] == 1.0
+        assert evaluate_classification(net, ds) == (1.0, [label])
 
 
 class TestRowLabels:

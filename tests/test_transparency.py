@@ -25,11 +25,11 @@ from lucidnet import (
     synapse_ref,
     verbalize,
 )
-from lucidnet.training import classify_outputs
 from lucidnet.transparency import RuleSet, Statement, ThresholdRule
 
 from conftest import (
     apply_edits,
+    classify_outputs,
     edit_lists,
     network_from_layers,
     neuron_doc,

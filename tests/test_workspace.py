@@ -53,10 +53,11 @@ from lucidnet import (
 from lucidnet import pruning, training
 from lucidnet.network import BatchTrace, backward_batch
 from lucidnet.sensitivity import _CHUNK, _fill_samples, _sample_plan
-from lucidnet.training import EpochWorkspace, classify_outputs, loss_terms, targets_for
+from lucidnet.training import EpochWorkspace, loss_terms, targets_for
 
 from conftest import (
     apply_edits,
+    classify_outputs,
     distinct_groups,
     edit_lists,
     majority_dataset,
@@ -446,7 +447,8 @@ def per_sample_records(net, trace):
     """Each sample's forward record and gradient bundle, read off one batch
     pass whose gradients ``backward_batch`` wrote into ``trace``."""
     off = net.offsets
-    weights = [(ref, ref.layer) + net._weight(ref)[1:]
+    weights = [(ref, ref.layer, ref.neuron, None if ref.kind == "bias"
+                else net.layers[ref.layer - 1].slots[ref.neuron][ref.slot - 1])
                for ref, _, _ in net.iter_weights()]
     records = []
     for j in range(len(trace.activations)):
