@@ -4,31 +4,34 @@ A network is a strictly layered DAG of neurons.  Every weight, including the
 bias, is an addressable element with its own trainable flag, so pruning and
 quantization treat biases and ordinary synapses uniformly.
 
-Neuron layer l holds one weight matrix over the concatenated outputs of all
+Neuron layer l reads one weight matrix over the concatenated outputs of all
 earlier layers (inputs first, then layers 1..l-1), so skip connections need
-no second code path.  Same-shape ``alive``/``trainable`` masks, a bias
-vector with its own trainable mask, per-neuron alive flags and activations
-sit beside it, and a per-neuron slot table maps synapse ``s`` of a neuron to
-its column, which keeps ``synapse:l:i:s`` refs and the JSON synapse order;
-only the ``weight_table`` is built from it.
+no second code path.  A ``Layer`` is topology only: its slot table maps
+synapse ``s`` of a neuron to its column, which keeps ``synapse:l:i:s`` refs
+and the JSON synapse order, and only the ``weight_table`` is built from it.
 
-Every weight and bias lives in one flat vector, ``Network.params``, laid
-out [weights 1, bias 1, weights 2, ...], every trainable flag in the bool
-vector ``Network.trainable`` of that layout and every live flag in
-``Network.alive`` (a bias's entry is its neuron's flag), and the layers'
-arrays are views of them, never rebound.  Edits never change array shapes:
-removing an input, neuron or synapse clears its mask entries and zeroes its
+A network's whole mutable state is one byte buffer, ``Network.state``, the
+state record.  Fixed views of it hold every weight and bias
+(``params``, laid out [weights 1, bias 1, weights 2, ...]), every trainable
+flag (``trainable``) and live flag (``alive``, a bias's entry being its
+neuron's flag) in that layout, the active-input mask (``active_inputs``)
+and one activation code per neuron (``codes``, an index into
+``ACTIVATIONS``); ``Network.views`` gives the per-layer matrices of a
+vector in the ``params`` layout.  So ``snapshot`` is one copy of the
+record, ``restore`` one copy back, and ``digest`` one sha256 over the
+topology and the record: the record determines ``network.json``, so equal
+digests of one topology mean equal bytes.  Edits never change array
+shapes: removing an input, neuron or synapse clears its flags and zeroes its
 weights in place, so ElementRefs stay valid for a whole pruning session and
 masked or dead units contribute exactly 0.  The ``weight_table``, built once
 per network, lists every bias and synapse slot in ElementRef order with its
-position in ``params``, and every walk and edit indexes the flat vectors
-through it: ``_weight`` alone resolves a weight ref to its row, one
+position in ``params``, and every walk and edit indexes the record through
+it: ``_neuron`` alone validates a neuron and ``_weight`` a weight ref, one
 ``_kill`` tombstones synapses and whole neurons, ``fan_ins`` alone counts
 fan-in, one mask finds the live synapses of a dead source for the cascade
 audit and ``check_layered``, and pools, ratings, ``iter_weights`` and
-serialization read rows with array operations.  ``to_json`` writes the
-compact JSON of the survivors from the arrays, and ``to_doc`` is that JSON
-parsed; ``snapshot``/``restore`` copy arrays.
+``to_doc`` read rows with array operations.  ``to_json`` is the compact
+``json.dumps`` of ``to_doc``, the survivors renumbered.
 ``Network.from_doc`` rejects a malformed document with a ``DatasetError``
 (CLI exit code 2).  ``forward_batch``/``backward_batch`` run one masked
 matmul per layer in the buffers of a ``BatchTrace`` and return it; its
@@ -48,12 +51,12 @@ in the weight and bias gradients.
 from __future__ import annotations
 
 import bisect
+import hashlib
 import itertools
 import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -75,13 +78,6 @@ def step_function(x):
 
 
 _KIND_ORDER = {"input": 0, "neuron": 1, "synapse": 2, "bias": 3}
-
-# to_json's pieces, each spelling its object's keys in sorted order: a
-# neuron opens with its activation, a synapse with its source
-_NEURON_JSON = '{"activation":%s,"bias":{"trainable":%s,"w":%s},"synapses":['
-_SYNAPSE_JSON = '%s%s,"w":%s}'
-_SOURCE_JSON = '{"src_index":%d,"src_layer":%d,"trainable":'
-_NON_FINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 @dataclass(frozen=True)
@@ -154,32 +150,18 @@ def bias_ref(layer, idx):
 
 
 class Layer:
-    """One neuron layer: ``weights`` is (width, columns of all earlier
-    layers); ``alive``/``trainable`` share its shape, and a dead entry holds
-    weight 0 and is never trainable.  ``slots[i]`` lists neuron i's synapse
-    columns in slot order; only ``WeightTable`` reads it.
-    """
+    """One neuron layer's topology: ``slots[i]`` lists neuron i's synapse
+    columns of the value vector in slot order; only ``WeightTable`` reads
+    it.  Its weights and flags are ``Network.views`` of the state record."""
 
-    __slots__ = ("weights", "alive", "trainable", "bias", "bias_trainable",
-                 "neuron_alive", "activation", "slots")
+    __slots__ = ("slots",)
 
-    def __init__(self, weights, trainable, bias, bias_trainable, activation,
-                 slots):
-        width, n_src = weights.shape
-        self.weights = weights
-        self.alive = np.zeros((width, n_src), dtype=bool)
-        for i, cols in enumerate(slots):
-            self.alive[i, list(cols)] = True
-        self.trainable = trainable & self.alive
-        self.bias = bias
-        self.bias_trainable = bias_trainable
-        self.neuron_alive = np.ones(width, dtype=bool)
-        self.activation = list(activation)
+    def __init__(self, slots):
         self.slots = tuple(tuple(cols) for cols in slots)
 
     @property
     def width(self):
-        return len(self.bias)
+        return len(self.slots)
 
 
 class WeightTable:
@@ -189,13 +171,13 @@ class WeightTable:
     ``slot`` (0 for the bias), ``synapse`` (whether it is one), ``source``
     (a synapse's column of the value vector, else 0), ``unit`` (its
     neuron's column) and ``pos`` (its index in ``Network.params``, and in
-    ``trainable`` and ``alive``).  Per column u of the value vector, the
-    rows ``starts[u]:starts[u + 1]`` are its unit's: a neuron's bias, then
-    its synapse slots, or none for an input.  ``column_layer`` is the layer
-    of each column, and ``opening`` the row's entry among the openings that
-    ``Network.to_json`` lists: a synapse's source column, or for a bias,
-    the number of columns plus its neuron's index among all neurons.
-    ``refs`` and ``index`` ({ref: row}) are made on first use."""
+    ``trainable`` and ``alive``; ``positions`` is the same as a list, for
+    scalar reads).  Per column u of the value vector, the rows
+    ``starts[u]:starts[u + 1]`` are its unit's: a neuron's bias, then its
+    synapse slots, or none for an input.  ``bias_pos`` is each neuron's
+    bias position, the entry of ``alive`` that is its flag, in column
+    order, and ``column_layer`` the layer of each column.  ``refs`` and
+    ``index`` ({ref: row}) are made on first use."""
 
     def __init__(self, net):
         columns = []
@@ -206,19 +188,20 @@ class WeightTable:
             slot = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
             source = np.zeros_like(slot)
             source[slot > 0] = list(itertools.chain.from_iterable(layer.slots))
-            pos = np.where(slot > 0, start + neuron * layer.weights.shape[1] + source,
-                           start + layer.weights.size + neuron)
+            n_weights = layer.width * net.offsets[l]
+            pos = np.where(slot > 0, start + neuron * net.offsets[l] + source,
+                           start + n_weights + neuron)
             columns.append((np.full_like(slot, l), neuron, slot, source,
                             net.offsets[l] + neuron, pos, sizes))
-            start += layer.weights.size + layer.width
+            start += n_weights + layer.width
         (self.layer, self.neuron, self.slot, self.source, self.unit,
          self.pos, sizes) = map(np.concatenate, zip(*columns))
         self.synapse = self.slot > 0
+        self.positions = self.pos.tolist()
+        self.bias_pos = self.pos[~self.synapse]
         self.starts = [0] * net.input_dim + [0] + np.cumsum(sizes).tolist()
         off = net.offsets
         self.column_layer = np.repeat(np.arange(len(off) - 1), np.diff(off)).tolist()
-        self.opening = np.where(self.synapse, self.source,
-                                off[-1] + self.unit - net.input_dim)
 
     @cached_property
     def refs(self):
@@ -231,31 +214,21 @@ class WeightTable:
 
 
 class Network:
-    """Layered feed-forward network with tombstoning structural edits."""
+    """Layered feed-forward network with tombstoning structural edits.
 
-    def __init__(self, input_dim, layers, output_labels, active_inputs=None):
+    A new network has every slot and bias live and trainable, weight 0,
+    every input active and every neuron a tanh; ``build_network`` and
+    ``from_doc`` then write its record."""
+
+    def __init__(self, input_dim, layers, output_labels):
         self.input_dim = int(input_dim)
         self.layers = layers
         self.output_labels = list(output_labels)
-        self.active_inputs = ([True] * self.input_dim if active_inputs is None
-                              else [bool(a) for a in active_inputs])
         # offsets[l] is the first column of layer l's outputs in the
         # concatenated value vector; offsets[-1] is its total width
         self.offsets = [0, self.input_dim]
         for layer in layers:
             self.offsets.append(self.offsets[-1] + layer.width)
-        self._version = 0
-        self.params = np.concatenate(
-            [a.ravel() for layer in layers for a in (layer.weights, layer.bias)])
-        self.trainable = np.concatenate(
-            [a.ravel() for layer in layers for a in (layer.trainable, layer.bias_trainable)])
-        self.alive = np.concatenate(
-            [a.ravel() for layer in layers for a in (layer.alive, layer.neuron_alive)])
-        for layer, (w, b), (t, bt), (a, na) in zip(layers, self.views(self.params),
-                                                   self.views(self.trainable),
-                                                   self.views(self.alive)):
-            layer.weights, layer.bias, layer.trainable, layer.bias_trainable = w, b, t, bt
-            layer.alive, layer.neuron_alive = a, na
         width = self.layers[-1].width
         if width == 1:
             if len(self.output_labels) != 2:
@@ -264,6 +237,19 @@ class Network:
             raise ValueError("output labels must match output layer width")
         if len(set(self.output_labels)) != len(self.output_labels):
             raise ValueError(f"output labels {self.output_labels} repeat a label")
+        self._version = 0
+        n = sum(layer.width * (off + 1) for layer, off in zip(layers, self.offsets[1:]))
+        # the state record: params first, so its float64 view is aligned
+        sizes = [8 * n, n, n, self.input_dim, self.offsets[-1] - self.input_dim]
+        self.state = np.zeros(sum(sizes), dtype=np.uint8)
+        params, trainable, alive, active, self.codes = np.split(
+            self.state, np.cumsum(sizes)[:-1].tolist())
+        self.params = params.view(np.float64)
+        self.trainable, self.alive, self.active_inputs = (
+            a.view(bool) for a in (trainable, alive, active))
+        pos = self.weight_table.pos
+        self.alive[pos] = self.trainable[pos] = True
+        self.active_inputs.fill(True)
 
     # -- addressing ----------------------------------------------------
 
@@ -272,11 +258,15 @@ class Network:
         return len(self.layers)
 
     def views(self, flat):
-        """Per layer, (weights, bias) views of a vector in the layout of ``params``."""
-        sizes = [n for layer in self.layers for n in (layer.weights.size, layer.width)]
-        parts = np.split(flat, np.cumsum(sizes)[:-1])
-        return [(w.reshape(layer.weights.shape), b)
-                for layer, w, b in zip(self.layers, parts[::2], parts[1::2])]
+        """Per layer, (weights, bias) views of a vector in the layout of
+        ``params``: weights is (width, columns of all earlier layers)."""
+        pairs, start = [], 0
+        for layer, columns in zip(self.layers, self.offsets[1:]):
+            end = start + layer.width * columns
+            pairs.append((flat[start:end].reshape(layer.width, columns),
+                          flat[end: end + layer.width]))
+            start = end + layer.width
+        return pairs
 
     def is_output_layer(self, layer):
         return layer == self.n_layers
@@ -287,54 +277,48 @@ class Network:
         return sl, col - self.offsets[sl]
 
     def _neuron(self, ref):
-        """(Layer, index) of the live neuron that a neuron, synapse or bias
-        ref belongs to; raises StaleReferenceError."""
+        """Column of the value vector of the live neuron that a neuron,
+        synapse or bias ref belongs to; raises StaleReferenceError."""
         if not 1 <= ref.layer <= self.n_layers:
             raise StaleReferenceError(f"no neuron layer {ref.layer}")
-        layer = self.layers[ref.layer - 1]
-        if not 0 <= ref.neuron < layer.width:
+        first = self.offsets[ref.layer]
+        if not 0 <= ref.neuron < self.offsets[ref.layer + 1] - first:
             raise StaleReferenceError(f"{ref} out of range")
-        if not layer.neuron_alive[ref.neuron]:
+        table = self.weight_table
+        if not self.alive[table.positions[table.starts[first + ref.neuron]]]:
             raise StaleReferenceError(f"{ref} is tombstoned")
-        return layer, ref.neuron
-
-    def _rows(self, ref):
-        """(first, end): the rows in ``weight_table`` of the live neuron that
-        a neuron, synapse or bias ref belongs to, its bias first; raises
-        StaleReferenceError."""
-        self._neuron(ref)
-        starts, unit = self.weight_table.starts, self.offsets[ref.layer] + ref.neuron
-        return starts[unit], starts[unit + 1]
+        return first + ref.neuron
 
     def _weight(self, ref):
         """Row in ``weight_table`` of a live weight ref; a synapse ref of
         slot 0 names its neuron's bias.  Raises StaleReferenceError."""
         if ref.kind not in ("synapse", "bias"):
             raise StaleReferenceError(f"{ref} is not a weight ref")
-        first, end = self._rows(ref)
+        unit = self._neuron(ref)
+        table = self.weight_table
+        first = table.starts[unit]
         if ref.kind == "bias" or ref.slot == 0:
             return first
-        if not 1 <= ref.slot < end - first:
+        if not 1 <= ref.slot < table.starts[unit + 1] - first:
             raise StaleReferenceError(f"{ref} out of range")
-        if not self.alive[self.weight_table.pos[first + ref.slot]]:
+        if not self.alive[table.positions[first + ref.slot]]:
             raise StaleReferenceError(f"{ref} is tombstoned")
         return first + ref.slot
 
     def weight(self, ref):
         """Current value of a live weight or bias."""
-        return float(self.params[self.weight_table.pos[self._weight(ref)]])
+        return float(self.params[self.weight_table.positions[self._weight(ref)]])
 
     def is_trainable(self, ref):
-        return bool(self.trainable[self.weight_table.pos[self._weight(ref)]])
+        return bool(self.trainable[self.weight_table.positions[self._weight(ref)]])
 
     def activation(self, ref):
-        layer, i = self._neuron(ref)
-        return layer.activation[i]
+        return ACTIVATIONS[self.codes[self._neuron(ref) - self.input_dim]]
 
     def is_alive(self, ref):
         """Whether a ref names a live element (False when out of range)."""
         if ref.kind == "input":
-            return 0 <= ref.neuron < self.input_dim and self.active_inputs[ref.neuron]
+            return 0 <= ref.neuron < self.input_dim and bool(self.active_inputs[ref.neuron])
         try:
             (self._neuron if ref.kind == "neuron" else self._weight)(ref)
         except StaleReferenceError:
@@ -345,10 +329,11 @@ class Network:
 
     def iter_neurons(self, hidden_only=False):
         """Refs of the live neurons in (layer, index) order."""
-        for l, layer in enumerate(self.layers[:-1] if hidden_only else self.layers,
-                                  start=1):
-            for i in np.flatnonzero(layer.neuron_alive).tolist():
-                yield neuron_ref(l, i)
+        live = self.alive[self.weight_table.bias_pos]
+        if hidden_only:
+            live[self.offsets[-2] - self.input_dim:] = False
+        for col in (np.flatnonzero(live) + self.input_dim).tolist():
+            yield neuron_ref(*self._source(col))
 
     @cached_property
     def weight_table(self):
@@ -377,7 +362,7 @@ class Network:
                    self.params[pos].tolist(), self.trainable[pos].tolist())
 
     def active_feature_indices(self):
-        return [k for k in range(self.input_dim) if self.active_inputs[k]]
+        return np.flatnonzero(self.active_inputs).tolist()
 
     def fan_ins(self):
         """Per column of the value vector, the live synapses of its neuron
@@ -390,8 +375,7 @@ class Network:
 
     def fan_in(self, ref):
         """A live neuron's entry of ``fan_ins``."""
-        self._neuron(ref)
-        return int(self.fan_ins()[self.offsets[ref.layer] + ref.neuron])
+        return int(self.fan_ins()[self._neuron(ref)])
 
     # -- structural edits ----------------------------------------------
 
@@ -407,7 +391,7 @@ class Network:
 
     def set_weight(self, ref, value, freeze=False):
         """Assign a weight; freezing removes it from the trainable pool."""
-        pos = self.weight_table.pos[self._weight(ref)]
+        pos = self.weight_table.positions[self._weight(ref)]
         self.params[pos], self.trainable[pos] = float(value), not freeze
         self._touch()
 
@@ -415,8 +399,7 @@ class Network:
         """Change one live neuron's activation."""
         if kind not in ACTIVATIONS:
             raise ValueError(f"unknown activation kind {kind!r}")
-        layer, i = self._neuron(ref)
-        layer.activation[i] = kind
+        self.codes[self._neuron(ref) - self.input_dim] = ACTIVATIONS.index(kind)
         self._touch()
 
     def remove_element(self, ref):
@@ -434,7 +417,8 @@ class Network:
         elif ref.kind == "neuron":
             if self.is_output_layer(ref.layer):
                 raise IllegalModificationError("output neurons are protected")
-            self._kill(table.pos[slice(*self._rows(ref))])
+            unit = self._neuron(ref)
+            self._kill(table.pos[table.starts[unit]: table.starts[unit + 1]])
         elif ref.kind == "synapse" and ref.slot > 0:
             self._kill(table.pos[self._weight(ref)])
         else:
@@ -444,16 +428,19 @@ class Network:
         return cascade
 
     def _source_alive(self):
-        return np.concatenate(
-            [np.array(self.active_inputs, dtype=bool)]
-            + [layer.neuron_alive for layer in self.layers]
-        )
+        """Per column of the value vector, whether its input is active or
+        its neuron live."""
+        return np.concatenate([self.active_inputs, self.alive[self.weight_table.bias_pos]])
+
+    def _live_synapses(self):
+        """Mask over the rows of ``weight_table``: the live synapses."""
+        table = self.weight_table
+        return table.synapse & self.alive[table.pos]
 
     def _orphans(self):
         """Mask over the rows of ``weight_table``: the live synapses that
         read a masked feature or a dead neuron."""
-        table = self.weight_table
-        return table.synapse & self.alive[table.pos] & ~self._source_alive()[table.source]
+        return self._live_synapses() & ~self._source_alive()[self.weight_table.source]
 
     def _audit(self):
         """Sweep to a fixpoint of the cascade rules; returns removed refs."""
@@ -481,23 +468,25 @@ class Network:
                 self._kill(table.pos[doomed[table.unit]])
                 changed = True
             # (c) features with no remaining outgoing synapse
-            used = np.any([layer.alive[:, : self.input_dim].any(axis=0)
-                           for layer in self.layers], axis=0)
-            for k in range(self.input_dim):
-                if self.active_inputs[k] and not used[k]:
-                    self.active_inputs[k] = False
-                    removed.append(input_ref(k))
-                    changed = True
+            read = np.bincount(table.source[self._live_synapses()],
+                               minlength=self.offsets[-1])[: self.input_dim]
+            unused = np.flatnonzero(self.active_inputs & (read == 0)).tolist()
+            if unused:
+                self.active_inputs[unused] = False
+                removed.extend(map(input_ref, unused))
+                changed = True
         return removed
 
     def _reaching_output(self):
         """Per column of the value vector, whether a live path leads from it
         to an output; exact for the live neurons."""
-        off = self.offsets
-        reach = np.zeros(off[-1], dtype=bool)
-        reach[off[-2]:] = self.layers[-1].neuron_alive
-        for l in range(self.n_layers, 1, -1):
-            reach[: off[l]] |= self.layers[l - 1].alive[reach[off[l]: off[l + 1]]].any(axis=0)
+        table, off = self.weight_table, self.offsets
+        reach = self._source_alive()
+        reach[: off[-2]] = False
+        live = self._live_synapses()
+        for l in range(self.n_layers, 1, -1):  # a layer's rows, then its sources
+            rows = slice(table.starts[off[l]], table.starts[off[l + 1]])
+            reach[table.source[rows][live[rows] & reach[table.unit[rows]]]] = True
         return reach
 
     def audit_structure(self):
@@ -525,44 +514,38 @@ class Network:
     # -- serialization ---------------------------------------------------
 
     def to_doc(self):
-        """Compact JSON document; tombstoned elements are dropped and
-        neuron indices remapped."""
-        return json.loads(self.to_json())
+        """The compact JSON document of the survivors: tombstoned elements
+        are dropped and neurons renumbered within their layer.  The live
+        rows of ``weight_table`` give it in order: each bias opens its
+        neuron, and each synapse joins the neuron opened last."""
+        table, off = self.weight_table, self.offsets
+        live = self.alive[table.pos]
+        pos = table.pos[live]
+        kept = self._source_alive()
+        compact = np.concatenate([np.arange(self.input_dim)] + [
+            np.cumsum(kept[a:b]) - 1 for a, b in zip(off[1:-1], off[2:])]).tolist()
+        kinds = [ACTIVATIONS[code] for code in self.codes.tolist()]
+        layers = [[] for _ in self.layers]
+        for synapse, layer, unit, source, w, trainable in zip(
+                table.synapse[live].tolist(), table.layer[live].tolist(),
+                table.unit[live].tolist(), table.source[live].tolist(),
+                self.params[pos].tolist(), self.trainable[pos].tolist()):
+            if synapse:
+                synapses.append({"src_index": compact[source],
+                                 "src_layer": table.column_layer[source],
+                                 "trainable": trainable, "w": w})
+            else:
+                synapses = []
+                layers[layer - 1].append({"activation": kinds[unit - self.input_dim],
+                                          "bias": {"trainable": trainable, "w": w},
+                                          "synapses": synapses})
+        return {"active_inputs": self.active_inputs.tolist(), "input_dim": self.input_dim,
+                "layers": layers, "output_labels": list(self.output_labels)}
 
     def to_json(self):
-        """``json.dumps(doc, separators=(",", ":"), sort_keys=True)`` of the
-        compact document, written from the arrays: every live row of
-        ``weight_table`` gives one template its opening (a bias's neuron's
-        activation, a synapse's compact source), its trainable flag and its
-        weight, which float ``repr`` writes as ``json.dumps`` does."""
-        table = self.weight_table
-        live = np.flatnonzero(self.alive[table.pos])  # rows, in key order
-        pos = table.pos[live]
-        weights = self.params[pos]
-        texts = list(map(float.__repr__, weights.tolist()))
-        if not np.isfinite(weights).all():
-            texts = [_NON_FINITE_JSON.get(text, text) for text in texts]
-        compact = np.concatenate([np.arange(self.input_dim)] + [
-            np.cumsum(layer.neuron_alive) - 1 for layer in self.layers]).tolist()
-        openings = np.array(
-            [_SOURCE_JSON % pair for pair in zip(compact, table.column_layer)]
-            + [encode_basestring_ascii(kind) for layer in self.layers
-               for kind in layer.activation], dtype=object)
-        values = [None] * (3 * len(live))
-        values[0::3] = openings[table.opening[live]].tolist()
-        values[1::3] = np.where(self.trainable[pos], "true", "false").tolist()
-        values[2::3] = texts
-        # each bias row opens a neuron, whose live synapses follow it
-        counts = iter((np.diff(np.flatnonzero(np.append(~table.synapse[live], True)))
-                       - 1).tolist())
-        template = ",".join(
-            "[" + ",".join(_NEURON_JSON + ",".join([_SYNAPSE_JSON] * next(counts)) + "]}"
-                           for _ in range(np.count_nonzero(layer.neuron_alive))) + "]"
-            for layer in self.layers)
-        active = ",".join(["true" if a else "false" for a in self.active_inputs])
-        labels = ",".join(map(encode_basestring_ascii, self.output_labels))
-        return (f'{{"active_inputs":[{active}],"input_dim":{self.input_dim},'
-                f'"layers":[{template % tuple(values)}],"output_labels":[{labels}]}}')
+        """The bytes of ``network.json``: ``to_doc`` in compact, key-sorted
+        JSON."""
+        return json.dumps(self.to_doc(), separators=(",", ":"), sort_keys=True)
 
     @staticmethod
     def from_doc(doc):
@@ -586,24 +569,20 @@ class Network:
                and all(isinstance(lab, str) for lab in labels),
                "'output_labels' must be a list of strings")
         widths = [input_dim]
-        layers = []
+        # the layers' slots, and per neuron its activation code and, in the
+        # order of the weight table's rows, its (weight, trainable) entries
+        layers, codes, entries = [], [], []
         for l, layer_doc in enumerate(layer_docs, start=1):
             _check(isinstance(layer_doc, list), f"layer {l} must be a list of neurons")
             offsets = np.cumsum([0] + widths).tolist()
-            width = len(layer_doc)
-            weights = np.zeros((width, offsets[-1]))
-            trainable = np.zeros((width, offsets[-1]), dtype=bool)
-            bias = np.zeros(width)
-            bias_trainable = np.zeros(width, dtype=bool)
-            activation, slots = [], []
+            slots = []
             for i, n in enumerate(layer_doc):
                 where = f"neuron {l}:{i}"
                 _check(isinstance(n, dict), f"{where} is not a JSON object")
                 _check(n.get("activation") in ACTIVATIONS,
                        f"{where}: unknown activation {n.get('activation')!r}")
-                activation.append(n["activation"])
-                bias[i], bias_trainable[i] = _weight_entry(n.get("bias"),
-                                                           f"{where} bias")
+                codes.append(ACTIVATIONS.index(n["activation"]))
+                entries.append(_weight_entry(n.get("bias"), f"{where} bias"))
                 _check(isinstance(n.get("synapses"), list),
                        f"{where}: 'synapses' must be a list")
                 cols = []
@@ -619,15 +598,17 @@ class Network:
                     _check(col not in cols,
                            f"{where}: two synapses read source {sl}:{si}")
                     cols.append(col)
-                    weights[i, col], trainable[i, col] = _weight_entry(
-                        s, f"{where} synapse {len(cols)}")
+                    entries.append(_weight_entry(s, f"{where} synapse {len(cols)}"))
                 slots.append(cols)
-            layers.append(Layer(weights, trainable, bias, bias_trainable,
-                                activation, slots))
-            widths.append(width)
+            layers.append(Layer(slots))
+            widths.append(len(layer_doc))
         _check(widths[-1] > 0, "the output layer has no neurons")
         try:
-            net = Network(input_dim, layers, labels, active)
+            net = Network(input_dim, layers, labels)
+            pos = net.weight_table.pos
+            net.params[pos], net.trainable[pos] = zip(*entries)
+            net.codes[:] = codes
+            net.active_inputs[:] = active
             net.check_layered()
         except ValueError as exc:
             raise DatasetError(f"network: {exc}") from exc
@@ -648,21 +629,30 @@ class Network:
             return Network.from_json(fh.read())
 
     def snapshot(self):
-        """Copy of the mutable state, for ``restore``."""
-        return (list(self.active_inputs), self.params.copy(), self.trainable.copy(),
-                self.alive.copy(), [list(layer.activation) for layer in self.layers])
+        """Copy of the state record, for ``restore``."""
+        return self.state.copy()
 
     def restore(self, snap):
         """Return to the state of a ``snapshot`` of this network; the same
         snapshot can be restored any number of times."""
-        active, params, trainable, alive, activations = snap
-        self.active_inputs = list(active)
-        np.copyto(self.params, params)
-        np.copyto(self.trainable, trainable)
-        np.copyto(self.alive, alive)
-        for layer, activation in zip(self.layers, activations):
-            layer.activation = list(activation)
+        np.copyto(self.state, snap)
         self._touch()
+
+    @cached_property
+    def _topology(self):
+        """sha256 of what the state record does not hold: the input
+        dimension, the output labels and every layer's slots."""
+        return hashlib.sha256(json.dumps(
+            [self.input_dim, self.output_labels, [layer.slots for layer in self.layers]]
+        ).encode())
+
+    def digest(self):
+        """16 hex digits of the sha256 of the topology and the state record.
+        The two determine ``to_json``, so networks of one topology with
+        equal digests save equal bytes."""
+        state = self._topology.copy()
+        state.update(self.state)
+        return state.hexdigest()[:16]
 
 
 def _check(ok, message):
@@ -765,7 +755,8 @@ class BatchTrace:
         if (self.net, self.version, self.input_grads) == (net, net._version, input_grads):
             return
         self.net, self.version, self.input_grads = net, net._version, input_grads
-        self.plan = [_LayerPlan(self, net, l) for l in range(1, net.n_layers + 1)]
+        self.plan = [_LayerPlan(self, net, l, *params, *alive) for l, (params, alive)
+                     in enumerate(zip(net.views(net.params), net.views(net.alive)), start=1)]
         self.smooth = all(p.step is None for p in self.plan)
         # the first G column a pass adds into; the columns before it stay 0
         self.g_lo = min([p.lo for p in self.plan if p.writes], default=net.offsets[-2])
@@ -803,23 +794,25 @@ class _LayerPlan:
                  "weight_grads", "bias_grads", "scale", "step", "dead", "lo", "writes",
                  "product", "g_window_t", "product_window_t")
 
-    def __init__(self, trace: BatchTrace, net: Network, l):
+    def __init__(self, trace: BatchTrace, net: Network, l, weights, bias, alive,
+                 neuron_alive):
         off, n = net.offsets, len(trace.activations)
         layer = net.layers[l - 1]
         self.inputs = trace.activations[:, : off[l]]
-        self.weights, self.weights_t, self.bias = layer.weights, layer.weights.T, layer.bias
+        self.weights, self.weights_t, self.bias = weights, weights.T, bias
         self.sigma, self.values = trace.sigma[l], trace.values[l]
         self.y, self.y_grads, self.d_sigma = trace._ys[l], trace.y_grads[l], trace.d_sigma[l]
         self.counts = trace.counts[:, None]
         self.weighted = trace._weighted[: n * layer.width].reshape(n, layer.width)
         self.weighted_t = self.weighted.T
         self.weight_grads, self.bias_grads = trace.weight_grads[l], trace.bias_grads[l]
-        kinds = [kind if alive else "dead"
-                 for kind, alive in zip(layer.activation, layer.neuron_alive.tolist())]
+        codes = net.codes[off[l] - net.input_dim: off[l + 1] - net.input_dim]
+        kinds = [ACTIVATIONS[code] if live else "dead"
+                 for code, live in zip(codes.tolist(), neuron_alive.tolist())]
         self.scale = (np.array([0.5 if kind == "sigmoid" else 1.0 for kind in kinds])
                       if "sigmoid" in kinds else None)
         self.step, self.dead = (_columns(kinds, kind) for kind in ("step", "dead"))
-        sources = np.flatnonzero(layer.alive.any(axis=0))
+        sources = np.flatnonzero(alive.any(axis=0))
         self.lo = int(sources[0]) if sources.size else off[l]
         self.writes = l > 1 or trace.input_grads
         self.product = trace._product[: n * off[l]].reshape(n, off[l])
@@ -900,17 +893,15 @@ def build_network(layer_sizes, activation="tanh", output_labels=None, seed=0):
         output_labels = (
             ["pos", "neg"] if n_out == 1 else [f"class{i}" for i in range(n_out)]
         )
-    layers = []
+    layers, draws = [], []
     start = 0  # first column of the previous layer's outputs
     for l in range(1, len(layer_sizes)):
         width, fan = layer_sizes[l], layer_sizes[l - 1]
-        n_src = start + fan
-        draws = rng.uniform(-0.5, 0.5, size=(width, 1 + fan))
-        weights = np.zeros((width, n_src))
-        weights[:, start:] = draws[:, 1:]
-        cols = list(range(start, n_src))
-        layers.append(Layer(weights, np.ones((width, n_src), dtype=bool),
-                            draws[:, 0].copy(), np.ones(width, dtype=bool),
-                            [activation] * width, [cols] * width))
-        start = n_src
-    return Network(layer_sizes[0], layers, output_labels)
+        # per neuron its bias, then its synapses: the weight table's order
+        draws.append(rng.uniform(-0.5, 0.5, size=(width, 1 + fan)).ravel())
+        layers.append(Layer([range(start, start + fan)] * width))
+        start += fan
+    net = Network(layer_sizes[0], layers, output_labels)
+    net.params[net.weight_table.pos] = np.concatenate(draws)
+    net.codes.fill(ACTIVATIONS.index(activation))
+    return net

@@ -25,7 +25,6 @@ be modifiable.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import numbers
@@ -100,25 +99,16 @@ class PruneConfig:
             self.initial_m = operator.index(m)  # numpy's too: the log holds an int
 
 
-def _digest(text):
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
 @dataclass
 class PruneStepRecord:
     """One attempted modification batch.
 
-    save_hash digests the JSON form of the network when the snapshot was
-    taken before the attempt and net_hash_after the JSON form after accept
-    or restore, so the audit log alone proves that every rejected step
-    rolled back byte-exactly.  A digest is a sha256 prefix of
-    ``Network.to_json``, the bytes of ``network.json``, which are written
-    from the arrays without building a document.  A stage digests its entry network once for
-    its first save_hash; after that each snapshot's save_hash is the
-    net_hash_after of the step accepted just before it, since nothing
-    changes the network in between.  A rejected step digests the restored
-    network afresh, so its net_hash_after equal to its save_hash is the
-    rollback proof.
+    save_hash is ``Network.digest`` of the network when the snapshot was
+    taken before the attempt and net_hash_after its digest after accept or
+    restore.  A digest covers the network's whole state record, and equal
+    digests mean an equal ``network.json``, so a rejected step whose
+    net_hash_after equals its save_hash is the log's proof that it rolled
+    back byte-exactly.
     ``reason`` is "diverged" on a step whose training diverged.  The loss of
     such a step is None.  Its epochs_used counts the retrain's epochs, the
     one that diverged included, and is 0 when the rating diverged: ledger
@@ -280,9 +270,8 @@ def _prune(net, dataset, config, m):
         )
     final = work.judged  # the network's until a step is accepted
     steps = []
-    save_hash = _digest(net.to_json())
     while True:
-        saved = net.snapshot()
+        saved, save_hash = net.snapshot(), net.digest()
         pool = candidate_pool(net, config.problem)
         if m == "half-of-pool":
             m = max(1, len(pool) // 2)
@@ -317,14 +306,12 @@ def _prune(net, dataset, config, m):
                 cascade=[str(r) for r in cascade],
                 pool_size=len(pool),
                 save_hash=save_hash,
-                net_hash_after=_digest(net.to_json()),
+                net_hash_after=net.digest(),
                 reason="diverged" if outcome is None else None,
             )
             steps.append(record)
             _emit(config, record)
             if accepted:
-                # nothing touches the network before the next snapshot
-                save_hash = record.net_hash_after
                 final = outcome.final_total_loss, outcome.final_accuracy
                 break  # fresh indicators on the smaller network
             if m == 1:

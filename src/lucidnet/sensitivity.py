@@ -14,10 +14,12 @@ weight and its current nearest valid value.
 given, normally the pruning step's candidate pool, and
 ``SensitivityLedger.finalize`` rates the ledger's own refs in order as
 ``{ref: indicator}``, gathering the rated weights by their positions in
-``Network.params``.  The refs are resolved once per call through the
-network's weight table, grouped by the gradient block they read; each epoch refills one reused samples buffer from
-the gradients that ``train_epoch`` leaves in the trace, gathering at most
-``_CHUNK`` rows at a time, so no per-epoch temporary grows with the pool.
+``Network.params``.  ``collect_ledger`` resolves the refs to rows of the
+network's weight table once; the ledger keeps the rows for ``finalize``,
+and the sample plan groups them by the gradient block they read.  Each
+epoch refills one reused samples buffer from the gradients that
+``train_epoch`` leaves in the trace, gathering at most ``_CHUNK`` rows at a
+time, so no per-epoch temporary grows with the pool.
 A sample is one of the workspace's groups of equal rows, which the avg
 statistic weights by its size.
 Which elements are candidates is decided by ``pruning.candidate_pool``
@@ -84,6 +86,11 @@ class SensitivityLedger:
     finalized from one accumulation run.  Each is one array of sums in the
     order of ``refs``, added to in epoch order.
 
+    ``rows`` are the refs' rows of the network's weight table, as
+    ``Network.weight_rows`` gives them; ``finalize`` resolves them itself
+    when they are not given.  ``collect_ledger`` gives them, since its
+    epochs move weights only and no ref can go stale before ``finalize``.
+
     A sample may stand for a group of equal rows, as in an
     ``EpochWorkspace``: the sample arrays then hold one column per group,
     and ``counts``, given once here, holds the group sizes.  Only the avg
@@ -94,9 +101,10 @@ class SensitivityLedger:
     changed, and no epoch of a ledger changes them.
     """
 
-    def __init__(self, refs, counts=None):
+    def __init__(self, refs, counts=None, rows=None):
         self.refs = list(refs)
         self.counts = counts
+        self.rows = rows
         self.epochs_accumulated = 0
         self._max_sums = np.zeros(len(self.refs))
         self._avg_sums = np.zeros(len(self.refs))
@@ -126,7 +134,7 @@ class SensitivityLedger:
             raise ValueError(f"unknown indicator mode {mode!r}")
         sums = self._max_sums if mode == "max" else self._avg_sums
         indicators = sums / self.epochs_accumulated
-        rows = net.weight_rows(self.refs)
+        rows = net.weight_rows(self.refs) if self.rows is None else self.rows
         weight = rows >= 0
         if weight.any():
             if valid_set is None:
@@ -139,16 +147,16 @@ class SensitivityLedger:
 _CHUNK = 16  # sample rows gathered at a time; bounds the temporaries
 
 
-def _sample_plan(net: Network, refs):
-    """The refs resolved once, grouped by the gradient block they read and
-    cut into chunks of at most ``_CHUNK``: (block, positions in ``refs``,
-    gradient columns, value columns or None).  Block 0 is ``trace.G``,
-    which an input or a neuron reads with its own value column; block l is
-    ``trace.d_sigma[l]``, which a synapse reads with its source's value
-    column and a bias with none.  Weights are read from the columns of
-    ``net.weight_table``."""
+def _sample_plan(net: Network, refs, rows):
+    """The refs, whose ``weight_rows`` are ``rows``, grouped by the gradient
+    block they read and cut into chunks of at most ``_CHUNK``: (block,
+    positions in ``refs``, gradient columns, value columns or None).  Block
+    0 is ``trace.G``, which an input or a neuron reads with its own value
+    column; block l is ``trace.d_sigma[l]``, which a synapse reads with its
+    source's value column and a bias with none.  A weight's columns are
+    read from its row of ``net.weight_table``; an input's or a neuron's row
+    is -1, and its own value column replaces what that row reads."""
     table = net.weight_table
-    rows = net.weight_rows(refs)  # -1, so the last row, for an input or neuron
     group = 2 * table.layer[rows] + table.synapse[rows]  # 2 * block + scaled
     cols, sources = table.neuron[rows], table.source[rows]
     units = np.flatnonzero(rows < 0).tolist()
@@ -198,8 +206,8 @@ def collect_ledger(net: Network, dataset, loss_kind: LossKind,
     refs = list(refs)
     work = prepare_workspace(work, net, dataset, loss_kind, input_grads=any(
         ref.kind == "input" for ref in refs))
-    ledger = SensitivityLedger(refs, work.trace.counts)
-    plan = _sample_plan(net, ledger.refs)
+    ledger = SensitivityLedger(refs, work.trace.counts, net.weight_rows(refs))
+    plan = _sample_plan(net, ledger.refs, ledger.rows)
     samples = np.empty((len(ledger.refs), len(work.rows)))
     for _ in range(epochs):
         train_epoch(work, train_config, work.evaluate())

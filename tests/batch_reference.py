@@ -5,8 +5,8 @@ once per structure, in buffers: one loop body that computes tanh of the
 scaled summator in place, overwrites the step columns and zeroes the dead
 ones, a column-major gradient matrix, and adds into it that skip the
 columns of masked weights.  The loop below groups each layer's live
-neurons by activation kind itself, from ``layer.activation`` and
-``neuron_alive``, and activates each group on its own columns of fresh
+neurons by activation kind itself, from the network's activation codes
+and its neurons' live flags, and activates each group on its own columns of fresh
 arrays; dead neurons stay 0.  Its gradient matrix is row-major and each
 layer's d_sigma @ weights is added over all its source columns.  It makes
 the same BLAS calls, so a test can require the plan's results to equal it
@@ -24,18 +24,21 @@ from types import SimpleNamespace
 import numpy as np
 
 from lucidnet import DivergenceError, TrainOutcome
-from lucidnet.network import step_function
+from lucidnet.network import ACTIVATIONS, step_function
 from lucidnet.training import targets_for
 
 from conftest import distinct_groups
 
 
-def _groups(layer):
-    """Activation kind -> columns of the layer's live neurons of that kind."""
+def _groups(net, l):
+    """Activation kind -> columns of layer l's live neurons of that kind."""
+    first = net.offsets[l] - net.input_dim
+    codes = net.codes[first: first + net.layers[l - 1].width]
+    neuron_alive = net.views(net.alive)[l - 1][1]
     groups = {}
-    for i, (kind, alive) in enumerate(zip(layer.activation, layer.neuron_alive)):
+    for i, (code, alive) in enumerate(zip(codes, neuron_alive)):
         if alive:
-            groups.setdefault(kind, []).append(i)
+            groups.setdefault(ACTIVATIONS[code], []).append(i)
     return groups
 
 
@@ -56,12 +59,12 @@ def reference_forward(net, X):
     A = np.zeros((len(X), off[-1]))
     A[:, : net.input_dim] = np.where(net.active_inputs, X, 0.0)
     sigma = [None]
-    for l, layer in enumerate(net.layers, start=1):
-        s = A[:, : off[l]] @ layer.weights.T
-        s += layer.bias
+    for l, (weights, bias) in enumerate(net.views(net.params), start=1):
+        s = A[:, : off[l]] @ weights.T
+        s += bias
         sigma.append(s)
         values = A[:, off[l]: off[l + 1]]
-        for kind, cols in _groups(layer).items():
+        for kind, cols in _groups(net, l).items():
             values[:, cols] = _activate(kind, s[:, cols])
     return SimpleNamespace(activations=A, sigma=sigma,
                            outputs=A[:, off[-2]:])
@@ -79,12 +82,12 @@ def reference_backward(net, trace, d_outputs, input_grads=True, counts=None):
     trace.grad = np.zeros_like(net.params)
     views = net.views(trace.grad)
     for l in range(net.n_layers, 0, -1):
-        layer = net.layers[l - 1]
+        weights = net.views(net.params)[l - 1][0]
         y, g, d_sigma = A[:, off[l]: off[l + 1]], G[:, off[l]: off[l + 1]], trace.d_sigma[l]
-        for kind, cols in _groups(layer).items():
+        for kind, cols in _groups(net, l).items():
             d_sigma[:, cols] = g[:, cols] * _activate_prime(kind, y[:, cols])
         if l > 1 or input_grads:
-            G[:, : off[l]] += d_sigma @ layer.weights
+            G[:, : off[l]] += d_sigma @ weights
         weighted = d_sigma if counts is None else d_sigma * counts[:, None]
         np.matmul(weighted.T, A[:, : off[l]], out=views[l - 1][0])
         np.add.reduce(weighted, axis=0, out=views[l - 1][1])

@@ -7,16 +7,39 @@ serializes, the live synapses of a neuron, the candidate pools of
 ``SensitivityLedger.finalize``.  The per-layer walks and edits below are
 those that the network ran before every walk and edit went through its
 weight table: weight lookup, fan-in, the live weights, the cascade audit,
-the layering check and the transparency check.  They edit the layers'
-arrays, which are views of the network's flat vectors.
+the layering check and the transparency check.  They edit the per-layer
+arrays of ``layer_arrays``, which are views of the network's state record.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
 from lucidnet.errors import IllegalModificationError, StaleReferenceError
-from lucidnet.network import bias_ref, input_ref, neuron_ref, synapse_ref
+from lucidnet.network import ACTIVATIONS, bias_ref, input_ref, neuron_ref, synapse_ref
 from lucidnet.sensitivity import ValidSet
 from lucidnet.transparency import TERNARY
+
+
+def layer_arrays(net):
+    """Per layer, its ``weights``, ``bias``, ``trainable``, ``bias_trainable``,
+    ``alive`` and ``neuron_alive`` views of the network's record, with its
+    ``slots``, ``width`` and ``activation`` names."""
+    names = [ACTIVATIONS[code] for code in net.codes.tolist()]
+    return [SimpleNamespace(weights=w, bias=b, trainable=t, bias_trainable=bt, alive=a,
+                            neuron_alive=na, slots=layer.slots, width=layer.width,
+                            activation=names[off - net.input_dim: off - net.input_dim
+                                             + layer.width])
+            for layer, off, (w, b), (t, bt), (a, na) in zip(
+                net.layers, net.offsets[1:], net.views(net.params),
+                net.views(net.trainable), net.views(net.alive))]
+
+
+def neuron(net, ref):
+    """(layer arrays, index) of the live neuron that a neuron, synapse or
+    bias ref belongs to; raises StaleReferenceError."""
+    net._neuron(ref)
+    return layer_arrays(net)[ref.layer - 1], ref.neuron
 
 
 def reference_doc(net):
@@ -24,11 +47,12 @@ def reference_doc(net):
     indices remapped."""
     # compact (layer, index) of every column of the value vector
     sources = [(0, k) for k in range(net.input_dim)]
-    for l, layer in enumerate(net.layers, start=1):
+    layers = layer_arrays(net)
+    for l, layer in enumerate(layers, start=1):
         new = (np.cumsum(layer.neuron_alive) - 1).tolist()
         sources.extend((l, new[i]) for i in range(layer.width))
     layers_doc = []
-    for layer in net.layers:
+    for layer in layers:
         weights = layer.weights.tolist()
         alive = layer.alive.tolist()
         trainable = layer.trainable.tolist()
@@ -56,7 +80,7 @@ def reference_doc(net):
         layers_doc.append(layer_doc)
     return {
         "input_dim": net.input_dim,
-        "active_inputs": list(net.active_inputs),
+        "active_inputs": net.active_inputs.tolist(),
         "layers": layers_doc,
         "output_labels": list(net.output_labels),
     }
@@ -65,7 +89,7 @@ def reference_doc(net):
 def synapses(net, ref):
     """Live synapses of a live neuron in slot order, as
     (slot, (source layer, source index), weight, trainable)."""
-    layer, i = net._neuron(ref)
+    layer, i = neuron(net, ref)
     weights = layer.weights[i].tolist()
     trainable = layer.trainable[i].tolist()
     return [(slot, net._source(col), weights[col], trainable[col])
@@ -133,7 +157,7 @@ def reference_weight(net, ref):
     None for a bias.  Raises StaleReferenceError."""
     if ref.kind not in ("synapse", "bias"):
         raise StaleReferenceError(f"{ref} is not a weight ref")
-    layer, i = net._neuron(ref)
+    layer, i = neuron(net, ref)
     if ref.kind == "bias" or ref.slot == 0:
         return layer, i, None
     if not 1 <= ref.slot <= len(layer.slots[i]):
@@ -146,7 +170,7 @@ def reference_weight(net, ref):
 
 def reference_fan_in(net, ref):
     """Live non-bias synapses that still matter: trainable or nonzero."""
-    layer, i = net._neuron(ref)
+    layer, i = neuron(net, ref)
     return int(np.count_nonzero(
         layer.alive[i] & (layer.trainable[i] | (layer.weights[i] != 0.0))
     ))
@@ -155,7 +179,7 @@ def reference_fan_in(net, ref):
 def reference_iter_weights(net, with_bias=True):
     """(ref, weight, trainable) of every live weight: per live neuron, its
     bias, then its synapses in slot order."""
-    for l, layer in enumerate(net.layers, start=1):
+    for l, layer in enumerate(layer_arrays(net), start=1):
         weights, trainable = layer.weights.tolist(), layer.trainable.tolist()
         bias, bias_trainable = layer.bias.tolist(), layer.bias_trainable.tolist()
         for i in np.flatnonzero(layer.neuron_alive).tolist():
@@ -174,8 +198,7 @@ def reference_remove_element(net, ref):
     elif ref.kind == "neuron":
         if net.is_output_layer(ref.layer):
             raise IllegalModificationError("output neurons are protected")
-        layer, i = net._neuron(ref)
-        kill_neuron(layer, i)
+        kill_neuron(*neuron(net, ref))
     elif ref.kind == "synapse" and ref.slot > 0:
         layer, i, col = reference_weight(net, ref)
         kill_synapses(layer, (i, col))
@@ -187,19 +210,20 @@ def reference_remove_element(net, ref):
 
 
 def source_alive(net):
-    return np.concatenate([np.array(net.active_inputs, dtype=bool)]
-                          + [layer.neuron_alive for layer in net.layers])
+    return np.concatenate([net.active_inputs]
+                          + [layer.neuron_alive for layer in layer_arrays(net)])
 
 
 def reference_audit(net):
     """Sweep to a fixpoint of the cascade rules; returns removed refs."""
     removed = []
+    layers = layer_arrays(net)
     changed = True
     while changed:
         changed = False
         # (a) synapses whose source is gone
         src_alive = source_alive(net)
-        for l, layer in enumerate(net.layers, start=1):
+        for l, layer in enumerate(layers, start=1):
             doomed = layer.alive & ~src_alive[None, : net.offsets[l]]
             if not doomed.any():
                 continue
@@ -210,7 +234,7 @@ def reference_audit(net):
             changed = True
         # (b) non-output neurons with no live path to an output
         reachable = reaching_output(net)
-        for l, layer in enumerate(net.layers[:-1], start=1):
+        for l, layer in enumerate(layers[:-1], start=1):
             doomed = layer.neuron_alive & ~reachable[l]
             for i in np.flatnonzero(doomed).tolist():
                 removed.append(neuron_ref(l, i))
@@ -221,7 +245,7 @@ def reference_audit(net):
                 changed = True
         # (c) features with no remaining outgoing synapse
         used = np.any([layer.alive[:, : net.input_dim].any(axis=0)
-                       for layer in net.layers], axis=0)
+                       for layer in layers], axis=0)
         for k in range(net.input_dim):
             if net.active_inputs[k] and not used[k]:
                 net.active_inputs[k] = False
@@ -232,20 +256,21 @@ def reference_audit(net):
 
 def reaching_output(net):
     """Per layer, which live neurons have a live path to an output."""
-    reach = ([None] + [np.zeros(layer.width, dtype=bool) for layer in net.layers[:-1]]
-             + [net.layers[-1].neuron_alive.copy()])
+    layers = layer_arrays(net)
+    reach = ([None] + [np.zeros(layer.width, dtype=bool) for layer in layers[:-1]]
+             + [layers[-1].neuron_alive.copy()])
     for l in range(net.n_layers, 1, -1):
-        used = net.layers[l - 1].alive[reach[l]].any(axis=0)
+        used = layers[l - 1].alive[reach[l]].any(axis=0)
         for sl in range(1, l):
             block = used[net.offsets[sl]: net.offsets[sl + 1]]
-            reach[sl] |= block & net.layers[sl - 1].neuron_alive
+            reach[sl] |= block & layers[sl - 1].neuron_alive
     return reach
 
 
 def reference_check_layered(net):
     """Every live synapse must read a live source."""
     src_alive = source_alive(net)
-    for l, layer in enumerate(net.layers, start=1):
+    for l, layer in enumerate(layer_arrays(net), start=1):
         for i, col in zip(*np.nonzero(layer.alive & ~src_alive[: net.offsets[l]])):
             sl, si = net._source(int(col))
             what = "a masked feature" if sl == 0 else "a dead neuron"

@@ -1,12 +1,14 @@
 """The parameter arena: every weight and bias of a network in one flat
 ``params`` vector and every trainable flag in one ``trainable`` mask of
-the same layout, with each layer's arrays views of them, and one flat
-gradient and velocity in that layout too.
+the same layout, each a fixed view of the network's state record beside
+``alive``, ``active_inputs`` and ``codes``, with per-layer views of them,
+and one flat gradient and velocity in that layout too.
 
 Every edit writes through the views, so after any construction, edit,
-training step or restore the layers' arrays must still be those views;
-and the flat epoch update must equal the per-layer update it replaced
-(``training_reference``) bit for bit: outcome, network and velocity.
+training step or restore the fields must still be the views the network
+was made with, tiling its record; and the flat epoch update must equal the
+per-layer update it replaced (``training_reference``) bit for bit:
+outcome, network and velocity.
 """
 
 from unittest import mock
@@ -42,26 +44,35 @@ from test_workspace import (
 from training_reference import flat_velocity, per_layer_train_epoch
 
 
-def layer_arrays(net):
-    """(name, array, flat vector it must view) of every layer array."""
-    return [(name, getattr(layer, name), flat) for layer in net.layers
-            for name, flat in (("weights", net.params), ("bias", net.params),
-                               ("trainable", net.trainable),
-                               ("bias_trainable", net.trainable))]
+FIELDS = ("params", "trainable", "alive", "active_inputs", "codes")
 
 
-def assert_adopted(net):
-    """Each layer array is a view of its flat vector, and the vectors hold
-    the layers' arrays in order: weights 1, bias 1, weights 2, ..."""
-    for name, array, flat in layer_arrays(net):
-        assert np.shares_memory(array, flat), f"{name} is not a view"
+def fields(net):
+    return [getattr(net, name) for name in FIELDS]
+
+
+def assert_adopted(net, made=None):
+    """The fields are C-contiguous views that tile the state record in the
+    order of ``FIELDS``, the very arrays ``made`` (the network's fields when
+    it was made) when given; and ``views`` of the flat vectors gives views
+    of them holding, in order, weights 1, bias 1, weights 2, ..."""
+    arrays = fields(net)
+    if made is not None:
+        assert all(a is b for a, b in zip(arrays, made)), "a field was rebound"
+    base, offset = net.state.__array_interface__["data"][0], 0
+    for name, array in zip(FIELDS, arrays):
+        assert np.shares_memory(array, net.state), f"{name} is not a view"
         assert array.flags.c_contiguous
-    for flat, names in ((net.params, ("weights", "bias")),
-                        (net.trainable, ("trainable", "bias_trainable"))):
-        parts = [getattr(layer, name).ravel() for layer in net.layers for name in names]
-        assert same_bits(np.concatenate(parts), flat)
-        for part, view in zip(parts, [v for pair in net.views(flat) for v in pair]):
-            assert np.shares_memory(part, view)
+        assert array.__array_interface__["data"][0] - base == offset, name
+        offset += array.nbytes
+    assert offset == net.state.nbytes
+    for flat in (net.params, net.trainable, net.alive):
+        parts = [v for pair in net.views(flat) for v in pair]
+        for l, layer in enumerate(net.layers, start=1):
+            assert parts[2 * l - 2].shape == (layer.width, net.offsets[l])
+            assert parts[2 * l - 1].shape == (layer.width,)
+        assert same_bits(np.concatenate([part.ravel() for part in parts]), flat)
+        assert all(np.shares_memory(part, flat) for part in parts)
 
 
 class TestAdoption:
@@ -70,19 +81,21 @@ class TestAdoption:
         assert_adopted(net)
         assert len(net.params) == 4 * 5 + 4 + 3 * 9 + 3 + 2 * 12 + 2
         assert net.params.dtype == np.float64 and net.trainable.dtype == bool
+        assert net.state.dtype == np.uint8 and net.alive.dtype == bool
+        assert len(net.active_inputs) == 5 and len(net.codes) == 4 + 3 + 2
 
     def test_cascade_freeze_training_and_restore(self):
         net = build_network((3, 2, 2, 1), seed=4)
         ds = make_dataset([[1, -1, 1], [-1, 1, 1]], ["pos", "neg"],
                           class_labels=["pos", "neg"])
-        snap, text = net.snapshot(), net.to_json()
+        made, snap, text = fields(net), net.snapshot(), net.to_json()
         assert net.remove_element(neuron_ref(2, 0))  # cascades
         net.set_weight(synapse_ref(2, 1, 2), 1.0, freeze=True)
-        assert_adopted(net)
+        assert_adopted(net, made)
         train_until(net, ds, LossKind("mse"), TrainConfig(0.3, 0.5, max_epochs=3))
-        assert_adopted(net)
+        assert_adopted(net, made)
         net.restore(snap)
-        assert_adopted(net)
+        assert_adopted(net, made)
         assert net.to_json() == text
 
     @settings(max_examples=150, deadline=None)
@@ -90,17 +103,18 @@ class TestAdoption:
            freeze=st.integers(0, 10**6))
     def test_edits_and_restore_keep_the_views(self, doc, edits, more, freeze):
         net = Network.from_doc(doc)
+        made = fields(net)
         assert_adopted(net)
         net.audit_structure()
         apply_edits(net, edits)
-        assert_adopted(net)
+        assert_adopted(net, made)
         text, snap = net.to_json(), net.snapshot()
         apply_edits(net, more)  # removals with their cascades, freezes
         refs = [ref for ref, _, _ in net.iter_weights()]
         net.set_weight(refs[freeze % len(refs)], -1.0, freeze=True)
-        assert_adopted(net)
+        assert_adopted(net, made)
         net.restore(snap)
-        assert_adopted(net)
+        assert_adopted(net, made)
         assert net.to_json() == text
         assert Network.from_json(text).to_json() == text
 

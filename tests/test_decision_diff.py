@@ -72,3 +72,66 @@ def test_runs_as_a_script(tmp_path):
                          text=True)
     assert run.returncode == 1
     assert run.stdout.startswith("record 0 differs in accepted\n")
+
+
+def output_dir(root, log_records, network="{}", rules=None, indicators=""):
+    """An output tree: one stage directory with a log, a network and an
+    indicators file, which is not compared, and a rules directory when
+    ``rules`` is given."""
+    stage = root / "net0" / "stage0"
+    stage.mkdir(parents=True)
+    log(stage, "prune_log.jsonl", *log_records)
+    (stage / "network.json").write_text(network)
+    (stage / "indicators.csv").write_text(indicators)
+    if rules is not None:
+        (root / "net0" / "rules").mkdir()
+        (root / "net0" / "rules" / "rules.json").write_text(rules)
+    return str(root)
+
+
+class TestDirectories:
+    def test_alike_trees_compare_equal(self, tmp_path, capsys):
+        other = dict(RECORD, loss=0.25, save_hash="cccc", net_hash_after="dddd")
+        a = output_dir(tmp_path / "a", [RECORD], rules="[1]")
+        b = output_dir(tmp_path / "b", [other], rules="[1]", indicators="x")
+        assert decision_diff.main([a, b]) == 0
+        assert capsys.readouterr().out == \
+            "same decisions in 1 logs and same bytes in 2 files\n"
+
+    def test_every_difference_is_listed(self, tmp_path, capsys):
+        a = output_dir(tmp_path / "a", [RECORD], network='{"w":1}', rules="[1]")
+        b = output_dir(tmp_path / "b", [dict(RECORD, accepted=False)],
+                       network='{"w":2}')
+        extra = tmp_path / "b" / "net1"
+        extra.mkdir()
+        log(extra, "prune_log.jsonl", RECORD)
+        assert decision_diff.main([a, b]) == 1
+        out = capsys.readouterr().out.splitlines()
+        logs = [tmp_path / side / "net0" / "stage0" / "prune_log.jsonl" for side in "ab"]
+        first = [json.dumps(decision_diff.decisions(path)[0], sort_keys=True)
+                 for path in logs]
+        assert out == [
+            f"net0/rules/rules.json: only in {a}",
+            "net0/stage0/network.json: bytes differ",
+            "net0/stage0/prune_log.jsonl: record 0 differs in accepted",
+            f"net0/stage0/prune_log.jsonl: {logs[0]}: {first[0]}",
+            f"net0/stage0/prune_log.jsonl: {logs[1]}: {first[1]}",
+            f"net1/prune_log.jsonl: only in {b}",
+        ]
+        assert '"accepted": false' in out[4]
+
+    def test_a_file_and_a_directory_or_a_bad_log_is_exit_two(self, tmp_path, capsys):
+        a = output_dir(tmp_path / "a", [RECORD])
+        b = output_dir(tmp_path / "b", [RECORD])
+        assert decision_diff.main([a, log(tmp_path, "c", RECORD)]) == 2
+        (tmp_path / "b" / "net0" / "stage0" / "prune_log.jsonl").write_text("[1]\n")
+        assert decision_diff.main([a, b]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_runs_on_directories_as_a_script(self, tmp_path):
+        a = output_dir(tmp_path / "a", [RECORD])
+        b = output_dir(tmp_path / "b", [RECORD], network="[]")
+        run = subprocess.run([sys.executable, str(TOOL), a, b], capture_output=True,
+                             text=True)
+        assert run.returncode == 1
+        assert run.stdout == "net0/stage0/network.json: bytes differ\n"

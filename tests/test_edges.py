@@ -196,7 +196,7 @@ class TestDegenerateStructures:
         y = forward(net, [1.0, -1.0]).outputs[0]
         assert y == pytest.approx(np.tanh(net.weight(bias_ref(2, 0))))
         # both features lost every consumer
-        assert net.active_inputs == [False, False]
+        assert net.active_inputs.tolist() == [False, False]
 
     def test_masked_feature_values_are_ignored(self):
         net = build_network((3, 3, 1), seed=12)

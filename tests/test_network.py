@@ -211,7 +211,7 @@ class TestRemoveElement:
         assert not net.is_alive(neuron_ref(1, 0))
         assert not net.is_alive(neuron_ref(1, 1))
         # both features have lost every outgoing synapse
-        assert net.active_inputs == [False, False]
+        assert net.active_inputs.tolist() == [False, False]
         assert any(r.kind == "input" for r in cascade)
 
 

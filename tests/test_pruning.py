@@ -30,7 +30,6 @@ from lucidnet import (
 )
 from lucidnet import training
 from lucidnet.network import BatchTrace
-from lucidnet.pruning import _digest
 from lucidnet.training import loss_terms
 
 from conftest import (
@@ -171,7 +170,7 @@ class TestApplyModification:
         net = uneven_fan_net()
         problem = PruningProblem("feature-selection")
         apply_modification(net, [(input_ref(4), None)], problem)
-        assert net.active_inputs[4] is False
+        assert net.active_inputs.tolist()[4] is False
 
     def test_vanished_candidate_skipped(self):
         net = uneven_fan_net()
@@ -223,7 +222,7 @@ class TestPruneBasic:
 
     def test_first_failure_restores_entry_network(self):
         net, ds = doomed_single_weight_net()
-        entry = net.to_json()
+        entry, digest = net.to_json(), net.digest()
         sink = io.StringIO()
         result = prune_basic(net, ds, prune_cfg("synapse-removal", sink=sink,
                                                 retrain=retrain_cfg(budget=40)))
@@ -231,7 +230,7 @@ class TestPruneBasic:
         assert len(result.steps) == 1
         record = result.steps[0]
         assert not record.accepted
-        assert record.net_hash_after == record.save_hash == _digest(entry)
+        assert record.net_hash_after == record.save_hash == digest
         assert result.network.to_json() == entry
         logged = json.loads(sink.getvalue().splitlines()[0])
         assert logged["accepted"] is False and logged["M"] == 1
@@ -317,7 +316,7 @@ class TestDivergence:
 
     def _run(self, loop, acc, monkeypatch):
         net, ds, _, _ = fresh_trained_xor(1)
-        entry = net.to_json()
+        entry, digest = net.to_json(), net.digest()
         sink = io.StringIO()
         config = prune_cfg("synapse-removal", loop=loop, initial_m=4, acc=acc,
                            sink=sink, retrain=retrain_cfg(budget=20))
@@ -332,17 +331,17 @@ class TestDivergence:
         runner = prune_basic if loop == "basic" else prune_accelerated
         result = runner(net, ds, config)
         logged = [json.loads(line) for line in sink.getvalue().splitlines()]
-        return net, entry, result, logged
+        return net, entry, digest, result, logged
 
     @pytest.mark.parametrize("loop", ["basic", "accelerated"])
     @pytest.mark.parametrize("acc,modified", [(1, True), (2, False)])
     def test_diverged_step_restores_snapshot(self, loop, acc, modified,
                                              monkeypatch):
-        net, entry, result, logged = self._run(loop, acc, monkeypatch)
+        net, entry, digest, result, logged = self._run(loop, acc, monkeypatch)
         first = result.steps[0]
         assert not first.accepted and first.reason == "diverged"
         assert bool(first.refs) == modified  # retrain diverged after a removal
-        assert first.save_hash == first.net_hash_after == _digest(entry)
+        assert first.save_hash == first.net_hash_after == digest
         assert logged[0]["reason"] == "diverged" and logged[0]["loss"] is None
         assert logged[0]["epochs_used"] == 0  # no retrain epoch ran
         for step in result.steps:
@@ -353,7 +352,7 @@ class TestDivergence:
         assert result.steps[-1].m == 1 and not result.steps[-1].accepted
 
     def test_only_diverged_records_carry_a_reason(self, monkeypatch):
-        _, _, result, logged = self._run("accelerated", 1, monkeypatch)
+        _, _, _, result, logged = self._run("accelerated", 1, monkeypatch)
         assert any(rec["accepted"] for rec in logged)
         for step, rec in zip(result.steps, logged):
             assert ("reason" in rec) == (step.reason is not None)
@@ -478,7 +477,7 @@ class TestSaveHashChain:
         real = Network.snapshot
 
         def snapshot(net):
-            digests.append(_digest(net.to_json()))
+            digests.append(net.digest())
             return real(net)
 
         monkeypatch.setattr(Network, "snapshot", snapshot)
@@ -492,14 +491,14 @@ class TestSaveHashChain:
     @pytest.mark.parametrize("loop", ["basic", "accelerated"])
     def test_one_stage(self, snapshot_digests, loop):
         net, ds, _, _ = fresh_trained_xor(1)
-        entry = _digest(net.to_json())
+        entry = net.digest()
         (result,), final = run_pipeline(net, ds, [self.stage(loop)])
         records = result.steps
         assert any(r.accepted for r in records)
         if loop == "accelerated":
             assert any(r.staleness > 0 for r in records)
         last = chain_end(records, entry)
-        assert _digest(final.to_json()) == last
+        assert final.digest() == last
         # every record's save_hash is the digest taken at its snapshot
         taken = [snapshot_digests[sum(r.accepted for r in records[:i])]
                  for i in range(len(records))]
@@ -507,11 +506,11 @@ class TestSaveHashChain:
 
     def test_two_stages(self):
         net, ds, _, _ = fresh_trained_xor(1)
-        entry = _digest(net.to_json())
+        entry = net.digest()
         stages = [self.stage("accelerated"),
                   self.stage("basic", "precision-reduction", valid_set=TERNARY)]
         (first, second), final = run_pipeline(net, ds, stages)
         assert second.steps
         middle = chain_end(first.steps, entry)
         assert second.steps[0].save_hash == middle
-        assert _digest(final.to_json()) == chain_end(second.steps, middle)
+        assert final.digest() == chain_end(second.steps, middle)

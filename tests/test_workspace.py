@@ -126,7 +126,7 @@ def plain_train_until(net, ds, loss, cfg, stepper=plain_step):
 def plain_ledger(net, ds, loss, cfg, epochs, refs):
     """``collect_ledger`` with fresh buffers and targets every epoch."""
     ledger = SensitivityLedger(refs, distinct_groups(ds, net)[1])
-    plan = _sample_plan(net, ledger.refs)
+    plan = _sample_plan(net, ledger.refs, net.weight_rows(ledger.refs))
     velocity = None
     for _ in range(epochs):
         reps, trace = grouped_forward(net, ds)

@@ -3,8 +3,9 @@ the tests.
 
 ``train_epoch`` now updates the network's flat ``params`` in one masked
 array operation with one flat velocity.  The step below is the same
-update written layer by layer over each layer's own arrays, with one
-(weights, bias) velocity pair per layer, so a test can check that the
+update written layer by layer over each layer's own arrays (the
+per-layer views of ``Network.views``), with one (weights, bias) velocity
+pair per layer, so a test can check that the
 flat update equals it bit for bit.
 """
 
@@ -32,21 +33,20 @@ def per_layer_train_epoch(net, dataset, loss_kind, config, velocity=None, *,
     if not all(np.isfinite(g).all() for g in grads.weight_grads[1:] + grads.bias_grads[1:]):
         raise DivergenceError("gradient is not finite", epochs=1)
 
+    params, flags = net.views(net.params), net.views(net.trainable)
     if velocity is None:
-        velocity = [(np.zeros_like(layer.weights), np.zeros_like(layer.bias))
-                    for layer in net.layers]
+        velocity = [(np.zeros_like(weights), np.zeros_like(bias)) for weights, bias in params]
     lr, mu = config.learning_rate, config.momentum
-    for l, layer in enumerate(net.layers, start=1):
+    for l, ((weights, bias), (trainable, bias_trainable)) in enumerate(
+            zip(params, flags), start=1):
         v_w, v_b = velocity[l - 1]
         v_w *= mu
-        v_w += grads.weight_grads[l] * layer.trainable
+        v_w += grads.weight_grads[l] * trainable
         v_b *= mu
-        v_b += grads.bias_grads[l] * layer.bias_trainable
+        v_b += grads.bias_grads[l] * bias_trainable
         if lr != 0.0:
-            np.subtract(layer.weights, lr * v_w, out=layer.weights,
-                        where=layer.trainable)
-            np.subtract(layer.bias, lr * v_b, out=layer.bias,
-                        where=layer.bias_trainable)
+            np.subtract(weights, lr * v_w, out=weights, where=trainable)
+            np.subtract(bias, lr * v_b, out=bias, where=bias_trainable)
     return grads, velocity
 
 
