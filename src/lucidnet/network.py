@@ -37,9 +37,9 @@ audit and ``check_layered``, and pools, ratings, ``iter_weights`` and
 matmul per layer in the buffers of a ``BatchTrace`` and return it; its
 flat gradient has the layout of ``params``.  A training run makes one trace
 and passes it back to every epoch's ``forward_batch``, so the masked inputs
-and matrices are built once per run.  ``BatchTrace.reset`` rebinds a trace
-after a structural edit, so a pruning stage allocates its buffers once, and
-builds the epoch plan that passes run from once per structure.  Every
+and matrices are built once per run.  A trace binds the epoch plan that
+passes run from once, and ``BatchTrace.reset`` patches it after a structural
+edit, so a pruning stage allocates its buffers and views once.  Every
 layer, whatever its mix of tanh, sigmoid, step and dead neurons, runs
 through the same loop body; a sigmoid is tanh at half the summator, scaled
 per column.  The plan changes no BLAS call, so every result equals a plain
@@ -347,7 +347,7 @@ class Network:
         table = self.weight_table
         rows = np.fromiter(map(table.index.get, refs, itertools.repeat(-1)),
                            dtype=np.intp, count=len(refs))
-        for k in np.flatnonzero((rows < 0) | ~self.alive[table.pos[rows]]).tolist():
+        for k in ((rows < 0) | ~self.alive[table.pos[rows]]).nonzero()[0].tolist():
             if refs[k].kind in ("synapse", "bias"):
                 rows[k] = self._weight(refs[k])
         return rows
@@ -461,7 +461,7 @@ class Network:
             doomed[: self.input_dim] = False
             if doomed.any():
                 live = self.alive[table.pos].tolist()
-                for unit in np.flatnonzero(doomed).tolist():
+                for unit in doomed.nonzero()[0].tolist():
                     rows = slice(table.starts[unit], table.starts[unit + 1])
                     bias, *synapses = itertools.compress(table.refs[rows], live[rows])
                     removed += [neuron_ref(bias.layer, bias.neuron), *synapses, bias]
@@ -470,7 +470,7 @@ class Network:
             # (c) features with no remaining outgoing synapse
             read = np.bincount(table.source[self._live_synapses()],
                                minlength=self.offsets[-1])[: self.input_dim]
-            unused = np.flatnonzero(self.active_inputs & (read == 0)).tolist()
+            unused = (self.active_inputs & (read == 0)).nonzero()[0].tolist()
             if unused:
                 self.active_inputs[unused] = False
                 removed.extend(map(input_ref, unused))
@@ -685,12 +685,13 @@ class BatchTrace:
     the gradient matrix ``G`` (``y_grads[0]``: the inputs'), ``d_sigma[l]``,
     the per-sample dL/dsigma and bias gradients, and ``grad``, the sum over
     the samples in the layout of ``Network.params``, whose per-layer views
-    are ``weight_grads`` and ``bias_grads``.  With ``input_grads`` false it
-    leaves ``y_grads[0]`` at zero.  ``smooth`` says whether no live neuron
-    is a step, as ``backward_batch`` requires.  All of these are buffers
-    that the next pass overwrites, ``sigma[l]`` too.  ``G`` is column-major:
-    it never enters a matrix product, so its blocks, and the column of each
-    unit, are contiguous instead.
+    are ``weight_grads`` and ``bias_grads``, all made when one of them is
+    first read, so a trace of forward passes only never makes them.  With
+    ``input_grads`` false ``y_grads[0]`` stays zero.  ``smooth`` says
+    whether no live neuron is a step, as ``backward_batch`` requires.  All
+    of these are buffers that the next pass overwrites, ``sigma[l]`` too.
+    ``G`` is column-major: it never enters a matrix product, so its blocks,
+    and the column of each unit, are contiguous instead.
 
     A row of X may stand for a group of equal rows.  ``counts`` (all 1 when
     not given) holds each row's group size, every per-sample buffer holds
@@ -698,16 +699,17 @@ class BatchTrace:
     and ``d_sigma`` stay unweighted.  A trace serves one grouping: an
     ``EpochWorkspace`` builds a new one whenever the active inputs change.
 
-    A trace serves one structure of one network.  ``reset`` rebinds it to
-    the network's current structure and, when that changed, builds the
-    epoch ``plan`` that every pass runs from: one ``_LayerPlan`` per layer,
-    the only place where the layers' activation kinds are read.
+    A trace serves one network.  Every pass runs from its epoch ``plan``,
+    one ``_LayerPlan`` per layer, bound to the buffers and the network's
+    record once per trace; after an edit, ``reset`` patches the plan of each
+    layer whose live flags or activation codes changed.
     """
 
     __slots__ = ("source", "counts", "activations", "values", "sigma", "G", "y_grads",
                  "d_sigma", "grad", "weight_grads", "bias_grads", "version",
                  "smooth", "input_grads", "net", "plan", "g_lo", "_ys", "_product",
-                 "_weighted")
+                 "_weighted", "_backward")
+    _GRADIENTS = frozenset(("G", "y_grads", "d_sigma", "grad", "weight_grads", "bias_grads"))
 
     def __init__(self, net: Network, X, input_grads=True, counts=None):
         self.source = X
@@ -721,13 +723,22 @@ class BatchTrace:
         if self.counts.shape != (n,):
             raise InputShapeError(f"expected {n} counts, got {self.counts.shape}")
         A = self.activations = np.empty((n, off[-1]))
-        self.G = np.zeros_like(A, order="F")
-        blocks = [slice(off[l], off[l + 1]) for l in range(net.n_layers + 1)]
-        self.values = [A[:, cols] for cols in blocks]
-        self.y_grads = [self.G[:, cols] for cols in blocks]
-        self.sigma, self.d_sigma, self._ys = (
-            [None] + [np.empty((n, layer.width)) for layer in net.layers]
-            for _ in range(3))
+        self.values = [A[:, off[l]: off[l + 1]] for l in range(net.n_layers + 1)]
+        self.sigma, self._ys = ([None] + [np.empty((n, layer.width)) for layer in net.layers]
+                                for _ in range(2))
+        self.net, self._backward, self.version, self.input_grads = net, False, None, None
+        self.plan = [_LayerPlan(self, net, l, *params, *alive) for l, (params, alive)
+                     in enumerate(zip(net.views(net.params), net.views(net.alive)), start=1)]
+        self.reset(net, input_grads)
+
+    def __getattr__(self, name):
+        # a gradient buffer read before any was made: make them all
+        if name not in self._GRADIENTS or self._backward:
+            raise AttributeError(name)
+        net, n, off = self.net, len(self.activations), self.net.offsets
+        self.G = np.zeros_like(self.activations, order="F")
+        self.y_grads = [self.G[:, off[l]: off[l + 1]] for l in range(net.n_layers + 1)]
+        self.d_sigma = [None] + [np.zeros((n, layer.width)) for layer in net.layers]
         # the layers' d_sigma @ weights products share one buffer, and so
         # do their count-weighted dL/dsigma
         self._product = np.empty(n * off[-2])
@@ -736,30 +747,31 @@ class BatchTrace:
         # (None, weights 1, ...) and (None, bias 1, ...), made once
         self.weight_grads, self.bias_grads = map(list, zip((None, None),
                                                            *net.views(self.grad)))
-        self.net = self.version = self.input_grads = None
-        self.reset(net, input_grads)
+        self._backward = True
+        for p in self.plan:
+            p.bind_backward(self)
+        return getattr(self, name)
 
     def reset(self, net: Network, input_grads=True):
         """Put the buffers that passes read before they write in the state a
         new trace of ``net`` over the same inputs has: every neuron column,
         ``G`` and every dL/dsigma block zero, and masked features zeroed
         explicitly, because a zero weight times nan would still be nan.
-        The plan is built again only for another structure or
-        ``input_grads``."""
+        After an edit, the plan is patched."""
         A = self.activations
         A[:, : net.input_dim] = np.where(net.active_inputs, self.source, 0.0)
         A[:, net.input_dim:] = 0.0
-        self.G.fill(0.0)
-        for d_sigma in self.d_sigma[1:]:
-            d_sigma.fill(0.0)
-        if (self.net, self.version, self.input_grads) == (net, net._version, input_grads):
+        for zeroed in [self.G, *self.d_sigma[1:]] if self._backward else []:
+            zeroed.fill(0.0)
+        if self.version != net._version:
+            for p in self.plan:
+                p.patch(self)
+            self.smooth = all(p.step is None for p in self.plan)
+        elif self.input_grads == input_grads:
             return
-        self.net, self.version, self.input_grads = net, net._version, input_grads
-        self.plan = [_LayerPlan(self, net, l, *params, *alive) for l, (params, alive)
-                     in enumerate(zip(net.views(net.params), net.views(net.alive)), start=1)]
-        self.smooth = all(p.step is None for p in self.plan)
-        # the first G column a pass adds into; the columns before it stay 0
-        self.g_lo = min([p.lo for p in self.plan if p.writes], default=net.offsets[-2])
+        self.version, self.input_grads = net._version, input_grads
+        # the first G column a pass adds into; layer 1 adds only input gradients
+        self.g_lo = min([p.lo for p in self.plan[not input_grads:]], default=net.offsets[-2])
 
     @property
     def outputs(self):
@@ -767,9 +779,9 @@ class BatchTrace:
 
 
 class _LayerPlan:
-    """How the passes over one structure run layer l: views of the trace's
-    buffers and the layer's arrays, bound once, and what the structure
-    decides about them.
+    """How the passes of a trace run layer l: views of the trace's buffers
+    and of the layer's arrays, bound once per trace, and what the layer's
+    live flags and activation codes decide, which ``patch`` keeps current.
 
     Every layer runs one way, at full width and in place.  The outputs
     are ``tanh(sigma * scale)`` into the contiguous ``y``: ``scale`` is None
@@ -783,47 +795,59 @@ class _LayerPlan:
     columns set to 0.  Times the trace's ``counts`` it goes into
     ``weighted``, which only the weight and bias gradients read.  ``lo`` is
     the first source column with a live synapse.  Every weight before it is
-    a masked zero, so dL/d(sources) is added into ``G`` from ``lo`` on, and
-    only when the layer ``writes`` it (layer 1 only for input gradients).
-    The d_sigma @ weights product still has its full width, in the trace's
-    shared product buffer.
+    a masked zero, so dL/d(sources) is added into ``G`` from ``lo`` on, by
+    every layer but the first, and by the first only while the trace
+    computes input gradients.  The d_sigma @ weights product still has its
+    full width, in the trace's shared product buffer.
     """
 
-    __slots__ = ("inputs", "weights", "weights_t", "bias", "sigma", "values", "y",
-                 "y_grads", "d_sigma", "counts", "weighted", "weighted_t",
-                 "weight_grads", "bias_grads", "scale", "step", "dead", "lo", "writes",
-                 "product", "g_window_t", "product_window_t")
+    __slots__ = ("l", "inputs", "weights", "weights_t", "bias", "alive", "neuron_alive",
+                 "codes", "sigma", "values", "y", "y_grads", "d_sigma", "counts",
+                 "weighted", "weighted_t", "weight_grads", "bias_grads", "scale", "step",
+                 "dead", "lo", "product", "g_window_t", "product_window_t", "structure")
 
     def __init__(self, trace: BatchTrace, net: Network, l, weights, bias, alive,
                  neuron_alive):
-        off, n = net.offsets, len(trace.activations)
-        layer = net.layers[l - 1]
-        self.inputs = trace.activations[:, : off[l]]
+        off = net.offsets
+        self.l, self.inputs = l, trace.activations[:, : off[l]]
         self.weights, self.weights_t, self.bias = weights, weights.T, bias
-        self.sigma, self.values = trace.sigma[l], trace.values[l]
-        self.y, self.y_grads, self.d_sigma = trace._ys[l], trace.y_grads[l], trace.d_sigma[l]
+        self.alive, self.neuron_alive = alive, neuron_alive
+        self.codes = net.codes[off[l] - net.input_dim: off[l + 1] - net.input_dim]
+        self.sigma, self.values, self.y = trace.sigma[l], trace.values[l], trace._ys[l]
+        self.lo = self.structure = None
+
+    def bind_backward(self, trace: BatchTrace):
+        (n, width), l = self.y.shape, self.l
+        self.y_grads, self.d_sigma = trace.y_grads[l], trace.d_sigma[l]
         self.counts = trace.counts[:, None]
-        self.weighted = trace._weighted[: n * layer.width].reshape(n, layer.width)
+        self.weighted = trace._weighted[: n * width].reshape(n, width)
         self.weighted_t = self.weighted.T
         self.weight_grads, self.bias_grads = trace.weight_grads[l], trace.bias_grads[l]
-        codes = net.codes[off[l] - net.input_dim: off[l + 1] - net.input_dim]
+        self.product = trace._product[: self.inputs.size].reshape(self.inputs.shape)
+        self.lo = self.structure = None  # the windows into G are sliced anew
+        self.patch(trace)
+
+    def patch(self, trace: BatchTrace):
+        """If the layer's live flags or codes changed, recompute what they
+        decide: the columns of each kind and ``lo``, re-slicing the windows
+        into ``G`` when ``lo`` moved (a restore can move it back down)."""
+        structure = self.alive.tobytes() + self.neuron_alive.tobytes() + self.codes.tobytes()
+        if structure == self.structure:
+            return
+        self.structure = structure
         kinds = [ACTIVATIONS[code] if live else "dead"
-                 for code, live in zip(codes.tolist(), neuron_alive.tolist())]
+                 for code, live in zip(self.codes.tolist(), self.neuron_alive.tolist())]
         self.scale = (np.array([0.5 if kind == "sigmoid" else 1.0 for kind in kinds])
                       if "sigmoid" in kinds else None)
-        self.step, self.dead = (_columns(kinds, kind) for kind in ("step", "dead"))
-        sources = np.flatnonzero(alive.any(axis=0))
-        self.lo = int(sources[0]) if sources.size else off[l]
-        self.writes = l > 1 or trace.input_grads
-        self.product = trace._product[: n * off[l]].reshape(n, off[l])
-        # transposed, the add into G runs along its contiguous columns
-        self.g_window_t = trace.G.T[self.lo: off[l]]
-        self.product_window_t = self.product.T[self.lo:]
-
-
-def _columns(kinds, kind):
-    """The columns whose entry of ``kinds`` is ``kind``, or None if none is."""
-    return np.flatnonzero([k == kind for k in kinds]) if kind in kinds else None
+        self.step, self.dead = (np.array([k == kind for k in kinds]).nonzero()[0]
+                                if kind in kinds else None for kind in ("step", "dead"))
+        sources = self.alive.any(axis=0).nonzero()[0]
+        lo = int(sources[0]) if sources.size else self.inputs.shape[1]
+        if lo != self.lo and trace._backward:
+            # transposed, the add into G runs along its contiguous columns
+            self.g_window_t = trace.G.T[lo: self.inputs.shape[1]]
+            self.product_window_t = self.product.T[lo:]
+        self.lo = lo
 
 
 def forward_batch(net: Network, X, trace: BatchTrace | None = None) -> BatchTrace:
@@ -867,7 +891,7 @@ def backward_batch(net: Network, trace: BatchTrace, d_outputs) -> BatchTrace:
         np.multiply(p.y_grads, prime, out=p.d_sigma)
         if p.dead is not None:
             p.d_sigma[:, p.dead] = 0.0
-        if p.writes:
+        if p.l > 1 or trace.input_grads:
             np.matmul(p.d_sigma, p.weights, out=p.product)
             np.add(p.g_window_t, p.product_window_t, out=p.g_window_t)
         np.multiply(p.d_sigma, p.counts, out=p.weighted)

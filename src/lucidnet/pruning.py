@@ -31,6 +31,8 @@ import numbers
 import operator
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DivergenceError, NotTrainedError, PipelineAbort, PoolExhausted
 from .network import Network, input_ref
 from .sensitivity import ValidSet, collect_ledger, nearest_valid
@@ -192,20 +194,27 @@ def select_candidates(final_map, net: Network, problem: PruningProblem, m):
     its modification target: the nearest valid value of the weight's
     current value, or None for inputs and neurons.
 
-    ``final_map`` rates the candidate pool ({ref: indicator}).  Ties break
-    toward the lower ElementRef.  Raises PoolExhausted when the map is
-    empty, i.e. no candidate of the class remains (for uniform
-    simplification this is the successful exit: every fan-in is at or
-    below target).
+    ``final_map`` rates the candidate pool ({ref: indicator}).  One lexsort
+    picks by indicator, then by ElementRef.key rank: a weight's
+    ``weight_table`` row (a slot-0 synapse ranks as its bias), else the
+    value column of (layer, neuron).  So ties, -0.0 against 0.0 too, break
+    toward the lower ElementRef whatever the map's order.  Raises
+    PoolExhausted when the map is empty, i.e. no candidate of the class
+    remains (for uniform simplification this is the successful exit: every
+    fan-in is at or below target).
     """
     if m < 1:
         raise ValueError("M must be at least 1")
     if not final_map:
         raise PoolExhausted(f"no candidates left for {problem.kind}")
-    picked = sorted(final_map, key=lambda ref: (final_map[ref], ref.key))[:m]
-    if problem.element_class == "weight":
-        weights = net.params[net.weight_table.pos[net.weight_rows(picked)]]
-        return list(zip(picked, nearest_valid(weights, problem.valid_set).tolist()))
+    refs, weights = list(final_map), problem.element_class == "weight"
+    rank = net.weight_rows(refs) if weights else np.array([net.offsets[ref.layer] + ref.neuron
+                                                           for ref in refs])
+    picks = np.lexsort((rank, np.fromiter(final_map.values(), float, len(refs))))[:m].tolist()
+    picked = [refs[i] for i in picks]
+    if weights:
+        w = net.params[net.weight_table.pos[rank[picks]]]
+        return list(zip(picked, nearest_valid(w, problem.valid_set).tolist()))
     return [(ref, None) for ref in picked]
 
 
@@ -269,9 +278,9 @@ def _prune(net, dataset, config, m):
             "pruning requires a network that already meets the success criterion"
         )
     final = work.judged  # the network's until a step is accepted
-    steps = []
+    steps, save_hash = [], net.digest()  # an accepted step's digest is the next one
     while True:
-        saved, save_hash = net.snapshot(), net.digest()
+        saved = net.snapshot()
         pool = candidate_pool(net, config.problem)
         if m == "half-of-pool":
             m = max(1, len(pool) // 2)
@@ -313,6 +322,7 @@ def _prune(net, dataset, config, m):
             _emit(config, record)
             if accepted:
                 final = outcome.final_total_loss, outcome.final_accuracy
+                save_hash = record.net_hash_after
                 break  # fresh indicators on the smaller network
             if m == 1:
                 return PruneResult(net, steps, "failed-at-m1", *final)

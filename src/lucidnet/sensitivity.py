@@ -18,8 +18,8 @@ given, normally the pruning step's candidate pool, and
 network's weight table once; the ledger keeps the rows for ``finalize``,
 and the sample plan groups them by the gradient block they read.  Each
 epoch refills one reused samples buffer from the gradients that
-``train_epoch`` leaves in the trace, gathering at most ``_CHUNK`` rows at a
-time, so no per-epoch temporary grows with the pool.
+``train_epoch`` leaves in the trace, at most ``_CHUNK`` elements (refs
+times samples) at a time, so no per-epoch temporary grows past that bound.
 A sample is one of the workspace's groups of equal rows, which the avg
 statistic weights by its size.
 Which elements are candidates is decided by ``pruning.candidate_pool``
@@ -72,7 +72,7 @@ def nearest_valid(weights, valid_set: ValidSet):
     values = np.array(sorted(valid_set.values, key=lambda v: (abs(v), v)))
     w = np.asarray(weights, dtype=float)
     # argmin takes the first of equal distances, so the order breaks ties
-    nearest = values[np.argmin(np.abs(values - w[..., None]), axis=-1)]
+    nearest = values[np.abs(values - w[..., None]).argmin(axis=-1)]
     return float(nearest) if nearest.ndim == 0 else nearest
 
 
@@ -108,6 +108,7 @@ class SensitivityLedger:
         self.epochs_accumulated = 0
         self._max_sums = np.zeros(len(self.refs))
         self._avg_sums = np.zeros(len(self.refs))
+        self._weighted = None  # the count-weighted samples, made by the first epoch
 
     def add_epoch(self, samples):
         """Fold in one epoch's C-contiguous (len(refs), N) array of
@@ -115,10 +116,13 @@ class SensitivityLedger:
         reduced alone, as the 1-D reduction of that row would be."""
         if samples.shape[0] != len(self.refs):
             raise ValueError(f"{samples.shape[0]} sample rows for {len(self.refs)} refs")
-        self._max_sums += samples.max(axis=1)
-        counts = np.ones(samples.shape[1]) if self.counts is None else self.counts
-        # with every count 1, the sum and the division of samples.mean(axis=1)
-        self._avg_sums += np.add.reduce(samples * counts, axis=1) / counts.sum()
+        self._max_sums += np.maximum.reduce(samples, axis=1)
+        total = samples.shape[1]  # with every count 1, the sum and division of mean(axis=1)
+        if self.counts is not None:
+            if self._weighted is None:
+                self._weighted, self._total = np.empty_like(samples), self.counts.sum()
+            samples, total = np.multiply(samples, self.counts, out=self._weighted), self._total
+        self._avg_sums += np.add.reduce(samples, axis=1) / total
         self.epochs_accumulated += 1
 
     def finalize(self, net: Network, mode, valid_set: ValidSet | None = None):
@@ -144,34 +148,36 @@ class SensitivityLedger:
         return dict(zip(self.refs, indicators.tolist()))
 
 
-_CHUNK = 16  # sample rows gathered at a time; bounds the temporaries
+_CHUNK = 16 * 1024  # sample elements gathered at a time; bounds the temporaries
 
 
-def _sample_plan(net: Network, refs, rows):
+def _sample_plan(net: Network, refs, rows, samples):
     """The refs, whose ``weight_rows`` are ``rows``, grouped by the gradient
-    block they read and cut into chunks of at most ``_CHUNK``: (block,
-    positions in ``refs``, gradient columns, value columns or None).  Block
-    0 is ``trace.G``, which an input or a neuron reads with its own value
-    column; block l is ``trace.d_sigma[l]``, which a synapse reads with its
-    source's value column and a bias with none.  A weight's columns are
-    read from its row of ``net.weight_table``; an input's or a neuron's row
-    is -1, and its own value column replaces what that row reads."""
+    block they read and cut into chunks of at most ``_CHUNK`` elements of
+    ``samples`` each: (block, positions in ``refs``, gradient columns,
+    value columns or None).  Block 0 is ``trace.G``, which an input or a
+    neuron reads with its own value column; block l is ``trace.d_sigma[l]``,
+    which a synapse reads with its source's value column and a bias with
+    none.  A weight's columns are read from its row of ``net.weight_table``;
+    an input's or a neuron's row is -1, and its own value column replaces
+    what that row reads."""
     table = net.weight_table
     group = 2 * table.layer[rows] + table.synapse[rows]  # 2 * block + scaled
     cols, sources = table.neuron[rows], table.source[rows]
-    units = np.flatnonzero(rows < 0).tolist()
+    units = (rows < 0).nonzero()[0].tolist()
     if units:
         group[units] = 1
         cols[units] = sources[units] = [net.offsets[refs[k].layer] + refs[k].neuron
                                         for k in units]
-    order = np.argsort(group, kind="stable")  # each group keeps the order of refs
+    order = group.argsort(kind="stable")  # each group keeps the order of refs
     group, cols, sources = group[order], cols[order], sources[order]
-    ends = [e + 1 for e in np.flatnonzero(np.diff(group)).tolist()] + [len(refs)]
+    ends = [e + 1 for e in (group[1:] != group[:-1]).nonzero()[0].tolist()] + [len(refs)]
+    size = max(1, _CHUNK // max(1, samples))
     plan = []
     for start, end in zip([0, *ends[:-1]], ends):
-        for s in range(start, end, _CHUNK):
+        for s in range(start, end, size):
             block, scaled = divmod(int(group[s]), 2)
-            chunk = slice(s, min(s + _CHUNK, end))
+            chunk = slice(s, min(s + size, end))
             plan.append((block, order[chunk], cols[chunk], sources[chunk] if scaled else None))
     return plan
 
@@ -207,7 +213,7 @@ def collect_ledger(net: Network, dataset, loss_kind: LossKind,
     work = prepare_workspace(work, net, dataset, loss_kind, input_grads=any(
         ref.kind == "input" for ref in refs))
     ledger = SensitivityLedger(refs, work.trace.counts, net.weight_rows(refs))
-    plan = _sample_plan(net, ledger.refs, ledger.rows)
+    plan = _sample_plan(net, ledger.refs, ledger.rows, len(work.rows))
     samples = np.empty((len(ledger.refs), len(work.rows)))
     for _ in range(epochs):
         train_epoch(work, train_config, work.evaluate())

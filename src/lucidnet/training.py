@@ -179,8 +179,8 @@ class EpochWorkspace:
     def _group(self, input_grads):
         """The trace and per-row buffers over the groups of the dataset's
         rows under the network's current active inputs."""
-        self._grouped_by = self.net.active_inputs.copy()
-        self.rows, counts = distinct_rows(self.dataset, self._grouped_by)
+        self._grouped_by = self.net.active_inputs.tobytes()
+        self.rows, counts = distinct_rows(self.dataset, self.net.active_inputs)
         self.trace = BatchTrace(self.net, self.dataset.features[self.rows],
                                 input_grads, counts)
         self.targets = LossBuffers(self._targets[self.rows])
@@ -192,7 +192,7 @@ class EpochWorkspace:
     def reset(self, input_grads=False):
         """The trace rebound to the network's structure, and regrouped when
         the active inputs changed; the velocity zero."""
-        if not np.array_equal(self.net.active_inputs, self._grouped_by):
+        if self.net.active_inputs.tobytes() != self._grouped_by:
             self._group(input_grads)
         else:
             self.trace.reset(self.net, input_grads)

@@ -1,13 +1,14 @@
 """The epoch plan's passes equal a plain per-kind-group loop, bit for bit.
 
-``BatchTrace`` runs every pass from a plan built once per structure: every
-layer in place at full width through one loop body, tanh of the summator
-scaled per column, step columns overwritten, dead neurons' columns set to
-0, a column-major gradient matrix and adds into it that start at each
-layer's first live source column.  None of that may move a bit.  The
-networks drawn here have skip connections, dead neurons, layers of one
-kind and of kinds mixed neuron by neuron, and one to three outputs; traces
-compute input gradients or not and are reused across structural edits.
+``BatchTrace`` runs every pass from a plan bound once per trace and patched
+after each structural edit: every layer in place at full width through one
+loop body, tanh of the summator scaled per column, step columns
+overwritten, dead neurons' columns set to 0, a column-major gradient matrix
+and adds into it that start at each layer's first live source column.
+None of that may move a bit.  The networks drawn here have skip
+connections, dead neurons, layers of one kind and of kinds mixed neuron by
+neuron, and one to three outputs; traces compute input gradients or not
+and are reused across structural edits, restores and activation changes.
 Each is compared with ``batch_reference`` by ``tobytes``, and so is
 ``train_until``'s outcome and network under both losses.  Step neurons are
 drawn for forward passes only: backward refuses a live one.
@@ -23,7 +24,7 @@ from lucidnet import (LossKind, NonDifferentiableError, TrainConfig, build_netwo
 from lucidnet.network import BatchTrace, backward_batch, forward_batch
 
 from batch_reference import reference_backward, reference_forward, reference_train_until
-from conftest import apply_edits, edit_lists, make_dataset
+from conftest import EDIT_KINDS, apply_edits, edit_lists, make_dataset
 from test_network_reference import loaded, network_docs
 
 
@@ -77,6 +78,62 @@ class TestPassesEqualTheReference:
 
 def has_live_step(net):
     return any(net.activation(ref) == "step" for ref in net.iter_neurons())
+
+
+# what may happen to a network between two resets of one trace
+TRACE_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("edit"), st.sampled_from(EDIT_KINDS), st.integers(0, 10**6)),
+    st.tuples(st.just("flip")),  # input gradients on or off, no edit
+    st.tuples(st.just("snapshot")),
+    st.tuples(st.just("restore"), st.integers(0, 10**6)),
+    st.tuples(st.just("activation"), st.sampled_from(["tanh", "sigmoid", "step"]),
+              st.integers(0, 10**6)),
+), min_size=1, max_size=10)
+
+
+class TestATraceReusedAcrossManyResets:
+    """One trace follows a network through a sequence of steps, each
+    followed by a reset: edits with their cascades, input-gradient flips
+    with no edit, restores of earlier snapshots (which can move a layer's
+    first live source column back down) and activation changes.  After
+    every reset the passes equal the reference's, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=plan_docs(), edits=edit_lists, steps=TRACE_STEPS,
+           input_grads=st.booleans(), n=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_reset_equals_the_reference(self, doc, edits, steps, input_grads,
+                                              n, seed):
+        net = loaded(doc, edits)
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-1.0, 1.0, size=(n, net.input_dim))
+        d_out = rng.uniform(-1.0, 1.0, size=(n, net.layers[-1].width))
+        trace = BatchTrace(net, X, input_grads)
+        snapshots = [net.snapshot()]
+        for step in [("start",)] + steps:
+            if step[0] == "edit":
+                apply_edits(net, [step[1:]])
+            elif step[0] == "flip":
+                input_grads = not input_grads
+            elif step[0] == "snapshot":
+                snapshots.append(net.snapshot())
+            elif step[0] == "restore":
+                net.restore(snapshots[step[1] % len(snapshots)])
+            elif step[0] == "activation":
+                neurons = list(net.iter_neurons())
+                net.set_activation(neurons[step[2] % len(neurons)], step[1])
+            trace.reset(net, input_grads)
+            forward_batch(net, X, trace)
+            want = reference_forward(net, X)
+            assert same_bits(trace.activations, want.activations)
+            for l in range(1, net.n_layers + 1):
+                assert same_bits(trace.sigma[l], want.sigma[l])
+            if has_live_step(net):
+                with pytest.raises(NonDifferentiableError):
+                    backward_batch(net, trace, d_out)
+            else:
+                backward_batch(net, trace, d_out)
+                assert_trace_equals_reference(net, trace, X, d_out, input_grads)
 
 
 class TestStepLayers:

@@ -50,9 +50,9 @@ from lucidnet import (
     synapse_ref,
     train_until,
 )
-from lucidnet import pruning, training
+from lucidnet import pruning, sensitivity, training
 from lucidnet.network import BatchTrace, backward_batch
-from lucidnet.sensitivity import _CHUNK, _fill_samples, _sample_plan
+from lucidnet.sensitivity import _fill_samples, _sample_plan
 from lucidnet.training import EpochWorkspace, loss_terms, targets_for
 
 from conftest import (
@@ -126,7 +126,8 @@ def plain_train_until(net, ds, loss, cfg, stepper=plain_step):
 def plain_ledger(net, ds, loss, cfg, epochs, refs):
     """``collect_ledger`` with fresh buffers and targets every epoch."""
     ledger = SensitivityLedger(refs, distinct_groups(ds, net)[1])
-    plan = _sample_plan(net, ledger.refs, net.weight_rows(ledger.refs))
+    plan = _sample_plan(net, ledger.refs, net.weight_rows(ledger.refs),
+                        len(ledger.counts))
     velocity = None
     for _ in range(epochs):
         reps, trace = grouped_forward(net, ds)
@@ -526,8 +527,9 @@ def ledger_cases(draw):
 class TestLedgerEqualsPerSampleReference:
     """The chunked ledger rates every ref as the per-sample formulas do,
     bit for bit, in the pool's order: shuffled pools mix inputs, neurons,
-    and the biases and synapses of several layers, and often hold more
-    than one chunk of refs reading one gradient block."""
+    and the biases and synapses of several layers, and, with the chunk
+    bound drawn down to a few refs' samples, often hold more than one
+    chunk of refs reading one gradient block."""
 
     @staticmethod
     def check(net, twin, ds, loss, cfg, pool, epochs, mode):
@@ -540,12 +542,14 @@ class TestLedgerEqualsPerSampleReference:
 
     @settings(max_examples=60, deadline=None)
     @given(case=ledger_cases(), epochs=st.integers(1, 3),
-           mode=st.sampled_from(["max", "avg"]))
-    def test_shuffled_pools(self, case, epochs, mode):
-        self.check(*case, epochs, mode)
+           mode=st.sampled_from(["max", "avg"]),
+           chunk=st.sampled_from([sensitivity._CHUNK, 1, 140, 7 * 140]))
+    def test_shuffled_pools(self, case, epochs, mode, chunk):
+        with mock.patch.object(sensitivity, "_CHUNK", chunk):
+            self.check(*case, epochs, mode)
 
     @pytest.mark.parametrize("mode", ["max", "avg"])
-    def test_whole_pool_of_a_wide_net(self, mode):
+    def test_whole_pool_of_a_wide_net(self, mode, monkeypatch):
         nets = [build_network((6, 7, 5, 2), seed=3) for _ in range(2)]
         for net in nets:
             net.remove_element(neuron_ref(1, 4))
@@ -557,7 +561,9 @@ class TestLedgerEqualsPerSampleReference:
         pool = every_element(nets[0])
         pool = [pool[i] for i in rng.permutation(len(pool))]
         layer1 = [ref for ref in pool if ref.kind == "synapse" and ref.layer == 1]
-        assert len(layer1) > 2 * _CHUNK
+        # chunks of 16 refs' samples, so that layer 1's synapses take several
+        monkeypatch.setattr(sensitivity, "_CHUNK", 16 * len(distinct_groups(ds, nets[0])[1]))
+        assert len(layer1) > 2 * (sensitivity._CHUNK // len(distinct_groups(ds, nets[0])[1]))
         self.check(*nets, ds, LossKind("mse"), TrainConfig(0.05, 0.5), pool, 3, mode)
 
 
