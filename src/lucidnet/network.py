@@ -22,16 +22,17 @@ record, ``restore`` one copy back, and ``digest`` one sha256 over the
 topology and the record: the record determines ``network.json``, so equal
 digests of one topology mean equal bytes.  Edits never change array
 shapes: removing an input, neuron or synapse clears its flags and zeroes its
-weights in place, so ElementRefs stay valid for a whole pruning session and
-masked or dead units contribute exactly 0.  The ``weight_table``, built once
-per network, lists every bias and synapse slot in ElementRef order with its
-position in ``params``, and every walk and edit indexes the record through
-it: ``_neuron`` alone validates a neuron and ``_weight`` a weight ref, one
-``_kill`` tombstones synapses and whole neurons, ``fan_ins`` alone counts
-fan-in, one mask finds the live synapses of a dead source for the cascade
-audit and ``check_layered``, and pools, ratings, ``iter_weights`` and
-``to_doc`` read rows with array operations.  ``to_json`` is the compact
-``json.dumps`` of ``to_doc``, the survivors renumbered.
+weights in place, so ElementRefs, named tuples that hash in C, stay valid for
+a whole pruning session and masked or dead units contribute exactly 0.  The
+``weight_table``, built once per network, lists every bias and synapse slot
+in ElementRef order with its position in ``params``, and every walk and edit
+indexes the record through it: ``_neuron`` alone validates a neuron and
+``_weight`` a weight ref, one ``_kill`` tombstones synapses and whole
+neurons, ``fan_ins`` alone counts fan-in, the cascade audit runs its three
+rules in one sweep over masks of the rows, and pools, ratings,
+``iter_weights`` and ``to_doc`` read rows with array operations.
+``to_json`` is the compact ``json.dumps`` of ``to_doc``, the survivors
+renumbered.
 ``Network.from_doc`` rejects a malformed document with a ``DatasetError``
 (CLI exit code 2).  ``forward_batch``/``backward_batch`` run one masked
 matmul per layer in the buffers of a ``BatchTrace`` and return it; its
@@ -55,8 +56,8 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,8 +81,7 @@ def step_function(x):
 _KIND_ORDER = {"input": 0, "neuron": 1, "synapse": 2, "bias": 3}
 
 
-@dataclass(frozen=True)
-class ElementRef:
+class ElementRef(NamedTuple):
     """Address of one structural element.
 
     kind: "input", "neuron", "synapse", or "bias".
@@ -89,21 +89,15 @@ class ElementRef:
     neuron: feature index for inputs, neuron index within layer otherwise.
     slot: synapse position within the neuron, 1-based; 0 is the bias.
 
-    The hash is that of the four fields, computed once: pools and ratings
-    are dicts and sets of refs.
+    A ref is the tuple of its four fields: it equals, and hashes as, the
+    plain tuple of them, so pools and ratings hash refs in C.  Refs are
+    ordered by ``key``, not as tuples, which would compare the kind first.
     """
 
     kind: str
     layer: int
     neuron: int
     slot: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash",
-                           hash((self.kind, self.layer, self.neuron, self.slot)))
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def key(self):
@@ -120,17 +114,18 @@ class ElementRef:
 
     @staticmethod
     def parse(text: str) -> "ElementRef":
-        parts = text.split(":")
-        kind = parts[0]
+        """The ref whose ``str`` is ``text``; any other text, a wrong count
+        of parts or an unknown kind among them, raises ValueError."""
+        kind, *parts = text.split(":")
         if kind == "input":
-            return ElementRef("input", 0, int(parts[1]))
-        if kind == "neuron":
-            return ElementRef("neuron", int(parts[1]), int(parts[2]))
-        if kind == "bias":
-            return ElementRef("bias", int(parts[1]), int(parts[2]))
-        if kind == "synapse":
-            return ElementRef("synapse", int(parts[1]), int(parts[2]), int(parts[3]))
-        raise ValueError(f"unparseable element ref {text!r}")
+            parts.insert(0, "0")
+        try:
+            ref = ElementRef(kind, *map(int, parts))
+        except (TypeError, ValueError):
+            ref = None
+        if ref is None or str(ref) != text:
+            raise ValueError(f"unparseable element ref {text!r}")
+        return ref
 
 
 def input_ref(k):
@@ -437,53 +432,54 @@ class Network:
         table = self.weight_table
         return table.synapse & self.alive[table.pos]
 
-    def _orphans(self):
-        """Mask over the rows of ``weight_table``: the live synapses that
-        read a masked feature or a dead neuron."""
-        return self._live_synapses() & ~self._source_alive()[self.weight_table.source]
-
     def _audit(self):
-        """Sweep to a fixpoint of the cascade rules; returns removed refs."""
+        """One sweep of the cascade rules, in order; returns removed refs.
+
+        (a) kills the live synapses of dead sources, (b) every non-output
+        neuron with no live path to an output, (c) masks every feature that
+        no live synapse reads.  One sweep is a fixpoint: (a) moves no live
+        neuron's path to an output; a live synapse leaving a neuron that (b)
+        kills belongs to a neuron that (b) kills too, or the first would
+        reach an output; and (c) masks only unread features.  The live
+        synapse and source masks are read once and kept current through the
+        sweep's own kills."""
         table = self.weight_table
+        live, kept = self._live_synapses(), self._source_alive()
         removed = []
-        changed = True
-        while changed:
-            changed = False
-            # (a) synapses whose source is gone
-            doomed = self._orphans()
-            if doomed.any():
-                removed.extend(itertools.compress(table.refs, doomed.tolist()))
-                self._kill(table.pos[doomed])
-                changed = True
-            # (b) non-output neurons with no live path to an output, each
-            # listed as itself, its live synapses, then its bias
-            doomed = self._source_alive() & ~self._reaching_output()
-            doomed[: self.input_dim] = False
-            if doomed.any():
-                live = self.alive[table.pos].tolist()
-                for unit in doomed.nonzero()[0].tolist():
-                    rows = slice(table.starts[unit], table.starts[unit + 1])
-                    bias, *synapses = itertools.compress(table.refs[rows], live[rows])
-                    removed += [neuron_ref(bias.layer, bias.neuron), *synapses, bias]
-                self._kill(table.pos[doomed[table.unit]])
-                changed = True
-            # (c) features with no remaining outgoing synapse
-            read = np.bincount(table.source[self._live_synapses()],
-                               minlength=self.offsets[-1])[: self.input_dim]
-            unused = (self.active_inputs & (read == 0)).nonzero()[0].tolist()
-            if unused:
-                self.active_inputs[unused] = False
-                removed.extend(map(input_ref, unused))
-                changed = True
+        # (a) synapses whose source is gone
+        doomed = live & ~kept[table.source]
+        if doomed.any():
+            removed.extend(itertools.compress(table.refs, doomed.tolist()))
+            self._kill(table.pos[doomed])
+            live &= ~doomed
+        # (b) non-output neurons with no live path to an output, each
+        # listed as itself, its live synapses, then its bias
+        doomed = kept & ~self._reaching_output(kept, live)
+        doomed[: self.input_dim] = False
+        if doomed.any():
+            rows_alive = self.alive[table.pos].tolist()
+            for unit in doomed.nonzero()[0].tolist():
+                rows = slice(table.starts[unit], table.starts[unit + 1])
+                bias, *synapses = itertools.compress(table.refs[rows], rows_alive[rows])
+                removed += [neuron_ref(bias.layer, bias.neuron), *synapses, bias]
+            doomed = doomed[table.unit]
+            self._kill(table.pos[doomed])
+            live &= ~doomed
+        # (c) features with no remaining outgoing synapse
+        read = np.bincount(table.source[live], minlength=self.offsets[-1])[: self.input_dim]
+        unused = (self.active_inputs & (read == 0)).nonzero()[0].tolist()
+        if unused:
+            self.active_inputs[unused] = False
+            removed.extend(map(input_ref, unused))
         return removed
 
-    def _reaching_output(self):
+    def _reaching_output(self, kept, live):
         """Per column of the value vector, whether a live path leads from it
-        to an output; exact for the live neurons."""
+        to an output, given the ``_source_alive`` and ``_live_synapses``
+        masks; exact for the live neurons."""
         table, off = self.weight_table, self.offsets
-        reach = self._source_alive()
+        reach = kept.copy()
         reach[: off[-2]] = False
-        live = self._live_synapses()
         for l in range(self.n_layers, 1, -1):  # a layer's rows, then its sources
             rows = slice(table.starts[off[l]], table.starts[off[l + 1]])
             reach[table.source[rows][live[rows] & reach[table.unit[rows]]]] = True
@@ -501,9 +497,9 @@ class Network:
         first neuron with one that does not, and its lowest such source
         column.  Sources lie in strictly earlier layers by construction: a
         layer's matrix has no columns for itself or later layers."""
-        orphans = self._orphans()
+        table = self.weight_table
+        orphans = self._live_synapses() & ~self._source_alive()[table.source]
         if orphans.any():
-            table = self.weight_table
             unit = table.unit[orphans.argmax()]
             sl, si = self._source(int(table.source[orphans & (table.unit == unit)].min()))
             what = "a masked feature" if sl == 0 else "a dead neuron"

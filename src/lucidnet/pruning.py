@@ -61,11 +61,10 @@ class PruningProblem:
         if self.kind == "precision-reduction" and self.valid_set is None:
             raise ValueError("precision reduction needs a valid set")
         if self.kind in ("synapse-removal", "uniform-simplification"):
-            # removal is precision reduction with the singleton {0}
-            if self.valid_set is None:
-                object.__setattr__(self, "valid_set", ValidSet.removal())
-            elif self.valid_set.values != (0.0,):
+            # removal is precision reduction with the singleton {0}, never {-0.0}
+            if self.valid_set not in (None, ValidSet.removal()):
                 raise ValueError("removal problems fix the valid set at {0}")
+            object.__setattr__(self, "valid_set", ValidSet.removal())
 
     @property
     def element_class(self):
@@ -221,25 +220,21 @@ def select_candidates(final_map, net: Network, problem: PruningProblem, m):
 def apply_modification(net: Network, candidates, problem: PruningProblem):
     """Apply one batch of modifications; returns (modified refs, cascade).
 
-    Deletion problems route through remove_element so dead subnetworks are
-    cleaned up; precision reduction freezes the weight at its target.  A
-    candidate that vanished through an earlier cascade in the same batch is
-    skipped.
+    One rule: a bias, or any weight under precision reduction, is frozen at
+    its target (a removal problem's valid set is {0}, so a bias's target
+    is 0.0); every other element goes through remove_element, so dead
+    subnetworks are cleaned up.  A candidate that vanished through an
+    earlier cascade in the same batch is skipped.
     """
     applied = []
     cascade = []
     for ref, target in candidates:
         if not net.is_alive(ref):
             continue
-        if problem.kind == "feature-selection" or problem.kind == "neuron-removal":
-            cascade.extend(net.remove_element(ref))
-        elif problem.kind == "precision-reduction":
+        if ref.kind == "bias" or problem.kind == "precision-reduction":
             net.set_weight(ref, target, freeze=True)
-        else:  # synapse removal, uniform simplification
-            if ref.kind == "bias":
-                net.set_weight(ref, 0.0, freeze=True)
-            else:
-                cascade.extend(net.remove_element(ref))
+        else:
+            cascade.extend(net.remove_element(ref))
         applied.append(ref)
     return applied, cascade
 

@@ -218,29 +218,19 @@ class RuleSet:
     # -- rendering ---------------------------------------------------------
 
     def render_text(self):
-        lines = []
+        """The rules in words: the hidden rules numbered in order, then one
+        class rule per output, each head followed by its statements."""
         output_names = {name for _, name in self.output_rules}
-        counter = 0
-        for rule in self.rules:
-            if rule.name in output_names:
-                continue
-            counter += 1
-            shown = f"{rule.name} ({rule.title})" if rule.title else rule.name
-            lines.append(
-                f"{counter}. {shown} appears if at least {rule.k} of the "
-                f"following {len(rule.statements)} statements hold:"
-            )
-            for st in rule.statements:
-                lines.append(f"   - {st.render(self.feature_texts)}")
         by_name = {r.name: r for r in self.rules}
-        for label, name in self.output_rules:
-            rule = by_name[name]
-            lines.append(
-                f"Class {label} if at least {rule.k} of the following "
-                f"{len(rule.statements)} statements hold:"
-            )
-            for st in rule.statements:
-                lines.append(f"   - {st.render(self.feature_texts)}")
+        hidden = [r for r in self.rules if r.name not in output_names]
+        heads = [(f"{n}. {r.name}{f' ({r.title})' if r.title else ''} appears", r)
+                 for n, r in enumerate(hidden, start=1)]
+        heads += [(f"Class {label}", by_name[name]) for label, name in self.output_rules]
+        lines = []
+        for head, rule in heads:
+            lines.append(f"{head} if at least {rule.k} of the following "
+                         f"{len(rule.statements)} statements hold:")
+            lines += [f"   - {st.render(self.feature_texts)}" for st in rule.statements]
         if len(self.output_rules) == 1 and len(self.class_labels) == 2:
             label = self.output_rules[0][0]
             other = next(c for c in self.class_labels if c != label)
@@ -298,14 +288,12 @@ def _threshold_count(m, bias):
     return (m - int(round(bias)) + 1) // 2
 
 
-def verbalize(net: Network, feature_names=None, rule_names=None,
-              feature_texts=None) -> RuleSet:
+def verbalize(net: Network, feature_names=None, feature_texts=None) -> RuleSet:
     """Turn a frozen ternary step network into a hierarchy of threshold
     rules.  Zero-weight synapses contribute no statement.
 
     Rules are read from the compact document (``net.to_doc()``), so the
-    default syndrome names and the ``neuron:l:i`` keys of ``rule_names``
-    number the neurons as the saved ``network.json`` does.
+    syndrome names number the neurons as the saved ``network.json`` does.
     """
     _require_frozen_ternary(net)
     doc = net.to_doc()
@@ -317,7 +305,6 @@ def verbalize(net: Network, feature_names=None, rule_names=None,
         feature_names = [f"x{k}" for k in range(net.input_dim)]
     if len(feature_names) != net.input_dim:
         raise ValueError("feature name table does not match input dimension")
-    rule_names = rule_names or {}
 
     names = {}
     rules = []
@@ -325,8 +312,7 @@ def verbalize(net: Network, feature_names=None, rule_names=None,
     n_out = len(doc["layers"][-1])
     for l, layer in enumerate(doc["layers"], start=1):
         for i, neuron in enumerate(layer):
-            default = f"syndrome-{l}-{i}" if l < last else net.output_labels[i]
-            name = rule_names.get(f"neuron:{l}:{i}", default)
+            name = f"syndrome-{l}-{i}" if l < last else net.output_labels[i]
             names[(l, i)] = name
             statements = []
             for syn in neuron["synapses"]:

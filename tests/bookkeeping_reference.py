@@ -215,7 +215,9 @@ def source_alive(net):
 
 
 def reference_audit(net):
-    """Sweep to a fixpoint of the cascade rules; returns removed refs."""
+    """Sweep to a fixpoint of the cascade rules; returns removed refs.  The
+    loop checks that ``Network._audit``'s single sweep reaches the fixpoint,
+    on foreign states too."""
     removed = []
     layers = layer_arrays(net)
     changed = True

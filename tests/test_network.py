@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lucidnet import (
+    ElementRef,
     IllegalModificationError,
     InputShapeError,
     LossKind,
@@ -25,6 +28,8 @@ from conftest import (
     assert_close_rel,
     finite_difference_weight,
     make_dataset,
+    network_from_layers,
+    neuron_doc,
     single_neuron_net,
 )
 from sample_reference import backward, forward
@@ -182,6 +187,24 @@ class TestRemoveElement:
             assert all(src != (0, 1) for _, src, _, _ in synapses(net, nref))
         assert {str(r) for r in cascade} == {"synapse:1:0:2", "synapse:1:1:2"}
 
+    def test_one_sweep_fires_all_three_rules_in_order(self):
+        """Two chains x0 -> 1:0 -> 2:0 and x1 -> 1:1 -> 2:1 into one output.
+        Removing 2:0 orphans its outgoing synapse (a), leaves 1:0 with no
+        path to the output (b) and, only once (b) has killed 1:0, leaves x0
+        unread (c); so the one sweep must run (b) before (c)."""
+        net = network_from_layers(2, [
+            [neuron_doc(0.1, [(0, 0, 0.5)]), neuron_doc(0.2, [(0, 1, 0.5)])],
+            [neuron_doc(0.3, [(1, 0, 0.5)]), neuron_doc(0.4, [(1, 1, 0.5)])],
+            [neuron_doc(0.5, [(2, 0, 0.5), (2, 1, 0.5)])],
+        ], ["pos", "neg"])
+        cascade = net.remove_element(neuron_ref(2, 0))
+        assert [str(r) for r in cascade] == [
+            "synapse:3:0:1", "neuron:1:0", "synapse:1:0:1", "bias:1:0", "input:0"]
+        assert net.audit_structure() == []
+        assert net.active_inputs.tolist() == [False, True]
+        assert [str(r) for r in net.iter_neurons()] == ["neuron:1:1", "neuron:2:1",
+                                                        "neuron:3:0"]
+
     def test_no_cascade_in_fully_connected(self):
         net = build_network((2, 2, 1), seed=0)
         cascade = net.remove_element(synapse_ref(1, 0, 1))
@@ -290,3 +313,38 @@ class TestBuildNetwork:
     def test_zero_size_layer_rejected(self):
         with pytest.raises(ValueError):
             build_network((2, 0, 1))
+
+
+element_refs = st.one_of(
+    st.builds(input_ref, st.integers(-3, 10**9)),
+    st.builds(neuron_ref, st.integers(-3, 10**9), st.integers(-3, 10**9)),
+    st.builds(bias_ref, st.integers(-3, 10**9), st.integers(-3, 10**9)),
+    st.builds(synapse_ref, st.integers(-3, 10**9), st.integers(-3, 10**9),
+              st.integers(-3, 10**9)),
+)
+
+
+class TestElementRef:
+    @given(refs=st.lists(element_refs, min_size=1, max_size=6), extra=st.integers(0, 99))
+    def test_parse_inverts_str_and_refuses_other_part_counts(self, refs, extra):
+        parsed = [ElementRef.parse(str(ref)) for ref in refs]
+        assert parsed == refs
+        assert [hash(p) for p in parsed] == [hash(ref) for ref in refs]
+        # a ref is the plain tuple of its fields
+        assert refs == [tuple(ref) for ref in refs]
+        assert [hash(ref) for ref in refs] == [hash(tuple(ref)) for ref in refs]
+        # so parsed refs sort by key as the originals do
+        assert [p.key for p in parsed] == [ref.key for ref in refs]
+        for ref in refs:
+            parts = str(ref).split(":")
+            for wrong in [":".join(parts[:k]) for k in range(1, len(parts))] + [
+                    f"{ref}:{extra}", f"{ref}:"]:
+                with pytest.raises(ValueError, match="unparseable element ref"):
+                    ElementRef.parse(wrong)
+
+    @pytest.mark.parametrize("text", [
+        "synapse:1:2", "neuron:1", "input", "bias:1", "input:1:2", "synapse:1:2:3:4",
+        "bias:1:2:0", "neuron:1:2:3", "input:01", "gate:1:2", "", "synapse:1:x:2"])
+    def test_malformed_texts_raise_value_error(self, text):
+        with pytest.raises(ValueError, match="unparseable element ref"):
+            ElementRef.parse(text)

@@ -190,6 +190,16 @@ class TestApplyModification:
         assert net.weight(ref) == 0.0 and not net.is_trainable(ref)
         assert net.is_alive(ref)
 
+    def test_a_removal_set_given_as_negative_zero_freezes_biases_at_zero(self):
+        """A bias is frozen at its selected target, and a removal problem's
+        valid set is {0} even when given as {-0.0}."""
+        net = uneven_fan_net()
+        problem = PruningProblem("synapse-removal", valid_set=ValidSet((-0.0,)))
+        assert repr(problem.valid_set.values) == "(0.0,)"
+        candidates = select_candidates({bias_ref(1, 0): 0.0}, net, problem, 1)
+        assert apply_modification(net, candidates, problem) == ([bias_ref(1, 0)], [])
+        assert repr(net.weight(bias_ref(1, 0))) == "0.0"
+
 
 def doomed_single_weight_net():
     """The only trainable element is the one synapse; removing it leaves an
