@@ -25,16 +25,25 @@ from .errors import (
     PipelineAbort,
     UsageError,
 )
-from .network import Network, build_network
+from .network import SMOOTH_ACTIVATIONS, Network, build_network
 from .pruning import (
+    LOOP_KINDS,
+    PROBLEM_KINDS,
     PruneConfig,
     PruningProblem,
     candidate_pool,
     rate_pool,
     run_pipeline,
 )
-from .sensitivity import ValidSet, export_csv
-from .training import LossKind, TrainConfig, evaluate_classification, train_until
+from .sensitivity import INDICATOR_MODES, ValidSet, export_csv
+from .training import (
+    LOSS_KINDS,
+    SUCCESS_CRITERIA,
+    LossKind,
+    TrainConfig,
+    evaluate_classification,
+    train_until,
+)
 from .transparency import (
     RuleSet,
     classify_rules,
@@ -431,10 +440,10 @@ def build_parser():
     configured.add_argument("--lr", type=float, dest="learning_rate")
     configured.add_argument("--momentum", type=float)
     configured.add_argument("--epochs", type=int, dest="max_epochs")
-    configured.add_argument("--criterion", choices=(
-        "loss-below-threshold", "zero-classification-error"), dest="success_criterion")
+    configured.add_argument("--criterion", choices=SUCCESS_CRITERIA,
+                            dest="success_criterion")
     configured.add_argument("--threshold", type=float, dest="loss_threshold")
-    configured.add_argument("--loss", choices=("mse", "margin"), dest="kind")
+    configured.add_argument("--loss", choices=LOSS_KINDS, dest="kind")
     configured.add_argument("--margin-width", type=float)
     configured.add_argument("--seed", type=int)
     valid_set = _flag_type("stages", "valid_set",
@@ -444,7 +453,7 @@ def build_parser():
                        help="train a fresh network on a dataset")
     p.add_argument("--arch", help="layer sizes, e.g. 12,10,10,2", type=_flag_type(
         "network", "arch", lambda text: [int(v) for v in text.replace("-", ",").split(",")]))
-    p.add_argument("--activation", choices=("tanh", "sigmoid"))
+    p.add_argument("--activation", choices=SMOOTH_ACTIVATIONS)
     p.add_argument("--labels", help="output class labels, e.g. P,O",
                    type=lambda text: text.split(","))
     p.set_defaults(func=cmd_train)
@@ -452,17 +461,15 @@ def build_parser():
     p = sub.add_parser("prune", parents=[configured],
                        help="run pruning stages on a trained network")
     p.add_argument("--network", dest="file")
-    p.add_argument("--problem", choices=(
-        "feature-selection", "neuron-removal", "synapse-removal",
-        "precision-reduction", "uniform-simplification"))
-    p.add_argument("--mode", choices=("max", "avg"))
+    p.add_argument("--problem", choices=PROBLEM_KINDS)
+    p.add_argument("--mode", choices=INDICATOR_MODES)
     p.add_argument("--valid-set", type=valid_set,
                    help="comma-separated values, e.g. -1,0,1")
     p.add_argument("--target-fan-in", type=int)
     p.add_argument("--acc-epochs", type=int, dest="accumulation_epochs")
     p.add_argument("--initial-m", type=_flag_type(
         "stages", "initial_m", lambda text: text if text == "half-of-pool" else int(text)))
-    p.add_argument("--loop", choices=("basic", "accelerated"))
+    p.add_argument("--loop", choices=LOOP_KINDS)
     p.set_defaults(func=cmd_prune)
 
     p = sub.add_parser("indicators", parents=[configured],
@@ -470,7 +477,7 @@ def build_parser():
     p.add_argument("--network", dest="file", required=True)
     p.add_argument("--element-class", required=True,
                    choices=("input", "weight", "neuron"))
-    p.add_argument("--mode", choices=("max", "avg"))
+    p.add_argument("--mode", choices=INDICATOR_MODES)
     p.add_argument("--valid-set", type=valid_set, default=[0])
     p.add_argument("--acc-epochs", type=int, dest="accumulation_epochs")
     p.set_defaults(func=cmd_indicators)

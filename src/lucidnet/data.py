@@ -30,7 +30,6 @@ ELECTION_QUESTIONS = [
 ]
 
 ELECTION_FEATURE_NAMES = [name for name, _ in ELECTION_QUESTIONS]
-ELECTION_CLASS_LABELS = ["P", "O"]
 
 
 @dataclass

@@ -38,8 +38,9 @@ renumbered.
 matmul per layer in the buffers of a ``BatchTrace`` and return it; its
 flat gradient has the layout of ``params``.  A training run makes one trace
 and passes it back to every epoch's ``forward_batch``, so the masked inputs
-and matrices are built once per run.  A trace binds the epoch plan that
-passes run from once, and ``BatchTrace.reset`` patches it after a structural
+and matrices are built once per run.  A trace is built whole: it makes
+every buffer, the gradient buffers included, and binds the epoch plan that
+passes run from, and ``BatchTrace.reset`` patches the plan after a structural
 edit, so a pruning stage allocates its buffers and views once.  Every
 layer, whatever its mix of tanh, sigmoid, step and dead neurons, runs
 through the same loop body; a sigmoid is tanh at half the summator, scaled
@@ -681,11 +682,10 @@ class BatchTrace:
     the gradient matrix ``G`` (``y_grads[0]``: the inputs'), ``d_sigma[l]``,
     the per-sample dL/dsigma and bias gradients, and ``grad``, the sum over
     the samples in the layout of ``Network.params``, whose per-layer views
-    are ``weight_grads`` and ``bias_grads``, all made when one of them is
-    first read, so a trace of forward passes only never makes them.  With
-    ``input_grads`` false ``y_grads[0]`` stays zero.  ``smooth`` says
-    whether no live neuron is a step, as ``backward_batch`` requires.  All
-    of these are buffers that the next pass overwrites, ``sigma[l]`` too.
+    are ``weight_grads`` and ``bias_grads``.  With ``input_grads`` false
+    ``y_grads[0]`` stays zero.  ``smooth`` says whether no live neuron is a
+    step, as ``backward_batch`` requires.  All of these are buffers, made
+    with the trace, that the next pass overwrites, ``sigma[l]`` too.
     ``G`` is column-major: it never enters a matrix product, so its blocks,
     and the column of each unit, are contiguous instead.
 
@@ -704,8 +704,7 @@ class BatchTrace:
     __slots__ = ("source", "counts", "activations", "values", "sigma", "G", "y_grads",
                  "d_sigma", "grad", "weight_grads", "bias_grads", "version",
                  "smooth", "input_grads", "net", "plan", "g_lo", "_ys", "_product",
-                 "_weighted", "_backward")
-    _GRADIENTS = frozenset(("G", "y_grads", "d_sigma", "grad", "weight_grads", "bias_grads"))
+                 "_weighted")
 
     def __init__(self, net: Network, X, input_grads=True, counts=None):
         self.source = X
@@ -720,33 +719,22 @@ class BatchTrace:
             raise InputShapeError(f"expected {n} counts, got {self.counts.shape}")
         A = self.activations = np.empty((n, off[-1]))
         self.values = [A[:, off[l]: off[l + 1]] for l in range(net.n_layers + 1)]
-        self.sigma, self._ys = ([None] + [np.empty((n, layer.width)) for layer in net.layers]
-                                for _ in range(2))
-        self.net, self._backward, self.version, self.input_grads = net, False, None, None
-        self.plan = [_LayerPlan(self, net, l, *params, *alive) for l, (params, alive)
-                     in enumerate(zip(net.views(net.params), net.views(net.alive)), start=1)]
-        self.reset(net, input_grads)
-
-    def __getattr__(self, name):
-        # a gradient buffer read before any was made: make them all
-        if name not in self._GRADIENTS or self._backward:
-            raise AttributeError(name)
-        net, n, off = self.net, len(self.activations), self.net.offsets
-        self.G = np.zeros_like(self.activations, order="F")
+        self.G = np.empty_like(A, order="F")
         self.y_grads = [self.G[:, off[l]: off[l + 1]] for l in range(net.n_layers + 1)]
-        self.d_sigma = [None] + [np.zeros((n, layer.width)) for layer in net.layers]
+        self.sigma, self._ys, self.d_sigma = (
+            [None] + [np.empty((n, layer.width)) for layer in net.layers] for _ in range(3))
         # the layers' d_sigma @ weights products share one buffer, and so
         # do their count-weighted dL/dsigma
         self._product = np.empty(n * off[-2])
         self._weighted = np.empty(n * max(layer.width for layer in net.layers))
         self.grad = np.zeros_like(net.params)
-        # (None, weights 1, ...) and (None, bias 1, ...), made once
+        # (None, weights 1, ...) and (None, bias 1, ...)
         self.weight_grads, self.bias_grads = map(list, zip((None, None),
                                                            *net.views(self.grad)))
-        self._backward = True
-        for p in self.plan:
-            p.bind_backward(self)
-        return getattr(self, name)
+        self.net, self.version, self.input_grads = net, None, None
+        self.plan = [_LayerPlan(self, net, l, *params, *alive) for l, (params, alive)
+                     in enumerate(zip(net.views(net.params), net.views(net.alive)), start=1)]
+        self.reset(net, input_grads)
 
     def reset(self, net: Network, input_grads=True):
         """Put the buffers that passes read before they write in the state a
@@ -757,7 +745,7 @@ class BatchTrace:
         A = self.activations
         A[:, : net.input_dim] = np.where(net.active_inputs, self.source, 0.0)
         A[:, net.input_dim:] = 0.0
-        for zeroed in [self.G, *self.d_sigma[1:]] if self._backward else []:
+        for zeroed in [self.G, *self.d_sigma[1:]]:
             zeroed.fill(0.0)
         if self.version != net._version:
             for p in self.plan:
@@ -810,18 +798,14 @@ class _LayerPlan:
         self.alive, self.neuron_alive = alive, neuron_alive
         self.codes = net.codes[off[l] - net.input_dim: off[l + 1] - net.input_dim]
         self.sigma, self.values, self.y = trace.sigma[l], trace.values[l], trace._ys[l]
-        self.lo = self.structure = None
-
-    def bind_backward(self, trace: BatchTrace):
-        (n, width), l = self.y.shape, self.l
+        n, width = self.y.shape
         self.y_grads, self.d_sigma = trace.y_grads[l], trace.d_sigma[l]
         self.counts = trace.counts[:, None]
         self.weighted = trace._weighted[: n * width].reshape(n, width)
         self.weighted_t = self.weighted.T
         self.weight_grads, self.bias_grads = trace.weight_grads[l], trace.bias_grads[l]
         self.product = trace._product[: self.inputs.size].reshape(self.inputs.shape)
-        self.lo = self.structure = None  # the windows into G are sliced anew
-        self.patch(trace)
+        self.lo = self.structure = None
 
     def patch(self, trace: BatchTrace):
         """If the layer's live flags or codes changed, recompute what they
@@ -839,7 +823,7 @@ class _LayerPlan:
                                 if kind in kinds else None for kind in ("step", "dead"))
         sources = self.alive.any(axis=0).nonzero()[0]
         lo = int(sources[0]) if sources.size else self.inputs.shape[1]
-        if lo != self.lo and trace._backward:
+        if lo != self.lo:
             # transposed, the add into G runs along its contiguous columns
             self.g_window_t = trace.G.T[lo: self.inputs.shape[1]]
             self.product_window_t = self.product.T[lo:]

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DivergenceError, NotTrainedError, PipelineAbort, PoolExhausted
 from .network import Network, input_ref
-from .sensitivity import ValidSet, collect_ledger, nearest_valid
+from .sensitivity import INDICATOR_MODES, ValidSet, collect_ledger, nearest_valid
 from .training import EpochWorkspace, LossKind, TrainConfig, criterion_met, train_until
 
 PROBLEM_KINDS = (
@@ -45,6 +45,7 @@ PROBLEM_KINDS = (
     "precision-reduction",
     "uniform-simplification",
 )
+LOOP_KINDS = ("basic", "accelerated")
 
 
 @dataclass(frozen=True)
@@ -87,11 +88,11 @@ class PruneConfig:
     log_sink: object = None
 
     def __post_init__(self):
-        if self.indicator_mode not in ("max", "avg"):
+        if self.indicator_mode not in INDICATOR_MODES:
             raise ValueError(f"unknown indicator mode {self.indicator_mode!r}")
         if self.accumulation_epochs < 1:
             raise ValueError("need at least one accumulation epoch")
-        if self.loop not in ("basic", "accelerated"):
+        if self.loop not in LOOP_KINDS:
             raise ValueError(f"unknown loop kind {self.loop!r}")
         m = self.initial_m
         if m != "half-of-pool":
@@ -262,8 +263,8 @@ def rate_pool(net, dataset, config, pool, work=None):
     """{ref: indicator} over ``pool`` from a fresh ledger of the config's
     accumulation epochs, which train the network (in ``work`` if given)."""
     ledger = collect_ledger(net, dataset, config.loss_kind, config.retrain,
-                            config.accumulation_epochs, pool, work)
-    return ledger.finalize(net, config.indicator_mode, config.problem.valid_set)
+                            config.accumulation_epochs, pool, config.indicator_mode, work)
+    return ledger.finalize(net, config.problem.valid_set)
 
 
 def _prune(net, dataset, config, m):

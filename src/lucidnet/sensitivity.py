@@ -10,16 +10,16 @@ For weight indicators the displacement factor |v - w| stays outside the
 sample statistic and is applied once at finalize time against the current
 weight and its current nearest valid value.
 
-``collect_ledger(..., refs)`` builds a ledger for exactly the refs it is
-given, normally the pruning step's candidate pool, and
-``SensitivityLedger.finalize`` rates the ledger's own refs in order as
-``{ref: indicator}``, gathering the rated weights by their positions in
-``Network.params``.  ``collect_ledger`` resolves the refs to rows of the
-network's weight table once; the ledger keeps the rows for ``finalize``,
-and the sample plan groups them by the gradient block they read.  Each
-epoch refills one reused samples buffer from the gradients that
-``train_epoch`` leaves in the trace, at most ``_CHUNK`` elements (refs
-times samples) at a time, so no per-epoch temporary grows past that bound.
+``collect_ledger(..., refs, mode)`` builds a ledger for exactly the refs it
+is given, normally the pruning step's candidate pool, and sums only the
+statistic that ``mode`` names; ``SensitivityLedger.finalize`` rates the
+ledger's own refs in order as ``{ref: indicator}``, gathering the rated
+weights by their positions in ``Network.params``.  A ledger resolves its
+refs to rows of the network's weight table once, when it is built, and the
+sample plan groups them by the gradient block they read.  Each epoch
+refills one reused samples buffer from the gradients that ``train_epoch``
+leaves in the trace, at most ``_CHUNK`` elements (refs times samples) at a
+time, so no per-epoch temporary grows past that bound.
 A sample is one of the workspace's groups of equal rows, which the avg
 statistic weights by its size.
 Which elements are candidates is decided by ``pruning.candidate_pool``
@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import StaleReferenceError
 from .network import Network
 from .training import LossKind, TrainConfig, prepare_workspace, train_epoch
 
@@ -79,71 +80,74 @@ def nearest_valid(weights, valid_set: ValidSet):
 # -- cross-epoch ledger ---------------------------------------------------
 
 class SensitivityLedger:
-    """Accumulates per-epoch aggregates of per-sample indicator statistics
-    for a fixed list of refs, normally a pruning step's candidate pool.
+    """Accumulates per-epoch aggregates of one per-sample indicator
+    statistic for a fixed list of refs of ``net``, normally a pruning
+    step's candidate pool.
 
-    Both the max and the avg statistic are tracked, so either mode can be
-    finalized from one accumulation run.  Each is one array of sums in the
-    order of ``refs``, added to in epoch order.
-
-    ``rows`` are the refs' rows of the network's weight table, as
-    ``Network.weight_rows`` gives them; ``finalize`` resolves them itself
-    when they are not given.  ``collect_ledger`` gives them, since its
-    epochs move weights only and no ref can go stale before ``finalize``.
+    ``mode`` names the statistic: "max", the largest sample, or "avg", the
+    mean over the rows.  Its per-epoch aggregates are summed into one array
+    in the order of ``refs``, in epoch order.  The refs are resolved to
+    their rows of the network's weight table, as ``Network.weight_rows``
+    gives them, once, here: the epochs of ``collect_ledger`` move weights
+    only, so none of its refs can go stale before ``finalize``.
 
     A sample may stand for a group of equal rows, as in an
-    ``EpochWorkspace``: the sample arrays then hold one column per group,
-    and ``counts``, given once here, holds the group sizes.  Only the avg
-    statistic reads them, as the count-weighted mean over all rows; the max
-    of the groups is the max of the rows.  Without ``counts`` each sample is
-    one row.  A ledger serves one grouping: ``collect_ledger`` builds it
-    after the workspace's reset, which regroups whenever the active inputs
-    changed, and no epoch of a ledger changes them.
+    ``EpochWorkspace``: ``counts`` holds one group size per sample column,
+    all 1 when each sample is one row.  Only the avg statistic weights the
+    samples by them, as the count-weighted mean over all rows; the max of
+    the groups is the max of the rows.  A ledger serves one grouping:
+    ``collect_ledger`` builds it after the workspace's reset, which
+    regroups whenever the active inputs changed, and no epoch of a ledger
+    changes them.
     """
 
-    def __init__(self, refs, counts=None, rows=None):
-        self.refs = list(refs)
-        self.counts = counts
-        self.rows = rows
+    def __init__(self, net: Network, refs, counts, mode):
+        if mode not in INDICATOR_MODES:
+            raise ValueError(f"unknown indicator mode {mode!r}")
+        self.refs, self.mode = list(refs), mode
+        self.rows = net.weight_rows(self.refs)
+        self.counts = np.asarray(counts, dtype=float)
+        self.shape = (len(self.refs), len(self.counts))  # of each epoch's samples
         self.epochs_accumulated = 0
-        self._max_sums = np.zeros(len(self.refs))
-        self._avg_sums = np.zeros(len(self.refs))
-        self._weighted = None  # the count-weighted samples, made by the first epoch
+        self._sums = np.zeros(len(self.refs))
+        # the count-weighted samples of an avg epoch, and their total weight
+        self._weighted = np.empty(self.shape) if mode == "avg" else None
+        self._total = self.counts.sum()
 
     def add_epoch(self, samples):
-        """Fold in one epoch's C-contiguous (len(refs), N) array of
-        per-sample magnitudes, row i belonging to refs[i].  Each row is
-        reduced alone, as the 1-D reduction of that row would be."""
-        if samples.shape[0] != len(self.refs):
-            raise ValueError(f"{samples.shape[0]} sample rows for {len(self.refs)} refs")
-        self._max_sums += np.maximum.reduce(samples, axis=1)
-        total = samples.shape[1]  # with every count 1, the sum and division of mean(axis=1)
-        if self.counts is not None:
-            if self._weighted is None:
-                self._weighted, self._total = np.empty_like(samples), self.counts.sum()
-            samples, total = np.multiply(samples, self.counts, out=self._weighted), self._total
-        self._avg_sums += np.add.reduce(samples, axis=1) / total
+        """Fold in one epoch's C-contiguous samples array of ``shape``, row
+        i holding the per-sample magnitudes of refs[i].  Each row is reduced
+        alone, as the 1-D reduction of that row would be."""
+        if samples.shape != self.shape:
+            raise ValueError(f"samples of shape {samples.shape}, not {self.shape}")
+        if self.mode == "max":
+            self._sums += np.maximum.reduce(samples, axis=1)
+        else:
+            weighted = np.multiply(samples, self.counts, out=self._weighted)
+            self._sums += np.add.reduce(weighted, axis=1) / self._total
         self.epochs_accumulated += 1
 
-    def finalize(self, net: Network, mode, valid_set: ValidSet | None = None):
+    def finalize(self, net: Network, valid_set: ValidSet | None = None):
         """Mean over epochs of the per-epoch aggregates of each ref, as
         {ref: indicator} in the order of ``refs``.
 
         Weight indicators are multiplied by the current |nearest - weight|
         displacement, so ``valid_set`` is required when a weight is rated.
+        A rated weight removed since the ledger was built raises
+        StaleReferenceError.
         """
         if self.epochs_accumulated == 0:
             raise ValueError("finalize on an empty ledger")
-        if mode not in INDICATOR_MODES:
-            raise ValueError(f"unknown indicator mode {mode!r}")
-        sums = self._max_sums if mode == "max" else self._avg_sums
-        indicators = sums / self.epochs_accumulated
-        rows = net.weight_rows(self.refs) if self.rows is None else self.rows
-        weight = rows >= 0
+        indicators = self._sums / self.epochs_accumulated
+        weight = self.rows >= 0
         if weight.any():
             if valid_set is None:
                 raise ValueError("weight indicators need a valid set")
-            w = net.params[net.weight_table.pos[rows[weight]]]
+            pos = net.weight_table.pos[self.rows[weight]]
+            if not net.alive[pos].all():
+                raise StaleReferenceError("a rated weight was removed after the "
+                                          "ledger was built")
+            w = net.params[pos]
             indicators[weight] *= np.abs(nearest_valid(w, valid_set) - w)
         return dict(zip(self.refs, indicators.tolist()))
 
@@ -197,24 +201,25 @@ def _fill_samples(trace, plan, samples):
 
 
 def collect_ledger(net: Network, dataset, loss_kind: LossKind,
-                   train_config: TrainConfig, epochs, refs, work=None):
-    """Accumulate a ledger for ``refs`` over several live training epochs.
+                   train_config: TrainConfig, epochs, refs, mode, work=None):
+    """Accumulate a ``mode`` ledger for ``refs`` over several live training
+    epochs.
 
     The network keeps training while the statistics accumulate, so the
     indicators reflect a trajectory rather than a single weight state.
-    Training changes weights only, so the refs are resolved once, and one
-    samples buffer and one EpochWorkspace serve every epoch: ``work`` (of
-    this network, dataset and loss), reset first, or else one built for the
-    call.  Input gradients are computed only when an input is rated.
+    An unknown mode is refused before any epoch runs.  One samples buffer
+    and one EpochWorkspace serve every epoch: ``work`` (of this network,
+    dataset and loss), reset first, or else one built for the call.  Input
+    gradients are computed only when an input is rated.
     """
     if epochs < 1:
         raise ValueError("need at least one accumulation epoch")
     refs = list(refs)
     work = prepare_workspace(work, net, dataset, loss_kind, input_grads=any(
         ref.kind == "input" for ref in refs))
-    ledger = SensitivityLedger(refs, work.trace.counts, net.weight_rows(refs))
+    ledger = SensitivityLedger(net, refs, work.trace.counts, mode)
     plan = _sample_plan(net, ledger.refs, ledger.rows, len(work.rows))
-    samples = np.empty((len(ledger.refs), len(work.rows)))
+    samples = np.empty(ledger.shape)
     for _ in range(epochs):
         train_epoch(work, train_config, work.evaluate())
         _fill_samples(work.trace, plan, samples)

@@ -35,6 +35,7 @@ from .errors import DatasetError, DivergenceError
 from .network import BatchTrace, Network, backward_batch, forward_batch
 
 SUCCESS_CRITERIA = ("loss-below-threshold", "zero-classification-error")
+LOSS_KINDS = ("mse", "margin")
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ class LossKind:
     margin_width: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("mse", "margin"):
+        if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
         if not math.isfinite(self.margin_width):
             raise ValueError("margin width must be finite")

@@ -190,12 +190,12 @@ class TestRatings:
             net.set_weight(refs[pick % len(refs)], value)
         refs = ([input_ref(k) for k in net.active_feature_indices()]
                 + list(net.iter_neurons()) + refs)
-        ledger = SensitivityLedger(refs)
+        ledger = SensitivityLedger(net, refs, np.ones(1), "max")
         # one epoch of one sample: each max indicator is its sample
         samples = np.random.default_rng(seed).uniform(0.0, 3.0, size=(len(refs), 1))
         ledger.add_epoch(samples)
         want = reference_ratings(samples[:, 0].tolist(), net, refs, valid)
-        got = ledger.finalize(net, "max", valid)
+        got = ledger.finalize(net, valid)
         assert list(got) == refs
         assert got == want
 
@@ -220,20 +220,18 @@ class TestRatings:
     def test_stale_and_out_of_range_refs_raise(self):
         net, _, _, _ = fresh_trained_xor(1, max_epochs=0)
         net.remove_element(neuron_ref(1, 2))
-        valid = ValidSet.ternary()
         for ref in (synapse_ref(1, 2, 1), bias_ref(1, 2), synapse_ref(1, 0, 9),
                     bias_ref(1, 6), bias_ref(3, 0), synapse_ref(2, 0, 3)):
-            ledger = SensitivityLedger([bias_ref(1, 0), ref])
-            ledger.add_epoch(np.ones((2, 1)))
+            # a ledger resolves its refs when it is built
             with pytest.raises(StaleReferenceError):
-                ledger.finalize(net, "avg", valid)
+                SensitivityLedger(net, [bias_ref(1, 0), ref], np.ones(1), "avg")
 
     def test_a_slot_0_synapse_ref_rates_its_bias(self):
         net, _, _, _ = fresh_trained_xor(1, max_epochs=0)
-        ledger = SensitivityLedger([synapse_ref(1, 0, 0)])
+        ledger = SensitivityLedger(net, [synapse_ref(1, 0, 0)], np.ones(1), "max")
         ledger.add_epoch(np.ones((1, 1)))
         w = net.weight(bias_ref(1, 0))
-        got = ledger.finalize(net, "max", ValidSet.ternary())
+        got = ledger.finalize(net, ValidSet.ternary())
         assert got == {synapse_ref(1, 0, 0): abs(reference_nearest(w, ValidSet.ternary()) - w)}
 
     def test_select_candidates_targets(self):

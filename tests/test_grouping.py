@@ -179,9 +179,13 @@ class TestGroupedEqualsPerRow:
         pool = [ref for ref, keep in zip(every_element(net), picks) if keep]
         valid = ValidSet.ternary()
         work = EpochWorkspace(net, ds, loss)
-        # one epoch's samples, and a step of zero
-        ledger = collect_ledger(net, ds, loss, TrainConfig(0.0), 1, pool, work)
-        got = {mode: ledger.finalize(net, mode, valid) for mode in ("max", "avg")}
+        # one epoch's samples, and a step of zero; one ledger per mode, both
+        # from the same start state
+        start, got = net.snapshot(), {}
+        for mode in ("max", "avg"):
+            net.restore(start)
+            got[mode] = collect_ledger(net, ds, loss, TrainConfig(0.0), 1, pool, mode,
+                                       work).finalize(net, valid)
         group = group_of_each_row(work)
         _, _, trace = per_row(net, ds, loss)
         for ref in pool:

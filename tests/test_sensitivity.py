@@ -18,6 +18,7 @@ from lucidnet import (
     neuron_ref,
     synapse_ref,
 )
+from lucidnet import sensitivity
 from lucidnet.network import backward_batch, forward_batch
 from lucidnet.sensitivity import SensitivityLedger, export_csv
 from lucidnet.training import loss_terms, targets_for
@@ -187,18 +188,18 @@ class TestLedger:
     def test_single_epoch_equals_aggregate(self):
         net = single_neuron_net([2.0], 0.0, activation="tanh", trainable=True)
         ref = synapse_ref(1, 0, 1)
-        ledger = SensitivityLedger([ref])
+        ledger = SensitivityLedger(net, [ref], np.ones(2), "max")
         ledger.add_epoch(np.array([[0.5, 0.3]]))
-        final = ledger.finalize(net, "max", ValidSet((1.0,)))  # |1 - 2| = 1
+        final = ledger.finalize(net, ValidSet((1.0,)))  # |1 - 2| = 1
         assert final[ref] == pytest.approx(0.5)
 
     def test_epoch_mean(self):
         net = single_neuron_net([2.0], 0.0, activation="tanh", trainable=True)
         ref = synapse_ref(1, 0, 1)
-        ledger = SensitivityLedger([ref])
+        ledger = SensitivityLedger(net, [ref], np.ones(1), "max")
         ledger.add_epoch(np.array([[0.2]]))
         ledger.add_epoch(np.array([[0.4]]))
-        final = ledger.finalize(net, "max", ValidSet((1.0,)))
+        final = ledger.finalize(net, ValidSet((1.0,)))
         assert final[ref] == pytest.approx(0.3)
 
     def test_frozen_mid_accumulation_excluded(self):
@@ -208,50 +209,70 @@ class TestLedger:
         ref = synapse_ref(1, 0, 1)
         problem = PruningProblem("precision-reduction", valid_set=ValidSet((1.0,)))
         net.set_weight(ref, 1.0, freeze=True)
-        ledger = SensitivityLedger(candidate_pool(net, problem))
+        ledger = SensitivityLedger(net, candidate_pool(net, problem), np.ones(1), "max")
         ledger.add_epoch(np.array([[0.1]]))
-        final = ledger.finalize(net, "max", problem.valid_set)
+        final = ledger.finalize(net, problem.valid_set)
         assert ref not in final
         assert list(final) == [bias_ref(1, 0)]
 
     def test_rates_exactly_the_given_refs(self):
         net = single_neuron_net([2.0], 0.0, activation="tanh", trainable=True)
         ref = synapse_ref(1, 0, 1)
-        empty = SensitivityLedger([])
+        empty = SensitivityLedger(net, [], np.ones(1), "max")
         empty.add_epoch(np.zeros((0, 1)))
-        assert empty.finalize(net, "max", ValidSet((1.0,))) == {}
-        ledger = SensitivityLedger([ref, bias_ref(1, 0)])
+        assert empty.finalize(net, ValidSet((1.0,))) == {}
+        ledger = SensitivityLedger(net, [ref, bias_ref(1, 0)], np.ones(1), "max")
         ledger.add_epoch(np.array([[0.2], [0.4]]))
-        assert list(ledger.finalize(net, "max", ValidSet((1.0,)))) == [
+        assert list(ledger.finalize(net, ValidSet((1.0,)))) == [
             ref, bias_ref(1, 0)]
         net.remove_element(ref)  # the ref went stale after the pool was taken
         with pytest.raises(StaleReferenceError):
-            ledger.finalize(net, "max", ValidSet((1.0,)))
+            ledger.finalize(net, ValidSet((1.0,)))
 
     def test_sample_rows_must_match_refs(self):
-        ledger = SensitivityLedger([synapse_ref(1, 0, 1), bias_ref(1, 0)])
+        net = single_neuron_net([1.0], 0.0)
+        ledger = SensitivityLedger(net, [synapse_ref(1, 0, 1), bias_ref(1, 0)],
+                                   np.ones(2), "max")
         with pytest.raises(ValueError):
             ledger.add_epoch(np.array([[0.2, 0.3]]))
 
+    @pytest.mark.parametrize("mode", ["max", "avg"])
+    def test_sample_width_must_match_counts(self, mode):
+        net = single_neuron_net([1.0], 0.0)
+        ledger = SensitivityLedger(net, [synapse_ref(1, 0, 1), bias_ref(1, 0)],
+                                   np.array([2.0, 1.0, 3.0]), mode)
+        for width in (1, 2, 4):
+            with pytest.raises(ValueError, match="shape"):
+                ledger.add_epoch(np.ones((2, width)))
+        assert ledger.epochs_accumulated == 0
+        ledger.add_epoch(np.ones((2, 3)))
+        assert ledger.epochs_accumulated == 1
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="indicator mode"):
+            SensitivityLedger(single_neuron_net([1.0], 0.0), [], np.ones(1), "mean")
+
     def test_weight_needs_valid_set(self):
-        ledger = SensitivityLedger([synapse_ref(1, 0, 1)])
+        net = single_neuron_net([1.0], 0.0)
+        ledger = SensitivityLedger(net, [synapse_ref(1, 0, 1)], np.ones(1), "max")
         ledger.add_epoch(np.array([[0.2]]))
         with pytest.raises(ValueError):
-            ledger.finalize(single_neuron_net([1.0], 0.0), "max")
+            ledger.finalize(net)
 
     def test_empty_ledger_finalize_rejected(self):
+        net = single_neuron_net([1.0], 0.0)
         with pytest.raises(ValueError):
-            SensitivityLedger([]).finalize(
-                single_neuron_net([1.0], 0.0), "max", ValidSet.removal()
+            SensitivityLedger(net, [], np.ones(1), "max").finalize(
+                net, ValidSet.removal()
             )
 
     def test_displacement_scales_linearly(self):
         net = single_neuron_net([0.3], 0.0, activation="tanh", trainable=True)
         ref = synapse_ref(1, 0, 1)
-        ledger = SensitivityLedger([ref])
+        ledger = SensitivityLedger(net, [ref], np.ones(2), "avg")
         ledger.add_epoch(np.array([[0.8, 0.1]]))
-        near = ledger.finalize(net, "avg", ValidSet((0.3 - 0.2,)))[ref]
-        far = ledger.finalize(net, "avg", ValidSet((0.3 - 0.4,)))[ref]
+        near = ledger.finalize(net, ValidSet((0.3 - 0.2,)))[ref]
+        far = ledger.finalize(net, ValidSet((0.3 - 0.4,)))[ref]
         assert far == pytest.approx(2 * near)
 
 
@@ -295,20 +316,37 @@ class TestCollectLedger:
     def test_mode_dominance(self):
         net = build_network((3, 4, 1), output_labels=["pos", "neg"], seed=6)
         pool = candidate_pool(net, PruningProblem("synapse-removal"))
-        ledger = collect_ledger(net, self.ds, self.loss, self.cfg, 4, pool)
-        fmax = ledger.finalize(net, "max", ValidSet.removal())
-        favg = ledger.finalize(net, "avg", ValidSet.removal())
+        start = net.snapshot()
+        # one ledger per mode, both from the same start state
+        fmax = collect_ledger(net, self.ds, self.loss, self.cfg, 4, pool,
+                              "max").finalize(net, ValidSet.removal())
+        net.restore(start)
+        favg = collect_ledger(net, self.ds, self.loss, self.cfg, 4, pool,
+                              "avg").finalize(net, ValidSet.removal())
         assert list(fmax) == list(favg) == pool and len(fmax) > 0
         for ref in fmax:
             assert fmax[ref] >= favg[ref] >= 0.0
+
+    def test_unknown_mode_refused_before_any_epoch(self, monkeypatch):
+        calls = []
+        real = sensitivity.train_epoch
+        monkeypatch.setattr(sensitivity, "train_epoch",
+                            lambda *args: calls.append(None) or real(*args))
+        net = build_network((3, 4, 1), output_labels=["pos", "neg"], seed=6)
+        before = net.to_json()
+        pool = candidate_pool(net, PruningProblem("synapse-removal"))
+        with pytest.raises(ValueError, match="indicator mode"):
+            collect_ledger(net, self.ds, self.loss, self.cfg, 3, pool, "mean")
+        assert calls == []
+        assert net.to_json() == before
 
     def test_rerun_is_identical(self):
         finals = []
         for _ in range(2):
             net = build_network((3, 4, 1), output_labels=["pos", "neg"], seed=6)
             pool = candidate_pool(net, POOL_PROBLEM["input"])
-            ledger = collect_ledger(net, self.ds, self.loss, self.cfg, 3, pool)
-            finals.append(ledger.finalize(net, "avg"))
+            ledger = collect_ledger(net, self.ds, self.loss, self.cfg, 3, pool, "avg")
+            finals.append(ledger.finalize(net))
         assert finals[0] == finals[1]
 
     def test_batched_record_matches_per_sample_reference(self, monkeypatch):
@@ -326,7 +364,7 @@ class TestCollectLedger:
         neuron_refs = list(net.iter_neurons())
         refs = weight_refs + input_refs + neuron_refs
         (samples,) = epoch_samples(monkeypatch, net, ds, self.loss,
-                                   TrainConfig(learning_rate=0.0), 1, refs)
+                                   TrainConfig(learning_rate=0.0), 1, refs, "max")
         weight_rows = dict(zip(weight_refs, samples))
         input_rows = dict(zip(input_refs, samples[len(weight_refs):]))
         neuron_rows = dict(zip(neuron_refs, samples[-len(neuron_refs):]))
@@ -349,7 +387,7 @@ class TestCollectLedger:
     def test_empty_pool_still_trains(self, monkeypatch):
         net = build_network((3, 4, 1), output_labels=["pos", "neg"], seed=6)
         before = net.to_json()
-        seen = epoch_samples(monkeypatch, net, self.ds, self.loss, self.cfg, 3, [])
+        seen = epoch_samples(monkeypatch, net, self.ds, self.loss, self.cfg, 3, [], "avg")
         assert [s.shape for s in seen] == [(0, 4)] * 3
         assert net.to_json() != before
 
@@ -377,8 +415,7 @@ class TestLedgerExactness:
         valid = ValidSet.ternary() if element_class == "weight" else None
         epochs = 4
         pool = candidate_pool(net, POOL_PROBLEM[element_class])
-        got = collect_ledger(net, ds, loss, cfg, epochs, pool).finalize(
-            net, mode, valid)
+        got = collect_ledger(net, ds, loss, cfg, epochs, pool, mode).finalize(net, valid)
 
         sums = {}
         velocity = None
@@ -450,8 +487,8 @@ class TestExport:
                           class_labels=["pos", "neg"])
         pool = candidate_pool(net, POOL_PROBLEM["weight"])
         ledger = collect_ledger(net, ds, LossKind("mse"),
-                                TrainConfig(learning_rate=0.1), 2, pool)
-        final = ledger.finalize(net, "avg", ValidSet.ternary())
+                                TrainConfig(learning_rate=0.1), 2, pool, "avg")
+        final = ledger.finalize(net, ValidSet.ternary())
         path = tmp_path / "indicators.csv"
         export_csv(final, "weight", "avg", path)
         with open(path, newline="") as fh:

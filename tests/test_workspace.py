@@ -123,11 +123,10 @@ def plain_train_until(net, ds, loss, cfg, stepper=plain_step):
         epochs += 1
 
 
-def plain_ledger(net, ds, loss, cfg, epochs, refs):
+def plain_ledger(net, ds, loss, cfg, epochs, refs, mode):
     """``collect_ledger`` with fresh buffers and targets every epoch."""
-    ledger = SensitivityLedger(refs, distinct_groups(ds, net)[1])
-    plan = _sample_plan(net, ledger.refs, net.weight_rows(ledger.refs),
-                        len(ledger.counts))
+    ledger = SensitivityLedger(net, refs, distinct_groups(ds, net)[1], mode)
+    plan = _sample_plan(net, ledger.refs, ledger.rows, len(ledger.counts))
     velocity = None
     for _ in range(epochs):
         reps, trace = grouped_forward(net, ds)
@@ -226,9 +225,9 @@ class TestCollectLedgerEqualsPlainComposition:
         valid = ValidSet.ternary()
         with np.errstate(all="ignore"):
             got = outcome_or_error(lambda: collect_ledger(
-                net, ds, loss, cfg, epochs, elements(net)).finalize(net, mode, valid))
+                net, ds, loss, cfg, epochs, elements(net), mode).finalize(net, valid))
             want = outcome_or_error(lambda: plain_ledger(
-                twin, ds, loss, cfg, epochs, elements(twin)).finalize(twin, mode, valid))
+                twin, ds, loss, cfg, epochs, elements(twin), mode).finalize(twin, valid))
         if want[0] == "returned":
             assert list(got[1]) == list(want[1])
             assert [repr(v) for v in got[1].values()] == \
@@ -329,7 +328,7 @@ class TestNonDifferentiableTiming:
                           loss_threshold=-1.0)
         with pytest.raises(NonDifferentiableError):
             collect_ledger(net, ds, LossKind("mse"), cfg, 1,
-                           list(net.iter_neurons(hidden_only=True)))
+                           list(net.iter_neurons(hidden_only=True)), "avg")
         with pytest.raises(NonDifferentiableError):
             train_until(net, ds, LossKind("mse"), cfg)
         assert net.to_json() == before
@@ -441,7 +440,7 @@ class TestTraceReset:
             with pytest.raises(ValueError, match="another network"):
                 train_until(*args, cfg, work)
             with pytest.raises(ValueError, match="another network"):
-                collect_ledger(*args, cfg, 1, [], work)
+                collect_ledger(*args, cfg, 1, [], "avg", work)
 
 
 def per_sample_records(net, trace):
@@ -534,7 +533,7 @@ class TestLedgerEqualsPerSampleReference:
     @staticmethod
     def check(net, twin, ds, loss, cfg, pool, epochs, mode):
         valid = ValidSet.ternary()
-        got = collect_ledger(net, ds, loss, cfg, epochs, pool).finalize(net, mode, valid)
+        got = collect_ledger(net, ds, loss, cfg, epochs, pool, mode).finalize(net, valid)
         want = reference_ledger_map(twin, ds, loss, cfg, epochs, pool, mode, valid)
         assert list(got) == pool
         assert [repr(got[ref]) for ref in pool] == [repr(want[ref]) for ref in pool]
@@ -572,7 +571,7 @@ def fresh_per_call(monkeypatch):
     ``collect_ledger`` and ``train_until`` call builds its own."""
     until, ledger = pruning.train_until, pruning.collect_ledger
     monkeypatch.setattr(pruning, "train_until", lambda *args: until(*args[:4]))
-    monkeypatch.setattr(pruning, "collect_ledger", lambda *args: ledger(*args[:6]))
+    monkeypatch.setattr(pruning, "collect_ledger", lambda *args: ledger(*args[:7]))
 
 
 def count_workspaces(monkeypatch):

@@ -42,8 +42,7 @@ PHASES = {
     "epochs": [(training, "EpochWorkspace.evaluate"), (training, "EpochWorkspace.judge"),
                (training, "train_epoch")],
     "reset": [(network, "BatchTrace.reset")],
-    "plan": [(network, "_LayerPlan.__init__"), (network, "_LayerPlan.patch"),
-             (network, "_LayerPlan.bind_backward")],
+    "plan": [(network, "_LayerPlan.__init__"), (network, "_LayerPlan.patch")],
     "group": [(training, "EpochWorkspace._group")],
     "ledger_sampling": [(sensitivity, "_fill_samples")],
     "add_epoch": [(sensitivity, "SensitivityLedger.add_epoch")],
