@@ -90,7 +90,10 @@ class LossBuffers:
     def __init__(self, targets):
         self.targets = targets
         self.losses = np.empty(len(targets))
-        self.d_out, self.squares = np.empty_like(targets), np.empty_like(targets)
+        # column-major: loss_terms then sums each row of squares left to
+        # right, an order of magnitude faster than across a C-order row
+        self.d_out = np.empty_like(targets, order="F")
+        self.squares = np.empty_like(targets, order="F")
 
 
 def loss_terms(loss_kind: LossKind, targets, outputs):
@@ -104,7 +107,8 @@ def loss_terms(loss_kind: LossKind, targets, outputs):
         d_out, squares, losses = ((None,) * 3 if buffers is None else
                                   (buffers.d_out, buffers.squares, buffers.losses))
         diff = np.subtract(zhat, z, out=d_out)
-        # each row summed as (diff * diff).sum(axis=1) sums it
+        # each row's outputs added left to right in the column-major buffers;
+        # (diff * diff).sum(axis=1) gives the same bits up to 7 outputs
         losses = np.add.reduce(np.multiply(diff, diff, out=squares), axis=1, out=losses)
         return np.multiply(losses, 0.5, out=losses), diff
     margins = loss_kind.margin_width - z * zhat

@@ -13,12 +13,17 @@ Fan-in at most three is what makes the result pleasant to read, not what
 makes it correct: verbalization is exact for any ternary frozen step
 network.
 
-Rule sets run through one interpreter, ``classify_rules``, which takes a
-whole block of assignments as ±1 feature columns: ``evaluate_rules`` is its
-one-row call, ``lucidnet eval --rules`` passes the dataset's columns, and
-``compare_rulesets`` runs a universe 4,096 assignment indices at a time and
-keeps each disagreement as its index, which ``RuleComparison.assignment``
-decodes.
+Rule sets run through one interpreter, ``_picks``, which takes a whole
+block of assignments as boolean "+1" columns and picks a class index per
+row; label strings are made only at the edges.  ``classify_rules`` feeds it
+checked ±1 feature columns and looks the labels up: ``evaluate_rules`` is its
+one-row call and ``lucidnet eval --rules`` passes the dataset's columns.
+``compare_rulesets`` runs a universe 4,096 assignment indices at a time.
+The attributes on the block's low index bits have the same columns in every
+block and are built once; a slower attribute is one bool per block.  It
+compares the picks as indices into the first rule set's classes, and keeps
+each disagreement as its index with the two labels, which
+``RuleComparison.assignment`` decodes.
 ``RuleSet.from_doc`` rejects a malformed rule-set document with a
 ``DatasetError``, which the CLI reports with exit code 2.
 """
@@ -346,8 +351,9 @@ def _positive(columns, name, n):
     values = np.asarray(columns[name])
     if values.shape != (n,):
         raise DatasetError(f"attribute {name} has shape {values.shape}, not ({n},)")
-    # numbers only: a float conversion would let the string "1" through
-    valid = values.dtype.kind in "biuf" and np.abs(values) == 1
+    # numbers only: a float conversion would let the string "1" through, and
+    # abs(True) == 1 would let a bool through
+    valid = values.dtype.kind in "iuf" and np.abs(values) == 1
     if not np.all(valid):
         first = int(np.argmin(valid))
         bad = values[first:first + 1].tolist()[0]
@@ -355,43 +361,58 @@ def _positive(columns, name, n):
     return values > 0
 
 
-def classify_rules(ruleset: RuleSet, columns) -> np.ndarray:
-    """Class label per row of ±1 feature columns.
+def _picks(ruleset: RuleSet, column, n):
+    """(labels, pick): an object array of the rule set's own labels in pick
+    order and an (n,) intp pick per row, which indexes it.
 
-    ``columns`` maps each feature name to an (N,) array of -1/+1 values; an
-    empty mapping is the one assignment of an empty universe.  Each rule
+    ``column(name)`` is where feature ``name`` is +1, an (n,) bool mask or
+    one ``np.bool_`` for all n rows; it is read once per feature.  Each rule
     counts its satisfied statements per row and holds where the count
-    reaches k.  A single output rule gives its label where it holds and the
-    other class elsewhere; with several, the first that holds wins, and the
-    first when none does, as a network's argmax breaks ties.  Returns an
-    object array of the rule set's own label strings.
+    reaches k.  A negated statement counts as 1 - value, so the count starts
+    at the number of negated statements.  A single output rule picks its
+    label where it holds and the other class elsewhere; with several, the
+    first that holds wins, and the first when none does, as a network's
+    argmax breaks ties.
     """
-    n = len(next(iter(columns.values()))) if columns else 1
     positive = {}
     holds = {}
     for rule in ruleset.rules:
-        count = np.zeros(n, dtype=np.intp)
+        count = np.full(n, sum(not st.affirmed for st in rule.statements),
+                        dtype=np.intp)
         for st in rule.statements:
             if st.feature is None:
                 value = holds[st.rule]
             else:
                 if st.feature not in positive:
-                    positive[st.feature] = _positive(columns, st.feature, n)
+                    positive[st.feature] = column(st.feature)
                 value = positive[st.feature]
-            count += value if st.affirmed else ~value
+            if st.affirmed:
+                count += value
+            else:
+                count -= value
         holds[rule.name] = count >= rule.k
     if len(ruleset.output_rules) == 1:
         label, name = ruleset.output_rules[0]
         if len(ruleset.class_labels) != 2:
             raise LucidnetError("single output rule needs exactly two classes")
         other = next(c for c in ruleset.class_labels if c != label)
-        choices = [label, other]
-        picked = (~holds[name]).astype(np.intp)
-    else:
-        choices = [label for label, _ in ruleset.output_rules]
-        stacked = np.stack([holds[name] for _, name in ruleset.output_rules], axis=1)
-        picked = np.argmax(stacked, axis=1)  # the first that holds, else 0
-    return np.array(choices, dtype=object)[picked]
+        return np.array([label, other], dtype=object), (~holds[name]).astype(np.intp)
+    stacked = np.stack([holds[name] for _, name in ruleset.output_rules], axis=1)
+    return (np.array([label for label, _ in ruleset.output_rules], dtype=object),
+            np.argmax(stacked, axis=1))
+
+
+def classify_rules(ruleset: RuleSet, columns) -> np.ndarray:
+    """Class label per row of ±1 feature columns, picked as ``_picks``
+    describes: a rule holds where it has at least k satisfied statements.
+
+    ``columns`` maps each feature name to an (N,) array of -1/+1 numbers; an
+    empty mapping is the one assignment of an empty universe.  Returns an
+    object array of the rule set's own label strings.
+    """
+    n = len(next(iter(columns.values()))) if columns else 1
+    labels, pick = _picks(ruleset, lambda name: _positive(columns, name, n), n)
+    return labels[pick]
 
 
 def evaluate_rules(ruleset: RuleSet, assignment) -> str:
@@ -438,9 +459,10 @@ class RuleComparison:
 def compare_rulesets(r1: RuleSet, r2: RuleSet) -> RuleComparison:
     """Exhaustive agreement table of two rule sets over the same two classes
     on all ±1 assignments of the union attribute universe (at most 20
-    attributes), run through ``classify_rules`` 4,096 assignment indices at
-    a time and decoded as ``RuleComparison.assignment`` decodes one.  A
-    disagreement is kept as (index, r1 class, r2 class).
+    attributes), run through ``_picks`` 4,096 assignment indices at a time
+    and decoded as ``RuleComparison.assignment`` decodes one.  The picks are
+    compared as indices into ``r1.class_labels``; a disagreement is kept as
+    (index, r1 class, r2 class), with each rule set's own label objects.
     """
     if set(r1.class_labels) != set(r2.class_labels):
         raise LucidnetError("rulesets classify into different label sets")
@@ -451,21 +473,27 @@ def compare_rulesets(r1: RuleSet, r2: RuleSet) -> RuleComparison:
     if n > 20:
         raise LucidnetError(f"universe of {n} attributes is too large to enumerate")
     labels = tuple(r1.class_labels)
+    block = min(4096, 2 ** n)
+    offset = np.arange(block)
+    bit = {name: n - 1 - i for i, name in enumerate(universe)}
+    # blocks start at multiples of their size: the low bits repeat per block
+    low = {name: (offset >> b & 1).astype(bool) for name, b in bit.items()
+           if 1 << b < block}
     # RuleComparison's order: both first, both second, first/second, second/first
     counts = np.zeros(4, dtype=np.int64)
     disagreements = []
-    for start in range(0, 2 ** n, 4096):
-        index = np.arange(start, min(start + 4096, 2 ** n))
-        columns = {name: np.where(index >> (n - 1 - i) & 1, 1.0, -1.0)
-                   for i, name in enumerate(universe)}
-        c1 = classify_rules(r1, columns)
-        c2 = classify_rules(r2, columns)
-        differ = c1 != c2
-        counts += np.bincount(2 * differ + (c1 != labels[0]), minlength=4)
+    for start in range(0, 2 ** n, block):
+        column = (low | {name: np.bool_(start >> b & 1) for name, b in bit.items()
+                         if name not in low}).__getitem__
+        own1, pick1 = _picks(r1, column, block)
+        own2, pick2 = _picks(r2, column, block)
+        k1 = np.array([labels.index(c) for c in own1])[pick1]
+        k2 = np.array([labels.index(c) for c in own2])[pick2]
+        differ = k1 != k2
+        counts += np.bincount(2 * differ + k1, minlength=4)
         where = np.flatnonzero(differ)
-        disagreements.extend(
-            zip(index[where].tolist(), c1[where].tolist(), c2[where].tolist())
-        )
+        disagreements.extend(zip((start + where).tolist(), own1[pick1[where]].tolist(),
+                                 own2[pick2[where]].tolist()))
     return RuleComparison(labels, *counts.tolist(), disagreements=disagreements,
                           universe=universe)
 

@@ -254,7 +254,7 @@ class TestEvaluateRules:
 
     def test_non_sign_values_rejected(self):
         a1, _ = fixtures_A1_A2()
-        for bad in ("1", 0, 0.5, float("nan"), None, False):
+        for bad in ("1", 0, 0.5, float("nan"), None, False, True):
             assignment = {n: 1.0 for n in a1.attribute_universe}
             assignment["q4"] = bad
             with pytest.raises(DatasetError, match="is not ±1"):
@@ -453,6 +453,74 @@ class TestVerbalizeProperty:
                                     net.output_labels)
         got = classify_rules(verbalize(net), dict(zip(names, X.T)))
         assert got.tolist() == expected
+
+
+def one_output(rules, label="O", class_labels=("P", "O")):
+    """A rule set whose last rule is its one output rule."""
+    return RuleSet(rules=rules, output_rules=[(label, rules[-1].name)],
+                   class_labels=list(class_labels))
+
+
+def feature_rule(name, k, signs, features):
+    return ThresholdRule(name, k, [Statement(bool(sg), feature=f)
+                                   for f, sg in zip(features, signs)])
+
+
+class TestCompareEdgeCases:
+    """``compare_rulesets`` against ``reference_compare`` on the cases a
+    random pair rarely draws."""
+
+    names = [f"a{k:02d}" for k in range(14)]
+
+    def test_rule_reading_only_block_constant_attributes(self):
+        # a00 and a01 are bits 13 and 12 of the index: one value per block
+        idle = feature_rule("idle", 3, [1] * 12, self.names[2:])
+        r1 = one_output([idle, feature_rule("out", 1, [1, 0], self.names[:2])])
+        r2 = one_output([idle, feature_rule("out", 2, [1, 1], self.names[:2])])
+        cmp = assert_same_comparison(r1, r2)
+        assert len(cmp.universe) == 14
+        assert len(cmp.disagreements) == 2 ** 13  # wherever a01 is -1
+
+    def test_rule_with_no_feature_statements(self):
+        base = feature_rule("base", 2, [1, 0, 1], self.names[:3])
+        r1 = one_output([base, ThresholdRule("always", 0, []),
+                         ThresholdRule("out", 2, [Statement(True, rule="base"),
+                                                  Statement(True, rule="always")])])
+        r2 = one_output([feature_rule("out", 1, [0, 1], self.names[1:3])])
+        cmp = assert_same_comparison(r1, r2)
+        assert 0 < len(cmp.disagreements) < cmp.total
+
+    @pytest.mark.parametrize("k", [-2, 0, 4, 9])
+    def test_k_outside_the_statement_count(self, k):
+        r1 = one_output([feature_rule("out", k, [1, 0, 1], self.names[:3])])
+        r2 = one_output([feature_rule("out", 2, [1, 0, 1], self.names[:3])])
+        cmp = assert_same_comparison(r1, r2)
+        holds = k <= 0  # and never when k > 3
+        assert cmp.both_second + cmp.second_first == (8 if holds else 0)
+
+    def test_negated_rule_citations(self):
+        s0 = feature_rule("s0", 2, [1, 1, 0], self.names[:3])
+        s1 = feature_rule("s1", 1, [0, 1], self.names[3:5])
+        r1 = one_output([s0, s1, ThresholdRule("out", 1, [
+            Statement(False, rule="s0"), Statement(False, rule="s1")])])
+        r2 = one_output([s0, s1, ThresholdRule("out", 2, [
+            Statement(True, rule="s0"), Statement(False, rule="s1")])])
+        cmp = assert_same_comparison(r1, r2)
+        assert 0 < len(cmp.disagreements) < cmp.total
+
+    @pytest.mark.parametrize("outputs", [1, 2])
+    def test_second_rule_set_lists_the_classes_reversed(self, outputs):
+        rules = [feature_rule("yes", 2, [1, 0, 1], self.names[:3]),
+                 feature_rule("no", 2, [0, 1, 1], self.names[:3])]
+        r1 = one_output(rules[:1], "O", ["P", "O"])
+        if outputs == 1:
+            r2 = one_output(rules[1:], "P", ["O", "P"])
+        else:
+            r2 = RuleSet(rules=rules, output_rules=[("O", "yes"), ("P", "no")],
+                         class_labels=["O", "P"])
+        cmp = assert_same_comparison(r1, r2)
+        assert cmp.labels == ("P", "O")
+        assert 0 < len(cmp.disagreements) < cmp.total
 
 
 class TestCompareRulesets:
