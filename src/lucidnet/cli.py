@@ -16,8 +16,6 @@ import os
 import re
 import sys
 
-import numpy as np
-
 from . import data as data_mod
 from .errors import (
     DatasetError,
@@ -382,13 +380,8 @@ def cmd_compare(args, option):
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(comparison.universe + ["r1_class", "r2_class"])
-        # every disagreement decoded at once, as RuleComparison.assignment
-        # decodes one: universe[i] is +1 where bit n - 1 - i is set
-        index = np.array([j for j, _, _ in comparison.disagreements], dtype=np.int64)
-        shifts = np.arange(len(comparison.universe))[::-1]
-        signs = np.where(index[:, None] >> shifts & 1, 1, -1).tolist()
-        writer.writerows([*row, c1, c2] for row, (_, c1, c2)
-                         in zip(signs, comparison.disagreements))
+        for index, c1, c2 in comparison.disagreements:
+            writer.writerow([*comparison.assignment(index).values(), c1, c2])
     print(comparison.summary_line())
     print(
         f"total={comparison.total} "

@@ -104,12 +104,13 @@ def loss_terms(loss_kind: LossKind, targets, outputs):
     z = np.asarray(targets if buffers is None else buffers.targets, dtype=float)
     zhat = np.asarray(outputs, dtype=float)
     if loss_kind.kind == "mse":
-        d_out, squares, losses = ((None,) * 3 if buffers is None else
-                                  (buffers.d_out, buffers.squares, buffers.losses))
-        diff = np.subtract(zhat, z, out=d_out)
-        # each row's outputs added left to right in the column-major buffers;
-        # (diff * diff).sum(axis=1) gives the same bits up to 7 outputs
-        losses = np.add.reduce(np.multiply(diff, diff, out=squares), axis=1, out=losses)
+        # plain targets get buffers too, so both forms add each row's
+        # outputs in the same order: left to right, in column-major buffers
+        if buffers is None:
+            buffers = LossBuffers(z)
+        diff = np.subtract(zhat, z, out=buffers.d_out)
+        losses = np.add.reduce(np.multiply(diff, diff, out=buffers.squares), axis=1,
+                               out=buffers.losses)
         return np.multiply(losses, 0.5, out=losses), diff
     margins = loss_kind.margin_width - z * zhat
     active = margins > 0.0  # subgradient 0 exactly at the kink

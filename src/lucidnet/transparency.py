@@ -361,9 +361,21 @@ def _positive(columns, name, n):
     return values > 0
 
 
+def _choices(ruleset: RuleSet):
+    """Object array of the rule set's own labels in the order ``_picks``
+    picks them: a single output rule's label, then the other class; with
+    several output rules, their labels in order."""
+    if len(ruleset.output_rules) == 1:
+        label = ruleset.output_rules[0][0]
+        if len(ruleset.class_labels) != 2:
+            raise LucidnetError("single output rule needs exactly two classes")
+        other = next(c for c in ruleset.class_labels if c != label)
+        return np.array([label, other], dtype=object)
+    return np.array([label for label, _ in ruleset.output_rules], dtype=object)
+
+
 def _picks(ruleset: RuleSet, column, n):
-    """(labels, pick): an object array of the rule set's own labels in pick
-    order and an (n,) intp pick per row, which indexes it.
+    """(n,) intp pick per row, an index into ``_choices(ruleset)``.
 
     ``column(name)`` is where feature ``name`` is +1, an (n,) bool mask or
     one ``np.bool_`` for all n rows; it is read once per feature.  Each rule
@@ -392,14 +404,9 @@ def _picks(ruleset: RuleSet, column, n):
                 count -= value
         holds[rule.name] = count >= rule.k
     if len(ruleset.output_rules) == 1:
-        label, name = ruleset.output_rules[0]
-        if len(ruleset.class_labels) != 2:
-            raise LucidnetError("single output rule needs exactly two classes")
-        other = next(c for c in ruleset.class_labels if c != label)
-        return np.array([label, other], dtype=object), (~holds[name]).astype(np.intp)
+        return (~holds[ruleset.output_rules[0][1]]).astype(np.intp)
     stacked = np.stack([holds[name] for _, name in ruleset.output_rules], axis=1)
-    return (np.array([label for label, _ in ruleset.output_rules], dtype=object),
-            np.argmax(stacked, axis=1))
+    return np.argmax(stacked, axis=1)
 
 
 def classify_rules(ruleset: RuleSet, columns) -> np.ndarray:
@@ -411,8 +418,8 @@ def classify_rules(ruleset: RuleSet, columns) -> np.ndarray:
     object array of the rule set's own label strings.
     """
     n = len(next(iter(columns.values()))) if columns else 1
-    labels, pick = _picks(ruleset, lambda name: _positive(columns, name, n), n)
-    return labels[pick]
+    pick = _picks(ruleset, lambda name: _positive(columns, name, n), n)
+    return _choices(ruleset)[pick]
 
 
 def evaluate_rules(ruleset: RuleSet, assignment) -> str:
@@ -479,16 +486,18 @@ def compare_rulesets(r1: RuleSet, r2: RuleSet) -> RuleComparison:
     # blocks start at multiples of their size: the low bits repeat per block
     low = {name: (offset >> b & 1).astype(bool) for name, b in bit.items()
            if 1 << b < block}
+    own1, own2 = _choices(r1), _choices(r2)
+    # each rule set's pick as an index into labels
+    to1, to2 = (np.array([labels.index(c) for c in own]) for own in (own1, own2))
     # RuleComparison's order: both first, both second, first/second, second/first
     counts = np.zeros(4, dtype=np.int64)
     disagreements = []
     for start in range(0, 2 ** n, block):
         column = (low | {name: np.bool_(start >> b & 1) for name, b in bit.items()
                          if name not in low}).__getitem__
-        own1, pick1 = _picks(r1, column, block)
-        own2, pick2 = _picks(r2, column, block)
-        k1 = np.array([labels.index(c) for c in own1])[pick1]
-        k2 = np.array([labels.index(c) for c in own2])[pick2]
+        pick1 = _picks(r1, column, block)
+        pick2 = _picks(r2, column, block)
+        k1, k2 = to1[pick1], to2[pick2]
         differ = k1 != k2
         counts += np.bincount(2 * differ + k1, minlength=4)
         where = np.flatnonzero(differ)

@@ -1,6 +1,5 @@
 import csv
 import importlib.resources
-import io
 import json
 import math
 import os
@@ -16,13 +15,7 @@ import lucidnet
 from lucidnet import DatasetError, Network, load_dataset, pruning
 from lucidnet.cli import OPTIONS, REQUIRED, build_parser, main
 from lucidnet.data import ELECTION_FEATURE_NAMES, save_dataset
-from lucidnet.transparency import (
-    RuleSet,
-    Statement,
-    ThresholdRule,
-    compare_rulesets,
-    fixtures_A1_A2,
-)
+from lucidnet.transparency import RuleSet, fixtures_A1_A2
 
 from conftest import (
     majority_dataset,
@@ -700,36 +693,6 @@ class TestVerbalizeCompareEval:
             rows = list(csv.reader(fh))
         assert rows[0][-2:] == ["r1_class", "r2_class"]
         assert len(rows) == 31  # header + 30 disagreements
-
-    def test_compare_csv_equals_the_per_row_decode(self, tmp_path, capsys):
-        # two A1-shaped rule sets splitting 16 attributes: 65,536 assignments
-        # over 16 blocks, the slow attributes constant within each
-        names = [f"a{k:02d}" for k in range(16)]
-        signs = np.random.default_rng(5).integers(2, size=16).astype(bool)
-        paths = []
-        for half in (names[::2], names[1::2]):
-            syndromes = [ThresholdRule(f"s{j}", 2, [
-                Statement(bool(signs[names.index(f)]), feature=f)
-                for f in half[4 * j: 4 * j + 4]]) for j in range(2)]
-            outcome = ThresholdRule("out", 1, [Statement(True, rule="s0"),
-                                               Statement(True, rule="s1")])
-            ruleset = RuleSet(rules=[*syndromes, outcome],
-                              output_rules=[("O", "out")], class_labels=["P", "O"])
-            paths.append(tmp_path / f"r{len(paths) + 1}.json")
-            ruleset.save(paths[-1])
-        code = main(["compare", "--rules1", str(paths[0]), "--rules2", str(paths[1]),
-                     "--out", str(tmp_path / "out")])
-        capsys.readouterr()
-        assert code == 0
-        cmp = compare_rulesets(RuleSet.load(paths[0]), RuleSet.load(paths[1]))
-        assert len(cmp.universe) == 16 and len(cmp.disagreements) > 4096
-        expected = io.StringIO(newline="")
-        writer = csv.writer(expected)
-        writer.writerow(cmp.universe + ["r1_class", "r2_class"])
-        for index, c1, c2 in cmp.disagreements:
-            writer.writerow([*cmp.assignment(index).values(), c1, c2])
-        written = (tmp_path / "out" / "disagreements.csv").read_bytes()
-        assert written == expected.getvalue().encode()
 
     def test_compare_refuses_three_classes(self, tmp_path, capsys):
         # on a = +1 one says X and the other P; neither ever says O

@@ -23,7 +23,9 @@ from lucidnet import training
 from lucidnet.training import (
     SUCCESS_CRITERIA,
     EpochWorkspace,
+    LossBuffers,
     criterion_met,
+    loss_terms,
     targets_for,
 )
 
@@ -70,6 +72,24 @@ class TestTotalLoss:
         ds = make_dataset([[1.0], [1.0], [-1.0]], ["pos", "pos", "neg"],
                           class_labels=["pos", "neg"])
         assert total_loss(net, ds, LossKind("mse")) == pytest.approx(1.5)
+
+
+class TestLossTerms:
+    @pytest.mark.parametrize("width", [1, 2, 7, 8, 9, 16])
+    def test_plain_targets_and_buffers_give_the_same_bits(self, width):
+        # from 8 columns numpy sums a C-order row pairwise; both forms must
+        # still add each row left to right
+        rng = np.random.default_rng(width)
+        z = np.where(rng.integers(2, size=(300, width)) == 1, 1.0, -1.0)
+        outputs = rng.uniform(-1.0, 1.0, size=(300, width))
+        plain_losses, plain_d_out = loss_terms(LossKind("mse"), z, outputs)
+        losses, d_out = loss_terms(LossKind("mse"), LossBuffers(z), outputs)
+        assert plain_losses.tobytes() == losses.tobytes()
+        assert plain_d_out.tobytes() == d_out.tobytes()
+        ordered = np.zeros(300)
+        for column in range(width):
+            ordered += d_out[:, column] * d_out[:, column]
+        assert (ordered * 0.5).tobytes() == losses.tobytes()
 
 
 class TestTrainEpoch:
