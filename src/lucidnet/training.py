@@ -299,13 +299,18 @@ def train_until(net: Network, dataset, loss_kind: LossKind,
 
 def _predicted_outputs(outputs, out=None):
     """Index of the predicted output per row, written into the intp buffer
-    ``out`` when given: argmax over outputs, ties to the first; a single
-    output picks 0 when nonnegative, else 1 (nan too)."""
+    ``out`` when given: argmax over outputs, ties to the first and a nan row
+    to its first nan; a single output picks 0 when nonnegative, else 1 (nan
+    too)."""
     outputs = np.asarray(outputs, dtype=float)
     if out is None:
         out = np.empty(len(outputs), dtype=np.intp)
     if outputs.shape[1] == 1:
         return np.logical_not(np.greater_equal(outputs[:, 0], 0.0, out=out), out=out)
+    if outputs.shape[1] == 2:  # argmax's rule as compares, at half its cost:
+        # output 1 where output 0 is neither >= it nor nan
+        first, second = outputs[:, 0], outputs[:, 1]
+        return np.less(first >= second, first == first, out=out)
     return np.argmax(outputs, axis=1, out=out)  # argmax takes the first maximum
 
 

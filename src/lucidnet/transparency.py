@@ -18,12 +18,11 @@ block of assignments as boolean "+1" columns and picks a class index per
 row; label strings are made only at the edges.  ``classify_rules`` feeds it
 checked ±1 feature columns and looks the labels up: ``evaluate_rules`` is its
 one-row call and ``lucidnet eval --rules`` passes the dataset's columns.
-``compare_rulesets`` runs a universe 4,096 assignment indices at a time.
-The attributes on the block's low index bits have the same columns in every
-block and are built once; a slower attribute is one bool per block.  It
-compares the picks as indices into the first rule set's classes, and keeps
-each disagreement as its index with the two labels, which
-``RuleComparison.assignment`` decodes.
+``compare_rulesets`` evaluates each rule set once, on the assignments of its
+own attributes only, into a truth table of "says the second class" flags,
+and reads both tables over the union universe by an index gather.  It
+counts from those bool columns and keeps each disagreement as its index
+with the two labels, which ``RuleComparison.assignment`` decodes.
 ``RuleSet.from_doc`` rejects a malformed rule-set document with a
 ``DatasetError``, which the CLI reports with exit code 2.
 """
@@ -463,13 +462,74 @@ class RuleComparison:
         )
 
 
+def _truth_table(ruleset: RuleSet, attributes, second):
+    """Bool per index over ``attributes`` (decoded as
+    ``RuleComparison.assignment`` decodes one): where the rule set picks a
+    class whose ``second`` entry, by ``_picks`` index, is true.  It runs
+    through ``_picks`` 4,096 indices at a time; the attributes on a block's
+    low index bits have the same columns in every block and are built once,
+    and a slower attribute is one bool per block."""
+    m = len(attributes)
+    block = min(4096, 2 ** m)
+    offset = np.arange(block)
+    bit = {name: m - 1 - i for i, name in enumerate(attributes)}
+    low = {name: (offset >> b & 1).astype(bool) for name, b in bit.items()
+           if 1 << b < block}
+    table = np.empty(2 ** m, dtype=bool)
+    for start in range(0, 2 ** m, block):
+        column = (low | {name: np.bool_(start >> b & 1) for name, b in bit.items()
+                         if name not in low}).__getitem__
+        table[start:start + block] = second[_picks(ruleset, column, block)]
+    return table
+
+
+def _own_index(bits, values, shift):
+    """A rule set's own index for each union index ``values << shift``,
+    counting only the union bits that ``values`` covers: ``bits[j]`` is the
+    union bit of the set's attribute j, which is own bit ``len(bits) - 1 - j``."""
+    own = np.zeros_like(values)
+    for j, b in enumerate(bits):
+        if b >= shift:
+            own |= (values >> (b - shift) & 1) << (len(bits) - 1 - j)
+    return own
+
+
+def _union_columns(table, bits, n, width):
+    """A rule set's truth table read over an n-attribute union, one column
+    per 2**width union indices; ``bits`` as ``_own_index`` takes them.
+
+    The set's attributes keep their union order, so its own index splits
+    into the bits above ``width`` (one constant per block), the block's high
+    half and its low half.  The table is read as that cube: each half has a
+    small table of own indices, and a column is two takes, rows then
+    columns.  A table over the whole union is only sliced."""
+    if len(bits) == n:
+        yield from (table[start:start + 2 ** width] for start in range(0, 2 ** n, 2 ** width))
+        return
+    half = width // 2
+    m_lo = sum(b < half for b in bits)
+    m_hi = sum(half <= b < width for b in bits)
+    rows = _own_index(bits, np.arange(2 ** (width - half)), half) >> m_lo
+    cols = _own_index(bits, np.arange(2 ** half), 0)
+    cube = table.reshape(-1, 2 ** m_hi, 2 ** m_lo)
+    for above in _own_index(bits, np.arange(2 ** (n - width)), width).tolist():
+        plane = cube[above >> m_hi + m_lo]
+        yield np.take(np.take(plane, rows, axis=0), cols, axis=1).ravel()
+
+
 def compare_rulesets(r1: RuleSet, r2: RuleSet) -> RuleComparison:
     """Exhaustive agreement table of two rule sets over the same two classes
     on all ±1 assignments of the union attribute universe (at most 20
-    attributes), run through ``_picks`` 4,096 assignment indices at a time
-    and decoded as ``RuleComparison.assignment`` decodes one.  The picks are
-    compared as indices into ``r1.class_labels``; a disagreement is kept as
-    (index, r1 class, r2 class), with each rule set's own label objects.
+    attributes), indexed as ``RuleComparison.assignment`` decodes one.
+
+    Each rule set is evaluated once, through ``_picks``, on its own
+    attributes only: its truth table holds, per index over those
+    attributes, whether it says the second of ``r1.class_labels``.  Both
+    tables are read over the union 2**16 indices at a time by a gather
+    (``_union_columns``): a set's own index for a union index is that
+    index's bits on the set's attributes.  The counts come from those bool
+    columns; a disagreement is kept as (index, r1 class, r2 class), with
+    each rule set's own label objects.
     """
     if set(r1.class_labels) != set(r2.class_labels):
         raise LucidnetError("rulesets classify into different label sets")
@@ -480,31 +540,32 @@ def compare_rulesets(r1: RuleSet, r2: RuleSet) -> RuleComparison:
     if n > 20:
         raise LucidnetError(f"universe of {n} attributes is too large to enumerate")
     labels = tuple(r1.class_labels)
-    block = min(4096, 2 ** n)
-    offset = np.arange(block)
-    bit = {name: n - 1 - i for i, name in enumerate(universe)}
-    # blocks start at multiples of their size: the low bits repeat per block
-    low = {name: (offset >> b & 1).astype(bool) for name, b in bit.items()
-           if 1 << b < block}
-    own1, own2 = _choices(r1), _choices(r2)
-    # each rule set's pick as an index into labels
-    to1, to2 = (np.array([labels.index(c) for c in own]) for own in (own1, own2))
-    # RuleComparison's order: both first, both second, first/second, second/first
-    counts = np.zeros(4, dtype=np.int64)
+    width = min(n, 16)
+    columns, named = [], []
+    for ruleset in (r1, r2):
+        own = _choices(ruleset)
+        second = np.array([labels.index(c) == 1 for c in own])
+        # the set's own label objects, indexed by "says the second label"
+        named.append(own[::-1] if second[0] else own)
+        attributes = ruleset.attribute_universe
+        bits = [n - 1 - universe.index(name) for name in attributes]
+        columns.append(_union_columns(_truth_table(ruleset, attributes, second),
+                                      bits, n, width))
+    # where r1, r2 and both say the second label
+    says1 = says2 = both = 0
     disagreements = []
-    for start in range(0, 2 ** n, block):
-        column = (low | {name: np.bool_(start >> b & 1) for name, b in bit.items()
-                         if name not in low}).__getitem__
-        pick1 = _picks(r1, column, block)
-        pick2 = _picks(r2, column, block)
-        k1, k2 = to1[pick1], to2[pick2]
-        differ = k1 != k2
-        counts += np.bincount(2 * differ + k1, minlength=4)
-        where = np.flatnonzero(differ)
-        disagreements.extend(zip((start + where).tolist(), own1[pick1[where]].tolist(),
-                                 own2[pick2[where]].tolist()))
-    return RuleComparison(labels, *counts.tolist(), disagreements=disagreements,
-                          universe=universe)
+    for start, s1, s2 in zip(range(0, 2 ** n, 2 ** width), *columns):
+        says1 += np.count_nonzero(s1)
+        says2 += np.count_nonzero(s2)
+        both += np.count_nonzero(s1 & s2)
+        where = np.flatnonzero(s1 ^ s2)
+        disagreements.extend(zip((start + where).tolist(),
+                                 named[0][s1[where].view(np.uint8)].tolist(),
+                                 named[1][s2[where].view(np.uint8)].tolist()))
+    says1, says2, both = int(says1), int(says2), int(both)
+    return RuleComparison(labels, 2 ** n - says1 - says2 + both, both,
+                          says2 - both, says1 - both,
+                          disagreements=disagreements, universe=universe)
 
 
 # -- shipped fixtures --------------------------------------------------------

@@ -342,7 +342,7 @@ class TestJudgeAccuracy:
     one rule, on tied and nan outputs too."""
 
     @settings(max_examples=150, deadline=None)
-    @given(width=st.sampled_from([1, 3]), data=st.data())
+    @given(width=st.sampled_from([1, 2, 3]), data=st.data())
     def test_judge_counts_what_evaluate_classification_counts(self, width, data):
         value = st.sampled_from([-1.0, 0.0, 1.0, float("nan")])
         net = build_network((2, width), seed=0)
@@ -373,6 +373,33 @@ class TestJudgeAccuracy:
         work = EpochWorkspace(net, ds, LossKind("mse"))
         assert work.judge(TrainConfig(0.1), work.evaluate()[0])[1] == 1.0
         assert evaluate_classification(net, ds) == (1.0, [label])
+
+
+class TestTwoOutputPick:
+    """Two outputs are picked by column compares, not ``np.argmax``; the
+    picks keep argmax's two rules."""
+
+    def test_a_tie_picks_the_first_output(self):
+        outputs = np.array([[0.4, 0.4], [-0.0, 0.0], [0.0, -0.0],
+                            [np.inf, np.inf], [-np.inf, -np.inf]])
+        assert training._predicted_outputs(outputs).tolist() == [0] * 5
+
+    def test_a_nan_row_picks_its_first_nan(self):
+        nan = float("nan")
+        outputs = np.array([[nan, 1.0], [1.0, nan], [nan, nan],
+                            [-np.inf, nan], [nan, np.inf]])
+        assert training._predicted_outputs(outputs).tolist() == [0, 1, 0, 1, 0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(*[st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, np.inf,
+                                                   float("nan")])] * 2),
+                    min_size=1, max_size=20))
+    def test_picks_equal_argmax_into_a_buffer(self, rows):
+        outputs = np.array(rows)
+        out = np.full(len(rows), -1, dtype=np.intp)
+        assert training._predicted_outputs(outputs, out=out) is out
+        assert out.tolist() == np.argmax(outputs, axis=1).tolist() == [
+            reference_pick(list(row)) for row in rows]
 
 
 class TestRowLabels:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 import tracemalloc
 
@@ -347,6 +348,8 @@ def assert_same_comparison(r1, r2):
     assert cmp.universe == universe
     assert [cmp.both_first, cmp.both_second, cmp.first_second,
             cmp.second_first] == counts
+    assert all(type(c) is int for c in (cmp.both_first, cmp.both_second,
+                                         cmp.first_second, cmp.second_first))
     assert cmp.disagreements == [(j, c1, c2) for j, _, c1, c2 in disagreements]
     assert all(cmp.assignment(j) == a for j, a, _, _ in disagreements)
     # labels are the rule sets' own strings
@@ -382,8 +385,9 @@ class TestBatchInterpreter:
             with pytest.raises(LucidnetError, match=re.escape(str(r1.class_labels))):
                 compare_rulesets(r1, r2)
 
-    def test_compare_across_block_boundaries(self):
-        # 14 attributes: 16,384 assignments in four blocks of 4,096
+    def test_compare_partly_shared_universes(self):
+        # 14 attributes: each set reads 9, 4 of them shared, so neither own
+        # truth table covers the union and both are gathered
         def ruleset(features, signs):
             return RuleSet(
                 rules=[
@@ -473,7 +477,8 @@ class TestCompareEdgeCases:
     names = [f"a{k:02d}" for k in range(14)]
 
     def test_rule_reading_only_block_constant_attributes(self):
-        # a00 and a01 are bits 13 and 12 of the index: one value per block
+        # a00 and a01 are bits 13 and 12 of r1's own index: one value per
+        # 4,096-index block of its truth table
         idle = feature_rule("idle", 3, [1] * 12, self.names[2:])
         r1 = one_output([idle, feature_rule("out", 1, [1, 0], self.names[:2])])
         r2 = one_output([idle, feature_rule("out", 2, [1, 1], self.names[:2])])
@@ -521,6 +526,137 @@ class TestCompareEdgeCases:
         cmp = assert_same_comparison(r1, r2)
         assert cmp.labels == ("P", "O")
         assert 0 < len(cmp.disagreements) < cmp.total
+
+
+def grid_comparison(r1, r2):
+    """Counts and (index, r1 class, r2 class) disagreements from
+    ``classify_rules`` on the explicit ±1 grid of the union, in
+    ``itertools.product`` order: for unions too large for
+    ``reference_compare``."""
+    universe = sorted(set(r1.attribute_universe) | set(r2.attribute_universe))
+    n = len(universe)
+    index = np.arange(2 ** n)
+    columns = {name: np.where(index >> (n - 1 - i) & 1, 1, -1).astype(np.int8)
+               for i, name in enumerate(universe)}
+    c1, c2 = classify_rules(r1, columns), classify_rules(r2, columns)
+    second1, second2 = c1 != r1.class_labels[0], c2 != r1.class_labels[0]
+    counts = [int(np.count_nonzero(~second1 & ~second2)),
+              int(np.count_nonzero(second1 & second2)),
+              int(np.count_nonzero(~second1 & second2)),
+              int(np.count_nonzero(second1 & ~second2))]
+    where = np.flatnonzero(c1 != c2)
+    return universe, counts, list(zip(where.tolist(), c1[where].tolist(),
+                                      c2[where].tolist()))
+
+
+def a1_shaped(features, signs, label="O", class_labels=("P", "O")):
+    """An "at least 2 of 4" syndrome over the first four ``features``, one
+    "at least 2 of" the rest and an "at least 1 of 2" output rule: the shape
+    of the shipped A1."""
+    return one_output([
+        feature_rule("s0", 2, signs[:4], features[:4]),
+        feature_rule("s1", 2, signs[4:], features[4:]),
+        ThresholdRule("out", 1, [Statement(True, rule="s0"), Statement(True, rule="s1")]),
+    ], label, class_labels)
+
+
+class TestUnionGather:
+    """Each rule set's own truth table read over the union universe, on the
+    shapes of universe the gather treats apart."""
+
+    names = [f"a{k:02d}" for k in range(18)]
+
+    def test_disjoint_universes_interleaved_in_the_union(self):
+        # the compare16 shape: r1 reads the even names and r2 the odd ones,
+        # so each set's attributes sit on every other union bit
+        r1 = a1_shaped(self.names[0:12:2], [1, 0, 1, 1, 0, 1])
+        r2 = a1_shaped(self.names[1:12:2], [0, 1, 1, 0, 1, 1])
+        assert set(r1.attribute_universe).isdisjoint(r2.attribute_universe)
+        cmp = assert_same_comparison(r1, r2)
+        assert len(cmp.universe) == 12 and 0 < len(cmp.disagreements) < cmp.total
+
+    @pytest.mark.parametrize("empty_first", [True, False])
+    def test_an_empty_universe_against_a_non_empty_one(self, empty_first):
+        constant = one_output([ThresholdRule("out", 0, [])])  # always O
+        other = a1_shaped(self.names[3:11], [1, 0, 0, 1, 1, 1, 0, 1])
+        pair = (constant, other) if empty_first else (other, constant)
+        cmp = assert_same_comparison(*pair)
+        assert cmp.universe == self.names[3:11]
+        assert 0 < len(cmp.disagreements) < cmp.total
+
+    @pytest.mark.parametrize("subset_first", [True, False])
+    def test_a_universe_strictly_inside_the_other(self, subset_first):
+        inner = a1_shaped(self.names[2:10:2] + self.names[3:10:2],
+                          [1, 1, 0, 1, 0, 1, 1, 0], "P", ["O", "P"])
+        outer = a1_shaped(self.names[:12], [0, 1, 1, 1, 1, 0, 0, 1, 0, 1, 1, 0])
+        assert set(inner.attribute_universe) < set(outer.attribute_universe)
+        pair = (inner, outer) if subset_first else (outer, inner)
+        cmp = assert_same_comparison(*pair)
+        assert 0 < len(cmp.disagreements) < cmp.total
+
+    def test_a_union_of_18_attributes_in_four_gather_blocks(self):
+        # union bits 17 and 16 (a00, a01) change once per 2**16 indices; r1
+        # reads a00 and r2 a01, next to attributes on both halves of a block
+        r1 = a1_shaped([self.names[k] for k in (0, 3, 5, 8, 10, 13, 16, 17, 7)],
+                       [1, 0, 1, 1, 0, 1, 0, 1, 1])
+        r2 = a1_shaped([self.names[k] for k in (1, 2, 6, 9, 11, 12, 15, 4, 14)],
+                       [0, 1, 1, 0, 1, 1, 1, 0, 0])
+        cmp = compare_rulesets(r1, r2)
+        universe, counts, disagreements = grid_comparison(r1, r2)
+        assert cmp.universe == universe and len(universe) == 18
+        assert [cmp.both_first, cmp.both_second, cmp.first_second,
+                cmp.second_first] == counts
+        assert cmp.disagreements == disagreements
+        # every block holds disagreements
+        assert len({j >> 16 for j, _, _ in disagreements}) == 4
+
+
+class TestCompareAtTheCap:
+    """20 attributes, the largest union ``compare_rulesets`` enumerates:
+    exact counts from the binomial sums, and memory bounded past the result
+    it returns."""
+
+    names = [f"a{k:02d}" for k in range(20)]
+
+    @staticmethod
+    def at_least(k, features, signs):
+        return one_output([feature_rule("out", k, signs, features)])
+
+    @staticmethod
+    def holding(k, m):  # own assignments where "at least k of m" holds
+        return sum(math.comb(m, t) for t in range(k, m + 1))
+
+    def held_and_peak(self, r1, r2):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cmp = compare_rulesets(r1, r2)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return cmp, held - before, peak - held
+
+    def test_disjoint_pair(self):
+        r1 = self.at_least(5, self.names[0::2], [1, 0] * 5)
+        r2 = self.at_least(6, self.names[1::2], [0, 1] * 5)
+        cmp, held, above = self.held_and_peak(r1, r2)
+        h1, h2 = self.holding(5, 10), self.holding(6, 10)
+        says1, says2, both = h1 * 2 ** 10, h2 * 2 ** 10, h1 * h2
+        assert [cmp.both_first, cmp.both_second, cmp.first_second, cmp.second_first] == [
+            2 ** 20 - says1 - says2 + both, both, says2 - both, says1 - both]
+        assert len(cmp.disagreements) == cmp.first_second + cmp.second_first
+        assert above <= 8 * 2 ** 20, (held, above)
+
+    def test_full_overlap_pair(self):
+        r1 = self.at_least(10, self.names, [1, 0] * 10)
+        r2 = self.at_least(11, self.names, [1, 0] * 10)
+        cmp, held, above = self.held_and_peak(r1, r2)
+        # r2 holds only where r1 does; they differ where exactly 10 hold
+        assert cmp.second_first == len(cmp.disagreements) == math.comb(20, 10)
+        assert cmp.first_second == 0 and cmp.both_second == self.holding(11, 20)
+        # all -1: exactly the 10 negated statements hold
+        assert cmp.disagreements[0] == (0, "O", "P")
+        assert above <= 8 * 2 ** 20, (held, above)
 
 
 class TestCompareRulesets:
