@@ -307,10 +307,6 @@ def _predicted_outputs(outputs, out=None):
         out = np.empty(len(outputs), dtype=np.intp)
     if outputs.shape[1] == 1:
         return np.logical_not(np.greater_equal(outputs[:, 0], 0.0, out=out), out=out)
-    if outputs.shape[1] == 2:  # argmax's rule as compares, at half its cost:
-        # output 1 where output 0 is neither >= it nor nan
-        first, second = outputs[:, 0], outputs[:, 1]
-        return np.less(first >= second, first == first, out=out)
     return np.argmax(outputs, axis=1, out=out)  # argmax takes the first maximum
 
 

@@ -502,10 +502,7 @@ def _union_columns(table, bits, n, width):
     into the bits above ``width`` (one constant per block), the block's high
     half and its low half.  The table is read as that cube: each half has a
     small table of own indices, and a column is two takes, rows then
-    columns.  A table over the whole union is only sliced."""
-    if len(bits) == n:
-        yield from (table[start:start + 2 ** width] for start in range(0, 2 ** n, 2 ** width))
-        return
+    columns."""
     half = width // 2
     m_lo = sum(b < half for b in bits)
     m_hi = sum(half <= b < width for b in bits)

@@ -376,8 +376,8 @@ class TestJudgeAccuracy:
 
 
 class TestTwoOutputPick:
-    """Two outputs are picked by column compares, not ``np.argmax``; the
-    picks keep argmax's two rules."""
+    """Two outputs keep ``np.argmax``'s two rules: ties to the first output
+    and a nan row to its first nan."""
 
     def test_a_tie_picks_the_first_output(self):
         outputs = np.array([[0.4, 0.4], [-0.0, 0.0], [0.0, -0.0],
