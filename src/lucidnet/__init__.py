@@ -48,6 +48,7 @@ from .sensitivity import (
     SensitivityLedger,
     ValidSet,
     collect_ledger,
+    element_refs,
     nearest_valid,
 )
 from .training import (

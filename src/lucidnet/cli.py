@@ -35,7 +35,7 @@ from .pruning import (
     rate_pool,
     run_pipeline,
 )
-from .sensitivity import INDICATOR_MODES, ValidSet, export_csv
+from .sensitivity import INDICATOR_MODES, ValidSet, element_refs, export_csv
 from .training import (
     LOSS_KINDS,
     SUCCESS_CRITERIA,
@@ -309,7 +309,8 @@ def cmd_indicators(args, option):
         del stage["valid_set"]  # only the weight class reads a valid set
     stage = _stage_config(stage, tcfg, loss_kind, None)
     # the ledger trains the loaded network in memory; the file is untouched
-    final_map = rate_pool(net, dataset, stage, candidate_pool(net, stage.problem))
+    index, indicators = rate_pool(net, dataset, stage, candidate_pool(net, stage.problem))
+    final_map = dict(zip(element_refs(net, args.element_class, index), indicators.tolist()))
     out = _out_dir(option)
     csv_path = os.path.join(out, "indicators.csv")
     export_csv(final_map, args.element_class, stage.indicator_mode, csv_path)

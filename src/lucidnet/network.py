@@ -32,7 +32,7 @@ neurons, ``fan_ins`` alone counts fan-in, the cascade audit runs its three
 rules in one sweep over masks of the rows, and pools, ratings,
 ``iter_weights`` and ``to_doc`` read rows with array operations.
 ``to_json`` is the compact ``json.dumps`` of ``to_doc``, the survivors
-renumbered.
+renumbered, whose objects are built with their keys in sorted order.
 ``Network.from_doc`` rejects a malformed document with a ``DatasetError``
 (CLI exit code 2).  ``forward_batch``/``backward_batch`` run one masked
 matmul per layer in the buffers of a ``BatchTrace`` and return it; its
@@ -172,8 +172,8 @@ class WeightTable:
     ``starts[u]:starts[u + 1]`` are its unit's: a neuron's bias, then its
     synapse slots, or none for an input.  ``bias_pos`` is each neuron's
     bias position, the entry of ``alive`` that is its flag, in column
-    order, and ``column_layer`` the layer of each column.  ``refs`` and
-    ``index`` ({ref: row}) are made on first use."""
+    order, and ``column_layer`` the layer of each column.  ``refs``, the
+    ref of each row, is made on first use."""
 
     def __init__(self, net):
         columns = []
@@ -203,10 +203,6 @@ class WeightTable:
     def refs(self):
         return [synapse_ref(l, i, s) if s else bias_ref(l, i) for l, i, s in zip(
             self.layer.tolist(), self.neuron.tolist(), self.slot.tolist())]
-
-    @cached_property
-    def index(self):
-        return {ref: row for row, ref in enumerate(self.refs)}
 
 
 class Network:
@@ -323,30 +319,23 @@ class Network:
 
     # -- iteration helpers ---------------------------------------------
 
-    def iter_neurons(self, hidden_only=False):
-        """Refs of the live neurons in (layer, index) order."""
+    def neuron_columns(self, hidden_only=False):
+        """Value-vector columns of the live neurons, ascending, so in
+        (layer, index) order."""
         live = self.alive[self.weight_table.bias_pos]
         if hidden_only:
             live[self.offsets[-2] - self.input_dim:] = False
-        for col in (np.flatnonzero(live) + self.input_dim).tolist():
+        return np.flatnonzero(live) + self.input_dim
+
+    def iter_neurons(self, hidden_only=False):
+        """Refs of the live neurons in (layer, index) order."""
+        for col in self.neuron_columns(hidden_only).tolist():
             yield neuron_ref(*self._source(col))
 
     @cached_property
     def weight_table(self):
         """The network's WeightTable; slots and layout never change."""
         return WeightTable(self)
-
-    def weight_rows(self, refs):
-        """Row in ``weight_table`` of each ref, -1 for an input or neuron
-        ref.  Raises StaleReferenceError, as ``weight`` does, for a weight
-        ref that names no live weight."""
-        table = self.weight_table
-        rows = np.fromiter(map(table.index.get, refs, itertools.repeat(-1)),
-                           dtype=np.intp, count=len(refs))
-        for k in ((rows < 0) | ~self.alive[table.pos[rows]]).nonzero()[0].tolist():
-            if refs[k].kind in ("synapse", "bias"):
-                rows[k] = self._weight(refs[k])
-        return rows
 
     def iter_weights(self, with_bias=True):
         """(ref, weight, trainable) of every live weight in the rows' order:
@@ -514,7 +503,9 @@ class Network:
         """The compact JSON document of the survivors: tombstoned elements
         are dropped and neurons renumbered within their layer.  The live
         rows of ``weight_table`` give it in order: each bias opens its
-        neuron, and each synapse joins the neuron opened last."""
+        neuron, and each synapse joins the neuron opened last.  Every
+        object's keys are built in sorted order, which ``to_json`` relies
+        on."""
         table, off = self.weight_table, self.offsets
         live = self.alive[table.pos]
         pos = table.pos[live]
@@ -541,8 +532,9 @@ class Network:
 
     def to_json(self):
         """The bytes of ``network.json``: ``to_doc`` in compact, key-sorted
-        JSON."""
-        return json.dumps(self.to_doc(), separators=(",", ":"), sort_keys=True)
+        JSON.  ``to_doc`` builds every object with its keys in sorted order,
+        so the dump needs no sort."""
+        return json.dumps(self.to_doc(), separators=(",", ":"))
 
     @staticmethod
     def from_doc(doc):

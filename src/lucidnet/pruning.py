@@ -3,14 +3,18 @@
 Both loops share the same skeleton: snapshot the network, take the
 candidate pool, accumulate sensitivity indicators over a few live training
 epochs and rate exactly the pool, modify the lowest-rated candidates,
-retrain, and either keep the result or restore the snapshot.  The pool is
-taken once per snapshot: ledger epochs move only trainable weights and a
-restore returns to the snapshot, so membership cannot change until a step
-is accepted.  A stage builds one ``EpochWorkspace``, which refuses a row
-label the network cannot output, and its entry check, ledgers and retrains
-reset and reuse it.  The accelerated loop modifies batches of M, halving M
-on failure without recomputing the indicators, and stops once a
-single-element attempt fails; the basic loop is the same with M fixed at 1.
+retrain, and either keep the result or restore the snapshot.  A step
+carries its pool as one index array, weight-table rows for a weight
+problem and value columns for inputs and neurons, from ``candidate_pool``
+through the ledger to the pick; only the picked entries are named as
+ElementRefs.  The pool is taken once per snapshot: ledger epochs move only
+trainable weights and a restore returns to the snapshot, so membership
+cannot change until a step is accepted.  A stage builds one
+``EpochWorkspace``, which refuses a row label the network cannot output,
+and its entry check, ledgers and retrains reset and reuse it.  The
+accelerated loop modifies batches of M, halving M on failure without
+recomputing the indicators, and stops once a single-element attempt fails;
+the basic loop is the same with M fixed at 1.
 Both first refuse a network that fails ``criterion_met``.  A step whose
 training diverges counts as a failed retrain: the snapshot is restored and
 the step is logged with the reason.
@@ -25,7 +29,6 @@ be modifiable.
 
 from __future__ import annotations
 
-import itertools
 import json
 import numbers
 import operator
@@ -34,8 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError, NotTrainedError, PipelineAbort, PoolExhausted
-from .network import Network, input_ref
-from .sensitivity import INDICATOR_MODES, ValidSet, collect_ledger, nearest_valid
+from .network import Network
+from .sensitivity import (INDICATOR_MODES, ValidSet, collect_ledger, element_refs,
+                          nearest_valid)
 from .training import EpochWorkspace, LossKind, TrainConfig, criterion_met, train_until
 
 PROBLEM_KINDS = (
@@ -169,53 +173,53 @@ class PruneResult:
 
 
 def candidate_pool(net: Network, problem: PruningProblem):
-    """Live, trainable elements of the problem's class, in ElementRef.key
-    order.  The weight pools are masks over ``net.weight_table``: every
-    live trainable weight, or for uniform simplification the live trainable
-    synapses of each neuron whose ``fan_ins`` entry is the network's
-    largest, when that exceeds the target."""
+    """Live, trainable elements of the problem's class as one ascending
+    index array, so in ElementRef.key order: columns of the value vector
+    for inputs (the active features) and neurons (the live hidden ones),
+    else rows of ``net.weight_table``, every live trainable weight, or for
+    uniform simplification the live trainable synapses of each neuron whose
+    ``fan_ins`` entry is the network's largest, when that exceeds the
+    target.  ``sensitivity.element_refs`` names them."""
     if problem.kind == "feature-selection":
-        return [input_ref(k) for k in net.active_feature_indices()]
+        return np.flatnonzero(net.active_inputs)
     if problem.kind == "neuron-removal":
-        return list(net.iter_neurons(hidden_only=True))
+        return net.neuron_columns(hidden_only=True)
     table = net.weight_table
     take = net.alive[table.pos] & net.trainable[table.pos]
     if problem.kind == "uniform-simplification":
         fan = net.fan_ins()
         top = fan.max()
         if top <= problem.target_fan_in:
-            return []
+            return np.empty(0, dtype=np.intp)
         take &= table.synapse & (fan[table.unit] == top)
-    return list(itertools.compress(table.refs, take.tolist()))
+    return np.flatnonzero(take)
 
 
-def select_candidates(final_map, net: Network, problem: PruningProblem, m):
+def select_candidates(index, indicators, net: Network, problem: PruningProblem, m):
     """The m rated elements with the smallest indicators, each paired with
     its modification target: the nearest valid value of the weight's
     current value, or None for inputs and neurons.
 
-    ``final_map`` rates the candidate pool ({ref: indicator}).  One lexsort
-    picks by indicator, then by ElementRef.key rank: a weight's
-    ``weight_table`` row (a slot-0 synapse ranks as its bias), else the
-    value column of (layer, neuron).  So ties, -0.0 against 0.0 too, break
-    toward the lower ElementRef whatever the map's order.  Raises
-    PoolExhausted when the map is empty, i.e. no candidate of the class
-    remains (for uniform simplification this is the successful exit: every
-    fan-in is at or below target).
+    ``indicators`` rates the entries of ``index``, a rated candidate pool
+    as ``candidate_pool`` gives it, in any order.  One lexsort picks by
+    indicator, then by the entry itself, a ``weight_table`` row or a value
+    column, whose order is ElementRef.key order.  So ties, -0.0 against
+    0.0 too, break toward the lower ElementRef whatever the pool's order.
+    Only the m picks are named as refs.  Raises PoolExhausted when the pool
+    is empty, i.e. no candidate of the class remains (for uniform
+    simplification this is the successful exit: every fan-in is at or
+    below target).
     """
     if m < 1:
         raise ValueError("M must be at least 1")
-    if not final_map:
+    if not len(index):
         raise PoolExhausted(f"no candidates left for {problem.kind}")
-    refs, weights = list(final_map), problem.element_class == "weight"
-    rank = net.weight_rows(refs) if weights else np.array([net.offsets[ref.layer] + ref.neuron
-                                                           for ref in refs])
-    picks = np.lexsort((rank, np.fromiter(final_map.values(), float, len(refs))))[:m].tolist()
-    picked = [refs[i] for i in picks]
-    if weights:
-        w = net.params[net.weight_table.pos[rank[picks]]]
-        return list(zip(picked, nearest_valid(w, problem.valid_set).tolist()))
-    return [(ref, None) for ref in picked]
+    picks = index[np.lexsort((index, indicators))[:m]]
+    refs = element_refs(net, problem.element_class, picks)
+    if problem.element_class == "weight":
+        w = net.params[net.weight_table.pos[picks]]
+        return list(zip(refs, nearest_valid(w, problem.valid_set).tolist()))
+    return [(ref, None) for ref in refs]
 
 
 def apply_modification(net: Network, candidates, problem: PruningProblem):
@@ -260,11 +264,14 @@ def prune_accelerated(net: Network, dataset, config: PruneConfig) -> PruneResult
 
 
 def rate_pool(net, dataset, config, pool, work=None):
-    """{ref: indicator} over ``pool`` from a fresh ledger of the config's
-    accumulation epochs, which train the network (in ``work`` if given)."""
+    """(index, indicators) over ``pool`` from a fresh ledger of the config's
+    accumulation epochs, which train the network (in ``work`` if given):
+    the pool in the ledger's order, and one indicator per entry."""
+    problem = config.problem
     ledger = collect_ledger(net, dataset, config.loss_kind, config.retrain,
-                            config.accumulation_epochs, pool, config.indicator_mode, work)
-    return ledger.finalize(net, config.problem.valid_set)
+                            config.accumulation_epochs, problem.element_class, pool,
+                            config.indicator_mode, work)
+    return ledger.index, ledger.finalize(net, problem.valid_set)
 
 
 def _prune(net, dataset, config, m):
@@ -280,14 +287,14 @@ def _prune(net, dataset, config, m):
         pool = candidate_pool(net, config.problem)
         if m == "half-of-pool":
             m = max(1, len(pool) // 2)
-        final_map = None  # rated lazily: a diverged rating is retried
+        rating = None  # rated lazily: a diverged rating is retried
         staleness = 0
         while True:
             applied, cascade, outcome, epochs = [], [], None, 0
             try:
-                if final_map is None:
-                    final_map = rate_pool(net, dataset, config, pool, work)
-                candidates = select_candidates(final_map, net, config.problem, m)
+                if rating is None:
+                    rating = rate_pool(net, dataset, config, pool, work)
+                candidates = select_candidates(*rating, net, config.problem, m)
                 applied, cascade = apply_modification(net, candidates, config.problem)
                 outcome = train_until(net, dataset, config.loss_kind,
                                       config.retrain, work)
@@ -295,7 +302,7 @@ def _prune(net, dataset, config, m):
                 net.restore(saved)
                 return PruneResult(net, steps, "pool-exhausted", *final)
             except DivergenceError as exc:
-                if final_map is not None:  # the retrain diverged
+                if rating is not None:  # the retrain diverged
                     epochs = exc.epochs
             accepted = outcome is not None and outcome.converged
             if not accepted:

@@ -3,7 +3,8 @@
 ``Network.to_json`` must write the bytes that ``json.dumps`` writes for the
 doc-building reference, ``candidate_pool`` must take the pools that the
 per-neuron walk took, and ``SensitivityLedger.finalize`` must rate weights
-as the per-ref ``nearest_valid`` product did, bit for bit.  Random
+as the per-ref ``nearest_valid`` product did, bit for bit.  Pools and
+ratings are named by ref through ``ref_pools``.  Random
 networks are loaded through ``from_doc``, so they have skip connections and
 slots out of column order, then edited.
 """
@@ -21,12 +22,10 @@ from lucidnet import (
     Network,
     PruneConfig,
     PruningProblem,
-    SensitivityLedger,
     StaleReferenceError,
     TrainConfig,
     ValidSet,
     bias_ref,
-    candidate_pool,
     input_ref,
     nearest_valid,
     neuron_ref,
@@ -45,6 +44,7 @@ from bookkeeping_reference import (
     reference_ratings,
 )
 from conftest import apply_edits, edit_lists, fresh_trained_xor
+from ref_pools import by_class, ledger_of, ledger_refs, pool_refs, rated, rating_map
 
 LABELS = st.text(st.sampled_from('ab"\\/é∑\U0001f600\n'), min_size=1, max_size=4)
 SPECIAL = (-0.0, 0.0, 0.5, -0.5, math.nan, math.inf, -math.inf)
@@ -141,7 +141,7 @@ class TestPools:
         net = edited(doc, edits)
         set_specials(net, picks)
         for problem in problems(ValidSet.ternary()):
-            assert candidate_pool(net, problem) == reference_pool(net, problem), problem
+            assert pool_refs(net, problem) == reference_pool(net, problem), problem
 
     def test_fan_in_ties_across_layers_and_slot_order(self):
         # neurons 1:0 and 2:0 both have the top fan-in of 3, and their slots
@@ -162,12 +162,12 @@ class TestPools:
             "output_labels": ["pos", "neg"],
         })
         problem = PruningProblem("uniform-simplification", target_fan_in=2)
-        pool = candidate_pool(net, problem)
+        pool = pool_refs(net, problem)
         assert pool == reference_pool(net, problem)
         assert pool == [synapse_ref(1, 0, 1), synapse_ref(1, 0, 2), synapse_ref(1, 0, 3),
                         synapse_ref(2, 0, 1), synapse_ref(2, 0, 3)]
-        assert candidate_pool(net, PruningProblem("uniform-simplification",
-                                                  target_fan_in=3)) == []
+        assert pool_refs(net, PruningProblem("uniform-simplification",
+                                             target_fan_in=3)) == []
 
 
 VALID_SETS = st.one_of(
@@ -190,14 +190,17 @@ class TestRatings:
             net.set_weight(refs[pick % len(refs)], value)
         refs = ([input_ref(k) for k in net.active_feature_indices()]
                 + list(net.iter_neurons()) + refs)
-        ledger = SensitivityLedger(net, refs, np.ones(1), "max")
-        # one epoch of one sample: each max indicator is its sample
-        samples = np.random.default_rng(seed).uniform(0.0, 3.0, size=(len(refs), 1))
-        ledger.add_epoch(samples)
-        want = reference_ratings(samples[:, 0].tolist(), net, refs, valid)
-        got = ledger.finalize(net, valid)
-        assert list(got) == refs
-        assert got == want
+        rng = np.random.default_rng(seed)
+        for _, pool in by_class(refs):
+            ledger = ledger_of(net, pool, np.ones(1), "max")
+            # one epoch of one sample: each max indicator is its sample
+            samples = rng.uniform(0.0, 3.0, size=(len(pool), 1))
+            ledger.add_epoch(samples)
+            want = reference_ratings(samples[:, 0].tolist(), net, ledger_refs(net, ledger),
+                                     valid)
+            got = rating_map(net, ledger, valid)
+            assert list(got) == sorted(pool, key=lambda ref: ref.key)
+            assert got == want
 
     @pytest.mark.parametrize("weight, values, nearest", [
         (0.5, (-1.0, 0.0, 1.0), 0.0), (-0.5, (-1.0, 0.0, 1.0), 0.0),
@@ -217,29 +220,36 @@ class TestRatings:
         got = nearest_valid(np.array(weights, dtype=float), valid)
         assert got.tolist() == [reference_nearest(w, valid) for w in weights]
 
+    def test_a_valid_set_orders_its_ties_once(self):
+        valid = ValidSet((-1.0, -0.5, 0.0, 0.5, 1.0))
+        order = valid._by_magnitude
+        assert order.tolist() == sorted(valid.values, key=lambda v: (abs(v), v))
+        assert order.tolist() == [0.0, -0.5, 0.5, -1.0, 1.0] and not order.flags.writeable
+        assert valid == ValidSet(valid.values) and hash(valid) == hash(ValidSet(valid.values))
+
     def test_stale_and_out_of_range_refs_raise(self):
         net, _, _, _ = fresh_trained_xor(1, max_epochs=0)
         net.remove_element(neuron_ref(1, 2))
         for ref in (synapse_ref(1, 2, 1), bias_ref(1, 2), synapse_ref(1, 0, 9),
                     bias_ref(1, 6), bias_ref(3, 0), synapse_ref(2, 0, 3)):
-            # a ledger resolves its refs when it is built
+            # a pool's refs resolve to rows before a ledger is built
             with pytest.raises(StaleReferenceError):
-                SensitivityLedger(net, [bias_ref(1, 0), ref], np.ones(1), "avg")
+                ledger_of(net, [bias_ref(1, 0), ref], np.ones(1), "avg")
 
     def test_a_slot_0_synapse_ref_rates_its_bias(self):
         net, _, _, _ = fresh_trained_xor(1, max_epochs=0)
-        ledger = SensitivityLedger(net, [synapse_ref(1, 0, 0)], np.ones(1), "max")
+        ledger = ledger_of(net, [synapse_ref(1, 0, 0)], np.ones(1), "max")
         ledger.add_epoch(np.ones((1, 1)))
         w = net.weight(bias_ref(1, 0))
-        got = ledger.finalize(net, ValidSet.ternary())
-        assert got == {synapse_ref(1, 0, 0): abs(reference_nearest(w, ValidSet.ternary()) - w)}
+        got = rating_map(net, ledger, ValidSet.ternary())
+        assert got == {bias_ref(1, 0): abs(reference_nearest(w, ValidSet.ternary()) - w)}
 
     def test_select_candidates_targets(self):
         net, _, _, _ = fresh_trained_xor(1, max_epochs=0)
         valid = ValidSet.ternary()
-        pool = candidate_pool(net, PruningProblem("precision-reduction", valid_set=valid))
+        pool = pool_refs(net, PruningProblem("precision-reduction", valid_set=valid))
         final_map = {ref: 1.0 for ref in pool}
-        picked = select_candidates(final_map, net, PruningProblem(
+        picked = select_candidates(*rated(net, final_map), net, PruningProblem(
             "precision-reduction", valid_set=valid), len(pool))
         assert picked == [(ref, reference_nearest(net.weight(ref), valid)) for ref in pool]
 

@@ -40,6 +40,7 @@ from bookkeeping_reference import (
     reference_weight,
 )
 from conftest import apply_edits, edit_lists, network_from_layers, neuron_doc
+from ref_pools import pool_of
 from test_bookkeeping import network_docs
 
 VALUES = (-0.0, 0.0, 1.0, -1.0, 0.5, math.nan, math.inf)
@@ -192,7 +193,7 @@ class TestWeightRefs:
                 assert outcome(net.is_trainable, ref) == want
                 assert outcome(net.set_weight, ref, 1.0) == want
                 if ref.kind in ("synapse", "bias"):
-                    assert outcome(net.weight_rows, [ref]) == want
+                    assert outcome(pool_of, net, [ref]) == want
                     assert not net.is_alive(ref)
 
     def test_a_slot_0_synapse_ref_names_the_bias(self):
@@ -200,7 +201,7 @@ class TestWeightRefs:
             1, [[neuron_doc(0.25, [(0, 0, 0.5)], trainable=True)]], ["pos", "neg"])
         alias = synapse_ref(1, 0, 0)
         assert net.weight(alias) == net.weight(bias_ref(1, 0)) == 0.25
-        assert net.weight_rows([alias]).tolist() == net.weight_rows([bias_ref(1, 0)]).tolist()
+        assert pool_of(net, [alias])[1].tolist() == pool_of(net, [bias_ref(1, 0)])[1].tolist()
         net.set_weight(alias, -1.0, freeze=True)
         assert (net.weight(bias_ref(1, 0)), net.is_trainable(bias_ref(1, 0))) == (-1.0, False)
         assert outcome(net.remove_element, alias) == (
@@ -226,7 +227,7 @@ class TestWeightRefs:
         ]:
             assert outcome(net.weight, ref) == (StaleReferenceError, text)
             if ref.kind in ("synapse", "bias"):
-                assert outcome(net.weight_rows, [bias_ref(1, 0), ref]) == (
+                assert outcome(pool_of, net, [bias_ref(1, 0), ref]) == (
                     StaleReferenceError, text)
 
 
@@ -272,4 +273,4 @@ def test_iter_weights_reads_the_rows_in_key_order():
     assert got == [(bias_ref(1, 0), "0.5", False), (synapse_ref(1, 0, 1), "-0.0", False),
                    (synapse_ref(1, 0, 2), "nan", False)]
     assert live_weights(net.iter_weights(with_bias=False)) == got[1:]
-    assert np.array_equal(net.weight_rows([r for r, _, _ in got]), [0, 1, 2])
+    assert np.array_equal(pool_of(net, [r for r, _, _ in got])[1], [0, 1, 2])

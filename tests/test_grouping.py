@@ -35,6 +35,7 @@ from lucidnet.network import BatchTrace, backward_batch, forward_batch
 from lucidnet.training import EpochWorkspace, distinct_rows, loss_terms, targets_for
 
 from conftest import apply_edits, distinct_groups, edit_lists, make_dataset
+from ref_pools import by_class, pool_of, rating_map
 import test_workspace
 from test_workspace import every_element
 
@@ -179,26 +180,29 @@ class TestGroupedEqualsPerRow:
         pool = [ref for ref, keep in zip(every_element(net), picks) if keep]
         valid = ValidSet.ternary()
         work = EpochWorkspace(net, ds, loss)
-        # one epoch's samples, and a step of zero; one ledger per mode, both
-        # from the same start state
-        start, got = net.snapshot(), {}
-        for mode in ("max", "avg"):
-            net.restore(start)
-            got[mode] = collect_ledger(net, ds, loss, TrainConfig(0.0), 1, pool, mode,
-                                       work).finalize(net, valid)
-        group = group_of_each_row(work)
-        _, _, trace = per_row(net, ds, loss)
-        for ref in pool:
-            scale = 1.0
-            if ref.kind in ("synapse", "bias"):
-                scale = abs(nearest_valid(net.weight(ref), valid) - net.weight(ref))
-            # the max of the groups is the max of their rows
-            assert got["max"][ref] == _samples(net, work.trace, ref)[group].max() * scale
-            plain = _samples(net, trace, ref)
-            assert got["max"][ref] == pytest.approx(plain.max() * scale,
-                                                    rel=1e-12, abs=1e-300)
-            assert got["avg"][ref] == pytest.approx(plain.mean() * scale,
-                                                    rel=1e-12, abs=1e-300)
+        # one epoch's samples, and a step of zero; one ledger per class and
+        # mode, each from the same start state
+        start = net.snapshot()
+        for _, refs in by_class(pool):
+            got = {}
+            for mode in ("max", "avg"):
+                net.restore(start)
+                ledger = collect_ledger(net, ds, loss, TrainConfig(0.0), 1,
+                                        *pool_of(net, refs), mode, work)
+                got[mode] = rating_map(net, ledger, valid)
+            group = group_of_each_row(work)
+            _, _, trace = per_row(net, ds, loss)
+            for ref in refs:
+                scale = 1.0
+                if ref.kind in ("synapse", "bias"):
+                    scale = abs(nearest_valid(net.weight(ref), valid) - net.weight(ref))
+                # the max of the groups is the max of their rows
+                assert got["max"][ref] == _samples(net, work.trace, ref)[group].max() * scale
+                plain = _samples(net, trace, ref)
+                assert got["max"][ref] == pytest.approx(plain.max() * scale,
+                                                        rel=1e-12, abs=1e-300)
+                assert got["avg"][ref] == pytest.approx(plain.mean() * scale,
+                                                        rel=1e-12, abs=1e-300)
 
 
 def group_of_each_row(work):

@@ -39,6 +39,7 @@ from conftest import (
     network_from_layers,
     neuron_doc,
 )
+from ref_pools import pool_refs, rated
 
 TERNARY = ValidSet.ternary()
 
@@ -87,7 +88,7 @@ def uneven_fan_net():
 
 
 def flat_map(net, problem, value=1.0):
-    return {ref: value for ref in candidate_pool(net, problem)}
+    return {ref: value for ref in pool_refs(net, problem)}
 
 
 class TestSelectCandidates:
@@ -95,13 +96,13 @@ class TestSelectCandidates:
         net = uneven_fan_net()
         problem = PruningProblem("synapse-removal")
         fm = flat_map(net, problem)
-        picked = select_candidates(fm, net, problem, 1000)
+        picked = select_candidates(*rated(net, fm), net, problem, 1000)
         assert len(picked) == len(fm)
 
     def test_uniform_restricts_to_busiest_neuron(self):
         net = uneven_fan_net()
         problem = PruningProblem("uniform-simplification", target_fan_in=3)
-        picked = select_candidates(flat_map(net, problem), net, problem, 100)
+        picked = select_candidates(*rated(net, flat_map(net, problem)), net, problem, 100)
         owners = {(r.layer, r.neuron) for r, _ in picked}
         assert owners == {(1, 0)}
         assert len(picked) == 5
@@ -112,15 +113,15 @@ class TestSelectCandidates:
         for slot in (1, 2):
             net.remove_element(synapse_ref(1, 0, slot))
         problem = PruningProblem("uniform-simplification", target_fan_in=3)
-        assert candidate_pool(net, problem) == []
+        assert candidate_pool(net, problem).tolist() == []
         with pytest.raises(PoolExhausted):
-            select_candidates({}, net, problem, 1)
+            select_candidates(*rated(net, {}), net, problem, 1)
 
     def test_ties_break_toward_lower_ref(self):
         net = uneven_fan_net()
         problem = PruningProblem("synapse-removal")
         fm = flat_map(net, problem, value=0.25)
-        (ref, target), = select_candidates(fm, net, problem, 1)
+        (ref, target), = select_candidates(*rated(net, fm), net, problem, 1)
         assert str(ref) == "bias:1:0"  # smallest key in the pool
         assert target == 0.0
 
@@ -130,13 +131,13 @@ class TestSelectCandidates:
         fm = flat_map(net, problem, value=1.0)
         fm[synapse_ref(1, 2, 2)] = 0.001
         fm[bias_ref(2, 0)] = 0.01
-        picked = select_candidates(fm, net, problem, 2)
+        picked = select_candidates(*rated(net, fm), net, problem, 2)
         assert [str(r) for r, _ in picked] == ["synapse:1:2:2", "bias:2:0"]
 
     def test_frozen_elements_not_in_pool(self):
         net = uneven_fan_net()
         net.set_weight(synapse_ref(1, 2, 1), 0.5, freeze=True)
-        pool = candidate_pool(net, PruningProblem("synapse-removal"))
+        pool = pool_refs(net, PruningProblem("synapse-removal"))
         assert synapse_ref(1, 2, 1) not in pool
 
     def test_precision_targets_use_nearest_valid(self):
@@ -144,7 +145,7 @@ class TestSelectCandidates:
         problem = PruningProblem("precision-reduction", valid_set=TERNARY)
         fm = flat_map(net, problem)
         fm[synapse_ref(1, 0, 1)] = 0.0
-        (ref, target), = select_candidates(fm, net, problem, 1)
+        (ref, target), = select_candidates(*rated(net, fm), net, problem, 1)
         assert str(ref) == "synapse:1:0:1"
         assert target == 0.0  # 0.5 ties toward smaller magnitude
 
@@ -196,7 +197,7 @@ class TestApplyModification:
         net = uneven_fan_net()
         problem = PruningProblem("synapse-removal", valid_set=ValidSet((-0.0,)))
         assert repr(problem.valid_set.values) == "(0.0,)"
-        candidates = select_candidates({bias_ref(1, 0): 0.0}, net, problem, 1)
+        candidates = select_candidates(*rated(net, {bias_ref(1, 0): 0.0}), net, problem, 1)
         assert apply_modification(net, candidates, problem) == ([bias_ref(1, 0)], [])
         assert repr(net.weight(bias_ref(1, 0))) == "0.0"
 

@@ -13,6 +13,7 @@ from lucidnet import (
     build_network,
     candidate_pool,
     collect_ledger,
+    element_refs,
     input_ref,
     nearest_valid,
     neuron_ref,
@@ -24,6 +25,7 @@ from lucidnet.sensitivity import SensitivityLedger, export_csv
 from lucidnet.training import loss_terms, targets_for
 
 from conftest import make_dataset, single_neuron_net, total_loss
+from ref_pools import ledger_of, ledger_refs, pool_of, rating_map
 from indicator_reference import (
     ExcludedElementError,
     aggregate_samples,
@@ -188,18 +190,18 @@ class TestLedger:
     def test_single_epoch_equals_aggregate(self):
         net = single_neuron_net([2.0], 0.0, activation="tanh", trainable=True)
         ref = synapse_ref(1, 0, 1)
-        ledger = SensitivityLedger(net, [ref], np.ones(2), "max")
+        ledger = ledger_of(net, [ref], np.ones(2), "max")
         ledger.add_epoch(np.array([[0.5, 0.3]]))
-        final = ledger.finalize(net, ValidSet((1.0,)))  # |1 - 2| = 1
+        final = rating_map(net, ledger, ValidSet((1.0,)))  # |1 - 2| = 1
         assert final[ref] == pytest.approx(0.5)
 
     def test_epoch_mean(self):
         net = single_neuron_net([2.0], 0.0, activation="tanh", trainable=True)
         ref = synapse_ref(1, 0, 1)
-        ledger = SensitivityLedger(net, [ref], np.ones(1), "max")
+        ledger = ledger_of(net, [ref], np.ones(1), "max")
         ledger.add_epoch(np.array([[0.2]]))
         ledger.add_epoch(np.array([[0.4]]))
-        final = ledger.finalize(net, ValidSet((1.0,)))
+        final = rating_map(net, ledger, ValidSet((1.0,)))
         assert final[ref] == pytest.approx(0.3)
 
     def test_frozen_mid_accumulation_excluded(self):
@@ -209,38 +211,40 @@ class TestLedger:
         ref = synapse_ref(1, 0, 1)
         problem = PruningProblem("precision-reduction", valid_set=ValidSet((1.0,)))
         net.set_weight(ref, 1.0, freeze=True)
-        ledger = SensitivityLedger(net, candidate_pool(net, problem), np.ones(1), "max")
+        ledger = SensitivityLedger(net, "weight", candidate_pool(net, problem), np.ones(1),
+                                   "max")
         ledger.add_epoch(np.array([[0.1]]))
-        final = ledger.finalize(net, problem.valid_set)
+        final = rating_map(net, ledger, problem.valid_set)
         assert ref not in final
         assert list(final) == [bias_ref(1, 0)]
 
     def test_rates_exactly_the_given_refs(self):
         net = single_neuron_net([2.0], 0.0, activation="tanh", trainable=True)
         ref = synapse_ref(1, 0, 1)
-        empty = SensitivityLedger(net, [], np.ones(1), "max")
+        empty = ledger_of(net, [], np.ones(1), "max")
         empty.add_epoch(np.zeros((0, 1)))
-        assert empty.finalize(net, ValidSet((1.0,))) == {}
-        ledger = SensitivityLedger(net, [ref, bias_ref(1, 0)], np.ones(1), "max")
+        assert rating_map(net, empty, ValidSet((1.0,))) == {}
+        ledger = ledger_of(net, [ref, bias_ref(1, 0)], np.ones(1), "max")
+        # the ledger reads the bias's block first
+        assert ledger_refs(net, ledger) == [bias_ref(1, 0), ref]
         ledger.add_epoch(np.array([[0.2], [0.4]]))
-        assert list(ledger.finalize(net, ValidSet((1.0,)))) == [
-            ref, bias_ref(1, 0)]
+        assert rating_map(net, ledger, ValidSet((1.0,))) == {bias_ref(1, 0): 0.2,
+                                                            ref: 0.4}
         net.remove_element(ref)  # the ref went stale after the pool was taken
         with pytest.raises(StaleReferenceError):
             ledger.finalize(net, ValidSet((1.0,)))
 
     def test_sample_rows_must_match_refs(self):
         net = single_neuron_net([1.0], 0.0)
-        ledger = SensitivityLedger(net, [synapse_ref(1, 0, 1), bias_ref(1, 0)],
-                                   np.ones(2), "max")
+        ledger = ledger_of(net, [synapse_ref(1, 0, 1), bias_ref(1, 0)], np.ones(2), "max")
         with pytest.raises(ValueError):
             ledger.add_epoch(np.array([[0.2, 0.3]]))
 
     @pytest.mark.parametrize("mode", ["max", "avg"])
     def test_sample_width_must_match_counts(self, mode):
         net = single_neuron_net([1.0], 0.0)
-        ledger = SensitivityLedger(net, [synapse_ref(1, 0, 1), bias_ref(1, 0)],
-                                   np.array([2.0, 1.0, 3.0]), mode)
+        ledger = ledger_of(net, [synapse_ref(1, 0, 1), bias_ref(1, 0)],
+                           np.array([2.0, 1.0, 3.0]), mode)
         for width in (1, 2, 4):
             with pytest.raises(ValueError, match="shape"):
                 ledger.add_epoch(np.ones((2, width)))
@@ -250,11 +254,15 @@ class TestLedger:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="indicator mode"):
-            SensitivityLedger(single_neuron_net([1.0], 0.0), [], np.ones(1), "mean")
+            ledger_of(single_neuron_net([1.0], 0.0), [], np.ones(1), "mean")
+
+    def test_unknown_element_class_rejected(self):
+        with pytest.raises(ValueError, match="element class"):
+            SensitivityLedger(single_neuron_net([1.0], 0.0), "bias", [], np.ones(1), "max")
 
     def test_weight_needs_valid_set(self):
         net = single_neuron_net([1.0], 0.0)
-        ledger = SensitivityLedger(net, [synapse_ref(1, 0, 1)], np.ones(1), "max")
+        ledger = ledger_of(net, [synapse_ref(1, 0, 1)], np.ones(1), "max")
         ledger.add_epoch(np.array([[0.2]]))
         with pytest.raises(ValueError):
             ledger.finalize(net)
@@ -262,28 +270,26 @@ class TestLedger:
     def test_empty_ledger_finalize_rejected(self):
         net = single_neuron_net([1.0], 0.0)
         with pytest.raises(ValueError):
-            SensitivityLedger(net, [], np.ones(1), "max").finalize(
-                net, ValidSet.removal()
-            )
+            ledger_of(net, [], np.ones(1), "max").finalize(net, ValidSet.removal())
 
     def test_displacement_scales_linearly(self):
         net = single_neuron_net([0.3], 0.0, activation="tanh", trainable=True)
         ref = synapse_ref(1, 0, 1)
-        ledger = SensitivityLedger(net, [ref], np.ones(2), "avg")
+        ledger = ledger_of(net, [ref], np.ones(2), "avg")
         ledger.add_epoch(np.array([[0.8, 0.1]]))
-        near = ledger.finalize(net, ValidSet((0.3 - 0.2,)))[ref]
-        far = ledger.finalize(net, ValidSet((0.3 - 0.4,)))[ref]
+        near = rating_map(net, ledger, ValidSet((0.3 - 0.2,)))[ref]
+        far = rating_map(net, ledger, ValidSet((0.3 - 0.4,)))[ref]
         assert far == pytest.approx(2 * near)
 
 
 def epoch_samples(monkeypatch, *collect_args):
-    """The sample arrays that ``collect_ledger(*collect_args)`` hands to
-    ``add_epoch``, one per epoch."""
+    """(ledger, samples) of each ``add_epoch`` call of
+    ``collect_ledger(*collect_args)``, one per epoch."""
     seen = []
     real = SensitivityLedger.add_epoch
 
     def spy(ledger, samples):
-        seen.append(samples)
+        seen.append((ledger, samples))
         real(ledger, samples)
 
     monkeypatch.setattr(SensitivityLedger, "add_epoch", spy)
@@ -318,12 +324,13 @@ class TestCollectLedger:
         pool = candidate_pool(net, PruningProblem("synapse-removal"))
         start = net.snapshot()
         # one ledger per mode, both from the same start state
-        fmax = collect_ledger(net, self.ds, self.loss, self.cfg, 4, pool,
-                              "max").finalize(net, ValidSet.removal())
+        fmax = rating_map(net, collect_ledger(net, self.ds, self.loss, self.cfg, 4, "weight",
+                                              pool, "max"), ValidSet.removal())
         net.restore(start)
-        favg = collect_ledger(net, self.ds, self.loss, self.cfg, 4, pool,
-                              "avg").finalize(net, ValidSet.removal())
-        assert list(fmax) == list(favg) == pool and len(fmax) > 0
+        favg = rating_map(net, collect_ledger(net, self.ds, self.loss, self.cfg, 4, "weight",
+                                              pool, "avg"), ValidSet.removal())
+        assert list(fmax) == list(favg) == element_refs(net, "weight", pool)
+        assert len(fmax) > 0
         for ref in fmax:
             assert fmax[ref] >= favg[ref] >= 0.0
 
@@ -336,7 +343,7 @@ class TestCollectLedger:
         before = net.to_json()
         pool = candidate_pool(net, PruningProblem("synapse-removal"))
         with pytest.raises(ValueError, match="indicator mode"):
-            collect_ledger(net, self.ds, self.loss, self.cfg, 3, pool, "mean")
+            collect_ledger(net, self.ds, self.loss, self.cfg, 3, "weight", pool, "mean")
         assert calls == []
         assert net.to_json() == before
 
@@ -345,8 +352,8 @@ class TestCollectLedger:
         for _ in range(2):
             net = build_network((3, 4, 1), output_labels=["pos", "neg"], seed=6)
             pool = candidate_pool(net, POOL_PROBLEM["input"])
-            ledger = collect_ledger(net, self.ds, self.loss, self.cfg, 3, pool, "avg")
-            finals.append(ledger.finalize(net))
+            ledger = collect_ledger(net, self.ds, self.loss, self.cfg, 3, "input", pool, "avg")
+            finals.append(ledger.finalize(net).tolist())
         assert finals[0] == finals[1]
 
     def test_batched_record_matches_per_sample_reference(self, monkeypatch):
@@ -362,12 +369,15 @@ class TestCollectLedger:
         weight_refs = [ref for ref, _, _ in net.iter_weights()]
         input_refs = [input_ref(k) for k in net.active_feature_indices()]
         neuron_refs = list(net.iter_neurons())
-        refs = weight_refs + input_refs + neuron_refs
-        (samples,) = epoch_samples(monkeypatch, net, ds, self.loss,
-                                   TrainConfig(learning_rate=0.0), 1, refs, "max")
-        weight_rows = dict(zip(weight_refs, samples))
-        input_rows = dict(zip(input_refs, samples[len(weight_refs):]))
-        neuron_rows = dict(zip(neuron_refs, samples[-len(neuron_refs):]))
+        # a learning rate of 0 leaves the network as it is for each ledger
+        rows = {}
+        for refs in (weight_refs, input_refs, neuron_refs):
+            (ledger, samples), = epoch_samples(monkeypatch, net, ds, self.loss,
+                                               TrainConfig(learning_rate=0.0), 1,
+                                               *pool_of(net, refs), "max")
+            rows.update(zip(ledger_refs(net, ledger), samples.copy()))
+        assert net.to_json() == reference.to_json()
+        weight_rows = input_rows = neuron_rows = rows
         z = targets_for(ds, reference)
         for j in range(3):
             trace = forward(reference, ds.features[j])
@@ -387,8 +397,9 @@ class TestCollectLedger:
     def test_empty_pool_still_trains(self, monkeypatch):
         net = build_network((3, 4, 1), output_labels=["pos", "neg"], seed=6)
         before = net.to_json()
-        seen = epoch_samples(monkeypatch, net, self.ds, self.loss, self.cfg, 3, [], "avg")
-        assert [s.shape for s in seen] == [(0, 4)] * 3
+        seen = epoch_samples(monkeypatch, net, self.ds, self.loss, self.cfg, 3, "weight",
+                             [], "avg")
+        assert [s.shape for _, s in seen] == [(0, 4)] * 3
         assert net.to_json() != before
 
 
@@ -415,7 +426,9 @@ class TestLedgerExactness:
         valid = ValidSet.ternary() if element_class == "weight" else None
         epochs = 4
         pool = candidate_pool(net, POOL_PROBLEM[element_class])
-        got = collect_ledger(net, ds, loss, cfg, epochs, pool, mode).finalize(net, valid)
+        got = rating_map(net, collect_ledger(net, ds, loss, cfg, epochs, element_class, pool,
+                                             mode), valid)
+        pool = element_refs(net, element_class, pool)
 
         sums = {}
         velocity = None
@@ -487,8 +500,8 @@ class TestExport:
                           class_labels=["pos", "neg"])
         pool = candidate_pool(net, POOL_PROBLEM["weight"])
         ledger = collect_ledger(net, ds, LossKind("mse"),
-                                TrainConfig(learning_rate=0.1), 2, pool, "avg")
-        final = ledger.finalize(net, ValidSet.ternary())
+                                TrainConfig(learning_rate=0.1), 2, "weight", pool, "avg")
+        final = rating_map(net, ledger, ValidSet.ternary())
         path = tmp_path / "indicators.csv"
         export_csv(final, "weight", "avg", path)
         with open(path, newline="") as fh:

@@ -5,20 +5,23 @@
 The digest must see every field of the record, a restore must give back
 the snapshot's digest and bytes after any edits, equal digests of one
 topology must mean equal ``network.json`` bytes, and those bytes must be
-the compact dump of ``to_doc``, non-finite weights included.
+the compact dump of ``to_doc``, non-finite weights included: ``to_json``
+dumps without sorting, because ``to_doc`` builds every object with its keys
+in sorted order.
 """
 
 import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lucidnet import Network, bias_ref, input_ref, synapse_ref
+from lucidnet import Network, bias_ref, build_network, input_ref, synapse_ref
 from lucidnet.network import ACTIVATIONS
 
-from conftest import EDIT_KINDS, edit_lists
+from conftest import EDIT_KINDS, apply_edits, edit_lists
 from test_bookkeeping import SPECIAL, edited, network_docs, set_specials, special_picks
 
 
@@ -146,6 +149,31 @@ class TestSerializer:
     def test_to_json_is_the_dump_of_to_doc(self, doc, edits, picks):
         net = edited(doc, edits)
         set_specials(net, picks)
+        assert net.to_json() == json.dumps(net.to_doc(), separators=(",", ":"),
+                                           sort_keys=True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=network_docs(), edits=edit_lists)
+    def test_to_doc_builds_every_object_with_sorted_keys(self, doc, edits):
+        def objects(value):
+            if isinstance(value, dict):
+                yield value
+                value = list(value.values())
+            for item in value if isinstance(value, list) else ():
+                yield from objects(item)
+
+        seen = list(objects(edited(doc, edits).to_doc()))
+        assert seen and all(list(obj) == sorted(obj) for obj in seen)
+
+    @pytest.mark.parametrize("sizes, labels", [((8, 6, 1), None),
+                                               ((12, 10, 10, 2), ["P", "O"])],
+                             ids=["majority8", "election1024"])
+    @pytest.mark.parametrize("edits", [[], [("neuron", 3), ("synapse", 7), ("input", 2),
+                                            ("freeze", 11), ("freeze", 40)]],
+                             ids=["built", "edited"])
+    def test_the_bench_nets(self, sizes, labels, edits):
+        net = build_network(sizes, output_labels=labels, seed=1)
+        apply_edits(net, edits)
         assert net.to_json() == json.dumps(net.to_doc(), separators=(",", ":"),
                                            sort_keys=True)
 

@@ -41,6 +41,7 @@ from lucidnet import (
     TrainOutcome,
     ValidSet,
     build_network,
+    candidate_pool,
     collect_ledger,
     forward_batch,
     input_ref,
@@ -52,7 +53,6 @@ from lucidnet import (
 )
 from lucidnet import pruning, sensitivity, training
 from lucidnet.network import BatchTrace, backward_batch
-from lucidnet.sensitivity import _fill_samples, _sample_plan
 from lucidnet.training import EpochWorkspace, loss_terms, targets_for
 
 from conftest import (
@@ -70,6 +70,7 @@ from indicator_reference import (
     neuron_indicator_sample,
     weight_gradient_sample,
 )
+from ref_pools import by_class, collect_ratings
 from sample_reference import ForwardTrace, GradientBundle
 from test_network_reference import loaded, network_docs
 
@@ -123,16 +124,15 @@ def plain_train_until(net, ds, loss, cfg, stepper=plain_step):
         epochs += 1
 
 
-def plain_ledger(net, ds, loss, cfg, epochs, refs, mode):
+def plain_ledger(net, ds, loss, cfg, epochs, element_class, pool, mode):
     """``collect_ledger`` with fresh buffers and targets every epoch."""
-    ledger = SensitivityLedger(net, refs, distinct_groups(ds, net)[1], mode)
-    plan = _sample_plan(net, ledger.refs, ledger.rows, len(ledger.counts))
+    ledger = SensitivityLedger(net, element_class, pool, distinct_groups(ds, net)[1], mode)
     velocity = None
     for _ in range(epochs):
         reps, trace = grouped_forward(net, ds)
         _, velocity = plain_step(net, reps, loss, cfg, velocity, trace=trace)
-        samples = np.empty((len(refs), len(reps.labels)))
-        _fill_samples(trace, plan, samples)
+        samples = np.empty((len(ledger.index), len(reps.labels)))
+        ledger.sample(trace, samples)
         ledger.add_epoch(samples)
     return ledger
 
@@ -224,10 +224,10 @@ class TestCollectLedgerEqualsPlainComposition:
 
         valid = ValidSet.ternary()
         with np.errstate(all="ignore"):
-            got = outcome_or_error(lambda: collect_ledger(
-                net, ds, loss, cfg, epochs, elements(net), mode).finalize(net, valid))
-            want = outcome_or_error(lambda: plain_ledger(
-                twin, ds, loss, cfg, epochs, elements(twin), mode).finalize(twin, valid))
+            got = outcome_or_error(lambda: collect_ratings(
+                net, ds, loss, cfg, epochs, elements(net), mode, valid))
+            want = outcome_or_error(lambda: collect_ratings(
+                twin, ds, loss, cfg, epochs, elements(twin), mode, valid, plain_ledger))
         if want[0] == "returned":
             assert list(got[1]) == list(want[1])
             assert [repr(v) for v in got[1].values()] == \
@@ -327,8 +327,8 @@ class TestNonDifferentiableTiming:
         cfg = TrainConfig(0.1, success_criterion="loss-below-threshold",
                           loss_threshold=-1.0)
         with pytest.raises(NonDifferentiableError):
-            collect_ledger(net, ds, LossKind("mse"), cfg, 1,
-                           list(net.iter_neurons(hidden_only=True)), "avg")
+            collect_ledger(net, ds, LossKind("mse"), cfg, 1, "neuron",
+                           candidate_pool(net, PruningProblem("neuron-removal")), "avg")
         with pytest.raises(NonDifferentiableError):
             train_until(net, ds, LossKind("mse"), cfg)
         assert net.to_json() == before
@@ -440,7 +440,7 @@ class TestTraceReset:
             with pytest.raises(ValueError, match="another network"):
                 train_until(*args, cfg, work)
             with pytest.raises(ValueError, match="another network"):
-                collect_ledger(*args, cfg, 1, [], "avg", work)
+                collect_ledger(*args, cfg, 1, "weight", [], "avg", work)
 
 
 def per_sample_records(net, trace):
@@ -525,17 +525,19 @@ def ledger_cases(draw):
 
 class TestLedgerEqualsPerSampleReference:
     """The chunked ledger rates every ref as the per-sample formulas do,
-    bit for bit, in the pool's order: shuffled pools mix inputs, neurons,
-    and the biases and synapses of several layers, and, with the chunk
-    bound drawn down to a few refs' samples, often hold more than one
-    chunk of refs reading one gradient block."""
+    bit for bit: shuffled pools mix inputs, neurons, and the biases and
+    synapses of several layers, rated by one ledger per class in turn, and,
+    with the chunk bound drawn down to a few refs' samples, often hold more
+    than one chunk of refs reading one gradient block."""
 
     @staticmethod
     def check(net, twin, ds, loss, cfg, pool, epochs, mode):
         valid = ValidSet.ternary()
-        got = collect_ledger(net, ds, loss, cfg, epochs, pool, mode).finalize(net, valid)
-        want = reference_ledger_map(twin, ds, loss, cfg, epochs, pool, mode, valid)
-        assert list(got) == pool
+        got = collect_ratings(net, ds, loss, cfg, epochs, pool, mode, valid)
+        want = {}
+        for _, refs in by_class(pool):
+            want.update(reference_ledger_map(twin, ds, loss, cfg, epochs, refs, mode, valid))
+        assert len(got) == len(pool)
         assert [repr(got[ref]) for ref in pool] == [repr(want[ref]) for ref in pool]
         assert net.to_json() == twin.to_json()
 
@@ -571,7 +573,7 @@ def fresh_per_call(monkeypatch):
     ``collect_ledger`` and ``train_until`` call builds its own."""
     until, ledger = pruning.train_until, pruning.collect_ledger
     monkeypatch.setattr(pruning, "train_until", lambda *args: until(*args[:4]))
-    monkeypatch.setattr(pruning, "collect_ledger", lambda *args: ledger(*args[:7]))
+    monkeypatch.setattr(pruning, "collect_ledger", lambda *args: ledger(*args[:8]))
 
 
 def count_workspaces(monkeypatch):

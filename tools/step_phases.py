@@ -14,7 +14,17 @@ wrappers around the phases of a pruning step, and prints one JSON object:
   the inner one, so the phases and ``rest_s`` (the stages' own time)
   add up to ``stages_s``;
 - ``epochs``: ``train_epoch`` calls in the whole pass and the epochs that
-  the pass's work counters account for, which must be equal.
+  the pass's work counters account for, which must be equal;
+- ``median_step``: from a second pass of the same workload, wrapped only
+  to cut it into steps, a least-squares fit of each pruning step's latency
+  against the training epochs it ran: ``intercept_ms``, the fixed cost of
+  a step, and ``ms_per_epoch``, with the steps' ``median_ms`` and
+  ``median_epochs`` and ``share_at_accumulation_epochs``, the share of
+  steps that ran exactly their stage's ``accumulation_epochs``.  A step
+  runs from its stage's entry, or from the previous step's record, to its
+  own record, so its epochs are those of its ledger, if it has one, and of
+  its retrain.  Latencies are this machine's milliseconds, not put on the
+  bench's nominal speed.
 
 Nothing under ``bench/`` or ``src/`` is changed; the wrappers are removed
 at the end.  A phase whose function a tree does not have reads 0 calls.
@@ -32,6 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
 import workloads  # noqa: E402  (puts the tree's src/ on sys.path)
+import numpy as np  # noqa: E402
 from reference import SpeedReference  # noqa: E402
 from tracer import StepClock  # noqa: E402
 
@@ -44,9 +55,9 @@ PHASES = {
     "reset": [(network, "BatchTrace.reset")],
     "plan": [(network, "_LayerPlan.__init__"), (network, "_LayerPlan.patch")],
     "group": [(training, "EpochWorkspace._group")],
-    "ledger_sampling": [(sensitivity, "_fill_samples")],
+    "ledger_sampling": [(sensitivity, "SensitivityLedger.sample")],
     "add_epoch": [(sensitivity, "SensitivityLedger.add_epoch")],
-    "sample_plan": [(sensitivity, "_sample_plan")],
+    "ledger_plan": [(sensitivity, "SensitivityLedger.__init__")],
     "finalize": [(sensitivity, "SensitivityLedger.finalize")],
     "candidate_pool": [(pruning, "candidate_pool")],
     "select_candidates": [(pruning, "select_candidates")],
@@ -102,26 +113,84 @@ class Phases:
         targets = [(phase, *target) for phase, names in PHASES.items() for target in names]
         for phase, module, name in targets + [(None, *SCOPE)]:
             original = _original(module, name)
-            if original is None:
-                continue
-            wrapper = self._wrap(phase, original)
-            if "." in name:
-                self._patch(getattr(module, name.split(".")[0]), name.split(".")[1], wrapper)
-                continue
-            for mod in list(sys.modules.values()):  # every module that imported it
-                if getattr(mod, "__name__", "").startswith("lucidnet"):
-                    for attr, value in list(vars(mod).items()):
-                        if value is original:
-                            self._patch(mod, attr, wrapper)
-
-    def _patch(self, owner, attr, wrapper):
-        self._undo.append((owner, attr, getattr(owner, attr)))
-        setattr(owner, attr, wrapper)
+            if original is not None:
+                _install(module, name, self._wrap(phase, original), self._undo)
 
     def uninstall(self):
-        for owner, attr, original in reversed(self._undo):
-            setattr(owner, attr, original)
-        self._undo.clear()
+        _uninstall(self._undo)
+
+
+class StepEpochs:
+    """Per pruning step, (latency in ms, ``train_epoch`` calls, its stage's
+    ``accumulation_epochs``), a step running from its stage's entry or the
+    previous step's record to its own record."""
+
+    def __init__(self):
+        self.steps = []
+        self._epochs = 0
+        self._cut = None  # (time, epochs, accumulation epochs) where the step began
+        self._undo = []
+
+    def install(self):
+        train_epoch, prune, emit = (_original(module, name) for module, name in (
+            (training, "train_epoch"), SCOPE, (pruning, "_emit")))
+
+        def counted(*args, **kwargs):
+            self._epochs += 1
+            return train_epoch(*args, **kwargs)
+
+        def stage(*args, **kwargs):
+            self._cut = (time.perf_counter(), self._epochs, args[2].accumulation_epochs)
+            return prune(*args, **kwargs)
+
+        def record(*args, **kwargs):
+            emit(*args, **kwargs)
+            now, (start, epochs, accumulation) = time.perf_counter(), self._cut
+            self.steps.append((1000.0 * (now - start), self._epochs - epochs, accumulation))
+            self._cut = (now, self._epochs, accumulation)
+
+        for (module, name), wrapper in (((training, "train_epoch"), counted),
+                                        (SCOPE, stage), ((pruning, "_emit"), record)):
+            _install(module, name, wrapper, self._undo)
+
+    def uninstall(self):
+        _uninstall(self._undo)
+
+
+def fit_steps(steps):
+    """The ``median_step`` block of (ms, epochs, accumulation epochs) steps:
+    a least-squares line of latency against epochs, and the medians; just
+    the count when a pass prunes nothing, as compare16 does."""
+    if not steps:
+        return {"steps": 0}
+    ms, epochs, accumulation = (np.array(column, dtype=float) for column in zip(*steps))
+    (intercept, per_epoch), *_ = np.linalg.lstsq(
+        np.column_stack([np.ones_like(epochs), epochs]), ms, rcond=None)
+    return {"steps": len(ms), "intercept_ms": float(intercept),
+            "ms_per_epoch": float(per_epoch), "median_ms": float(np.median(ms)),
+            "median_epochs": float(np.median(epochs)),
+            "share_at_accumulation_epochs": float(np.mean(epochs == accumulation))}
+
+
+def _install(module, name, wrapper, undo):
+    """Put ``wrapper`` in place of ``name`` of ``module``: on its class for
+    "Class.method", else in every lucidnet module that imported it."""
+    original = _original(module, name)
+    if "." in name:
+        owners = [(getattr(module, name.split(".")[0]), name.split(".")[1])]
+    else:
+        owners = [(mod, attr) for mod in list(sys.modules.values())
+                  if getattr(mod, "__name__", "").startswith("lucidnet")
+                  for attr, value in list(vars(mod).items()) if value is original]
+    for owner, attr in owners:
+        undo.append((owner, attr, getattr(owner, attr)))
+        setattr(owner, attr, wrapper)
+
+
+def _uninstall(undo):
+    for owner, attr, original in reversed(undo):
+        setattr(owner, attr, original)
+    undo.clear()
 
 
 _ORIGINALS = {}
@@ -141,21 +210,29 @@ def _original(module, name):
 
 
 def measure(workload, out):
-    """Set ``workload`` up, run one pass of it into ``out`` and return the
-    phase split as a dict."""
+    """Set ``workload`` up, run one pass of it into ``out`` with the phase
+    wrappers and one more with the step cuts only, and return the phase
+    split and the step fit as a dict."""
     workload.setup()
-    phases, clock = Phases(), StepClock()
+    phases, cuts, clock = Phases(), StepEpochs(), StepClock()
     clock.install()
-    phases.install()
     try:
-        p = workload.run_pass(out, clock, SpeedReference())
+        phases.install()
+        try:
+            p = workload.run_pass(Path(out) / "phases", clock, SpeedReference())
+        finally:
+            phases.uninstall()
+        cuts.install()
+        try:
+            cut = workload.run_pass(Path(out) / "steps", clock, SpeedReference())
+        finally:
+            cuts.uninstall()
     finally:
-        phases.uninstall()
         clock.uninstall()
     return {
         "workload": workload.name,
         "pass_s": p.wall_s,
-        "failed_ops": sum(op.error is not None for op in p.ops),
+        "failed_ops": sum(op.error is not None for op in p.ops + cut.ops),
         "stages_s": phases.stages_s,
         "steps": p.counters["steps"],
         "phases": {name: {"calls": phases.calls[name], "s": phases.seconds[name]}
@@ -163,6 +240,7 @@ def measure(workload, out):
         "rest_s": phases.rest_s,
         "epochs": {"train_epoch_calls": phases.epoch_calls,
                    "counted": workloads.epochs(p.counters)},
+        "median_step": fit_steps(cuts.steps),
     }
 
 
